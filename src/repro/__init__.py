@@ -69,6 +69,7 @@ _EXPORTS = {
     "TraceConfig": "repro.suite",
     "RunResult": "repro.suite",
     "build_service": "repro.suite",
+    "drive": "repro.suite.cluster",
     "run_open_loop": "repro.suite.cluster",
     "run_closed_loop": "repro.suite.cluster",
     # energy: the per-core power model, account, and windowed report

@@ -1,23 +1,38 @@
-"""Experiment harness: regenerates every table and figure in the paper.
+"""Experiment layer: every ``usuite`` command, built from one mechanism.
 
-One module per artifact (see DESIGN.md §4 for the index):
+Bottom to top (DESIGN.md §4 has the long form):
 
-==========================  ====================================================
-Module                       Paper artifact
-==========================  ====================================================
-``fig09_saturation``         Fig. 9 — saturation throughput per service
-``fig10_latency``            Fig. 10 — end-to-end latency vs load
-``fig11_14_syscalls``        Figs. 11-14 — syscall invocations per query
-``fig15_18_os_overheads``    Figs. 15-18 — OS/network latency breakdowns
-``fig19_contention``         Fig. 19 — context switches and HITM counts
-``sched_policy_ab``          §VI headline — scheduler-policy tail degradation
-``ablation_block_poll``      §VII — blocking vs polling reception
-``ablation_inline_dispatch`` §VII — in-line vs dispatched processing
-``ablation_poolsize``        §VII — thread-pool sizing
-==========================  ====================================================
+==============================  ==============================================
+Mechanism                       Where
+==============================  ==============================================
+drive — the one warm-up /       ``repro.suite.cluster.drive`` (plus the
+window / drain loop             ``run_open_loop`` / ``run_closed_loop``
+                                constructors over it)
+cell — seeded cluster + service ``runner.build_cluster`` (context manager),
+or graph, pinned arrivals,      ``runner.loadgen``, ``runner.measure_saturation``,
+shared extractions              ``characterize`` / ``characterize_grid``
+``Experiment`` — run, format,   ``runner.Experiment`` + ``runner.Flag``;
+gate, record, flags, pinned     one ``EXPERIMENT`` value per command, defined
+drift cell                      in the module that implements it (below)
+registry — the one table        ``registry.EXPERIMENTS``
+front ends derived from it      ``cli`` (parser + dispatch), ``drift``
+                                (artifact gate); CI runs both
+==============================  ==============================================
 
-All of them sit on :mod:`repro.experiments.characterize`, which runs one
-service at one offered load and extracts every probe the paper reports.
+Command modules, each exporting ``EXPERIMENT``:
+
+* paper figures — ``fig09_saturation``, ``fig10_latency``,
+  ``fig11_14_syscalls``, ``fig15_18_os_overheads``, ``fig19_contention``,
+  ``sched_policy_ab`` (§VI headline), ``load_sweep``;
+* §VII ablations — ``ablation_block_poll``, ``ablation_inline_dispatch``,
+  ``ablation_poolsize``, ``ablation_adaptive``, ``ablation_compression``;
+* sweeps with a committed ``BENCH_*.json`` — ``fault_sweep``,
+  ``scale_sweep``, ``cache_sweep``, ``trace_sweep``, ``graph_sweep``,
+  ``autoscale_sweep``, ``energy_sweep``; plus ``perf_engine``
+  (wall-clock, drift-exempt) and ``figure_smoke`` (CI shape gate).
+
+Support: ``schema`` (artifact validation), ``tables`` / ``plots`` (text
+rendering).
 """
 
 from repro.experiments.characterize import CharacterizationResult, characterize

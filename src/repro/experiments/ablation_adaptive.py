@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    characterize,
-    default_duration_us,
+    characterize_grid,
 )
 from repro.experiments.tables import render_table
-from repro.suite import SCALES, ServiceScale
+from repro.suite import ServiceScale
 
 VARIANTS = ("blocking", "polling", "adaptive")
 
@@ -32,25 +32,17 @@ def run_adaptive_ablation(
     min_queries: int = 500,
 ) -> Dict[str, Dict[float, CharacterizationResult]]:
     """Characterize each variant across loads."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    results: Dict[str, Dict[float, CharacterizationResult]] = {}
+    scale = runner.resolve_scale(scale)
+    variants = {}
     for variant in VARIANTS:
         if variant == "adaptive":
             runtime = replace(scale.midtier_runtime, adaptive=True)
         else:
             runtime = replace(scale.midtier_runtime, reception_mode=variant)
-        variant_scale = scale.with_overrides(midtier_runtime=runtime)
-        results[variant] = {}
-        for qps in loads:
-            results[variant][qps] = characterize(
-                service_name,
-                qps,
-                scale=variant_scale,
-                seed=seed,
-                duration_us=default_duration_us(qps, min_queries),
-            )
-    return results
+        variants[variant] = (
+            service_name, scale.with_overrides(midtier_runtime=runtime)
+        )
+    return characterize_grid(variants, loads, seed, min_queries)
 
 
 def format_adaptive_ablation(
@@ -90,3 +82,17 @@ def adaptive_tracks_best(
         if adaptive > best_static * slack:
             return False
     return True
+
+
+#: Registry entry: ``usuite adaptive``.
+EXPERIMENT = runner.Experiment(
+    name="adaptive",
+    help="adaptive runtime vs static block/poll",
+    title="Extension — adaptive vs static reception ({service_name})",
+    run=run_adaptive_ablation,
+    format=format_adaptive_ablation,
+    flags=runner.COMMON + (
+        runner.service_flag("service_name"),
+        runner.loads_flag((100.0, 1_000.0, 8_000.0)),
+    ),
+)

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    characterize,
-    default_duration_us,
+    characterize_grid,
 )
 from repro.experiments.tables import render_table
-from repro.suite import SCALES, ServiceScale
+from repro.suite import ServiceScale
 
 
 def run_block_poll(
@@ -30,22 +30,14 @@ def run_block_poll(
     min_queries: int = 600,
 ) -> Dict[str, Dict[float, CharacterizationResult]]:
     """Characterize both reception modes across loads."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    results: Dict[str, Dict[float, CharacterizationResult]] = {}
-    for mode in ("blocking", "polling"):
-        runtime = replace(scale.midtier_runtime, reception_mode=mode)
-        mode_scale = scale.with_overrides(midtier_runtime=runtime)
-        results[mode] = {}
-        for qps in loads:
-            results[mode][qps] = characterize(
-                service_name,
-                qps,
-                scale=mode_scale,
-                seed=seed,
-                duration_us=default_duration_us(qps, min_queries),
-            )
-    return results
+    scale = runner.resolve_scale(scale)
+    variants = {
+        mode: (service_name, scale.with_overrides(
+            midtier_runtime=replace(scale.midtier_runtime, reception_mode=mode)
+        ))
+        for mode in ("blocking", "polling")
+    }
+    return characterize_grid(variants, loads, seed, min_queries)
 
 
 def format_block_poll(results: Dict[str, Dict[float, CharacterizationResult]]) -> str:
@@ -67,3 +59,16 @@ def format_block_poll(results: Dict[str, Dict[float, CharacterizationResult]]) -
         ("mode", "load QPS", "p50 us", "p99 us", "futex/query", "epoll/query"),
         rows,
     )
+
+
+#: Registry entry: ``usuite block-poll``.
+EXPERIMENT = runner.Experiment(
+    name="block-poll",
+    help="blocking vs polling reception",
+    title="Ablation — blocking vs polling ({service_name})",
+    run=run_block_poll,
+    format=format_block_poll,
+    flags=runner.COMMON + (
+        runner.service_flag("service_name"), runner.loads_flag(),
+    ),
+)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.data.documents import DocumentCorpus
+from repro.experiments import runner
 from repro.experiments.tables import render_table
 from repro.services.setalgebra.compression import PforDeltaCodec, VarintDeltaCodec
 from repro.services.setalgebra.index import InvertedIndex
-from repro.suite.config import SCALES, ServiceScale
+from repro.suite.config import ServiceScale
 
 
 @dataclass
@@ -38,8 +39,7 @@ def run_compression_ablation(
     n_queries: int = 150,
 ) -> Dict[str, CompressionCell]:
     """Measure memory and per-query decode cost for each codec."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
+    scale = runner.resolve_scale(scale)
     corpus = DocumentCorpus(
         n_documents=scale.setalgebra_docs,
         vocabulary_size=scale.setalgebra_vocab,
@@ -100,3 +100,14 @@ def format_compression_ablation(results: Dict[str, CompressionCell]) -> str:
     return render_table(
         ("codec", "index bytes", "vs raw", "decode us/query", "correct"), rows
     )
+
+
+#: Registry entry: ``usuite compression``.
+EXPERIMENT = runner.Experiment(
+    name="compression",
+    help="posting-list codec trade-off",
+    title="Ablation — posting-list compression (Set Algebra indexes)",
+    run=run_compression_ablation,
+    format=format_compression_ablation,
+    flags=(runner.SCALE, runner.SEED),
+)

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    characterize,
-    default_duration_us,
+    characterize_grid,
 )
 from repro.experiments.tables import render_table
-from repro.suite import SCALES, ServiceScale
+from repro.suite import ServiceScale
 
 
 def run_inline_dispatch(
@@ -29,22 +29,14 @@ def run_inline_dispatch(
     min_queries: int = 600,
 ) -> Dict[str, Dict[float, CharacterizationResult]]:
     """Characterize both processing modes across loads."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    results: Dict[str, Dict[float, CharacterizationResult]] = {}
-    for mode in ("dispatch", "inline"):
-        runtime = replace(scale.midtier_runtime, processing_mode=mode)
-        mode_scale = scale.with_overrides(midtier_runtime=runtime)
-        results[mode] = {}
-        for qps in loads:
-            results[mode][qps] = characterize(
-                service_name,
-                qps,
-                scale=mode_scale,
-                seed=seed,
-                duration_us=default_duration_us(qps, min_queries),
-            )
-    return results
+    scale = runner.resolve_scale(scale)
+    variants = {
+        mode: (service_name, scale.with_overrides(
+            midtier_runtime=replace(scale.midtier_runtime, processing_mode=mode)
+        ))
+        for mode in ("dispatch", "inline")
+    }
+    return characterize_grid(variants, loads, seed, min_queries)
 
 
 def format_inline_dispatch(results: Dict[str, Dict[float, CharacterizationResult]]) -> str:
@@ -78,3 +70,16 @@ def inline_wins_at_low_load(results: Dict[str, Dict[float, CharacterizationResul
     inline_req = results["inline"][low].extras["request_path"]
     dispatch_req = results["dispatch"][low].extras["request_path"]
     return inline_req.median <= dispatch_req.median
+
+
+#: Registry entry: ``usuite inline-dispatch``.
+EXPERIMENT = runner.Experiment(
+    name="inline-dispatch",
+    help="in-line vs dispatched processing",
+    title="Ablation — in-line vs dispatch ({service_name})",
+    run=run_inline_dispatch,
+    format=format_inline_dispatch,
+    flags=runner.COMMON + (
+        runner.service_flag("service_name"), runner.loads_flag(),
+    ),
+)

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
     characterize,
     default_duration_us,
 )
 from repro.experiments.tables import render_table
-from repro.suite import SCALES, ServiceScale
+from repro.suite import ServiceScale
 
 
 def run_poolsize(
@@ -30,8 +31,7 @@ def run_poolsize(
     min_queries: int = 800,
 ) -> Dict[int, CharacterizationResult]:
     """Characterize the service with each mid-tier worker-pool size."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
+    scale = runner.resolve_scale(scale)
     duration = default_duration_us(qps, min_queries)
     results: Dict[int, CharacterizationResult] = {}
     for workers in worker_counts:
@@ -72,3 +72,16 @@ def best_pool_size(results: Dict[int, CharacterizationResult], pct: float = 99.0
         if cell.completed >= 0.9 * max(c.completed for c in results.values())
     }
     return min(viable, key=lambda w: viable[w].e2e.percentile(pct))
+
+
+#: Registry entry: ``usuite poolsize``.
+EXPERIMENT = runner.Experiment(
+    name="poolsize",
+    help="worker thread-pool sweep",
+    title="Ablation — worker pool sweep ({service_name} @ {qps:g} QPS)",
+    run=run_poolsize,
+    format=format_poolsize,
+    flags=runner.COMMON + (
+        runner.service_flag("service_name"), runner.qps_flag(5_000.0),
+    ),
+)

@@ -30,24 +30,25 @@ from scratch and must be bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.control import ControlConfig
 from repro.experiments import runner
+from repro.experiments.scale_sweep import (
+    SWEEP_LEAF_US,
+    SWEEP_MIDTIER_CORES,
+    sweep_scale,
+)
 from repro.experiments.tables import render_table
 from repro.faults.plan import FaultPlan, MidTierPressure
-from repro.loadgen.client import E2E_HIST
 from repro.loadgen.traffic import DiurnalRate, VariableRateLoadGen
 from repro.rpc.policy import TailPolicy
 from repro.suite import ServiceScale
+from repro.suite.cluster import drive
 from repro.suite.config import BatchConfig
 
 SWEEP_SERVICE = "hdsearch"
-#: Same bottleneck shaping as the scale sweep: one mid-tier core, fast
-#: leaves — replica count is the knob under test.
-SWEEP_LEAF_US = 80.0
-SWEEP_MIDTIER_CORES = 1
 
 #: Diurnal curve: trough ~1.8 K QPS (one replica coasts), peak ~8.6 K QPS
 #: (past the 1-replica saturation of ~5.9 K measured in BENCH_scale.json).
@@ -90,29 +91,20 @@ RECOVERY_GATE = 0.75
 SAVINGS_GATE = 0.20
 
 
-def _sweep_overrides(scale: ServiceScale, service: str) -> Dict[str, object]:
-    leaf_us = {**scale.target_leaf_service_us, service: SWEEP_LEAF_US}
-    return {
-        "batch": SWEEP_BATCH,
-        "target_leaf_service_us": leaf_us,
-    }
-
-
 def static_scale(
     replicas: int,
     scale: ServiceScale | str = "small",
     service: str = SWEEP_SERVICE,
 ) -> ServiceScale:
-    """One static-grid configuration: ``replicas`` fixed, controller off."""
+    """One static-grid configuration: ``replicas`` fixed, controller off.
+
+    The scale sweep's bottleneck shaping (one mid-tier core, fast leaves —
+    replica count is the knob under test) plus this sweep's leaf batching.
+    """
     scale = runner.resolve_scale(scale)
-    return scale.with_overrides(
-        topology=replace(
-            scale.topology,
-            midtier_replicas=replicas,
-            midtier_cores=SWEEP_MIDTIER_CORES,
-        ),
-        **_sweep_overrides(scale, service),
-    )
+    return sweep_scale(
+        replicas, scale.lb.policy, scale=scale, service=service
+    ).with_overrides(batch=SWEEP_BATCH)
 
 
 def controlled_scale(
@@ -124,8 +116,9 @@ def controlled_scale(
 ) -> ServiceScale:
     """The controller cell: warm pool of ``max_replicas``, 1 admitting."""
     scale = runner.resolve_scale(scale)
-    return scale.with_overrides(
-        topology=replace(scale.topology, midtier_cores=SWEEP_MIDTIER_CORES),
+    return static_scale(
+        scale.topology.midtier_replicas, scale=scale, service=service
+    ).with_overrides(
         control=ControlConfig(
             enabled=True,
             tick_us=tick_us,
@@ -142,7 +135,6 @@ def controlled_scale(
             batch_max_overload=BATCH_MAX_OVERLOAD,
             batch_max_baseline=BATCH_MAX_BASELINE,
         ),
-        **_sweep_overrides(scale, service),
     )
 
 
@@ -251,61 +243,63 @@ def measure_cell(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    if telemetry is not None:
-        scale_cfg = scale_cfg.with_overrides(telemetry=telemetry)
-    faults = FaultPlan(midtier_pressure=ANTAGONIST)
-    cluster, service_handle = runner.build_cluster(
-        service, scale_cfg, seed=seed,
-        tail_policy=SWEEP_TAIL_POLICY, faults=faults,
-    )
     curve = diurnal_curve(base_qps, amplitude, duration_us, warmup_us)
-    gen = VariableRateLoadGen(
-        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-        target=service_handle.target_address,
-        source=service_handle.make_source(),
-        curve=curve,
-    )
-    start = cluster.sim.now
-    gen.start()
-    cluster.run(until=start + warmup_us)
-    window_start = cluster.sim.now
-    cluster.telemetry.open_window(window_start)
-    sent_before, completed_before = gen.sent, gen.completed
-    cluster.run(until=start + warmup_us + duration_us)
-    window_end = cluster.sim.now
-    sent = gen.sent - sent_before
-    completed = gen.completed - completed_before
-    gen.stop()
-    cluster.run(until=window_end + DRAIN_US)
-    # Folds the spill stream in streaming mode; a no-op when buffered.
-    telemetry_hub = cluster.telemetry.finalized()
-    e2e = telemetry_hub.hist(E2E_HIST)
-    controller_stats: Optional[Dict[str, object]] = None
-    if cluster.controllers:
-        controller = cluster.controllers[0]
-        replica_seconds = (
-            controller.account.total(window_end)
-            - controller.account.total(window_start)
-        )
-        controller_stats = controller.stats()
-    else:
-        replica_seconds = replicas * duration_us / 1e6
-    cell = AutoscaleCell(
+    with runner.build_cluster(
+        service, scale_cfg, seed=seed, tail_policy=SWEEP_TAIL_POLICY,
+        faults=FaultPlan(midtier_pressure=ANTAGONIST), telemetry=telemetry,
+    ) as (cluster, handle):
+        gen = runner.loadgen(cluster, handle, VariableRateLoadGen, curve=curve)
+        window_start = cluster.sim.now + warmup_us
+        window_end = window_start + duration_us
+        result = drive(cluster, handle, gen, warmup_us, duration_us, DRAIN_US)
+        controller_stats: Optional[Dict[str, object]] = None
+        if cluster.controllers:
+            controller = cluster.controllers[0]
+            replica_seconds = (
+                controller.account.total(window_end)
+                - controller.account.total(window_start)
+            )
+            controller_stats = controller.stats()
+        else:
+            replica_seconds = replicas * duration_us / 1e6
+    return AutoscaleCell(
         label=label,
         replicas=replicas,
-        sent=sent,
-        completed=completed,
-        p50_us=e2e.percentile(50),
-        p99_us=e2e.percentile(99),
-        mean_us=e2e.mean,
+        sent=result.sent,
+        completed=result.completed,
+        p50_us=result.e2e.percentile(50),
+        p99_us=result.e2e.percentile(99),
+        mean_us=result.e2e.mean,
         replica_seconds=replica_seconds,
         thinned=gen.thinned,
         expected_sent=curve.expected_arrivals(window_start, window_end),
         controller=controller_stats,
     )
-    cluster.fabric.unregister(gen.name)
-    cluster.shutdown()
-    return cell
+
+
+def controller_cell(
+    max_replicas: int,
+    service: str = SWEEP_SERVICE,
+    scale: str = "small",
+    seed: int = 0,
+    base_qps: float = BASE_QPS,
+    amplitude: float = AMPLITUDE,
+    duration_us: float = DEFAULT_DURATION_US,
+    tick_us: float = DEFAULT_TICK_US,
+    window_us: float = DEFAULT_WINDOW_US,
+    telemetry=None,
+) -> AutoscaleCell:
+    """The controller cell (also the reproducibility cell): a warm pool of
+    ``max_replicas`` under the diurnal day plus the antagonist."""
+    cfg = controlled_scale(
+        max_replicas, tick_us=tick_us, window_us=window_us,
+        scale=scale, service=service,
+    )
+    return measure_cell(
+        "controller", cfg, max_replicas,
+        base_qps=base_qps, amplitude=amplitude, service=service,
+        seed=seed, duration_us=duration_us, telemetry=telemetry,
+    )
 
 
 def run_autoscale_sweep(
@@ -355,27 +349,19 @@ def run_autoscale_sweep(
                 seed=seed, duration_us=duration_us, telemetry=telemetry,
             )
         )
-    max_replicas = max(static_replicas)
-    ctrl_cfg = controlled_scale(
-        max_replicas, tick_us=tick_us, window_us=window_us,
-        scale=scale, service=service,
-    )
-    # Same label both times: the double run must be asdict-identical.
-    for _ in range(2):
-        cell = measure_cell(
-            "controller", ctrl_cfg, max_replicas,
-            base_qps=base_qps, amplitude=amplitude, service=service,
-            seed=seed, duration_us=duration_us, telemetry=telemetry,
+    report.controller_first, report.controller_second = (
+        controller_cell(
+            max(static_replicas), service=service, scale=scale, seed=seed,
+            base_qps=base_qps, amplitude=amplitude, duration_us=duration_us,
+            tick_us=tick_us, window_us=window_us, telemetry=telemetry,
         )
-        if report.controller_first is None:
-            report.controller_first = cell
-        else:
-            report.controller_second = cell
+        for _ in range(2)
+    )
     return report
 
 
 def acceptance(report: AutoscaleReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     recovery = report.p99_recovery
     savings = report.replica_seconds_savings
     checks = {
@@ -493,20 +479,50 @@ def to_document(report: AutoscaleReport) -> dict:
     }
 
 
-def record_bench(report: AutoscaleReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_autoscale.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the controller cell from its recorded parameters."""
+    cell = controller_cell(
+        max(static["replicas"] for static in doc["static_grid"]),
+        service=doc["service"], scale=doc["scale"], seed=doc["seed"],
+        base_qps=doc["traffic"]["base_qps"],
+        amplitude=doc["traffic"]["amplitude"],
+        duration_us=doc["duration_us"], tick_us=doc["tick_us"],
+        window_us=doc["window_us"], telemetry=telemetry,
+    )
+    return (
+        cell, doc["reproducibility"]["first"],
+        "controller cell (diurnal + antagonist)",
     )
 
 
-#: Runner spec: ``usuite autoscale`` is this experiment.
+#: Registry entry: ``usuite autoscale``.
 EXPERIMENT = runner.Experiment(
     name="autoscale",
+    help="closed-loop controller vs static replicas (diurnal + antagonist)",
+    title="Autoscale sweep — closed-loop controller vs static grid",
     run=run_autoscale_sweep,
     format=format_autoscale,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_autoscale.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SCALE, runner.SEED, runner.service_flag(),
+        runner.duration_flag(help="measured window = one diurnal period "
+                             "(default: 1.6 s)"),
+        runner.TELEMETRY,
+        runner.Flag("--base-qps", type=runner.positive_float, default=None,
+                    help="diurnal curve mean rate (default: 5200)"),
+        runner.Flag("--amplitude", type=float, default=None,
+                    help="diurnal swing in [0, 1] (default: 0.65)"),
+        runner.Flag("--replicas", param="static_replicas", nargs="+",
+                    type=runner.positive_int, default=None,
+                    help="static grid replica counts; the controller's warm "
+                    "pool is the max (default: 1 2 3)"),
+        runner.Flag("--tick-us", type=runner.positive_float, default=None,
+                    help="controller tick (default: 20 ms)"),
+        runner.Flag("--window-us", type=runner.positive_float, default=None,
+                    help="telemetry window width (default: 20 ms)"),
+    ),
 )

@@ -11,8 +11,8 @@ coalescer and the :mod:`repro.midcache` query-result cache buy back:
 * a batch-size axis on HDSearch (occupancy vs added coalescing wait);
 * a cache-capacity axis on Router (Zipf hit rate vs footprint).
 
-``record_bench`` writes ``BENCH_cache.json`` validated against the
-checked-in ``schemas/bench_cache.schema.json``.
+``usuite cache --output BENCH_cache.json`` records the artifact, validated
+against the checked-in ``schemas/bench_cache.schema.json``.
 """
 
 from __future__ import annotations
@@ -159,21 +159,6 @@ class CacheSweepReport:
         return None
 
 
-def measure_saturation(
-    service_name: str,
-    scale: ServiceScale,
-    seed: int = 0,
-    duration_us: float = SATURATION_DURATION_US,
-    warmup_us: float = WARMUP_US,
-) -> float:
-    """Completion rate under ~2× open-loop overload (the Fig. 9 method)."""
-    return runner.measure_saturation(
-        service_name, scale,
-        offered_qps=SATURATION_OFFERED_QPS.get(service_name, 25_000.0),
-        seed=seed, duration_us=duration_us, warmup_us=warmup_us,
-    )
-
-
 def measure_cache_point(
     service_name: str,
     scale: ServiceScale,
@@ -188,14 +173,14 @@ def measure_cache_point(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    if telemetry is not None:
-        scale = runner.resolve_scale(scale).with_overrides(telemetry=telemetry)
-    cluster, service = runner.build_cluster(service_name, scale, seed=seed)
-    result = run_open_loop(
-        cluster, service, qps=qps, duration_us=duration_us, warmup_us=warmup_us
-    )
+    with runner.build_cluster(
+        service_name, scale, seed=seed, telemetry=telemetry
+    ) as (cluster, service):
+        result = run_open_loop(
+            cluster, service, qps=qps, duration_us=duration_us,
+            warmup_us=warmup_us,
+        )
     per_query = result.syscalls_per_query()
-    telemetry = cluster.telemetry
     names = service.midtier_names
     point = CachePoint(
         qps=qps,
@@ -209,11 +194,31 @@ def measure_cache_point(
         sendmsg_per_query=per_query.get("sendmsg", 0.0),
     )
     if scale.cache.enabled:
-        point.cache = telemetry.cache_summary(names)
+        point.cache = result.telemetry.cache_summary(names)
     if scale.batch.enabled:
-        point.batch = telemetry.batch_summary(names)
-    cluster.shutdown()
+        point.batch = result.telemetry.batch_summary(names)
     return point
+
+
+def pinned_point(
+    service: str,
+    qps: float,
+    scale: ServiceScale | str = "small",
+    seed: int = 0,
+    duration_us: float = DEFAULT_DURATION_US,
+    cache_policy: str = DEFAULT_POLICY,
+    telemetry=None,
+) -> CachePoint:
+    """The reproducibility cell: the fully-featured config (batch + cache
+    + timers + single-flight) on ``service`` at ``qps``."""
+    built = sweep_scale(
+        DEFAULT_BATCH_MAX, DEFAULT_CAPACITY, scale=scale,
+        cache_policy=cache_policy,
+    )
+    return measure_cache_point(
+        service, built, qps, seed=seed, duration_us=duration_us,
+        telemetry=telemetry,
+    )
 
 
 def run_cache_sweep(
@@ -231,80 +236,69 @@ def run_cache_sweep(
 ) -> CacheSweepReport:
     """Off-vs-on per service, plus the batch-size and capacity axes."""
     services = list(services)
-    cells: List[CacheCell] = []
 
-    for service in services:
-        for batch_max, capacity in ((0, 0), (DEFAULT_BATCH_MAX, DEFAULT_CAPACITY)):
-            built = sweep_scale(batch_max, capacity, scale=scale, cache_policy=cache_policy)
-            cell = CacheCell(
-                service=service,
-                batch_max=batch_max,
-                cache_capacity=capacity,
-                saturation_qps=measure_saturation(
-                    service, built, seed=seed, duration_us=saturation_duration_us
-                ),
+    def measure_cell(
+        service: str, batch_max: int, capacity: int,
+        cell_loads: Sequence[float], saturate: bool,
+    ) -> CacheCell:
+        built = sweep_scale(
+            batch_max, capacity, scale=scale, cache_policy=cache_policy
+        )
+        saturation = 0.0
+        if saturate:
+            saturation = runner.measure_saturation(
+                service, built,
+                SATURATION_OFFERED_QPS.get(service, 25_000.0), seed=seed,
+                duration_us=saturation_duration_us, warmup_us=WARMUP_US,
             )
-            for qps in loads:
-                cell.loads.append(
-                    measure_cache_point(
-                        service, built, qps, seed=seed, duration_us=duration_us,
-                        telemetry=telemetry,
-                    )
+        return CacheCell(
+            service=service,
+            batch_max=batch_max,
+            cache_capacity=capacity,
+            saturation_qps=saturation,
+            loads=[
+                measure_cache_point(
+                    service, built, qps, seed=seed, duration_us=duration_us,
+                    telemetry=telemetry,
                 )
-            cells.append(cell)
+                for qps in cell_loads
+            ],
+        )
 
+    cells = [
+        measure_cell(service, batch_max, capacity, loads, saturate=True)
+        for service in services
+        for batch_max, capacity in ((0, 0), (DEFAULT_BATCH_MAX, DEFAULT_CAPACITY))
+    ]
     acceptance_qps = max(loads) if loads else ACCEPTANCE_QPS
-    if axes:
-        # Batch-size axis (cache off isolates the coalescing effect).
-        for batch_max in batch_sizes:
-            if BATCH_AXIS_SERVICE not in services:
-                break
-            built = sweep_scale(batch_max, 0, scale=scale, cache_policy=cache_policy)
-            cell = CacheCell(
-                service=BATCH_AXIS_SERVICE,
-                batch_max=batch_max,
-                cache_capacity=0,
-                saturation_qps=0.0,
+    # Batch-size axis (cache off isolates the coalescing effect) and
+    # capacity axis (batching off isolates the Zipf hit-rate curve), each
+    # at the acceptance load only.
+    if axes and BATCH_AXIS_SERVICE in services:
+        cells += [
+            measure_cell(
+                BATCH_AXIS_SERVICE, batch_max, 0, [acceptance_qps], saturate=False
             )
-            cell.loads.append(
-                measure_cache_point(
-                    BATCH_AXIS_SERVICE, built, acceptance_qps, seed=seed,
-                    duration_us=duration_us, telemetry=telemetry,
-                )
+            for batch_max in batch_sizes
+        ]
+    if axes and CAPACITY_AXIS_SERVICE in services:
+        cells += [
+            measure_cell(
+                CAPACITY_AXIS_SERVICE, 0, capacity, [acceptance_qps], saturate=False
             )
-            cells.append(cell)
-        # Capacity axis (batching off isolates the Zipf hit-rate curve).
-        for capacity in capacities:
-            if CAPACITY_AXIS_SERVICE not in services:
-                break
-            built = sweep_scale(0, capacity, scale=scale, cache_policy=cache_policy)
-            cell = CacheCell(
-                service=CAPACITY_AXIS_SERVICE,
-                batch_max=0,
-                cache_capacity=capacity,
-                saturation_qps=0.0,
-            )
-            cell.loads.append(
-                measure_cache_point(
-                    CAPACITY_AXIS_SERVICE, built, acceptance_qps, seed=seed,
-                    duration_us=duration_us, telemetry=telemetry,
-                )
-            )
-            cells.append(cell)
+            for capacity in capacities
+        ]
 
-    # Reproducibility: the fully-featured config (batch + cache + timers
-    # + single-flight), run twice from scratch under the same seed.
+    # Reproducibility: run twice from scratch under the same seed.
     repro_service = services[0]
-    built = sweep_scale(DEFAULT_BATCH_MAX, DEFAULT_CAPACITY, scale=scale, cache_policy=cache_policy)
-    first = measure_cache_point(
-        repro_service, built, acceptance_qps, seed=seed,
-        duration_us=duration_us, telemetry=telemetry,
+    first, second = (
+        pinned_point(
+            repro_service, acceptance_qps, scale=scale, seed=seed,
+            duration_us=duration_us, cache_policy=cache_policy,
+            telemetry=telemetry,
+        )
+        for _ in range(2)
     )
-    second = measure_cache_point(
-        repro_service, built, acceptance_qps, seed=seed,
-        duration_us=duration_us, telemetry=telemetry,
-    )
-
     return CacheSweepReport(
         scale=scale if isinstance(scale, str) else scale.name,
         seed=seed,
@@ -318,7 +312,7 @@ def run_cache_sweep(
 
 
 def acceptance(report: CacheSweepReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     services = sorted({cell.service for cell in report.cells})
     qps = report.repro_qps
     per_service: Dict[str, Dict[str, object]] = {}
@@ -442,22 +436,47 @@ def to_document(report: CacheSweepReport) -> dict:
     }
 
 
-def record_bench(report: CacheSweepReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_cache.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the reproducibility cell from its recorded parameters."""
+    repro = doc["reproducibility"]
+    point = pinned_point(
+        repro["service"], repro["qps"], scale=doc["scale"], seed=doc["seed"],
+        duration_us=doc["duration_us"],
+        cache_policy=doc["defaults"]["cache_policy"], telemetry=telemetry,
     )
+    label = f"{repro['service']} @ {repro['qps']:g} QPS batch+cache cell"
+    return point, repro["first"], label
 
 
-#: Runner spec: ``usuite cache`` is this experiment.
+#: Registry entry: ``usuite cache``.
 EXPERIMENT = runner.Experiment(
     name="cache",
+    help="leaf batching x result cache sweep",
+    title="Batching x caching sweep",
     run=run_cache_sweep,
     format=format_cache_sweep,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_cache.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SCALE, runner.SEED, runner.services_flag(),
+        runner.loads_flag(None, help="offered loads in QPS "
+                          "(default: 1000 10000)"),
+        runner.duration_flag(help="measured window per cell (default: 400 ms)"),
+        runner.TELEMETRY,
+        runner.Flag("--batch-sizes", nargs="+", type=runner.positive_int,
+                    default=None, metavar="N",
+                    help="batch-size axis (default: 4 8 16)"),
+        runner.Flag("--capacity", param="capacities", nargs="+",
+                    type=runner.positive_int, default=None, metavar="N",
+                    help="cache-capacity axis (default: 256 1024 4096)"),
+        runner.Flag("--policy", param="cache_policy", choices=CACHE_POLICIES,
+                    default="lru", help="cache eviction policy"),
+        runner.Flag("--no-axes", dest="axes", action="store_false",
+                    help="skip the batch-size / capacity axes (off-vs-on only)"),
+    ),
 )
 
 
@@ -465,6 +484,6 @@ __all__ = [
     "BATCH_SIZES", "CACHE_POLICIES", "CAPACITIES", "DEFAULT_BATCH_MAX",
     "DEFAULT_CAPACITY", "DEFAULT_DURATION_US", "EXPERIMENT", "LOADS",
     "BENCH_PATH", "CacheCell", "CachePoint", "CacheSweepReport", "acceptance",
-    "format_cache_sweep", "measure_cache_point", "measure_saturation",
-    "record_bench", "run_cache_sweep", "sweep_scale", "to_document",
+    "format_cache_sweep", "measure_cache_point", "pinned", "pinned_point",
+    "run_cache_sweep", "sweep_scale", "to_document",
 ]

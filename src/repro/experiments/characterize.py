@@ -9,9 +9,10 @@ latency breakdown, contention counters, and retransmission count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.suite import SCALES, ServiceScale, SimCluster, build_service
+from repro.experiments import runner
+from repro.suite import ServiceScale
 from repro.suite.cluster import run_open_loop
 from repro.telemetry import LatencyHistogram
 
@@ -72,38 +73,37 @@ def characterize(
     scale_overrides: Optional[dict] = None,
     faults=None,
     tail_policy=None,
+    telemetry=None,
 ) -> CharacterizationResult:
     """Characterize ``service_name`` at ``qps`` on a fresh cluster.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) perturbs the cell;
     ``tail_policy`` (a :class:`repro.rpc.policy.TailPolicy`) arms the
     mid-tier's deadline/hedging/retry layer.  Both default to off and the
-    defaults are bit-identical to the stock engine.
+    defaults are bit-identical to the stock engine.  ``telemetry`` (a
+    :class:`~repro.telemetry.TelemetryConfig`) selects the aggregation
+    mode; None keeps the scale's default (buffered).
     """
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    if scale_overrides:
-        scale = scale.with_overrides(**scale_overrides)
     if duration_us is None:
         duration_us = default_duration_us(qps)
-    cluster = SimCluster(seed=seed, faults=faults, telemetry=scale.telemetry)
-    service = build_service(
-        service_name, cluster, scale, midtier_policy=midtier_policy,
-        tail_policy=tail_policy,
-    )
-    result = run_open_loop(
-        cluster, service, qps=qps, duration_us=duration_us, warmup_us=warmup_us
-    )
-    telemetry = cluster.telemetry
-    mid = service.midtier_name
+    with runner.build_cluster(
+        service_name, scale, seed=seed, overrides=scale_overrides,
+        midtier_policy=midtier_policy, tail_policy=tail_policy,
+        faults=faults, telemetry=telemetry,
+    ) as (cluster, service):
+        result = run_open_loop(
+            cluster, service, qps=qps, duration_us=duration_us,
+            warmup_us=warmup_us,
+        )
+        hub = cluster.telemetry
+        mid = service.midtier_name
 
-    overheads: Dict[str, LatencyHistogram] = {}
-    for kind in ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu"):
-        overheads[kind] = telemetry.irq_hist(mid, kind)
-    overheads["active_exe"] = telemetry.runqlat.get(mid, LatencyHistogram(1))
-    overheads["net"] = telemetry.hist(f"net_rpc:{mid}")
+        overheads: Dict[str, LatencyHistogram] = {}
+        for kind in ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu"):
+            overheads[kind] = hub.irq_hist(mid, kind)
+        overheads["active_exe"] = hub.runqlat.get(mid, LatencyHistogram(1))
+        overheads["net"] = hub.hist(f"net_rpc:{mid}")
 
-    cluster.shutdown()
     return CharacterizationResult(
         service=service_name,
         qps=qps,
@@ -113,15 +113,54 @@ def characterize(
         e2e=result.e2e,
         syscalls_per_query=result.syscalls_per_query(),
         overheads=overheads,
-        context_switches=telemetry.context_switches[mid],
-        hitm=telemetry.hitm[mid],
-        retransmissions=telemetry.retransmissions,
-        midtier_latency=telemetry.hist(f"midtier_latency:{mid}"),
+        context_switches=hub.context_switches[mid],
+        hitm=hub.hitm[mid],
+        retransmissions=hub.retransmissions,
+        midtier_latency=hub.hist(f"midtier_latency:{mid}"),
         throughput_qps=result.throughput_qps,
         extras={
-            "request_path": telemetry.hist(f"midtier_reqpath:{mid}"),
-            "response_path": telemetry.hist(f"midtier_resppath:{mid}"),
+            "request_path": hub.hist(f"midtier_reqpath:{mid}"),
+            "response_path": hub.hist(f"midtier_resppath:{mid}"),
             "tail": service.midtier.tail_stats(),
-            "counters": dict(telemetry.counters),
+            "counters": dict(hub.counters),
         },
+    )
+
+
+def characterize_grid(
+    variants: Mapping[str, Tuple[str, ServiceScale | str]],
+    loads: Iterable[float],
+    seed: int = 0,
+    min_queries: int = 600,
+) -> Dict[str, Dict[float, CharacterizationResult]]:
+    """``{variant: {qps: cell}}`` over ``variants × loads``.
+
+    Each variant is a ``(service, scale)`` pair: the paper figures vary
+    the service at one scale, the §VII ablations vary the scale (one
+    runtime knob) for one service.  Every cell's window is long enough
+    for ``min_queries`` completions.
+    """
+    loads = list(loads)
+    return {
+        variant: {
+            qps: characterize(
+                service, qps, scale=scale, seed=seed,
+                duration_us=default_duration_us(qps, min_queries),
+            )
+            for qps in loads
+        }
+        for variant, (service, scale) in variants.items()
+    }
+
+
+def characterize_services(
+    services: Iterable[str],
+    loads: Iterable[float] = PAPER_LOADS,
+    scale: ServiceScale | str = "small",
+    seed: int = 0,
+    min_queries: int = 600,
+) -> Dict[str, Dict[float, CharacterizationResult]]:
+    """The paper figures' grid: every service × load at one scale."""
+    return characterize_grid(
+        {name: (name, scale) for name in services}, loads, seed, min_queries
     )

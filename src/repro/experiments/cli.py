@@ -17,205 +17,58 @@ Examples::
     usuite figure-smoke --output smoke.json
     usuite all            # every artifact, in order (slow)
 
-Flags shared across sweeps (``--seed``, ``--scale``, the QPS grid, the
-``--telemetry-*`` trio, positive-argument guards) are declared once in
-the parent-parser factories below and composed into each subcommand via
-``argparse``'s ``parents=`` mechanism, so a new sweep inherits the whole
-vocabulary without re-spelling a single flag.
+Nothing here knows any command: the parser and the dispatch are derived
+from the :mod:`repro.experiments.registry` table.  Each
+:class:`~repro.experiments.runner.Experiment` declares its flags; the
+CLI passes through every flag that is not None as the keyword its
+:class:`~repro.experiments.runner.Flag` names, and exits with the
+runner's code — 0 on success, 1 when an acceptance gate fails, 2 on a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import List, Optional
 
-from repro.midcache import CACHE_POLICIES
-from repro.suite.registry import SERVICE_NAMES
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer (capacities, batch sizes)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return value
+from repro.experiments import registry, runner
+from repro.telemetry import TELEMETRY_MODES, TelemetryConfig
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive float (durations, ticks, windows).
-
-    Non-positive values exit with code 2 (argparse's usage-error code)
-    instead of producing a zero-length measurement window or an
-    un-armable controller tick deep inside a sweep.
-    """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive value: {text!r}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Shared flag vocabulary.  Each factory returns a fresh ``add_help=False``
-# parser for ``add_parser(..., parents=[...])``; a flag is spelled exactly
-# once here, and factories take a ``default``/``help`` override where
-# sweeps legitimately differ.
-# ---------------------------------------------------------------------------
-
-
-def _scale_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--scale", default="small", help="scale name (small, unit)")
-    return parent
-
-
-def _seed_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=0)
-    return parent
-
-
-def _measure_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--min-queries", type=int, default=600,
-        help="measured queries per cell (longer = tighter tails)",
-    )
-    return parent
-
-
-def _common_parents() -> List[argparse.ArgumentParser]:
-    """``--scale --seed --min-queries``: the figure-sweep staple."""
-    return [_scale_parent(), _seed_parent(), _measure_parent()]
-
-
-def _services_parent(
-    default: Optional[Sequence[str]] = SERVICE_NAMES,
-    help: Optional[str] = None,
-) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    kwargs = {"help": help} if help is not None else {}
-    parent.add_argument(
-        "--services", nargs="+", choices=SERVICE_NAMES,
-        default=list(default) if default is not None else None, **kwargs
-    )
-    return parent
-
-
-def _service_parent(default: str = "hdsearch") -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--service", choices=SERVICE_NAMES, default=default)
-    return parent
-
-
-def _loads_parent(
-    default: Optional[Sequence[float]] = (100.0, 1_000.0, 10_000.0),
-    help: Optional[str] = None,
-) -> argparse.ArgumentParser:
-    """The QPS grid every latency sweep iterates."""
-    parent = argparse.ArgumentParser(add_help=False)
-    kwargs = {"help": help} if help is not None else {}
-    parent.add_argument(
-        "--loads", nargs="+", type=float,
-        default=list(default) if default is not None else None, **kwargs
-    )
-    return parent
-
-
-def _qps_parent(
-    default: Optional[float], help: Optional[str] = None
-) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    kwargs = {"help": help} if help is not None else {}
-    parent.add_argument("--qps", type=float, default=default, **kwargs)
-    return parent
-
-
-def _duration_parent(
-    default: Optional[float] = None,
-    help: str = "measured window per cell (default: 500 ms)",
-) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--duration-us", type=_positive_float, default=default, help=help
-    )
-    return parent
-
-
-def _queries_parent(help: str) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--queries", type=_positive_int, default=None, help=help)
-    return parent
-
-
-def _workload_queries_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--workload-queries", type=_positive_int, default=None,
-        help="distinct queries in the cycling workload (default: 300)",
-    )
-    return parent
-
-
-def _output_parent(
-    example: Optional[str] = None, help: Optional[str] = None
-) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    if help is None:
-        help = f"record the run into this JSON file (e.g. {example})"
-    parent.add_argument("--output", default=None, metavar="PATH", help=help)
-    return parent
-
-
-def _plot_parent(help: str) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--plot", action="store_true", help=help)
-    return parent
-
-
-def _telemetry_parent() -> argparse.ArgumentParser:
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     """The ``--telemetry-*`` trio shared by every sweep that supports it."""
-    from repro.telemetry import TELEMETRY_MODES
-
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
+    parser.add_argument(
         "--telemetry-mode", choices=TELEMETRY_MODES, default="buffered",
         help="telemetry aggregation: 'buffered' keeps the historical "
         "in-memory hub; 'streaming' spills windowed deltas to a JSONL "
         "stream at bounded memory (bit-identical aggregates)",
     )
-    parent.add_argument(
-        "--telemetry-window-us", type=_positive_float, default=None,
+    parser.add_argument(
+        "--telemetry-window-us", type=runner.positive_float, default=None,
         help="streaming flush window width in us (default: 10000)",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--telemetry-spill", default=None, metavar="PATH",
         help="streaming spill file (default: an unlinked temp file; with "
         "multi-cell sweeps each cell rewrites the same path, so the file "
         "holds the last cell's stream)",
     )
-    return parent
 
 
-def _telemetry_config(args):
+def _telemetry_config(args: argparse.Namespace) -> Optional[TelemetryConfig]:
     """The :class:`TelemetryConfig` the telemetry flags describe.
 
     Returns None for plain buffered defaults so sweeps keep their
     historical construction path untouched.
     """
-    mode = getattr(args, "telemetry_mode", "buffered")
-    window_us = getattr(args, "telemetry_window_us", None)
-    spill = getattr(args, "telemetry_spill", None)
+    mode = args.telemetry_mode
+    window_us = args.telemetry_window_us
+    spill = args.telemetry_spill
     if mode == "buffered" and window_us is None and spill is None:
         return None
-    from repro.telemetry import TelemetryConfig
-
     kwargs = {"mode": mode}
     if window_us is not None:
         kwargs["window_us"] = window_us
@@ -231,654 +84,39 @@ def build_parser() -> argparse.ArgumentParser:
         "Suite for Microservices' (IISWC 2018) on the simulated substrate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "fig9", help="saturation throughput per service",
-        parents=_common_parents() + [
-            _services_parent(),
-            _duration_parent(400_000.0, help="measured window per cell"),
-        ],
-    )
-
-    sub.add_parser(
-        "fig10", help="end-to-end latency across loads",
-        parents=_common_parents() + [
-            _services_parent(), _loads_parent(),
-            _plot_parent("render the latency distributions as text violins"),
-        ],
-    )
-
-    sub.add_parser(
-        "syscalls", help="Figs 11-14: syscall profile",
-        parents=_common_parents() + [_services_parent(), _loads_parent()],
-    )
-
-    sub.add_parser(
-        "overheads", help="Figs 15-18: OS overhead breakdown",
-        parents=_common_parents() + [
-            _services_parent(), _loads_parent(),
-            _plot_parent("render the overhead distributions as text violins"),
-        ],
-    )
-
-    sub.add_parser(
-        "fig19", help="context switches and HITM",
-        parents=_common_parents() + [_services_parent(), _loads_parent()],
-    )
-
-    sub.add_parser(
-        "headline", help="scheduler policy A/B + ablation",
-        parents=_common_parents() + [
-            _services_parent(), _loads_parent((1_000.0, 10_000.0)),
-        ],
-    )
-
-    sub.add_parser(
-        "block-poll", help="blocking vs polling reception",
-        parents=_common_parents() + [_service_parent(), _loads_parent()],
-    )
-
-    sub.add_parser(
-        "inline-dispatch", help="in-line vs dispatched processing",
-        parents=_common_parents() + [_service_parent(), _loads_parent()],
-    )
-
-    p = sub.add_parser(
-        "poolsize", help="worker thread-pool sweep",
-        parents=_common_parents() + [_service_parent(), _qps_parent(5_000.0)],
-    )
-    p.add_argument("--workers", nargs="+", type=int, default=[1, 2, 4, 8, 16, 32])
-
-    sub.add_parser(
-        "adaptive", help="adaptive runtime vs static block/poll",
-        parents=_common_parents() + [
-            _service_parent(), _loads_parent((100.0, 1_000.0, 8_000.0)),
-        ],
-    )
-
-    sub.add_parser(
-        "compression", help="posting-list codec trade-off",
-        parents=_common_parents(),
-    )
-
-    sub.add_parser(
-        "sweep", help="latency vs offered load (hockey stick)",
-        parents=_common_parents() + [_service_parent(), _loads_parent(None)],
-    )
-
-    p = sub.add_parser(
-        "trace", help="per-request critical-path attribution sweep",
-        parents=[
-            _scale_parent(), _seed_parent(), _services_parent(),
-            _loads_parent(None, help="offered loads in QPS "
-                          "(default: 100 1000 10000)"),
-            _queries_parent("queries per cell (default: 2000; duration "
-                            "scales 1/qps)"),
-            _output_parent("BENCH_trace.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--sample-every", type=_positive_int, default=1,
-                   help="trace every Nth request (1 = all; required for the "
-                   "telemetry cross-check gate)")
-    p.add_argument("--top-k", type=_positive_int, default=5,
-                   help="tail exemplars mined per cell")
-    p.add_argument("--show", type=int, default=3,
-                   help="slowest exemplars to print per cell")
-
-    p = sub.add_parser(
-        "perf", help="engine throughput on the standard 10K QPS cell",
-        parents=[
-            _scale_parent(), _seed_parent(), _service_parent(),
-            _qps_parent(10_000.0),
-            _duration_parent(help="measured window (default: the standard "
-                             "cell's 500 ms)"),
-            _output_parent("BENCH_engine.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--record", choices=["before", "after"], default="after",
-                   help="which slot of the JSON artifact to fill")
-
-    p = sub.add_parser(
-        "faults", help="fault injection x tail-tolerance sweep",
-        parents=_common_parents() + [
-            _services_parent(), _qps_parent(10_000.0), _duration_parent(),
-            _output_parent("BENCH_faults.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--intensities", nargs="+", type=float, default=[0.02, 0.05])
-    p.add_argument("--sweep", action="store_true",
-                   help="also run the service x intensity x policy sweep "
-                   "(slow; the default runs only the recovery triple)")
-
-    p = sub.add_parser(
-        "scale", help="mid-tier replicas x balancing policy sweep",
-        parents=[
-            _scale_parent(), _seed_parent(), _service_parent(),
-            _loads_parent(None, help="offered loads in QPS for the tail cells"),
-            _duration_parent(),
-            _output_parent("BENCH_scale.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--replicas", nargs="+", type=int, default=None,
-                   help="replica counts to sweep (default: 1 2 3)")
-    p.add_argument("--policies", nargs="+", default=None, metavar="POLICY",
-                   help="balancing policies (default: all four)")
-
-    p = sub.add_parser(
-        "cache", help="leaf batching x result cache sweep",
-        parents=[
-            _scale_parent(), _seed_parent(), _services_parent(),
-            _loads_parent(None, help="offered loads in QPS "
-                          "(default: 1000 10000)"),
-            _duration_parent(help="measured window per cell (default: 400 ms)"),
-            _output_parent("BENCH_cache.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--batch-sizes", nargs="+", type=_positive_int, default=None,
-                   metavar="N", help="batch-size axis (default: 4 8 16)")
-    p.add_argument("--capacity", nargs="+", type=_positive_int, default=None,
-                   metavar="N", help="cache-capacity axis (default: 256 1024 4096)")
-    p.add_argument("--policy", choices=CACHE_POLICIES, default="lru",
-                   help="cache eviction policy")
-    p.add_argument("--no-axes", action="store_true",
-                   help="skip the batch-size / capacity axes (off-vs-on only)")
-
-    p = sub.add_parser(
-        "autoscale",
-        help="closed-loop controller vs static replicas (diurnal + antagonist)",
-        parents=[
-            _scale_parent(), _seed_parent(), _service_parent(),
-            _duration_parent(help="measured window = one diurnal period "
-                             "(default: 1.6 s)"),
-            _output_parent("BENCH_autoscale.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--base-qps", type=_positive_float, default=None,
-                   help="diurnal curve mean rate (default: 5200)")
-    p.add_argument("--amplitude", type=float, default=None,
-                   help="diurnal swing in [0, 1] (default: 0.65)")
-    p.add_argument("--replicas", nargs="+", type=_positive_int, default=None,
-                   help="static grid replica counts; the controller's warm "
-                   "pool is the max (default: 1 2 3)")
-    p.add_argument("--tick-us", type=_positive_float, default=None,
-                   help="controller tick (default: 20 ms)")
-    p.add_argument("--window-us", type=_positive_float, default=None,
-                   help="telemetry window width (default: 20 ms)")
-
-    p = sub.add_parser(
-        "graph", help="service-graph DAG tail-amplification sweep",
-        parents=[
-            _seed_parent(),
-            _qps_parent(None, help="offered load per amplification cell "
-                        "(default: 1200)"),
-            _queries_parent("queries per cell (default: 2500; duration "
-                            "scales 1/qps)"),
-            _workload_queries_parent(),
-            _output_parent("BENCH_graph.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--intensity", type=float, default=None,
-                   help="Pareto tail probability at the injected storage leaf "
-                   "(default: 0.02)")
-
-    p = sub.add_parser(
-        "energy",
-        help="per-core joules vs tier granularity + low-load C-state tension",
-        parents=[
-            _seed_parent(),
-            _qps_parent(None, help="offered load per ladder cell "
-                        "(default: 600)"),
-            _queries_parent("queries per ladder cell (default: 1000; "
-                            "duration scales 1/qps)"),
-            _workload_queries_parent(),
-            _output_parent("BENCH_energy.json"),
-            _telemetry_parent(),
-        ],
-    )
-    p.add_argument("--tiers", type=_positive_int, default=None,
-                   help="pipeline depth of the finest ladder rung "
-                   "(default: 4; must be >= 3)")
-    p.add_argument("--lowload-qps", type=float, default=None,
-                   help="offered load for the C-state tension pair "
-                   "(default: 100)")
-    p.add_argument("--lowload-queries", type=_positive_int, default=None,
-                   help="queries per low-load cell (default: 400)")
-
-    sub.add_parser(
-        "figure-smoke",
-        help="tiny fig9/fig10/fig15-18 cells + paper-shape checks",
-        parents=[
-            _scale_parent(), _seed_parent(),
-            _services_parent(None, help="default: hdsearch router"),
-            _output_parent(help="write the metrics/checks JSON artifact here"),
-        ],
-    )
-
-    sub.add_parser("all", help="every artifact in sequence (slow)",
-                   parents=_common_parents())
-
+    for experiment in registry.EXPERIMENTS:
+        command = sub.add_parser(experiment.name, help=experiment.help)
+        for flag in experiment.flags:
+            if flag is runner.TELEMETRY:
+                _add_telemetry_flags(command)
+            else:
+                command.add_argument(flag.name, **flag.kwargs)
+        if experiment.schema is not None:
+            example = experiment.bench_path or f"{experiment.name}.json"
+            command.add_argument(
+                "--output", default=None, metavar="PATH",
+                help=f"record the run into this JSON file (e.g. {example})",
+            )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
-
-    # Validate --scale up front: every run_* helper indexes SCALES, and a
-    # typo'd name should be a clear one-line error, not a KeyError
-    # traceback after seconds of setup.
-    if hasattr(args, "scale"):
-        from repro.suite import SCALES
-
-        if args.scale not in SCALES:
-            print(
-                f"usuite {command}: error: unknown scale {args.scale!r} "
-                f"(choose from: {', '.join(sorted(SCALES))})",
-                file=sys.stderr,
-            )
-            return 2
-
-    if command == "fig9":
-        from repro.experiments.fig09_saturation import format_fig09, run_fig09
-
-        results = run_fig09(
-            services=args.services, scale=args.scale, seed=args.seed,
-            duration_us=args.duration_us,
+    experiment = registry.BY_NAME[args.command]
+    params = {"run": {}, "format": {}}
+    for flag in experiment.flags:
+        if flag is runner.TELEMETRY:
+            value = _telemetry_config(args)
+        else:
+            value = getattr(args, flag.dest)
+        if value is not None:
+            params[flag.target][flag.param] = value
+    if params["format"]:
+        experiment = replace(
+            experiment, format=partial(experiment.format, **params["format"])
         )
-        print("Fig. 9 — saturation throughput")
-        print(format_fig09(results))
-
-    elif command == "fig10":
-        from repro.experiments.fig10_latency import (
-            format_fig10, low_load_median_inflation, run_fig10,
-        )
-
-        results = run_fig10(
-            services=args.services, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print("Fig. 10 — end-to-end latency across loads")
-        print(format_fig10(results))
-        for service, by_load in results.items():
-            if 100.0 in by_load and 1_000.0 in by_load:
-                ratio = low_load_median_inflation(by_load)
-                print(f"{service}: median(100 QPS) / median(1K QPS) = {ratio:.2f}x")
-        if getattr(args, "plot", False):
-            from repro.experiments.plots import render_distributions
-
-            for service, by_load in results.items():
-                print(f"\n{service} end-to-end latency (violin strips):")
-                print(render_distributions({
-                    f"@{int(qps)} QPS": cell.e2e.samples()
-                    for qps, cell in sorted(by_load.items())
-                }))
-
-    elif command == "syscalls":
-        from repro.experiments.fig11_14_syscalls import (
-            format_syscall_profile, run_fig11_14,
-        )
-
-        results = run_fig11_14(
-            services=args.services, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        for service, by_load in results.items():
-            print(format_syscall_profile(service, by_load))
-            print()
-
-    elif command == "overheads":
-        from repro.experiments.fig15_18_os_overheads import (
-            format_overheads, run_fig15_18,
-        )
-
-        results = run_fig15_18(
-            services=args.services, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        for service, by_load in results.items():
-            print(format_overheads(service, by_load))
-            if getattr(args, "plot", False):
-                from repro.experiments.characterize import OVERHEAD_KINDS
-                from repro.experiments.plots import render_distributions
-
-                for qps, cell in sorted(by_load.items()):
-                    print(f"\n{service} @{int(qps)} QPS (violin strips):")
-                    print(render_distributions({
-                        kind: cell.overheads[kind].samples()
-                        for kind in OVERHEAD_KINDS
-                    }))
-            print()
-
-    elif command == "fig19":
-        from repro.experiments.fig19_contention import format_fig19, run_fig19
-
-        results = run_fig19(
-            services=args.services, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print("Fig. 19 — context switches and HITM")
-        print(format_fig19(results))
-
-    elif command == "headline":
-        from repro.experiments.sched_policy_ab import format_headline, run_headline
-
-        results = run_headline(
-            services=args.services, loads=args.loads, scale=args.scale, seed=args.seed,
-        )
-        print("Headline — non-optimal scheduler tail degradation")
-        print(format_headline(results))
-
-    elif command == "block-poll":
-        from repro.experiments.ablation_block_poll import format_block_poll, run_block_poll
-
-        results = run_block_poll(
-            service_name=args.service, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print(f"Ablation — blocking vs polling ({args.service})")
-        print(format_block_poll(results))
-
-    elif command == "inline-dispatch":
-        from repro.experiments.ablation_inline_dispatch import (
-            format_inline_dispatch, run_inline_dispatch,
-        )
-
-        results = run_inline_dispatch(
-            service_name=args.service, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print(f"Ablation — in-line vs dispatch ({args.service})")
-        print(format_inline_dispatch(results))
-
-    elif command == "poolsize":
-        from repro.experiments.ablation_poolsize import format_poolsize, run_poolsize
-
-        results = run_poolsize(
-            service_name=args.service, worker_counts=args.workers, qps=args.qps,
-            scale=args.scale, seed=args.seed, min_queries=args.min_queries,
-        )
-        print(f"Ablation — worker pool sweep ({args.service} @ {args.qps:g} QPS)")
-        print(format_poolsize(results))
-
-    elif command == "adaptive":
-        from repro.experiments.ablation_adaptive import (
-            format_adaptive_ablation, run_adaptive_ablation,
-        )
-
-        results = run_adaptive_ablation(
-            service_name=args.service, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print(f"Extension — adaptive vs static reception ({args.service})")
-        print(format_adaptive_ablation(results))
-
-    elif command == "compression":
-        from repro.experiments.ablation_compression import (
-            format_compression_ablation, run_compression_ablation,
-        )
-
-        results = run_compression_ablation(scale=args.scale, seed=args.seed)
-        print("Ablation — posting-list compression (Set Algebra indexes)")
-        print(format_compression_ablation(results))
-
-    elif command == "sweep":
-        from repro.experiments.load_sweep import (
-            format_load_sweep, knee_load, run_load_sweep,
-        )
-
-        results = run_load_sweep(
-            service_name=args.service, loads=args.loads, scale=args.scale,
-            seed=args.seed, min_queries=args.min_queries,
-        )
-        print(f"Load sweep — {args.service}")
-        print(format_load_sweep(results))
-        print(f"knee (p99 > 2x floor) at ~{knee_load(results):g} QPS")
-
-    elif command == "trace":
-        from dataclasses import replace as _replace
-
-        from repro.experiments import trace_sweep
-        from repro.experiments.runner import run_experiment
-
-        experiment = _replace(
-            trace_sweep.EXPERIMENT,
-            format=lambda report: trace_sweep.format_trace_sweep(
-                report, show=args.show
-            ),
-        )
-        print("Critical-path attribution sweep")
-        outcome = run_experiment(
-            experiment,
-            params=dict(
-                services=args.services,
-                loads=args.loads or trace_sweep.LOADS,
-                scale=args.scale,
-                seed=args.seed,
-                queries=args.queries or trace_sweep.QUERIES_PER_CELL,
-                sample_every=args.sample_every,
-                top_k=args.top_k,
-                telemetry=_telemetry_config(args),
-            ),
-            output=args.output,
-        )
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-        return outcome.exit_code
-
-    elif command == "perf":
-        from repro.experiments.perf_engine import (
-            PERF_DURATION_US, record_bench, run_perf,
-        )
-
-        report = run_perf(
-            service=args.service, qps=args.qps, seed=args.seed, scale=args.scale,
-            duration_us=args.duration_us if args.duration_us else PERF_DURATION_US,
-            telemetry=_telemetry_config(args),
-        )
-        print("Engine performance")
-        print(report.format())
-        if args.output:
-            data = record_bench(report, path=args.output, slot=args.record)
-            speedup = data.get("speedup")
-            tail = f" (speedup {speedup:g}x)" if speedup else ""
-            print(f"recorded '{args.record}' in {args.output}{tail}")
-
-    elif command == "faults":
-        from repro.experiments.fault_sweep import (
-            format_fault_sweep, record_bench, run_fault_sweep, run_recovery,
-        )
-
-        sweep = None
-        if args.sweep:
-            sweep = run_fault_sweep(
-                services=args.services, intensities=args.intensities,
-                qps=args.qps, scale=args.scale, seed=args.seed,
-                duration_us=args.duration_us,
-                telemetry=_telemetry_config(args),
-            )
-            print("Fault sweep — tail amplification, policy off vs on")
-            print(format_fault_sweep(sweep))
-            print()
-        recovery = run_recovery(
-            qps=args.qps, scale=args.scale, seed=args.seed,
-            duration_us=args.duration_us,
-            telemetry=_telemetry_config(args),
-        )
-        print("Tail-tolerance recovery (leaf slowdown)")
-        print(recovery.format())
-        if args.output:
-            data = record_bench(recovery, sweep=sweep, path=args.output)
-            verdict = "pass" if data["acceptance"]["pass"] else "FAIL"
-            print(f"recorded {args.output} (acceptance: {verdict})")
-
-    elif command == "scale":
-        from repro.experiments import scale_sweep
-        from repro.experiments.runner import run_experiment
-        from repro.rpc.loadbalance import canonical_policy
-
-        # Validate policies up front: a typo'd name should be a clear
-        # one-line error, not a ValueError traceback mid-sweep.
-        policies = list(args.policies or scale_sweep.POLICIES)
-        try:
-            policies = [canonical_policy(name) for name in policies]
-        except ValueError as err:
-            print(f"usuite scale: error: {err}", file=sys.stderr)
-            return 2
-
-        print(f"Scale-out sweep — {args.service}")
-        outcome = run_experiment(
-            scale_sweep.EXPERIMENT,
-            params=dict(
-                service=args.service,
-                replica_counts=args.replicas or scale_sweep.REPLICA_COUNTS,
-                policies=policies,
-                loads=args.loads or scale_sweep.LOADS,
-                scale=args.scale,
-                seed=args.seed,
-                duration_us=args.duration_us or scale_sweep.DEFAULT_DURATION_US,
-                telemetry=_telemetry_config(args),
-            ),
-            output=args.output,
-        )
-        if outcome.exit_code == 2:
-            return 2
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-
-    elif command == "cache":
-        from repro.experiments import cache_sweep
-        from repro.experiments.runner import run_experiment
-
-        params = dict(
-            services=args.services,
-            loads=args.loads or cache_sweep.LOADS,
-            batch_sizes=args.batch_sizes or cache_sweep.BATCH_SIZES,
-            capacities=args.capacity or cache_sweep.CAPACITIES,
-            scale=args.scale,
-            seed=args.seed,
-            axes=not args.no_axes,
-            cache_policy=args.policy,
-            telemetry=_telemetry_config(args),
-        )
-        if args.duration_us:
-            params["duration_us"] = args.duration_us
-        print("Batching x caching sweep")
-        outcome = run_experiment(
-            cache_sweep.EXPERIMENT, params=params, output=args.output
-        )
-        if outcome.exit_code == 2:
-            return 2
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-
-    elif command == "autoscale":
-        from repro.experiments import autoscale_sweep
-        from repro.experiments.runner import run_experiment
-
-        params = dict(
-            service=args.service, scale=args.scale, seed=args.seed,
-            telemetry=_telemetry_config(args),
-        )
-        for flag, key in (
-            ("base_qps", "base_qps"), ("amplitude", "amplitude"),
-            ("replicas", "static_replicas"), ("duration_us", "duration_us"),
-            ("tick_us", "tick_us"), ("window_us", "window_us"),
-        ):
-            value = getattr(args, flag)
-            if value is not None:
-                params[key] = value
-        print("Autoscale sweep — closed-loop controller vs static grid")
-        outcome = run_experiment(
-            autoscale_sweep.EXPERIMENT, params=params, output=args.output
-        )
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-        return outcome.exit_code
-
-    elif command == "graph":
-        from repro.experiments import graph_sweep
-        from repro.experiments.runner import run_experiment
-
-        print("Service-graph amplification sweep")
-        outcome = run_experiment(
-            graph_sweep.EXPERIMENT,
-            params=dict(
-                qps=args.qps or graph_sweep.QPS,
-                queries=args.queries or graph_sweep.QUERIES_PER_CELL,
-                workload_queries=(
-                    args.workload_queries or graph_sweep.WORKLOAD_QUERIES
-                ),
-                seed=args.seed,
-                intensity=(
-                    args.intensity if args.intensity is not None
-                    else graph_sweep.INJECT_INTENSITY
-                ),
-                telemetry=_telemetry_config(args),
-            ),
-            output=args.output,
-        )
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-        return outcome.exit_code
-
-    elif command == "energy":
-        from repro.experiments import energy_sweep
-        from repro.experiments.runner import run_experiment
-
-        print("Energy sweep — tier granularity + low-load C-state tension")
-        outcome = run_experiment(
-            energy_sweep.EXPERIMENT,
-            params=dict(
-                qps=args.qps or energy_sweep.QPS,
-                queries=args.queries or energy_sweep.QUERIES_PER_CELL,
-                tiers=args.tiers or energy_sweep.TIERS,
-                lowload_qps=args.lowload_qps or energy_sweep.LOWLOAD_QPS,
-                lowload_queries=(
-                    args.lowload_queries or energy_sweep.LOWLOAD_QUERIES
-                ),
-                workload_queries=(
-                    args.workload_queries or energy_sweep.WORKLOAD_QUERIES
-                ),
-                seed=args.seed,
-                telemetry=_telemetry_config(args),
-            ),
-            output=args.output,
-        )
-        if not args.output and outcome.checks is not None:
-            print(f"acceptance: {'pass' if outcome.checks['pass'] else 'FAIL'}")
-        return outcome.exit_code
-
-    elif command == "figure-smoke":
-        from repro.experiments import figure_smoke
-        from repro.experiments.runner import run_experiment
-
-        print("Figure smoke — paper-shape checks on miniature cells")
-        outcome = run_experiment(
-            figure_smoke.EXPERIMENT,
-            params=dict(
-                services=args.services, scale=args.scale, seed=args.seed,
-            ),
-            output=args.output,
-        )
-        return outcome.exit_code
-
-    elif command == "all":
-        for sub_command in (
-            ["fig9"], ["fig10"], ["syscalls"], ["overheads"], ["fig19"],
-            ["headline"], ["block-poll"], ["inline-dispatch"], ["poolsize"],
-            ["adaptive"],
-        ):
-            main(sub_command + ["--scale", args.scale, "--seed", str(args.seed)])
-            print()
-
-    return 0
+    output = getattr(args, "output", None)
+    return runner.run_experiment(experiment, params["run"], output).exit_code
 
 
 if __name__ == "__main__":

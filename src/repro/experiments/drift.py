@@ -4,9 +4,12 @@ Every ``BENCH_*.json`` in the repository root embeds a *pinned
 acceptance cell*: one measurement re-run twice at recording time and
 committed byte-for-byte (the ``reproducibility`` block, or the recovery
 triple for the fault sweep).  This module re-runs exactly that cell from
-the parameters recorded **inside the artifact** and fails on any byte
-difference in the canonical JSON — so a simulator change that silently
-shifts committed numbers turns CI red instead of rotting the artifacts.
+the parameters recorded **inside the artifact** — through the ``pinned``
+probe of the :class:`~repro.experiments.runner.Experiment` that records
+the artifact, the same function its sweep calls for the double run — and
+fails on any byte difference in the canonical JSON, so a simulator change
+that silently shifts committed numbers turns CI red instead of rotting
+the artifacts.
 
 ``BENCH_engine.json`` is exempt by design: it records wall-clock
 throughput, which is hardware-dependent and cannot be byte-stable.
@@ -18,13 +21,24 @@ directory.  Exit 0 when everything reproduces, 1 on drift.
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.runner import Experiment
+from repro.telemetry import TelemetryConfig
 
 #: Artifacts with wall-clock (hardware-dependent) numbers: never gated.
 EXEMPT = ("BENCH_engine.json",)
+
+#: artifact file name -> the experiment whose pinned cell reproduces it.
+PINNED: Dict[str, Experiment] = {
+    exp.bench_path: exp for exp in EXPERIMENTS if exp.pinned is not None
+}
 
 
 def _canon(obj) -> str:
@@ -32,195 +46,13 @@ def _canon(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _probe_graph(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import graph_sweep
-    from repro.graph import exemplar_graph
-
-    cell = graph_sweep.measure_graph_cell(
-        exemplar_graph(n_queries=doc["workload_queries"]),
-        qps=doc["qps"],
-        seed=doc["seed"],
-        queries=doc["queries_per_cell"],
-        faults=graph_sweep.injection_plan(doc["injection"]["intensity"]),
-        traced=True,
-    )
-    return (
-        asdict(cell),
-        doc["reproducibility"]["first"],
-        "deep injected cell",
-    )
-
-
-def _probe_trace(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import trace_sweep
-
-    repro = doc["reproducibility"]
-    cell = trace_sweep.measure_trace_cell(
-        repro["service"],
-        doc["scale"],
-        repro["qps"],
-        seed=doc["seed"],
-        queries=doc["queries_per_cell"],
-        sample_every=doc["sample_every"],
-        top_k=len(repro["first"]["exemplars"]),
-    )
-    return (
-        asdict(cell),
-        repro["first"],
-        f"{repro['service']} @ {repro['qps']:g} QPS traced cell",
-    )
-
-
-def _probe_cache(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import cache_sweep
-
-    repro = doc["reproducibility"]
-    defaults = doc["defaults"]
-    built = cache_sweep.sweep_scale(
-        defaults["batch_max"], defaults["cache_capacity"],
-        scale=doc["scale"], cache_policy=defaults["cache_policy"],
-    )
-    point = cache_sweep.measure_cache_point(
-        repro["service"], built, repro["qps"], seed=doc["seed"],
-        duration_us=doc["duration_us"],
-    )
-    return (
-        asdict(point),
-        repro["first"],
-        f"{repro['service']} @ {repro['qps']:g} QPS batch+cache cell",
-    )
-
-
-def _probe_scale(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import scale_sweep
-
-    repro = doc["reproducibility"]
-    n = repro["replicas"]
-    built = scale_sweep.sweep_scale(
-        n, repro["policy"] if n > 1 else "round-robin",
-        scale=doc["scale"], service=doc["service"],
-    )
-    point = scale_sweep.measure_load_point(
-        doc["service"], built, repro["qps"], seed=doc["seed"],
-        duration_us=doc["duration_us"],
-    )
-    return (
-        asdict(point),
-        repro["first"],
-        f"{n} replicas / {repro['policy']} @ {repro['qps']:g} QPS cell",
-    )
-
-
-def _probe_faults(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import fault_sweep
-
-    recovery = doc["recovery"]
-    report = fault_sweep.run_recovery(
-        service=recovery["service"],
-        qps=recovery["qps"],
-        intensity=recovery["intensity"],
-        scale=recovery["scale"],
-        seed=recovery["seed"],
-        duration_us=recovery["duration_us"],
-    )
-    return asdict(report), recovery, "recovery triple"
-
-
-def _probe_autoscale(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import autoscale_sweep
-
-    max_replicas = max(cell["replicas"] for cell in doc["static_grid"])
-    built = autoscale_sweep.controlled_scale(
-        max_replicas,
-        tick_us=doc["tick_us"],
-        window_us=doc["window_us"],
-        scale=doc["scale"],
-        service=doc["service"],
-    )
-    cell = autoscale_sweep.measure_cell(
-        "controller", built, max_replicas,
-        base_qps=doc["traffic"]["base_qps"],
-        amplitude=doc["traffic"]["amplitude"],
-        service=doc["service"],
-        seed=doc["seed"],
-        duration_us=doc["duration_us"],
-    )
-    return (
-        asdict(cell),
-        doc["reproducibility"]["first"],
-        "controller cell (diurnal + antagonist)",
-    )
-
-
-def _probe_energy(doc: dict) -> Tuple[dict, dict, str]:
-    from repro.experiments import energy_sweep
-    from repro.graph import pipeline_graph
-
-    first = doc["reproducibility"]["first"]
-    cell = energy_sweep.measure_energy_cell(
-        pipeline_graph(first["tiers"], n_queries=doc["workload_queries"]),
-        qps=doc["qps"],
-        seed=doc["seed"],
-        queries=doc["queries_per_cell"],
-    )
-    return (
-        asdict(cell),
-        first,
-        f"{first['tiers']}-tier rung @ {doc['qps']:g} QPS energy cell",
-    )
-
-
-def _probe_trace_streaming(doc: dict) -> Tuple[dict, dict, str]:
-    """The pinned trace cell again, but through streaming telemetry.
-
-    The committed bytes were recorded with the buffered hub; a streaming
-    re-run must still match them exactly — this is the determinism
-    contract of :mod:`repro.telemetry.stream` gated in CI.
-    """
-    from repro.experiments import trace_sweep
-    from repro.telemetry import TelemetryConfig
-
-    repro = doc["reproducibility"]
-    cell = trace_sweep.measure_trace_cell(
-        repro["service"],
-        doc["scale"],
-        repro["qps"],
-        seed=doc["seed"],
-        queries=doc["queries_per_cell"],
-        sample_every=doc["sample_every"],
-        top_k=len(repro["first"]["exemplars"]),
-        telemetry=TelemetryConfig(mode="streaming"),
-    )
-    return (
-        asdict(cell),
-        repro["first"],
-        f"{repro['service']} @ {repro['qps']:g} QPS traced cell "
-        "(streaming telemetry)",
-    )
-
-
-#: artifact file name -> probe(doc) -> (fresh, committed, label).
-PROBES: Dict[str, Callable[[dict], Tuple[dict, dict, str]]] = {
-    "BENCH_graph.json": _probe_graph,
-    "BENCH_trace.json": _probe_trace,
-    "BENCH_cache.json": _probe_cache,
-    "BENCH_scale.json": _probe_scale,
-    "BENCH_faults.json": _probe_faults,
-    "BENCH_autoscale.json": _probe_autoscale,
-    "BENCH_energy.json": _probe_energy,
-}
-
-#: Streaming-equivalence re-runs: the same committed bytes must also
-#: fall out of the bounded-memory telemetry path.
-STREAMING_PROBES: Dict[str, Callable[[dict], Tuple[dict, dict, str]]] = {
-    "BENCH_trace.json": _probe_trace_streaming,
-}
-
-
-def _run_probe(
-    probe: Callable[[dict], Tuple[dict, dict, str]], path: Path, doc: dict
+def _compare(
+    experiment: Experiment, path: Path, doc: dict, telemetry=None
 ) -> Tuple[bool, str]:
-    fresh, committed, label = probe(doc)
+    cell, committed, label = experiment.pinned(doc, telemetry)
+    fresh = asdict(cell)
+    if telemetry is not None:
+        label += f" ({telemetry.mode} telemetry)"
     if _canon(fresh) == _canon(committed):
         return True, f"{path}: ok ({label} reproduces byte-identically)"
     diff_keys = sorted(
@@ -235,26 +67,25 @@ def _run_probe(
 def check_artifact(path: Path) -> Tuple[bool, str]:
     """Re-run one artifact's pinned cell; (ok, human-readable detail).
 
-    Artifacts with a streaming probe registered are re-run a second time
+    Experiments with ``drift_streaming`` set are re-run a second time
     through the streaming telemetry pipeline; both runs must match the
-    committed bytes.
+    committed (buffered-recorded) bytes.
     """
-    probe = PROBES.get(path.name)
-    if probe is None:
-        return True, f"{path}: no drift probe registered, skipped"
+    experiment = PINNED.get(path.name)
+    if experiment is None:
+        return True, f"{path}: no pinned cell registered, skipped"
     doc = json.loads(path.read_text())
-    ok, detail = _run_probe(probe, path, doc)
-    streaming = STREAMING_PROBES.get(path.name)
-    if streaming is not None:
-        stream_ok, stream_detail = _run_probe(streaming, path, doc)
+    ok, detail = _compare(experiment, path, doc)
+    if experiment.drift_streaming:
+        stream_ok, stream_detail = _compare(
+            experiment, path, doc, TelemetryConfig(mode="streaming")
+        )
         ok = ok and stream_ok
         detail = f"{detail}\n{stream_detail}"
     return ok, detail
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.drift",
         description="Re-run each committed benchmark artifact's pinned "
@@ -269,7 +100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.artifacts:
         paths = [Path(p) for p in args.artifacts]
     else:
-        paths = [Path(name) for name in sorted(PROBES) if Path(name).exists()]
+        paths = [Path(name) for name in sorted(PINNED) if Path(name).exists()]
         if not paths:
             print("error: no committed artifacts found in the working directory")
             return 2
@@ -289,9 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    import sys
-
     sys.exit(main())
 
 
-__all__ = ["EXEMPT", "PROBES", "STREAMING_PROBES", "check_artifact", "main"]
+__all__ = ["EXEMPT", "PINNED", "check_artifact", "main"]

@@ -26,8 +26,8 @@ prices the account on two axes:
   which must produce the identical energy aggregate (the account tees
   through the ordinary probes, so the stream fold replays it exactly).
 
-``record_bench`` writes ``BENCH_energy.json`` validated against
-``schemas/bench_energy.schema.json``.
+``usuite energy --output BENCH_energy.json`` records the artifact,
+validated against ``schemas/bench_energy.schema.json``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from typing import Dict, List, Optional
 from repro.energy import EnergyConfig
 from repro.experiments import runner
 from repro.experiments.tables import render_table
-from repro.graph import GraphConfig, build_graph, coarsen_once, work_per_query
+from repro.graph import GraphConfig, coarsen_once, work_per_query
 from repro.graph.exemplar import onehop_graph, pipeline_graph
 from repro.kernel.config import CStatePoint, OsCosts
-from repro.suite.cluster import SimCluster, run_open_loop
+from repro.suite.cluster import run_open_loop
 from repro.telemetry import TelemetryConfig
 
 #: Offered load for the granularity ladder: busy enough that every tier
@@ -180,20 +180,16 @@ def measure_energy_cell(
     telemetry: Optional[TelemetryConfig] = None,
 ) -> EnergyCell:
     """Run one open-loop cell with the energy account enabled."""
-    runner.pin_arrivals()
-    cluster = SimCluster(
-        seed=seed,
-        costs=costs,
-        telemetry=telemetry,
-        energy=EnergyConfig(enabled=True),
-    )
-    handle = build_graph(cluster, graph)
     duration_us = queries / qps * 1e6
-    result = run_open_loop(
-        cluster, handle, qps=qps, duration_us=duration_us,
-        warmup_us=WARMUP_US,
-    )
-    cell = EnergyCell(
+    with runner.build_cluster(
+        graph, seed=seed, costs=costs, telemetry=telemetry,
+        overrides={"energy": EnergyConfig(enabled=True)},
+    ) as (cluster, handle):
+        result = run_open_loop(
+            cluster, handle, qps=qps, duration_us=duration_us,
+            warmup_us=WARMUP_US,
+        )
+    return EnergyCell(
         graph=graph.name,
         tiers=graph.depth(),
         cstates=cstates,
@@ -205,8 +201,6 @@ def measure_energy_cell(
         e2e_p99_us=result.e2e.percentile(99),
         energy=result.energy.to_dict(),
     )
-    cluster.shutdown()
-    return cell
 
 
 def granularity_ladder(
@@ -299,7 +293,7 @@ def run_energy_sweep(
 
 
 def acceptance(report: EnergySweepReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     granularity = report.granularity_tradeoff()
     lowload = report.lowload_tradeoff()
     cells = report.ladder + [report.lowload_deep, report.lowload_shallow]
@@ -442,22 +436,44 @@ def to_document(report: EnergySweepReport) -> dict:
     }
 
 
-def record_bench(report: EnergySweepReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_energy.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the deepest ladder rung from its recorded parameters."""
+    first = doc["reproducibility"]["first"]
+    cell = measure_energy_cell(
+        pipeline_graph(first["tiers"], n_queries=doc["workload_queries"]),
+        doc["qps"], seed=doc["seed"], queries=doc["queries_per_cell"],
+        telemetry=telemetry,
     )
+    label = f"{first['tiers']}-tier rung @ {doc['qps']:g} QPS energy cell"
+    return cell, first, label
 
 
-#: Runner spec: ``usuite energy`` is this experiment.
+#: Registry entry: ``usuite energy``.
 EXPERIMENT = runner.Experiment(
     name="energy",
+    help="per-core joules vs tier granularity + low-load C-state tension",
+    title="Energy sweep — tier granularity + low-load C-state tension",
     run=run_energy_sweep,
     format=format_energy_sweep,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_energy.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SEED,
+        runner.qps_flag(None, help="offered load per ladder cell "
+                        "(default: 600)"),
+        runner.queries_flag("queries per ladder cell (default: 1000; "
+                            "duration scales 1/qps)"),
+        runner.TELEMETRY,
+        runner.Flag("--tiers", type=runner.positive_int, default=None,
+                    help="pipeline depth of the finest ladder rung "
+                    "(default: 4; must be >= 3)"),
+        runner.Flag("--lowload-qps", type=float, default=None,
+                    help="offered load for the C-state tension pair "
+                    "(default: 100)"),
+    ),
 )
 
 
@@ -465,6 +481,6 @@ __all__ = [
     "BENCH_PATH", "EXPERIMENT", "LOWLOAD_QPS", "LOWLOAD_QUERIES", "QPS",
     "QUERIES_PER_CELL", "TIERS", "WORKLOAD_QUERIES", "EnergyCell",
     "EnergySweepReport", "acceptance", "format_energy_sweep",
-    "granularity_ladder", "measure_energy_cell", "record_bench",
+    "granularity_ladder", "measure_energy_cell", "pinned",
     "run_energy_sweep", "shallow_costs", "to_document",
 ]

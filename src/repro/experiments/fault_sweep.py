@@ -14,19 +14,19 @@ Two artifacts:
   characterized load (10K QPS) under leaf slowdown.  The triple
   (healthy, faulted/policy-off, faulted/policy-on) yields the *recovery
   fraction*: how much of the injected p99 inflation the policies remove.
-  ``usuite faults --output BENCH_faults.json`` commits the result.
+  ``usuite faults --sweep --output BENCH_faults.json`` commits the result.
 
-Every cell pins the load-generator instance counter so all cells share
-one arrival process — the comparison isolates the fault/policy effect.
+Every cell shares one arrival process (the runner names every load
+generator alike) — the comparison isolates the fault/policy effect.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments import runner
-from repro.experiments.characterize import CharacterizationResult, characterize
+from repro.experiments.characterize import characterize
 from repro.experiments.tables import render_table
 from repro.faults import FaultPlan, LeafSlowdown
 from repro.rpc.policy import DEFAULT_TAIL_POLICY, TailPolicy
@@ -51,48 +51,17 @@ def slowdown_plan(
     intensity: float,
     tail_scale_us: float = TAIL_SCALE_US,
     tail_alpha: float = TAIL_ALPHA,
+    leaves: Optional[Tuple[int, ...]] = None,
 ) -> FaultPlan:
-    """A leaf-slowdown plan: each leaf execution draws the Pareto tail
-    with probability ``intensity``."""
+    """A leaf-slowdown plan: each execution on ``leaves`` (default: every
+    leaf) draws the Pareto tail with probability ``intensity``."""
     return FaultPlan(
         leaf_slowdown=LeafSlowdown(
             tail_probability=intensity,
             tail_scale_us=tail_scale_us,
             tail_alpha=tail_alpha,
+            leaves=leaves,
         )
-    )
-
-
-def run_fault_cell(
-    service: str,
-    qps: float,
-    faults: Optional[FaultPlan],
-    tail_policy: Optional[TailPolicy],
-    scale: str = "small",
-    seed: int = 0,
-    duration_us: Optional[float] = None,
-    warmup_us: float = 200_000.0,
-    telemetry=None,
-) -> CharacterizationResult:
-    """One measured cell with the arrival process pinned.
-
-    Resetting the client instance counter keeps the load generator's RNG
-    stream name — and therefore the Poisson arrival sequence — identical
-    across cells, so faulted and healthy runs see the same offered load.
-    ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
-    the aggregation mode; None keeps the scale's default (buffered).
-    """
-    runner.pin_arrivals()
-    return characterize(
-        service,
-        qps,
-        scale=scale,
-        seed=seed,
-        duration_us=duration_us,
-        warmup_us=warmup_us,
-        faults=faults,
-        tail_policy=tail_policy,
-        scale_overrides={"telemetry": telemetry} if telemetry is not None else None,
     )
 
 
@@ -135,7 +104,7 @@ def run_fault_sweep(
     """Sweep injector intensity × policy {off, on} across services."""
     cells: List[FaultCell] = []
     for service in services or SERVICE_NAMES:
-        healthy = run_fault_cell(
+        healthy = characterize(
             service, qps, faults=None, tail_policy=None,
             scale=scale, seed=seed, duration_us=duration_us,
             telemetry=telemetry,
@@ -143,7 +112,7 @@ def run_fault_sweep(
         healthy_p99 = healthy.e2e.percentile(99)
         for intensity in intensities:
             for policy_on in (False, True):
-                cell = run_fault_cell(
+                cell = characterize(
                     service,
                     qps,
                     faults=slowdown_plan(intensity),
@@ -261,17 +230,17 @@ def run_recovery(
 ) -> RecoveryReport:
     """Measure how much injected p99 inflation the policies recover."""
     faults = slowdown_plan(intensity)
-    base = run_fault_cell(
+    base = characterize(
         service, qps, faults=None, tail_policy=None,
         scale=scale, seed=seed, duration_us=duration_us,
         telemetry=telemetry,
     )
-    faulted = run_fault_cell(
+    faulted = characterize(
         service, qps, faults=faults, tail_policy=None,
         scale=scale, seed=seed, duration_us=duration_us,
         telemetry=telemetry,
     )
-    tolerant = run_fault_cell(
+    tolerant = characterize(
         service, qps, faults=faults, tail_policy=tail_policy,
         scale=scale, seed=seed, duration_us=duration_us,
         telemetry=telemetry,
@@ -308,13 +277,67 @@ def run_recovery(
     )
 
 
-def record_bench(
-    recovery: RecoveryReport,
-    sweep: Optional[List[FaultCell]] = None,
-    path: str = BENCH_PATH,
-    target_recovery: float = 0.5,
-) -> dict:
-    """Write the recovery report (and optional sweep) as a JSON artifact."""
+#: Acceptance: the policies must recover at least this much of the
+#: injected p99 inflation.
+TARGET_RECOVERY = 0.5
+
+
+@dataclass
+class FaultsReport:
+    """``usuite faults``: the recovery triple, plus the sweep when asked."""
+
+    recovery: RecoveryReport
+    sweep: Optional[List[FaultCell]] = None
+
+
+def run_faults(
+    services: Optional[Iterable[str]] = None,
+    qps: float = RECOVERY_QPS,
+    scale: str = "small",
+    seed: int = 0,
+    duration_us: Optional[float] = None,
+    sweep: bool = False,
+    telemetry=None,
+) -> FaultsReport:
+    """The recovery triple, preceded by the (slow) sweep when ``sweep``."""
+    cells = None
+    if sweep:
+        cells = run_fault_sweep(
+            services=services, qps=qps, scale=scale, seed=seed,
+            duration_us=duration_us, telemetry=telemetry,
+        )
+    recovery = run_recovery(
+        qps=qps, scale=scale, seed=seed, duration_us=duration_us,
+        telemetry=telemetry,
+    )
+    return FaultsReport(recovery=recovery, sweep=cells)
+
+
+def format_faults(report: FaultsReport) -> str:
+    out = []
+    if report.sweep:
+        out += [
+            "Fault sweep — tail amplification, policy off vs on",
+            format_fault_sweep(report.sweep),
+            "",
+        ]
+    out += ["Tail-tolerance recovery (leaf slowdown)", report.recovery.format()]
+    return "\n".join(out)
+
+
+def acceptance(report: FaultsReport) -> Dict[str, object]:
+    """The checks committed alongside the data."""
+    fraction = report.recovery.recovery_fraction
+    return {
+        "target_recovery_fraction": TARGET_RECOVERY,
+        "achieved_recovery_fraction": round(fraction, 4),
+        "pass": fraction >= TARGET_RECOVERY,
+    }
+
+
+def to_document(report: FaultsReport) -> dict:
+    """The JSON artifact (validates against bench_faults.schema.json)."""
+    recovery = report.recovery
     data: dict = {
         "benchmark": (
             f"leaf slowdown (p={recovery.intensity:g}, "
@@ -324,15 +347,45 @@ def record_bench(
         ),
         "policy": asdict(DEFAULT_TAIL_POLICY),
         "recovery": asdict(recovery),
-        "acceptance": {
-            "target_recovery_fraction": target_recovery,
-            "achieved_recovery_fraction": round(recovery.recovery_fraction, 4),
-            "pass": recovery.recovery_fraction >= target_recovery,
-        },
+        "acceptance": acceptance(report),
     }
-    if sweep:
+    if report.sweep:
         data["sweep"] = [
             {**asdict(cell), "tail_amplification": round(cell.tail_amplification, 3)}
-            for cell in sweep
+            for cell in report.sweep
         ]
-    return runner.write_artifact(data, path, schema="bench_faults.schema.json")
+    return data
+
+
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the recovery triple from its recorded parameters."""
+    recorded = doc["recovery"]
+    report = run_recovery(
+        telemetry=telemetry,
+        **{key: recorded[key] for key in (
+            "service", "qps", "intensity", "scale", "seed", "duration_us",
+        )},
+    )
+    return report, recorded, "recovery triple"
+
+
+#: Registry entry: ``usuite faults``.
+EXPERIMENT = runner.Experiment(
+    name="faults",
+    help="fault injection x tail-tolerance sweep",
+    run=run_faults,
+    format=format_faults,
+    acceptance=acceptance,
+    to_document=to_document,
+    schema="bench_faults.schema.json",
+    bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SCALE, runner.SEED, runner.services_flag(),
+        runner.qps_flag(10_000.0), runner.duration_flag(),
+        runner.TELEMETRY,
+        runner.Flag("--sweep", action="store_true",
+                    help="also run the service x intensity x policy sweep "
+                    "(slow; the default runs only the recovery triple)"),
+    ),
+)

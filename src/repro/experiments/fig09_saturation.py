@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from repro.experiments import runner
 from repro.experiments.tables import render_table
-from repro.loadgen import OpenLoopLoadGen
-from repro.suite import SCALES, ServiceScale, SimCluster, build_service
+from repro.suite import ServiceScale
 from repro.suite.cluster import run_closed_loop
 from repro.suite.registry import SERVICE_NAMES
 
@@ -49,31 +49,19 @@ def saturation_throughput(
     saturation value open-loop and reports the completion rate;
     ``mode="closed"`` uses the paper's closed-loop methodology directly.
     """
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    cluster = SimCluster(seed=seed)
-    service = build_service(service_name, cluster, scale)
-    if mode == "closed":
-        result = run_closed_loop(
+    if mode == "overload":
+        offered = overload_factor * PAPER_SATURATION_QPS.get(service_name, 15_000.0)
+        return runner.measure_saturation(
+            service_name, scale, offered, seed=seed,
+            duration_us=duration_us, warmup_us=warmup_us,
+        )
+    if mode != "closed":
+        raise ValueError(f"unknown mode {mode!r}")
+    with runner.build_cluster(service_name, scale, seed=seed) as (cluster, service):
+        return run_closed_loop(
             cluster, service, n_clients=n_clients, duration_us=duration_us,
             warmup_us=warmup_us,
-        )
-        qps = result.throughput_qps
-    elif mode == "overload":
-        offered = overload_factor * PAPER_SATURATION_QPS.get(service_name, 15_000.0)
-        gen = OpenLoopLoadGen(
-            cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-            target=service.target_address, source=service.make_source(), qps=offered,
-        )
-        gen.start()
-        cluster.run(until=warmup_us)
-        completed_before = gen.completed
-        cluster.run(until=warmup_us + duration_us)
-        qps = (gen.completed - completed_before) / (duration_us / 1e6)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    cluster.shutdown()
-    return qps
+        ).throughput_qps
 
 
 def run_fig09(
@@ -100,3 +88,17 @@ def format_fig09(results: Dict[str, float]) -> str:
     return render_table(
         ("service", "paper QPS", "measured QPS", "ratio"), rows
     )
+
+
+#: Registry entry: ``usuite fig9``.
+EXPERIMENT = runner.Experiment(
+    name="fig9",
+    help="saturation throughput per service",
+    title="Fig. 9 — saturation throughput",
+    run=run_fig09,
+    format=format_fig09,
+    flags=(
+        runner.SCALE, runner.SEED, runner.services_flag(),
+        runner.duration_flag(400_000.0, help="measured window per cell"),
+    ),
+)

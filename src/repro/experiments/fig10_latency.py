@@ -12,39 +12,15 @@ effects this module verifies:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    PAPER_LOADS,
-    characterize,
-    default_duration_us,
+    characterize_services,
 )
+from repro.experiments.plots import render_distributions
 from repro.experiments.tables import render_table
-from repro.suite import ServiceScale
-from repro.suite.registry import SERVICE_NAMES
-
-
-def run_fig10(
-    services: Optional[Iterable[str]] = None,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[str, Dict[float, CharacterizationResult]]:
-    """Latency distributions for every (service, load) cell."""
-    results: Dict[str, Dict[float, CharacterizationResult]] = {}
-    for name in services or SERVICE_NAMES:
-        results[name] = {}
-        for qps in loads:
-            results[name][qps] = characterize(
-                name,
-                qps,
-                scale=scale,
-                seed=seed,
-                duration_us=default_duration_us(qps, min_queries),
-            )
-    return results
 
 
 def format_fig10(results: Dict[str, Dict[float, CharacterizationResult]]) -> str:
@@ -75,3 +51,36 @@ def low_load_median_inflation(by_load: Dict[float, CharacterizationResult]) -> f
     low = by_load[100.0].e2e.median
     mid = by_load[1_000.0].e2e.median
     return low / mid if mid > 0 else 0.0
+
+
+def format_fig10_report(
+    results: Dict[str, Dict[float, CharacterizationResult]], plot: bool = False
+) -> str:
+    """The table, the low-load inflation ratios, and optional violins."""
+    out = [format_fig10(results)]
+    for service, by_load in results.items():
+        if 100.0 in by_load and 1_000.0 in by_load:
+            ratio = low_load_median_inflation(by_load)
+            out.append(f"{service}: median(100 QPS) / median(1K QPS) = {ratio:.2f}x")
+    if plot:
+        for service, by_load in results.items():
+            out.append(f"\n{service} end-to-end latency (violin strips):")
+            out.append(render_distributions({
+                f"@{int(qps)} QPS": cell.e2e.samples()
+                for qps, cell in sorted(by_load.items())
+            }))
+    return "\n".join(out)
+
+
+#: Registry entry: ``usuite fig10``.
+EXPERIMENT = runner.Experiment(
+    name="fig10",
+    help="end-to-end latency across loads",
+    title="Fig. 10 — end-to-end latency across loads",
+    run=characterize_services,
+    format=format_fig10_report,
+    flags=runner.COMMON + (
+        runner.services_flag(), runner.loads_flag(),
+        runner.plot_flag("render the latency distributions as text violins"),
+    ),
+)

@@ -9,17 +9,14 @@ sparse arrival.  ``sendmsg`` / ``recvmsg`` / ``epoll_pwait`` follow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    PAPER_LOADS,
-    characterize,
-    default_duration_us,
+    characterize_services,
 )
 from repro.experiments.tables import render_table
-from repro.suite import ServiceScale
-from repro.suite.registry import SERVICE_NAMES
 
 #: Figure number per service, as in the paper.
 FIGURE_OF = {"hdsearch": 11, "router": 12, "setalgebra": 13, "recommend": 14}
@@ -29,40 +26,6 @@ REPORTED_SYSCALLS = (
     "mprotect", "openat", "brk", "sendmsg", "epoll_pwait", "write", "read",
     "recvmsg", "close", "futex", "clone", "mmap", "munmap",
 )
-
-
-def run_syscall_profile(
-    service_name: str,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[float, CharacterizationResult]:
-    """One service's syscall profile across loads."""
-    return {
-        qps: characterize(
-            service_name,
-            qps,
-            scale=scale,
-            seed=seed,
-            duration_us=default_duration_us(qps, min_queries),
-        )
-        for qps in loads
-    }
-
-
-def run_fig11_14(
-    services: Optional[Iterable[str]] = None,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[str, Dict[float, CharacterizationResult]]:
-    """All four figures' data."""
-    return {
-        name: run_syscall_profile(name, loads, scale, seed, min_queries)
-        for name in (services or SERVICE_NAMES)
-    }
 
 
 def format_syscall_profile(
@@ -85,3 +48,16 @@ def dominant_syscall(cell: CharacterizationResult) -> str:
     """The most-invoked syscall in one (service, load) cell."""
     profile = cell.syscalls_per_query
     return max(profile, key=profile.get) if profile else ""
+
+
+#: Registry entry: ``usuite syscalls``.
+EXPERIMENT = runner.Experiment(
+    name="syscalls",
+    help="Figs 11-14: syscall profile",
+    run=characterize_services,
+    format=lambda results: "\n\n".join(
+        format_syscall_profile(service, by_load)
+        for service, by_load in results.items()
+    ) + "\n",
+    flags=runner.COMMON + (runner.services_flag(), runner.loads_flag()),
+)

@@ -15,18 +15,16 @@ in each characterization cell.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
     OVERHEAD_KINDS,
-    PAPER_LOADS,
-    characterize,
-    default_duration_us,
+    characterize_services,
 )
+from repro.experiments.plots import render_distributions
 from repro.experiments.tables import render_table
-from repro.suite import ServiceScale
-from repro.suite.registry import SERVICE_NAMES
 
 #: Figure number per service, as in the paper.
 FIGURE_OF = {"hdsearch": 15, "router": 16, "setalgebra": 17, "recommend": 18}
@@ -38,40 +36,6 @@ PAPER_ACTIVE_EXE_TAIL_SHARE = {
     "setalgebra": 0.87,
     "recommend": 0.64,
 }
-
-
-def run_overheads(
-    service_name: str,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[float, CharacterizationResult]:
-    """One service's OS-overhead breakdown across loads."""
-    return {
-        qps: characterize(
-            service_name,
-            qps,
-            scale=scale,
-            seed=seed,
-            duration_us=default_duration_us(qps, min_queries),
-        )
-        for qps in loads
-    }
-
-
-def run_fig15_18(
-    services: Optional[Iterable[str]] = None,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[str, Dict[float, CharacterizationResult]]:
-    """All four figures' data."""
-    return {
-        name: run_overheads(name, loads, scale, seed, min_queries)
-        for name in (services or SERVICE_NAMES)
-    }
 
 
 def format_overheads(
@@ -103,3 +67,34 @@ def active_exe_dominates(cell: CharacterizationResult) -> bool:
     active = cell.overheads["active_exe"].percentile(99)
     others = ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu")
     return all(active >= cell.overheads[kind].percentile(99) for kind in others)
+
+
+def format_overheads_report(
+    results: Dict[str, Dict[float, CharacterizationResult]], plot: bool = False
+) -> str:
+    """Every service's figure, each optionally followed by violins."""
+    out = []
+    for service, by_load in results.items():
+        out.append(format_overheads(service, by_load))
+        if plot:
+            for qps, cell in sorted(by_load.items()):
+                out.append(f"\n{service} @{int(qps)} QPS (violin strips):")
+                out.append(render_distributions({
+                    kind: cell.overheads[kind].samples()
+                    for kind in OVERHEAD_KINDS
+                }))
+        out.append("")
+    return "\n".join(out)
+
+
+#: Registry entry: ``usuite overheads``.
+EXPERIMENT = runner.Experiment(
+    name="overheads",
+    help="Figs 15-18: OS overhead breakdown",
+    run=characterize_services,
+    format=format_overheads_report,
+    flags=runner.COMMON + (
+        runner.services_flag(), runner.loads_flag(),
+        runner.plot_flag("render the overhead distributions as text violins"),
+    ),
+)

@@ -9,40 +9,14 @@ woken thread herds contend on socket locks more often than they switch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    PAPER_LOADS,
-    characterize,
-    default_duration_us,
+    characterize_services,
 )
 from repro.experiments.tables import render_table
-from repro.suite import ServiceScale
-from repro.suite.registry import SERVICE_NAMES
-
-
-def run_fig19(
-    services: Optional[Iterable[str]] = None,
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[str, Dict[float, CharacterizationResult]]:
-    """Contention counters for every (service, load) cell."""
-    return {
-        name: {
-            qps: characterize(
-                name,
-                qps,
-                scale=scale,
-                seed=seed,
-                duration_us=default_duration_us(qps, min_queries),
-            )
-            for qps in loads
-        }
-        for name in (services or SERVICE_NAMES)
-    }
 
 
 def rates_per_second(cell: CharacterizationResult) -> Tuple[float, float]:
@@ -70,3 +44,14 @@ def format_fig19(results: Dict[str, Dict[float, CharacterizationResult]]) -> str
     return render_table(
         ("service", "load QPS", "CS/s", "HITM/s", "HITM/CS"), rows
     )
+
+
+#: Registry entry: ``usuite fig19``.
+EXPERIMENT = runner.Experiment(
+    name="fig19",
+    help="context switches and HITM",
+    title="Fig. 19 — context switches and HITM",
+    run=characterize_services,
+    format=format_fig19,
+    flags=runner.COMMON + (runner.services_flag(), runner.loads_flag()),
+)

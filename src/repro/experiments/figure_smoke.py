@@ -64,12 +64,10 @@ def run_figure_smoke(
     checks: List[SmokeCheck] = []
     metrics: Dict[str, dict] = {}
     for service in services or SMOKE_SERVICES:
-        runner.pin_arrivals()
         low = characterize(
             service, 100.0, scale=scale, seed=seed,
             duration_us=LOW_LOAD_DURATION_US, warmup_us=SMOKE_WARMUP_US,
         )
-        runner.pin_arrivals()
         mid = characterize(
             service, 1_000.0, scale=scale, seed=seed,
             duration_us=SMOKE_DURATION_US, warmup_us=SMOKE_WARMUP_US,
@@ -149,16 +147,17 @@ def format_figure_smoke(report: dict) -> str:
     return f"{table}\n{verdict}"
 
 
-def write_report(report: dict, path: str) -> None:
-    """Persist the smoke report as a JSON artifact."""
-    runner.write_artifact(report, path, schema="figure_smoke.schema.json")
-
-
-#: Runner spec: ``usuite figure-smoke`` is this experiment.
+#: Registry entry: ``usuite figure-smoke``.
 EXPERIMENT = runner.Experiment(
     name="figure-smoke",
+    help="tiny fig9/fig10/fig15-18 cells + paper-shape checks",
+    title="Figure smoke — paper-shape checks on miniature cells",
     run=run_figure_smoke,
     format=format_figure_smoke,
     acceptance=lambda report: {"pass": report["passed"]},
     schema="figure_smoke.schema.json",
+    flags=(
+        runner.SCALE, runner.SEED,
+        runner.services_flag(None, help="default: hdsearch router"),
+    ),
 )

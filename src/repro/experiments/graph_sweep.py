@@ -25,20 +25,20 @@ against its μSuite-shaped :func:`~repro.graph.onehop_graph` baseline:
 * **reproducibility** — the acceptance (deep injected) cell re-runs and
   must be bit-identical.
 
-``record_bench`` writes ``BENCH_graph.json`` validated against the
-checked-in ``schemas/bench_graph.schema.json``.
+``usuite graph --output BENCH_graph.json`` records the artifact, validated
+against the checked-in ``schemas/bench_graph.schema.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.experiments import runner
-from repro.experiments.fault_sweep import TAIL_ALPHA, TAIL_SCALE_US
+from repro.experiments.fault_sweep import TAIL_ALPHA, TAIL_SCALE_US, slowdown_plan
 from repro.experiments.tables import render_table
-from repro.faults import FaultPlan, LeafSlowdown
-from repro.graph import GraphConfig, build_graph, exemplar_graph, onehop_graph
+from repro.faults import FaultPlan
+from repro.graph import GraphConfig, exemplar_graph, onehop_graph
 from repro.loadgen.traffic import (
     DiurnalRate,
     FlashCrowd,
@@ -46,8 +46,7 @@ from repro.loadgen.traffic import (
     SessionLoadGen,
     VariableRateLoadGen,
 )
-from repro.suite.cluster import SimCluster, run_open_loop
-from repro.telemetry import critpath
+from repro.suite.cluster import drive, run_open_loop
 from repro.telemetry.tracing import Tracer
 
 #: Offered load for the amplification cells: high enough that the
@@ -83,25 +82,9 @@ WARMUP_US = 150_000.0
 BENCH_PATH = "BENCH_graph.json"
 
 
-def _percentile(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of raw values (deterministic, no interp)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[min(len(ordered) - 1, index)]
-
-
 def injection_plan(intensity: float = INJECT_INTENSITY) -> FaultPlan:
     """The single-deep-leaf slowdown both amplification cells share."""
-    return FaultPlan(
-        leaf_slowdown=LeafSlowdown(
-            leaves=(INJECTED_LEAF_INDEX,),
-            tail_probability=intensity,
-            tail_scale_us=TAIL_SCALE_US,
-            tail_alpha=TAIL_ALPHA,
-        )
-    )
+    return slowdown_plan(intensity, leaves=(INJECTED_LEAF_INDEX,))
 
 
 @dataclass
@@ -237,31 +220,23 @@ def measure_graph_cell(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the historical buffered hub.
     """
-    runner.pin_arrivals()
-    cluster = SimCluster(seed=seed, faults=faults, telemetry=telemetry)
-    handle = build_graph(cluster, graph)
     tracer = (
         Tracer(sample_every=1, max_traces=2 * queries) if traced else None
     )
-    result = run_open_loop(
-        cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
-        warmup_us=WARMUP_US, tracer=tracer,
-    )
+    with runner.build_cluster(
+        graph, seed=seed, faults=faults, telemetry=telemetry
+    ) as (cluster, handle):
+        result = run_open_loop(
+            cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
+            warmup_us=WARMUP_US, tracer=tracer,
+        )
     traces = tracer.finished if tracer is not None else []
+    _attrs, tail = runner.tail_attributions(traces, TAIL_PERCENTILE)
     machine_tail: Dict[str, float] = {}
-    tail_count = 0
-    if traces:
-        attrs = [critpath.attribute(trace) for trace in traces]
-        cut = _percentile([a.total_us for a in attrs], TAIL_PERCENTILE)
-        tail = [a for a in attrs if a.total_us >= cut]
-        tail_count = len(tail)
-        for attr in tail:
-            for (machine, _category), us in attr.by_machine.items():
-                machine_tail[machine] = machine_tail.get(machine, 0.0) + us
-        machine_tail = {
-            machine: us / tail_count for machine, us in machine_tail.items()
-        }
-    cell = GraphCell(
+    for attr in tail:
+        for (machine, _category), us in attr.by_machine.items():
+            machine_tail[machine] = machine_tail.get(machine, 0.0) + us
+    return GraphCell(
         graph=graph.name,
         injected=faults is not None,
         qps=qps,
@@ -271,11 +246,12 @@ def measure_graph_cell(
         e2e_p50_us=result.e2e.percentile(50),
         e2e_p99_us=result.e2e.percentile(99),
         traces=len(traces),
-        tail_traces=tail_count,
-        machine_tail_us=dict(sorted(machine_tail.items())),
+        tail_traces=len(tail),
+        machine_tail_us={
+            machine: us / len(tail)
+            for machine, us in sorted(machine_tail.items())
+        },
     )
-    cluster.shutdown()
-    return cell
 
 
 def traffic_curve(duration_us: float, base_qps: float) -> FlashCrowd:
@@ -300,24 +276,18 @@ def measure_traffic_cell(
 ) -> TrafficCell:
     """Drive the exemplar with the variable-rate open loop and compare
     realized arrivals against the curve's analytic integral."""
-    runner.pin_arrivals()
-    cluster = SimCluster(seed=seed, telemetry=telemetry)
-    handle = build_graph(cluster, graph)
     duration_us = queries / qps * 1e6
     curve = traffic_curve(duration_us, base_qps=0.8 * qps)
-    gen = VariableRateLoadGen(
-        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-        target=handle.target_address, source=handle.make_source(),
-        curve=curve,
+    with runner.build_cluster(
+        graph, seed=seed, telemetry=telemetry
+    ) as (cluster, handle):
+        gen = runner.loadgen(cluster, handle, VariableRateLoadGen, curve=curve)
+        result = drive(cluster, handle, gen, 0.0, duration_us)
+    # No warm-up, so the window's arrivals are all arrivals since start().
+    expected = curve.expected_arrivals(
+        gen.started_at, gen.started_at + duration_us
     )
-    gen.start()
-    cluster.run(until=cluster.sim.now + duration_us)
-    expected = gen.expected_sent()
-    sent = gen.sent
-    gen.stop()
-    cluster.run(until=cluster.sim.now + 50_000.0)
-    cluster.fabric.unregister(gen.name)
-    cell = TrafficCell(
+    return TrafficCell(
         curve=(
             f"flash(x{curve.multiplier:g} @ [{curve.start_us:g}, "
             f"{curve.end_us:g}]us) over diurnal(base={curve.base.base_qps:g}, "
@@ -325,15 +295,13 @@ def measure_traffic_cell(
         ),
         duration_us=duration_us,
         expected_arrivals=expected,
-        sent=sent,
+        sent=result.sent,
         thinned=gen.thinned,
         completed=gen.completed,
-        rel_err=abs(sent - expected) / expected if expected > 0 else 1.0,
+        rel_err=(
+            abs(result.sent - expected) / expected if expected > 0 else 1.0
+        ),
     )
-    # No run helper ran here, so fold the spill stream (if any) explicitly.
-    cluster.telemetry.finalized()
-    cluster.shutdown()
-    return cell
 
 
 #: The heterogeneous closed-loop mix: interactive users, a slow
@@ -352,19 +320,11 @@ def measure_session_cell(
     telemetry=None,
 ) -> SessionCell:
     """Run the session mix closed-loop and check in-flight conservation."""
-    runner.pin_arrivals()
-    cluster = SimCluster(seed=seed, telemetry=telemetry)
-    handle = build_graph(cluster, graph)
-    gen = SessionLoadGen(
-        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-        target=handle.target_address, source=handle.make_source(),
-        classes=SESSION_MIX,
-    )
-    gen.start()
-    cluster.run(until=cluster.sim.now + duration_us)
-    gen.stop()
-    cluster.run(until=cluster.sim.now + 50_000.0)
-    cluster.fabric.unregister(gen.name)
+    with runner.build_cluster(
+        graph, seed=seed, telemetry=telemetry
+    ) as (cluster, handle):
+        gen = runner.loadgen(cluster, handle, SessionLoadGen, classes=SESSION_MIX)
+        drive(cluster, handle, gen, 0.0, duration_us)
     classes = {
         cls.name: {
             "clients": cls.clients,
@@ -379,11 +339,25 @@ def measure_session_cell(
         and gen.completed_by_class[cls.name] > 0
         for cls in SESSION_MIX
     )
-    # No run helper ran here, so fold the spill stream (if any) explicitly.
-    cluster.telemetry.finalized()
-    cluster.shutdown()
     return SessionCell(
         duration_us=duration_us, classes=classes, conserved=conserved
+    )
+
+
+def pinned_cell(
+    qps: float = QPS,
+    queries: int = QUERIES_PER_CELL,
+    workload_queries: int = WORKLOAD_QUERIES,
+    seed: int = 0,
+    intensity: float = INJECT_INTENSITY,
+    telemetry=None,
+) -> GraphCell:
+    """The acceptance (and reproducibility) cell: the deep graph, fault
+    injected, every request traced."""
+    return measure_graph_cell(
+        exemplar_graph(n_queries=workload_queries), qps, seed=seed,
+        queries=queries, faults=injection_plan(intensity), traced=True,
+        telemetry=telemetry,
     )
 
 
@@ -425,13 +399,12 @@ def run_graph_sweep(
         deep, qps, seed=seed, queries=queries, traced=True,
         telemetry=telemetry,
     )
-    deep_injected = measure_graph_cell(
-        deep, qps, seed=seed, queries=queries, faults=plan, traced=True,
-        telemetry=telemetry,
-    )
-    repro_second = measure_graph_cell(
-        deep, qps, seed=seed, queries=queries, faults=plan, traced=True,
-        telemetry=telemetry,
+    deep_injected, repro_second = (
+        pinned_cell(
+            qps, queries, workload_queries, seed=seed, intensity=intensity,
+            telemetry=telemetry,
+        )
+        for _ in range(2)
     )
     traffic = measure_traffic_cell(
         deep, qps=qps, seed=seed, queries=queries, telemetry=telemetry
@@ -461,7 +434,7 @@ def run_graph_sweep(
 
 
 def acceptance(report: GraphSweepReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     amp = report.amplification()
     attr = report.attribution()
     cells = (
@@ -619,22 +592,39 @@ def to_document(report: GraphSweepReport) -> dict:
     }
 
 
-def record_bench(report: GraphSweepReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_graph.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the reproducibility cell from its recorded parameters."""
+    cell = pinned_cell(
+        doc["qps"], doc["queries_per_cell"], doc["workload_queries"],
+        seed=doc["seed"], intensity=doc["injection"]["intensity"],
+        telemetry=telemetry,
     )
+    return cell, doc["reproducibility"]["first"], "deep injected cell"
 
 
-#: Runner spec: ``usuite graph`` is this experiment.
+#: Registry entry: ``usuite graph``.
 EXPERIMENT = runner.Experiment(
     name="graph",
+    help="service-graph DAG tail-amplification sweep",
+    title="Service-graph amplification sweep",
     run=run_graph_sweep,
     format=format_graph_sweep,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_graph.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SEED,
+        runner.qps_flag(None, help="offered load per amplification cell "
+                        "(default: 1200)"),
+        runner.queries_flag("queries per cell (default: 2500; duration "
+                            "scales 1/qps)"),
+        runner.TELEMETRY,
+        runner.Flag("--intensity", type=float, default=None,
+                    help="Pareto tail probability at the injected storage "
+                    "leaf (default: 0.02)"),
+    ),
 )
 
 
@@ -644,6 +634,6 @@ __all__ = [
     "QUERIES_PER_CELL", "WORKLOAD_QUERIES", "GraphCell", "GraphSweepReport",
     "SessionCell", "TrafficCell", "acceptance", "format_graph_sweep",
     "injection_plan", "measure_graph_cell", "measure_session_cell",
-    "measure_traffic_cell", "record_bench", "run_graph_sweep", "to_document",
-    "traffic_curve",
+    "measure_traffic_cell", "pinned", "pinned_cell", "run_graph_sweep",
+    "to_document", "traffic_curve",
 ]

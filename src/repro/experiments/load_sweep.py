@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
-    characterize,
-    default_duration_us,
+    characterize_grid,
 )
 from repro.experiments.fig09_saturation import PAPER_SATURATION_QPS
 from repro.experiments.tables import render_table
@@ -38,16 +38,10 @@ def run_load_sweep(
     """Characterize the service across the load sweep."""
     if loads is None:
         loads = default_sweep_loads(service_name)
-    return {
-        float(qps): characterize(
-            service_name,
-            qps,
-            scale=scale,
-            seed=seed,
-            duration_us=default_duration_us(qps, min_queries),
-        )
-        for qps in loads
-    }
+    return characterize_grid(
+        {service_name: (service_name, scale)},
+        [float(qps) for qps in loads], seed, min_queries,
+    )[service_name]
 
 
 def format_load_sweep(results: Dict[float, CharacterizationResult]) -> str:
@@ -87,3 +81,19 @@ def knee_load(results: Dict[float, CharacterizationResult], factor: float = 2.0)
         if cell.e2e.percentile(99) > factor * floor:
             return qps
     return ordered[-1][0]
+
+
+#: Registry entry: ``usuite sweep``.
+EXPERIMENT = runner.Experiment(
+    name="sweep",
+    help="latency vs offered load (hockey stick)",
+    title="Load sweep — {service_name}",
+    run=run_load_sweep,
+    format=lambda results: (
+        f"{format_load_sweep(results)}\n"
+        f"knee (p99 > 2x floor) at ~{knee_load(results):g} QPS"
+    ),
+    flags=runner.COMMON + (
+        runner.service_flag("service_name"), runner.loads_flag(None),
+    ),
+)

@@ -22,8 +22,9 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Optional
 
-from repro.suite import SCALES, SimCluster, build_service
+from repro.experiments import runner
 from repro.suite.cluster import run_open_loop
 
 #: The standard perf cell (the paper's highest characterized load).
@@ -84,19 +85,19 @@ def run_perf(
     (a :class:`~repro.telemetry.TelemetryConfig`) selects the
     aggregation mode; None keeps the historical buffered hub.
     """
-    cluster = SimCluster(seed=seed, telemetry=telemetry)
-    handle = build_service(service, cluster, SCALES[scale])
-    sim = cluster.sim
-    events_before = sim.executed
-    sim_before = sim.now
-    wall_before = time.perf_counter()
-    result = run_open_loop(
-        cluster, handle, qps=qps, duration_us=duration_us, warmup_us=warmup_us
-    )
-    wall = time.perf_counter() - wall_before
-    events = sim.executed - events_before
-    simulated = sim.now - sim_before
-    cluster.shutdown()
+    with runner.build_cluster(
+        service, scale, seed=seed, telemetry=telemetry
+    ) as (cluster, handle):
+        sim = cluster.sim
+        events_before = sim.executed
+        sim_before = sim.now
+        wall_before = time.perf_counter()
+        result = run_open_loop(
+            cluster, handle, qps=qps, duration_us=duration_us, warmup_us=warmup_us
+        )
+        wall = time.perf_counter() - wall_before
+        events = sim.executed - events_before
+        simulated = sim.now - sim_before
     return PerfReport(
         service=service,
         qps=qps,
@@ -138,3 +139,43 @@ def record_bench(
         data["speedup"] = round(before["wall_s"] / after["wall_s"], 3)
     bench_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
+
+
+def run_perf_command(
+    record_path: Optional[str] = None, slot: str = "after", **cell
+) -> str:
+    """``usuite perf``: time the cell and, with ``record_path``, fill that
+    slot of the artifact.  Returns the text to print — the artifact is a
+    slot *merge* into an existing file with wall-clock numbers, so it
+    bypasses the runner's validate-and-write step."""
+    report = run_perf(**cell)
+    lines = [report.format()]
+    if record_path:
+        speedup = record_bench(report, path=record_path, slot=slot).get("speedup")
+        tail = f" (speedup {speedup:g}x)" if speedup else ""
+        lines.append(f"recorded '{slot}' in {record_path}{tail}")
+    return "\n".join(lines)
+
+
+#: Registry entry: ``usuite perf``.
+EXPERIMENT = runner.Experiment(
+    name="perf",
+    help="engine throughput on the standard 10K QPS cell",
+    title="Engine performance",
+    run=run_perf_command,
+    format=str,
+    flags=(
+        runner.SCALE, runner.SEED, runner.service_flag(),
+        runner.qps_flag(10_000.0),
+        runner.duration_flag(help="measured window (default: the standard "
+                             "cell's 500 ms)"),
+        runner.Flag("--output", param="record_path", dest="record_path",
+                    default=None, metavar="PATH",
+                    help="record the run into this JSON file "
+                    "(e.g. BENCH_engine.json)"),
+        runner.Flag("--record", param="slot", choices=["before", "after"],
+                    default="after",
+                    help="which slot of the JSON artifact to fill"),
+        runner.TELEMETRY,
+    ),
+)

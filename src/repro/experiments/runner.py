@@ -1,35 +1,43 @@
-"""Shared experiment-runner plumbing for the ``usuite`` sweeps.
+"""The experiment layer's shared mechanism: cell, ``Experiment``, runner.
 
-Every sweep in this package repeats the same chores: pin the
-load-generator naming so Poisson arrival streams replay bit-identically
-across cells, build a seeded cluster for one (service, scale, overrides)
-point, validate the JSON artifact against its checked-in schema before
-writing, print a report plus an acceptance verdict, and map bad
-parameters to exit code 2.  This module owns those chores;
-:mod:`~repro.experiments.cache_sweep`, :mod:`~repro.experiments.scale_sweep`,
-:mod:`~repro.experiments.fault_sweep`, :mod:`~repro.experiments.figure_smoke`,
-:mod:`~repro.experiments.trace_sweep`, and the CLI sit on top of it.
+Bottom to top (each ``usuite`` command is built from these and nothing
+else; see DESIGN.md "Experiment layer"):
 
-The one public entry point most callers need is :func:`run_experiment`:
-give it an :class:`Experiment` spec (how to run, format, check, and
-record one sweep) and it returns an :class:`ExperimentOutcome` whose
-``exit_code`` follows the suite-wide convention — 0 on success, 1 when
-an acceptance gate fails, 2 on a usage error (:class:`UsageError`).
+* **cell** — :func:`build_cluster` builds one seeded cluster plus a
+  service *or* service graph and, used as a context manager, shuts it
+  down; the load is offered by :func:`repro.suite.cluster.drive` (the
+  one warm-up / window / drain loop), either through ``run_open_loop``
+  or with a :func:`loadgen`-built generator.  A sweep's ``measure_*``
+  function is therefore only its metric extraction.
+* **Experiment** — one value per command: how to run, print, gate and
+  record it, its ``argparse`` declarations (:class:`Flag`), and — for
+  commands with a committed ``BENCH_*.json`` — the *pinned cell* the
+  drift gate re-measures.  ``repro.experiments.registry`` lists them all;
+  the CLI parser, the CLI dispatch and the drift gate are derived from
+  that table.
+* **runner** — :func:`run_experiment` drives one :class:`Experiment` and
+  returns an :class:`ExperimentOutcome` whose ``exit_code`` follows the
+  suite-wide convention: 0 on success, 1 when an acceptance gate fails,
+  2 on a usage error (:class:`UsageError`).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.experiments.schema import load_schema, validate
+from repro.graph import GraphConfig, build_graph
 from repro.loadgen import OpenLoopLoadGen
-from repro.loadgen.client import _ClientBase
 from repro.suite import SCALES, ServiceScale, SimCluster, build_service
-from repro.suite.cluster import ServiceHandle
+from repro.suite.cluster import CLIENT_NAME, ServiceHandle, run_open_loop
+from repro.suite.registry import SERVICE_NAMES
+from repro.telemetry import critpath
 
 
 class UsageError(ValueError):
@@ -38,17 +46,6 @@ class UsageError(ValueError):
     The CLI reports the message on stderr and exits with code 2, the
     same convention argparse uses for malformed flags.
     """
-
-
-def pin_arrivals() -> None:
-    """Reset load-generator naming before building a sweep cell.
-
-    Every cell re-creates its load generator; resetting the instance
-    counter keeps the generator's RNG stream name — and therefore the
-    Poisson arrival sequence — identical across cells, isolating the
-    configuration under test from arrival noise.
-    """
-    _ClientBase._instances = 0
 
 
 def resolve_scale(scale: ServiceScale | str) -> ServiceScale:
@@ -66,46 +63,87 @@ def resolve_scale(scale: ServiceScale | str) -> ServiceScale:
         ) from None
 
 
+class Cell(NamedTuple):
+    """A built sweep cell.  Unpacks as ``(cluster, handle)``; as a context
+    manager it shuts the cluster down on exit."""
+
+    cluster: SimCluster
+    handle: ServiceHandle
+
+    def __enter__(self) -> "Cell":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.cluster.shutdown()
+
+
 def build_cluster(
-    service: str,
+    target: str | GraphConfig,
     scale: ServiceScale | str = "small",
     seed: int = 0,
     overrides: Optional[Mapping[str, object]] = None,
     midtier_policy=None,
     tail_policy=None,
     faults=None,
-) -> Tuple[SimCluster, ServiceHandle]:
-    """An arrival-pinned, seeded cluster plus service for one sweep cell.
+    costs=None,
+    telemetry=None,
+) -> Cell:
+    """A seeded cluster plus one service (by name) or service graph.
 
     ``overrides`` are forwarded to :meth:`ServiceScale.with_overrides`
     after ``scale`` resolves, so callers can say
     ``overrides={"trace": TraceConfig(enabled=True)}`` without touching
-    the registry scale.  ``faults`` is an optional
-    :class:`~repro.faults.FaultPlan` attached at cluster construction
-    (the autoscale sweep's antagonist).  Unknown services raise
+    the registry scale; ``telemetry`` (a
+    :class:`~repro.telemetry.TelemetryConfig`) is the one override every
+    sweep threads through, None keeping the scale's default.  A
+    :class:`~repro.graph.GraphConfig` target takes only the cluster-wide
+    settings (telemetry, energy) from the scale.  ``faults`` is an
+    optional :class:`~repro.faults.FaultPlan`, ``costs`` an
+    :class:`~repro.kernel.OsCosts` model.  Unknown services raise
     :class:`UsageError`.
     """
     built = resolve_scale(scale)
     if overrides:
         built = built.with_overrides(**overrides)
-    pin_arrivals()
+    if telemetry is not None:
+        built = built.with_overrides(telemetry=telemetry)
     cluster = SimCluster(
-        seed=seed, faults=faults, telemetry=built.telemetry,
+        seed=seed, costs=costs, faults=faults, telemetry=built.telemetry,
         energy=built.energy,
     )
-    try:
-        handle = build_service(
-            service, cluster, built,
+    if isinstance(target, GraphConfig):
+        handle = build_graph(
+            cluster, target,
             midtier_policy=midtier_policy, tail_policy=tail_policy,
         )
-    except KeyError as err:
-        raise UsageError(str(err.args[0])) from None
-    return cluster, handle
+    else:
+        try:
+            handle = build_service(
+                target, cluster, built,
+                midtier_policy=midtier_policy, tail_policy=tail_policy,
+            )
+        except KeyError as err:
+            raise UsageError(str(err.args[0])) from None
+    return Cell(cluster, handle)
+
+
+def loadgen(cluster: SimCluster, handle: ServiceHandle, cls=OpenLoopLoadGen, **kwargs):
+    """A ``cls`` load generator aimed at ``handle``, for ``drive``.
+
+    Named :data:`~repro.suite.cluster.CLIENT_NAME` like the run helpers'
+    generators, so every cell of every sweep shares one arrival stream
+    and a comparison isolates the configuration under test.
+    """
+    return cls(
+        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
+        target=handle.target_address, source=handle.make_source(),
+        name=CLIENT_NAME, **kwargs,
+    )
 
 
 def measure_saturation(
     service_name: str,
-    scale: ServiceScale,
+    scale: ServiceScale | str,
     offered_qps: float,
     seed: int = 0,
     duration_us: float = 300_000.0,
@@ -116,19 +154,25 @@ def measure_saturation(
     ``offered_qps`` should be ~2× the expected ceiling so the measured
     completion rate is the saturation throughput, not the offered load.
     """
-    cluster, service = build_cluster(service_name, scale, seed=seed)
-    gen = OpenLoopLoadGen(
-        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-        target=service.target_address, source=service.make_source(),
-        qps=offered_qps,
-    )
-    gen.start()
-    cluster.run(until=warmup_us)
-    completed_before = gen.completed
-    cluster.run(until=warmup_us + duration_us)
-    qps = (gen.completed - completed_before) / (duration_us / 1e6)
-    cluster.shutdown()
-    return qps
+    with build_cluster(service_name, scale, seed=seed) as (cluster, service):
+        return run_open_loop(
+            cluster, service, qps=offered_qps, duration_us=duration_us,
+            warmup_us=warmup_us, drain_us=0.0,
+        ).throughput_qps
+
+
+def tail_attributions(traces: Sequence, pct: float = 99.0) -> Tuple[List, List]:
+    """Every trace's critical-path attribution, and the tail subset.
+
+    The tail is the attributions at or above the nearest-rank ``pct``-th
+    percentile of total latency (deterministic, no interpolation).
+    """
+    attrs = [critpath.attribute(trace) for trace in traces]
+    if not attrs:
+        return attrs, []
+    ordered = sorted(attr.total_us for attr in attrs)
+    cut = ordered[int(round(pct / 100.0 * (len(ordered) - 1)))]
+    return attrs, [attr for attr in attrs if attr.total_us >= cut]
 
 
 def write_artifact(
@@ -141,30 +185,157 @@ def write_artifact(
     disk.  Returns the document for chaining.
     """
     if schema is not None:
+        # Imported here so `python -m repro.experiments.schema` does not
+        # find its module pre-imported by the package (runpy warns).
+        from repro.experiments.schema import load_schema, validate
+
         validate(document, load_schema(schema))
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
 
 
+# ---------------------------------------------------------------------------
+# Flag vocabulary.  A flag is spelled once here (or once in the module of
+# the one command that owns it) and composed into each Experiment's
+# ``flags``; factories take a ``default``/``help`` where commands
+# legitimately differ.  A default of None means "the run function's own
+# default" — the CLI passes through only the flags that are not None.
+# ---------------------------------------------------------------------------
+
+
+def positive_int(text: str) -> int:
+    """argparse type: a strictly positive integer (capacities, batch sizes)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a strictly positive float (durations, ticks, windows).
+
+    Non-positive values exit with code 2 (argparse's usage-error code)
+    instead of producing a zero-length measurement window or an
+    un-armable controller tick deep inside a sweep.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive value: {text!r}")
+    return value
+
+
+class Flag:
+    """One ``argparse`` declaration of a command.
+
+    ``kwargs`` go to ``add_argument`` verbatim.  The parsed value feeds
+    the ``param`` keyword (default: the flag's dest) of the experiment's
+    ``run`` — or of its ``format`` when ``target="format"``.
+    """
+
+    def __init__(
+        self, name: str, param: Optional[str] = None, target: str = "run",
+        **kwargs,
+    ):
+        self.name = name
+        self.kwargs = kwargs
+        self.dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        self.param = param or self.dest
+        self.target = target
+
+
+SCALE = Flag("--scale", default="small", help="scale name (small, unit)")
+SEED = Flag("--seed", type=int, default=0)
+MIN_QUERIES = Flag(
+    "--min-queries", type=int, default=600,
+    help="measured queries per cell (longer = tighter tails)",
+)
+#: ``--scale --seed --min-queries``: the figure-sweep staple.
+COMMON = (SCALE, SEED, MIN_QUERIES)
+
+#: Stands for the ``--telemetry-mode/-window-us/-spill`` trio (declared in
+#: the CLI), which together feed one ``telemetry`` keyword.
+TELEMETRY = Flag("--telemetry-*", param="telemetry")
+
+
+def services_flag(
+    default: Optional[Sequence[str]] = SERVICE_NAMES, help: Optional[str] = None
+) -> Flag:
+    return Flag(
+        "--services", nargs="+", choices=SERVICE_NAMES, help=help,
+        default=list(default) if default is not None else None,
+    )
+
+
+def service_flag(param: str = "service") -> Flag:
+    return Flag("--service", param=param, choices=SERVICE_NAMES, default="hdsearch")
+
+
+def loads_flag(
+    default: Optional[Sequence[float]] = (100.0, 1_000.0, 10_000.0),
+    help: Optional[str] = None,
+) -> Flag:
+    """The QPS grid every latency sweep iterates."""
+    return Flag(
+        "--loads", nargs="+", type=float, help=help,
+        default=list(default) if default is not None else None,
+    )
+
+
+def qps_flag(default: Optional[float], help: Optional[str] = None) -> Flag:
+    return Flag("--qps", type=float, default=default, help=help)
+
+
+def duration_flag(
+    default: Optional[float] = None,
+    help: str = "measured window per cell (default: 500 ms)",
+) -> Flag:
+    return Flag("--duration-us", type=positive_float, default=default, help=help)
+
+
+def queries_flag(help: str) -> Flag:
+    return Flag("--queries", type=positive_int, default=None, help=help)
+
+
+def plot_flag(help: str) -> Flag:
+    return Flag("--plot", target="format", action="store_true", help=help)
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """One runnable sweep: how to run, print, check, and record it.
+    """One ``usuite`` command: how to declare, run, print, gate, record it.
 
-    ``run`` produces the report object; the optional callables adapt it:
-    ``format`` to a human-readable string, ``acceptance`` to a checks
-    dict with a boolean ``"pass"`` key, ``to_document`` to the JSON
-    artifact (defaulting to the report itself when it is already a
-    dict).  ``schema`` names the JSON schema the artifact must satisfy;
-    ``bench_path`` is the default artifact location.
+    ``run`` produces the report object from the keywords its ``flags``
+    feed; the optional callables adapt it: ``format`` to a
+    human-readable string, ``acceptance`` to a checks dict with a boolean
+    ``"pass"`` key, ``to_document`` to the JSON artifact (defaulting to
+    the report itself when it is already a dict).  ``title`` is the
+    header line, ``str.format``-ed with the run keywords.  ``schema``
+    names the JSON schema the artifact must satisfy (an experiment with
+    a schema gets an ``--output`` flag); ``bench_path`` is
+    the committed artifact, and ``pinned(doc, telemetry)`` re-measures
+    that artifact's reproducibility cell from the parameters recorded in
+    ``doc``, returning ``(fresh, committed, label)`` for the drift gate
+    (``drift_streaming`` asks for a second, streaming-telemetry re-run).
     """
 
     name: str
     run: Callable[..., Any]
-    format: Optional[Callable[[Any], str]] = None
+    help: str = ""
+    title: Optional[str] = None
+    flags: Tuple[Flag, ...] = ()
+    format: Optional[Callable[..., str]] = None
     acceptance: Optional[Callable[[Any], Dict[str, object]]] = None
     to_document: Optional[Callable[[Any], dict]] = None
     schema: Optional[str] = None
     bench_path: Optional[str] = None
+    pinned: Optional[Callable[[dict, Any], Tuple[Any, dict, str]]] = None
+    drift_streaming: bool = False
 
 
 @dataclass
@@ -185,15 +356,23 @@ def run_experiment(
 ) -> ExperimentOutcome:
     """Drive one :class:`Experiment` end to end.
 
-    Runs it with ``params``, prints the formatted report to ``stream``
-    (stdout by default), evaluates acceptance, and — when ``output`` is
-    set — records the schema-validated artifact there with a verdict
-    line.  :class:`UsageError` from the run maps to exit code 2; a
-    failed acceptance gate to 1.
+    Prints the title, runs it with ``params``, prints the formatted
+    report to ``stream`` (stdout by default), evaluates acceptance, and
+    — when ``output`` is set — records the schema-validated artifact
+    there; the acceptance verdict is printed either way.
+    :class:`UsageError` from the run (or an unknown ``scale`` parameter,
+    checked up front so a typo is a one-line error rather than a
+    traceback after seconds of set-up) maps to exit code 2; a failed
+    acceptance gate to 1.
     """
     stream = sys.stdout if stream is None else stream
+    params = dict(params or {})
+    if experiment.title is not None:
+        print(experiment.title.format(**params), file=stream)
     try:
-        report = experiment.run(**dict(params or {}))
+        if "scale" in params:
+            resolve_scale(params["scale"])
+        report = experiment.run(**params)
     except UsageError as err:
         print(f"usuite {experiment.name}: error: {err}", file=sys.stderr)
         return ExperimentOutcome(None, None, None, 2)
@@ -204,6 +383,9 @@ def run_experiment(
         if experiment.acceptance is not None
         else None
     )
+    verdict = ""
+    if checks is not None:
+        verdict = f"acceptance: {'pass' if checks.get('pass') else 'FAIL'}"
     document = None
     if output:
         if experiment.to_document is not None:
@@ -216,13 +398,12 @@ def run_experiment(
                 f"report is not a dict"
             )
         write_artifact(document, output, schema=experiment.schema)
-        verdict = ""
-        if checks is not None:
-            verdict = (
-                " (acceptance: pass)" if checks.get("pass") else
-                " (acceptance: FAIL)"
-            )
-        print(f"\nrecorded {output}{verdict}", file=stream)
+        print(
+            f"\nrecorded {output}" + (f" ({verdict})" if verdict else ""),
+            file=stream,
+        )
+    elif verdict:
+        print(verdict, file=stream)
     exit_code = 0
     if checks is not None and not checks.get("pass", True):
         exit_code = 1
@@ -230,13 +411,10 @@ def run_experiment(
 
 
 __all__ = [
-    "Experiment",
-    "ExperimentOutcome",
-    "UsageError",
-    "build_cluster",
-    "measure_saturation",
-    "pin_arrivals",
-    "resolve_scale",
-    "run_experiment",
-    "write_artifact",
+    "COMMON", "Cell", "Experiment", "ExperimentOutcome", "Flag", "MIN_QUERIES",
+    "SCALE", "SEED", "TELEMETRY", "UsageError", "build_cluster",
+    "duration_flag", "loadgen", "loads_flag", "measure_saturation",
+    "plot_flag", "positive_float", "positive_int", "qps_flag",
+    "queries_flag", "resolve_scale", "run_experiment", "service_flag",
+    "services_flag", "tail_attributions", "write_artifact",
 ]

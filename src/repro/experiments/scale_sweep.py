@@ -17,8 +17,8 @@ Under that scale, replicas scale saturation and the classic balancing
 results appear: uniform random is the worst tail, power-of-two-choices
 tracks least-outstanding, and both beat round-robin at high load.
 
-``record_bench`` writes ``BENCH_scale.json`` validated against the
-checked-in ``schemas/bench_scale.schema.json``.
+``usuite scale --output BENCH_scale.json`` records the artifact, validated
+against the checked-in ``schemas/bench_scale.schema.json``.
 """
 
 from __future__ import annotations
@@ -143,21 +143,6 @@ class ScaleSweepReport:
         return None
 
 
-def measure_saturation(
-    service_name: str,
-    scale: ServiceScale,
-    seed: int = 0,
-    offered_qps: float = SATURATION_OFFERED_QPS,
-    duration_us: float = SATURATION_DURATION_US,
-    warmup_us: float = WARMUP_US,
-) -> float:
-    """Completion rate under 2× open-loop overload (the Fig. 9 method)."""
-    return runner.measure_saturation(
-        service_name, scale, offered_qps=offered_qps,
-        seed=seed, duration_us=duration_us, warmup_us=warmup_us,
-    )
-
-
 def measure_load_point(
     service_name: str,
     scale: ServiceScale,
@@ -172,13 +157,14 @@ def measure_load_point(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    if telemetry is not None:
-        scale = runner.resolve_scale(scale).with_overrides(telemetry=telemetry)
-    cluster, service = runner.build_cluster(service_name, scale, seed=seed)
-    result = run_open_loop(
-        cluster, service, qps=qps, duration_us=duration_us, warmup_us=warmup_us
-    )
-    breakdown = cluster.telemetry.replica_breakdown(service.midtier_names)
+    with runner.build_cluster(
+        service_name, scale, seed=seed, telemetry=telemetry
+    ) as (cluster, service):
+        result = run_open_loop(
+            cluster, service, qps=qps, duration_us=duration_us,
+            warmup_us=warmup_us,
+        )
+        breakdown = cluster.telemetry.replica_breakdown(service.midtier_names)
     point = LoadPoint(
         qps=qps,
         sent=result.sent,
@@ -195,8 +181,32 @@ def measure_load_point(
         point.lb_backlogged = int(result.lb_stats["backlogged"])
         point.per_replica_forwarded = forwarded
         point.replica_imbalance = replica_imbalance(forwarded)
-    cluster.shutdown()
     return point
+
+
+def pinned_point(
+    replicas: int,
+    policy: str,
+    qps: float,
+    service: str = SWEEP_SERVICE,
+    scale: ServiceScale | str = "small",
+    seed: int = 0,
+    duration_us: float = DEFAULT_DURATION_US,
+    telemetry=None,
+) -> LoadPoint:
+    """The reproducibility cell: one (replicas, policy) point at ``qps``.
+
+    One mid-tier has no balancer, so its policy label (``"direct"``) maps
+    to the round-robin default.
+    """
+    built = sweep_scale(
+        replicas, policy if replicas > 1 else "round-robin",
+        scale=scale, service=service,
+    )
+    return measure_load_point(
+        service, built, qps, seed=seed, duration_us=duration_us,
+        telemetry=telemetry,
+    )
 
 
 def run_scale_sweep(
@@ -210,7 +220,12 @@ def run_scale_sweep(
     telemetry=None,
 ) -> ScaleSweepReport:
     """The full sweep plus a same-seed double run of one cell."""
-    policies = [canonical_policy(name) for name in policies]
+    # Validate policies up front: a typo'd name is a one-line usage
+    # error, not a ValueError traceback mid-sweep.
+    try:
+        policies = [canonical_policy(name) for name in policies]
+    except ValueError as err:
+        raise runner.UsageError(str(err)) from None
     replica_counts = sorted(set(replica_counts))
     cells: List[ScaleCell] = []
     for n in replica_counts:
@@ -222,7 +237,10 @@ def run_scale_sweep(
             cell = ScaleCell(
                 replicas=n,
                 policy=policy,
-                saturation_qps=measure_saturation(service, built, seed=seed),
+                saturation_qps=runner.measure_saturation(
+                    service, built, SATURATION_OFFERED_QPS, seed=seed,
+                    duration_us=SATURATION_DURATION_US, warmup_us=WARMUP_US,
+                ),
             )
             for qps in loads:
                 cell.loads.append(
@@ -240,12 +258,13 @@ def run_scale_sweep(
     repro_qps = loads[len(loads) // 2] if loads else 1_000.0
     if repro_n == 1:
         repro_policy = "direct"
-    built = sweep_scale(repro_n, repro_policy if repro_n > 1 else "round-robin",
-                        scale=scale, service=service)
-    first = measure_load_point(service, built, repro_qps, seed=seed,
-                               duration_us=duration_us, telemetry=telemetry)
-    second = measure_load_point(service, built, repro_qps, seed=seed,
-                                duration_us=duration_us, telemetry=telemetry)
+    first, second = (
+        pinned_point(
+            repro_n, repro_policy, repro_qps, service=service, scale=scale,
+            seed=seed, duration_us=duration_us, telemetry=telemetry,
+        )
+        for _ in range(2)
+    )
 
     return ScaleSweepReport(
         service=service,
@@ -262,7 +281,7 @@ def run_scale_sweep(
 
 
 def acceptance(report: ScaleSweepReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     series = report.saturation_series()
     saturations = [qps for _, qps in series]
     monotone = all(b > a for a, b in zip(saturations, saturations[1:]))
@@ -363,20 +382,41 @@ def to_document(report: ScaleSweepReport) -> dict:
     }
 
 
-def record_bench(report: ScaleSweepReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_scale.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the reproducibility cell from its recorded parameters."""
+    repro = doc["reproducibility"]
+    point = pinned_point(
+        repro["replicas"], repro["policy"], repro["qps"],
+        service=doc["service"], scale=doc["scale"], seed=doc["seed"],
+        duration_us=doc["duration_us"], telemetry=telemetry,
     )
+    label = (
+        f"{repro['replicas']} replicas / {repro['policy']} @ "
+        f"{repro['qps']:g} QPS cell"
+    )
+    return point, repro["first"], label
 
 
-#: Runner spec: ``usuite scale`` is this experiment.
+#: Registry entry: ``usuite scale``.
 EXPERIMENT = runner.Experiment(
     name="scale",
+    help="mid-tier replicas x balancing policy sweep",
+    title="Scale-out sweep — {service}",
     run=run_scale_sweep,
     format=format_scale_sweep,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_scale.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    flags=(
+        runner.SCALE, runner.SEED, runner.service_flag(),
+        runner.loads_flag(None, help="offered loads in QPS for the tail cells"),
+        runner.duration_flag(), runner.TELEMETRY,
+        runner.Flag("--replicas", param="replica_counts", nargs="+", type=int,
+                    default=None,
+                    help="replica counts to sweep (default: 1 2 3)"),
+        runner.Flag("--policies", nargs="+", default=None, metavar="POLICY",
+                    help="balancing policies (default: all four)"),
+    ),
 )

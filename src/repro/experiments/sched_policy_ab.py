@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, Optional
 
+from repro.experiments import runner
 from repro.experiments.characterize import (
     CharacterizationResult,
     characterize,
@@ -32,7 +33,7 @@ from repro.kernel.scheduler import (
     WakeAffinityPlacement,
     WorstFitPlacement,
 )
-from repro.suite import SCALES, ServiceScale, SimCluster, build_service
+from repro.suite import ServiceScale
 from repro.suite.cluster import run_open_loop
 from repro.suite.registry import SERVICE_NAMES
 
@@ -110,17 +111,16 @@ def scheduler_tail_contribution(
     reports ``1 - ideal_tail / real_tail`` over the *net mid-tier
     latency* (the Figs. 15-18 "Net" category).
     """
-    if isinstance(scale, str):
-        scale = SCALES[scale]
     duration = default_duration_us(qps, min_queries)
 
     def midtier_tail(costs: Optional[OsCosts]) -> float:
-        cluster = SimCluster(seed=seed, costs=costs)
-        service = build_service(service_name, cluster, scale)
-        run_open_loop(cluster, service, qps=qps, duration_us=duration)
-        tail = cluster.telemetry.hist(f"midtier_latency:{service.midtier_name}").percentile(pct)
-        cluster.shutdown()
-        return tail
+        with runner.build_cluster(
+            service_name, scale, seed=seed, costs=costs
+        ) as (cluster, service):
+            result = run_open_loop(cluster, service, qps=qps, duration_us=duration)
+        return result.telemetry.hist(
+            f"midtier_latency:{service.midtier_name}"
+        ).percentile(pct)
 
     real = midtier_tail(None)
     ideal = midtier_tail(free_scheduler_costs())
@@ -211,3 +211,17 @@ def format_headline(results: Dict[str, Dict[str, float]]) -> str:
         ),
         rows,
     )
+
+
+#: Registry entry: ``usuite headline``.
+EXPERIMENT = runner.Experiment(
+    name="headline",
+    help="scheduler policy A/B + ablation",
+    title="Headline — non-optimal scheduler tail degradation",
+    run=run_headline,
+    format=format_headline,
+    flags=(
+        runner.SCALE, runner.SEED, runner.services_flag(),
+        runner.loads_flag((1_000.0, 10_000.0)),
+    ),
+)

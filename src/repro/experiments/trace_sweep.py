@@ -33,8 +33,8 @@ Two paper-shape gates ride in the acceptance block:
   takes over), the same inflation ``usuite figure-smoke`` gates as
   ``low_load_median_inflation``.
 
-``record_bench`` writes ``BENCH_trace.json`` validated against the
-checked-in ``schemas/bench_trace.schema.json``.
+``usuite trace --output BENCH_trace.json`` records the artifact, validated
+against the checked-in ``schemas/bench_trace.schema.json``.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ TILING_TOLERANCE_US = 1e-6
 BENCH_PATH = "BENCH_trace.json"
 
 
-def _percentile(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of raw values (deterministic, no interp)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[min(len(ordered) - 1, index)]
-
-
 def _rebase_exemplars(
     exemplars: List[Dict[str, object]], traces: Sequence
 ) -> List[Dict[str, object]]:
@@ -97,28 +88,6 @@ def _rebase_exemplars(
         {**exemplar, "request_id": int(exemplar["request_id"]) - base}
         for exemplar in exemplars
     ]
-
-
-def sweep_trace_config(
-    scale: ServiceScale | str,
-    sample_every: int = 1,
-    max_traces: int = 10_000,
-    top_k: int = 5,
-) -> ServiceScale:
-    """The sweep's scale: tracing on, via the typed :class:`TraceConfig`.
-
-    ``sample_every=1`` traces every request, which is what makes the
-    telemetry cross-check an equality; sparser sampling still satisfies
-    the tiling invariant but leaves the cross-check ungated.
-    """
-    return runner.resolve_scale(scale).with_overrides(
-        trace=TraceConfig(
-            enabled=True,
-            sample_every=sample_every,
-            max_traces=max_traces,
-            top_k=top_k,
-        )
-    )
 
 
 @dataclass
@@ -182,40 +151,40 @@ def measure_trace_cell(
 ) -> TraceCell:
     """Run one cell with tracing on and attribute every sampled trace.
 
+    ``sample_every=1`` traces every request, which is what makes the
+    telemetry cross-check an equality; sparser sampling still satisfies
+    the tiling invariant but leaves the cross-check ungated.
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    built = sweep_trace_config(
-        scale, sample_every=sample_every, max_traces=max_traces, top_k=top_k
+    trace = TraceConfig(
+        enabled=True, sample_every=sample_every, max_traces=max_traces,
+        top_k=top_k,
     )
-    if telemetry is not None:
-        built = built.with_overrides(telemetry=telemetry)
-    cluster, handle = runner.build_cluster(service, built, seed=seed)
-    tracer = Tracer(
-        sample_every=built.trace.sample_every,
-        max_traces=built.trace.max_traces,
-    )
-    # warmup 0: the telemetry window and the sampled traces then cover
-    # the same events, which is what makes ``crosscheck`` an equality.
-    result = run_open_loop(
-        cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
-        warmup_us=0.0, tracer=tracer,
-    )
+    tracer = Tracer(sample_every=sample_every, max_traces=max_traces)
+    with runner.build_cluster(
+        service, scale, seed=seed, overrides={"trace": trace},
+        telemetry=telemetry,
+    ) as (cluster, handle):
+        # warmup 0: the telemetry window and the sampled traces then cover
+        # the same events, which is what makes ``crosscheck`` an equality.
+        result = run_open_loop(
+            cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
+            warmup_us=0.0, tracer=tracer,
+        )
     traces = tracer.finished
-    attrs = [critpath.attribute(trace) for trace in traces]
+    attrs, tail = runner.tail_attributions(traces, TAIL_PERCENTILE)
     totals = critpath.aggregate(attrs)
     summed = sum(totals.values())
     mids = set(result.midtier_names)
 
-    cut = _percentile([a.total_us for a in attrs], TAIL_PERCENTILE)
-    tail = [a for a in attrs if a.total_us >= cut]
     tail_mid: Dict[str, float] = {name: 0.0 for name in critpath.CATEGORIES}
     for attr in tail:
         for (machine, category), us in attr.by_machine.items():
             if machine in mids:
                 tail_mid[category] += us
 
-    cell = TraceCell(
+    return TraceCell(
         service=service,
         qps=qps,
         duration_us=queries / qps * 1e6,
@@ -236,14 +205,12 @@ def measure_trace_cell(
             for name in critpath.CATEGORIES
         },
         exemplars=_rebase_exemplars(
-            critpath.tail_exemplars(traces, k=built.trace.top_k), traces
+            critpath.tail_exemplars(traces, k=top_k), traces
         ),
         crosscheck=critpath.crosscheck(
             traces, result.telemetry, list(mids)
         ),
     )
-    cluster.shutdown()
-    return cell
 
 
 def run_trace_sweep(
@@ -272,13 +239,12 @@ def run_trace_sweep(
     repro_qps = (
         CROSSCHECK_QPS if CROSSCHECK_QPS in loads else loads[len(loads) // 2]
     )
-    first = measure_trace_cell(
-        repro_service, scale, repro_qps, seed=seed, queries=queries,
-        sample_every=sample_every, top_k=top_k, telemetry=telemetry,
-    )
-    second = measure_trace_cell(
-        repro_service, scale, repro_qps, seed=seed, queries=queries,
-        sample_every=sample_every, top_k=top_k, telemetry=telemetry,
+    first, second = (
+        measure_trace_cell(
+            repro_service, scale, repro_qps, seed=seed, queries=queries,
+            sample_every=sample_every, top_k=top_k, telemetry=telemetry,
+        )
+        for _ in range(2)
     )
     return TraceSweepReport(
         scale=scale if isinstance(scale, str) else scale.name,
@@ -294,7 +260,7 @@ def run_trace_sweep(
 
 
 def acceptance(report: TraceSweepReport) -> Dict[str, object]:
-    """The checks ``record_bench`` commits alongside the data."""
+    """The checks committed alongside the data."""
     services = sorted({cell.service for cell in report.cells})
     max_tiling = max(
         (cell.max_tiling_error_us for cell in report.cells), default=0.0
@@ -443,22 +409,45 @@ def to_document(report: TraceSweepReport) -> dict:
     }
 
 
-def record_bench(report: TraceSweepReport, path: str = BENCH_PATH) -> dict:
-    """Validate the artifact against the checked-in schema and write it."""
-    return runner.write_artifact(
-        to_document(report), path, schema="bench_trace.schema.json"
+def pinned(doc: dict, telemetry=None):
+    """Drift probe: the reproducibility cell from its recorded parameters."""
+    repro = doc["reproducibility"]
+    cell = measure_trace_cell(
+        repro["service"], doc["scale"], repro["qps"], seed=doc["seed"],
+        queries=doc["queries_per_cell"], sample_every=doc["sample_every"],
+        top_k=len(repro["first"]["exemplars"]), telemetry=telemetry,
     )
+    label = f"{repro['service']} @ {repro['qps']:g} QPS traced cell"
+    return cell, repro["first"], label
 
 
-#: Runner spec: ``usuite trace`` is this experiment.
+#: Registry entry: ``usuite trace``.  The committed bytes were recorded
+#: with the buffered hub; the drift gate re-runs the pinned cell through
+#: streaming telemetry too — the determinism contract of
+#: :mod:`repro.telemetry.stream`.
 EXPERIMENT = runner.Experiment(
     name="trace",
+    help="per-request critical-path attribution sweep",
+    title="Critical-path attribution sweep",
     run=run_trace_sweep,
     format=format_trace_sweep,
     acceptance=acceptance,
     to_document=to_document,
     schema="bench_trace.schema.json",
     bench_path=BENCH_PATH,
+    pinned=pinned,
+    drift_streaming=True,
+    flags=(
+        runner.SCALE, runner.SEED, runner.services_flag(),
+        runner.loads_flag(None, help="offered loads in QPS "
+                          "(default: 100 1000 10000)"),
+        runner.queries_flag("queries per cell (default: 2000; duration "
+                            "scales 1/qps)"),
+        runner.TELEMETRY,
+        runner.Flag("--sample-every", type=runner.positive_int, default=1,
+                    help="trace every Nth request (1 = all; required for the "
+                    "telemetry cross-check gate)"),
+    ),
 )
 
 
@@ -466,6 +455,5 @@ __all__ = [
     "BENCH_PATH", "CROSSCHECK_QPS", "CROSSCHECK_TOLERANCE", "EXPERIMENT",
     "LOADS", "QUERIES_PER_CELL", "TILING_TOLERANCE_US", "TraceCell",
     "TraceSweepReport", "acceptance", "format_trace_sweep",
-    "measure_trace_cell", "record_bench", "run_trace_sweep",
-    "sweep_trace_config", "to_document",
+    "measure_trace_cell", "pinned", "run_trace_sweep", "to_document",
 ]

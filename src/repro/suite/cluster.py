@@ -2,8 +2,10 @@
 
 :class:`SimCluster` owns the simulation, fabric, telemetry, and machines
 for one experiment; :class:`ServiceHandle` is what service builders
-return; the ``run_open_loop`` / ``run_closed_loop`` helpers implement the
-paper's §V methodology (warm-up, then a measured window).
+return; :func:`drive` is the paper's §V methodology (offer load, trim
+warm-up, measure a window, drain) for any load generator, and
+``run_open_loop`` / ``run_closed_loop`` construct the paper's two
+generators over it.
 """
 
 from __future__ import annotations
@@ -325,26 +327,25 @@ class RunResult:
         return merged
 
 
-def run_open_loop(
+#: The name the run helpers (and the experiment runner) give their load
+#: generator.  The name keys the generator's RNG stream, so naming it
+#: explicitly — instead of taking the process-wide instance counter's
+#: default — makes every cell replay the same arrival sequence no matter
+#: how many generators the process built before.
+CLIENT_NAME = "client1"
+
+
+def drive(
     cluster: SimCluster,
     service: ServiceHandle,
-    qps: float,
+    gen,
+    warmup_us: float,
     duration_us: float,
-    warmup_us: float = 200_000.0,
     drain_us: float = 50_000.0,
-    tracer=None,
 ) -> RunResult:
-    """Paper §V: open-loop Poisson load, warm-up trimmed, window measured."""
-    gen = OpenLoopLoadGen(
-        cluster.sim,
-        cluster.fabric,
-        cluster.telemetry,
-        cluster.rng,
-        target=service.target_address,
-        source=service.make_source(),
-        qps=qps,
-        tracer=tracer,
-    )
+    """Paper §V, the one load-driving loop: start ``gen`` (an already-built
+    load generator), trim ``warmup_us``, measure ``duration_us``, then stop
+    the generator and let in-flight queries drain for ``drain_us``."""
     start = cluster.sim.now
     gen.start()
     cluster.run(until=start + warmup_us)
@@ -373,7 +374,9 @@ def run_open_loop(
     telemetry = cluster.telemetry.finalized()
     return RunResult(
         service=service.name,
-        qps_offered=qps,
+        # Fixed-rate generators carry their rate; curve-driven and
+        # closed-loop ones have no single offered load.
+        qps_offered=getattr(gen, "qps", float("inf")),
         duration_us=duration_us,
         sent=window_sent,
         completed=window_completed,
@@ -395,6 +398,30 @@ def run_open_loop(
     )
 
 
+def run_open_loop(
+    cluster: SimCluster,
+    service: ServiceHandle,
+    qps: float,
+    duration_us: float,
+    warmup_us: float = 200_000.0,
+    drain_us: float = 50_000.0,
+    tracer=None,
+) -> RunResult:
+    """Paper §V: open-loop Poisson load, warm-up trimmed, window measured."""
+    gen = OpenLoopLoadGen(
+        cluster.sim,
+        cluster.fabric,
+        cluster.telemetry,
+        cluster.rng,
+        target=service.target_address,
+        source=service.make_source(),
+        qps=qps,
+        name=CLIENT_NAME,
+        tracer=tracer,
+    )
+    return drive(cluster, service, gen, warmup_us, duration_us, drain_us)
+
+
 def run_closed_loop(
     cluster: SimCluster,
     service: ServiceHandle,
@@ -411,44 +438,9 @@ def run_closed_loop(
         target=service.target_address,
         source=service.make_source(),
         n_clients=n_clients,
+        name=CLIENT_NAME,
     )
-    start = cluster.sim.now
-    gen.start()
-    cluster.run(until=start + warmup_us)
-    cluster.telemetry.open_window(cluster.sim.now)
-    energy_start = (
-        cluster.energy.snapshot(cluster.sim.now)
-        if cluster.energy is not None else None
-    )
-    gen.open_window()
-    cluster.run(until=start + warmup_us + duration_us)
-    completed = gen._window_completed
-    energy_end = (
-        cluster.energy.snapshot(cluster.sim.now)
-        if cluster.energy is not None else None
-    )
-    gen.stop()
-    cluster.fabric.unregister(gen.name)
-    telemetry = cluster.telemetry.finalized()
-    return RunResult(
-        service=service.name,
-        qps_offered=float("inf"),
-        duration_us=duration_us,
-        sent=gen.sent,
-        completed=completed,
-        e2e=telemetry.hist(E2E_HIST),
-        telemetry=telemetry,
-        midtier_name=service.midtier_name,
-        midtier_names=service.midtier_names,
-        lb_stats=service.frontend.stats() if service.frontend else None,
-        energy=(
-            EnergyReport.from_window(
-                cluster.energy.config,
-                energy_start,
-                energy_end,
-                completed=completed,
-                duration_us=duration_us,
-            )
-            if cluster.energy is not None else None
-        ),
-    )
+    result = drive(cluster, service, gen, warmup_us, duration_us, drain_us=0.0)
+    # The closed loop reports every query issued, warm-up included.
+    result.sent = gen.sent
+    return result

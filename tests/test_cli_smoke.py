@@ -61,7 +61,9 @@ def test_cli_scale_happy_path(tmp_path, capsys):
         "--policies", "round-robin", "--loads", "800",
         "--duration-us", "120000", "--output", str(out_path),
     ])
-    assert exit_code == 0
+    # A round-robin-only grid cannot clear the power-of-two gate (that is
+    # the committed artifact's job), and a failed gate exits 1.
+    assert exit_code == 1
     out = capsys.readouterr().out
     assert "Scale-out sweep" in out
     assert "saturation vs replicas" in out
@@ -248,6 +250,11 @@ def test_cli_graph_rejects_bad_params(capsys):
     # Intensity outside (0, 1] -> exit 2.
     assert main(["graph", "--intensity", "1.5"]) == 2
     assert "intensity" in capsys.readouterr().err
+    # A zero rate reaches the guard instead of silently running the default.
+    assert main(["graph", "--qps", "0"]) == 2
+    assert "qps" in capsys.readouterr().err
+    assert main(["energy", "--qps", "0", "--lowload-qps", "0"]) == 2
+    assert "qps" in capsys.readouterr().err
 
 
 def test_graph_schema_rejects_malformed_artifact():

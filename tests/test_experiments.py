@@ -1,8 +1,10 @@
 """Tests for the experiment harness (fast, unit scale, low loads)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments import characterize
+from repro.experiments import characterize, drift, registry
 from repro.experiments.characterize import OVERHEAD_KINDS, default_duration_us
 from repro.experiments.fig09_saturation import format_fig09, saturation_throughput
 from repro.experiments.fig10_latency import format_fig10, low_load_median_inflation
@@ -19,8 +21,9 @@ from repro.experiments.sched_policy_ab import (
     run_policy_ab,
     tail_degradation,
 )
+from repro.experiments.cli import build_parser, main
+from repro.experiments.schema import load_schema
 from repro.experiments.tables import render_table
-from repro.experiments.cli import build_parser
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +139,42 @@ def test_render_table_alignment():
     assert len(set(len(line) for line in lines)) == 1  # all same width
 
 
-def test_cli_parser_covers_all_commands():
-    parser = build_parser()
-    for command in ("fig9", "fig10", "syscalls", "overheads", "fig19",
-                    "headline", "block-poll", "inline-dispatch", "poolsize", "all"):
-        args = parser.parse_args([command])
-        assert args.command == command
+COMMANDS = (
+    "fig9", "fig10", "syscalls", "overheads", "fig19", "headline",
+    "block-poll", "inline-dispatch", "poolsize", "adaptive", "compression",
+    "sweep", "trace", "perf", "faults", "scale", "cache", "autoscale",
+    "graph", "energy", "figure-smoke", "all",
+)
+
+
+def test_registry_lists_every_command_once():
+    assert tuple(exp.name for exp in registry.EXPERIMENTS) == COMMANDS
+
+
+@pytest.mark.parametrize("experiment", registry.EXPERIMENTS, ids=lambda e: e.name)
+def test_registered_experiment_is_complete(experiment):
+    # A subparser that parses with no arguments ...
+    args = build_parser().parse_args([experiment.name])
+    assert args.command == experiment.name
+    assert experiment.help
+    # ... and a committed artifact comes with its schema and drift cell.
+    if experiment.bench_path is not None:
+        assert load_schema(experiment.schema)
+        assert experiment.pinned is not None
+        assert drift.PINNED[experiment.bench_path] is experiment
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_cli_exits_1_when_the_acceptance_gate_fails(name, monkeypatch, capsys):
+    failing = replace(
+        registry.BY_NAME[name],
+        run=lambda **params: {},
+        format=lambda report, **options: "",
+        acceptance=lambda report: {"pass": False},
+    )
+    monkeypatch.setitem(registry.BY_NAME, name, failing)
+    assert main([name]) == 1
+    assert "acceptance: FAIL" in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_service():

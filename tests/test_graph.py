@@ -329,12 +329,9 @@ def _hand_built_onehop(cluster, graph):
 
 
 def test_onehop_graph_bit_identical_to_hand_built_cluster():
-    from repro.experiments.runner import pin_arrivals
-
     graph = onehop_graph(n_queries=40)
     results = []
     for build in (build_graph, _hand_built_onehop):
-        pin_arrivals()
         cluster = SimCluster(seed=7)
         handle = build(cluster, graph)
         result = run_open_loop(

@@ -8,7 +8,9 @@
   against numeric quadrature over hypothesis-chosen parameters;
 * the heterogeneous closed loop conserves per-class in-flight counts:
   never above the class's client count, exactly at it for a
-  zero-think class, and zero after stop + drain.
+  zero-think class, and zero after stop + drain;
+* ``drive`` with an already-built generator measures exactly what
+  ``run_open_loop`` does at the same seed.
 """
 
 import math
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.energy import EnergyConfig
 from repro.graph import onehop_graph, build_graph
+from repro.loadgen import OpenLoopLoadGen
 from repro.loadgen.traffic import (
     ConstantRate,
     DiurnalRate,
@@ -26,7 +30,7 @@ from repro.loadgen.traffic import (
     SessionLoadGen,
     VariableRateLoadGen,
 )
-from repro.suite.cluster import SimCluster
+from repro.suite.cluster import CLIENT_NAME, SimCluster, drive, run_open_loop
 from tests.helpers import Rig
 
 
@@ -251,3 +255,32 @@ def test_session_class_validation():
             rig.sim, rig.fabric, rig.telemetry, rig.rng,
             target=("sink", 0), source=_ListSource(), classes=(),
         )
+
+
+# -- the one drive loop ------------------------------------------------------
+
+def test_drive_with_a_built_generator_equals_run_open_loop():
+    def build():
+        cluster = SimCluster(seed=5, energy=EnergyConfig(enabled=True))
+        return cluster, build_graph(cluster, onehop_graph(n_queries=20))
+
+    cluster, handle = build()
+    helper = run_open_loop(
+        cluster, handle, qps=1_500.0, duration_us=100_000.0, warmup_us=30_000.0
+    )
+    cluster.shutdown()
+
+    cluster, handle = build()
+    gen = OpenLoopLoadGen(
+        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
+        target=handle.target_address, source=handle.make_source(),
+        qps=1_500.0, name=CLIENT_NAME,
+    )
+    direct = drive(cluster, handle, gen, 30_000.0, 100_000.0)
+    cluster.shutdown()
+
+    assert direct.sent == helper.sent > 100
+    assert direct.completed == helper.completed > 100
+    assert direct.e2e.count == helper.e2e.count
+    assert direct.energy.to_dict() == helper.energy.to_dict()
+    assert direct.qps_offered == helper.qps_offered == 1_500.0

@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.characterize import characterize
-from repro.experiments.fault_sweep import run_fault_cell, slowdown_plan
+from repro.experiments.fault_sweep import slowdown_plan
 from repro.experiments.graph_sweep import measure_graph_cell
 from repro.graph import exemplar_graph
 from repro.rpc.policy import DEFAULT_TAIL_POLICY
@@ -56,7 +56,6 @@ def telemetry_state(t: Telemetry) -> dict:
 
 
 def _characterize_cell(service, telemetry=None, warmup_us=60_000.0, **kw):
-    runner.pin_arrivals()
     overrides = {"telemetry": telemetry} if telemetry is not None else None
     return characterize(
         service, 1000.0, scale="unit", seed=0,
@@ -89,7 +88,6 @@ def test_service_cells_fold_bit_identical(service):
 
 def _cluster_state(telemetry_config):
     """Full telemetry hub comparison on one open-loop run."""
-    runner.pin_arrivals()
     scale = SCALES["unit"]
     if telemetry_config is not None:
         scale = scale.with_overrides(telemetry=telemetry_config)
@@ -108,12 +106,10 @@ def test_whole_hub_folds_dict_for_dict():
 
 
 def test_streaming_mode_constructs_streaming_hub():
-    runner.pin_arrivals()
     scale = SCALES["unit"].with_overrides(telemetry=STREAMING)
     cluster, _service = runner.build_cluster("hdsearch", scale, seed=0)
     assert isinstance(cluster.telemetry, StreamingTelemetry)
     cluster.shutdown()
-    runner.pin_arrivals()
     cluster, _service = runner.build_cluster("hdsearch", "unit", seed=0)
     assert type(cluster.telemetry) is Telemetry
     cluster.shutdown()
@@ -136,8 +132,8 @@ def test_hedged_retried_cell_bit_identical():
         scale="unit", seed=0, duration_us=150_000.0,
         faults=slowdown_plan(0.05), tail_policy=DEFAULT_TAIL_POLICY,
     )
-    buffered = run_fault_cell("hdsearch", 1500.0, **kw)
-    streaming = run_fault_cell("hdsearch", 1500.0, telemetry=STREAMING, **kw)
+    buffered = characterize("hdsearch", 1500.0, **kw)
+    streaming = characterize("hdsearch", 1500.0, telemetry=STREAMING, **kw)
     tail = buffered.extras["tail"]
     # The policy must genuinely actuate or this cell pins nothing.
     assert tail["hedges_sent"] + tail["retries_sent"] > 0
@@ -165,7 +161,6 @@ def _controlled_point(telemetry_config):
     )
     if telemetry_config is not None:
         scale = scale.with_overrides(telemetry=telemetry_config)
-    runner.pin_arrivals()
     cluster, service = runner.build_cluster("hdsearch", scale, seed=0)
     result = run_open_loop(
         cluster, service, qps=1500.0,
