@@ -40,6 +40,14 @@ from repro.control.policies import (
 )
 from repro.telemetry.windows import rank_percentile
 
+#: Series-name prefixes the telemetry windows tee must keep for a
+#: :class:`Controller`: the latency signals and ``runqlat:<machine>``
+#: series it reads in :meth:`Controller.window_summary`, and the
+#: ``ctrl_*`` series it writes on each tick.  Every topology builder
+#: passes this to ``Telemetry.enable_windows``, so a series the
+#: controller starts reading cannot be teed in one and missing in another.
+WINDOW_SERIES = ("e2e_latency", "midtier_latency:", "runqlat:", "ctrl_")
+
 
 class Controller:
     """Deterministic per-service autoscaling loop."""

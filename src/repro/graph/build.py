@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.control import Controller
+from repro.control.controller import WINDOW_SERIES
 from repro.graph.apps import GraphLeafApp, GraphNodeApp
 from repro.graph.config import GraphConfig, GraphError, GraphNode
 from repro.loadgen import CyclingSource
@@ -130,10 +131,7 @@ def build_graph(
         n_replicas = node.control.max_replicas if use_control else node.replicas
         if use_control and cluster.telemetry.windows is None:
             cluster.telemetry.enable_windows(
-                node.control.window_us,
-                prefixes=(
-                    "e2e_latency", "midtier_latency:", "runqlat:", "ctrl_",
-                ),
+                node.control.window_us, WINDOW_SERIES
             )
         node_runtimes: list = []
         node_machines: list = []

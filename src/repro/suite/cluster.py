@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.control import Controller
+from repro.control.controller import WINDOW_SERIES
 from repro.energy import EnergyAccount, EnergyConfig, EnergyReport
 from repro.kernel import Machine, MachineSpec, OsCosts
 from repro.kernel.scheduler import PlacementPolicy
@@ -166,10 +167,7 @@ def build_midtier_replicas(
         control.max_replicas if use_control else scale.topology.midtier_replicas
     )
     if use_control and cluster.telemetry.windows is None:
-        cluster.telemetry.enable_windows(
-            control.window_us,
-            prefixes=("e2e_latency", "midtier_latency:", "runqlat:", "ctrl_"),
-        )
+        cluster.telemetry.enable_windows(control.window_us, WINDOW_SERIES)
     # Batching / caching knobs (repro.rpc.batching, repro.midcache).  Both
     # default off: the configs below stay None, the runtimes construct
     # nothing extra, and pre-existing goldens are bit-identical.

@@ -2,27 +2,17 @@
 
 The paper instruments its testbed with eBPF tools (``syscount``,
 ``runqlat``, ``hardirqs``, ``softirqs``, ``tcpretrans``), ``perf`` context-
-switch counts, and Intel HITM PEBS events.  Each probe here measures the
-same quantity at the equivalent place in the simulated kernel:
+switch counts, and Intel HITM PEBS events.  Each probe family of the
+:class:`Telemetry` hub measures the same quantity at the equivalent place
+in the simulated kernel; the families and the tool each mirrors are one
+table, :data:`repro.telemetry.probes.FAMILIES` (DESIGN.md §13).
 
-=================  =====================================================
-eBPF / perf tool    Probe in this package
-=================  =====================================================
-``syscount``        :meth:`Telemetry.count_syscall`
-``runqlat``         :meth:`Telemetry.record_runqlat` (Active→Exe)
-``hardirqs``        :meth:`Telemetry.record_irq` with kind ``hardirq``
-``softirqs``        :meth:`Telemetry.record_irq` with net_tx/net_rx/
-                    sched/rcu/block kinds
-``tcpretrans``      :meth:`Telemetry.count_retransmission`
-``perf`` (cs)       :meth:`Telemetry.count_context_switch`
-HITM PEBS           :meth:`Telemetry.count_hitm`
-=================  =====================================================
-
-Two aggregation modes, selected by :class:`TelemetryConfig`: the
-buffered hub aggregates in memory (the historical default), while
-:class:`StreamingTelemetry` spills windowed deltas to a JSONL stream
-and folds them back post-mortem (:func:`fold_stream`) — bit-identical
-aggregates at O(windows retained) resident memory.
+:class:`TelemetryConfig` selects how the hub stores what the probes
+write: buffered aggregates in memory (the default), while
+:class:`StreamingTelemetry` keeps one window of raw values, spills it to
+a JSONL stream and folds the stream back post-mortem
+(:func:`fold_stream`) — bit-identical aggregates at O(windows retained)
+resident memory.
 """
 
 from repro.telemetry.aggregate import StreamError, fold_stream

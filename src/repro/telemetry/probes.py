@@ -1,14 +1,116 @@
-"""The :class:`Telemetry` hub every simulated subsystem records into."""
+"""The :class:`Telemetry` hub every simulated subsystem records into, and
+the one table (:data:`FAMILIES`) naming the probe families it is made of.
+
+Everything that walks "every family" — the hub's reset, the streaming
+flush (:mod:`repro.telemetry.stream`), the stream fold and the summary
+(:mod:`repro.telemetry.aggregate`) — is a loop over that table, and each
+family is written by exactly one probe method below, in both storage
+modes.
+
+**Storage modes.**  A *sealed* hub (the buffered default) aggregates in
+place: sample families feed one reservoir :class:`LatencyHistogram` per
+key and ``attributed`` is a running float sum.  An *unsealed* hub
+(:class:`~repro.telemetry.stream.StreamingTelemetry` until its
+``finalized()``) holds one window of raw values in the same attributes —
+a plain list per key — and flushes them to the spill stream whenever the
+clock reaches ``_roll_at``; the fold replays the stream into sealed
+structures.  Bit-identity between the two rests on:
+
+* **Raw values, never subtotals.**  A window record carries every raw
+  sample.  The fold re-adds ``attributed`` one float addition per
+  recorded value and feeds histogram samples to the same seeded
+  reservoir, both in record order, so sums and RNG draws repeat exactly.
+* **Order preservation.**  The simulation clock is monotone: window *k*
+  is flushed before any sample of window *k+1*, so concatenating the
+  window lists is the original record order.  An empty pending window
+  writes no record.
+* **Marker-based warm-up trim.**  ``open_window`` flushes the pending
+  window *then* writes an ``open`` marker; the fold resets at the
+  marker, discarding what was recorded before the call whatever its
+  timestamp, exactly like the sealed hub.  The windows tee sits before
+  the warm-up gate in both modes (the controller must see warm-up load).
+
+Writes after ``finalized()`` land in the sealed structures.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from math import inf
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.telemetry.histogram import LatencyHistogram
 
 # Interrupt categories reported by the paper's Figs. 15-18, in their order.
 IRQ_KINDS: Tuple[str, ...] = ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu")
+
+# Family kinds: what one leaf of a family's container is.
+COUNT = "count"  # an integer tally
+SAMPLES = "raw samples"  # latency samples (sealed: a LatencyHistogram)
+SUM = "ordered float sum"  # addends are replayed one by one (sealed: a float)
+EVENTS = "event list"  # (time, label) pairs, in order
+
+
+class Family(NamedTuple):
+    """One row of the probe vocabulary.
+
+    ``depth`` is the number of string keys between the family and a
+    leaf: 0 (one value per hub), 1 (per machine or name) or 2.  On the
+    wire depth 2 is an object of objects; in the hub a COUNT keeps that
+    nesting (``syscalls[machine][name]``) while SAMPLES and SUM key one
+    flat dict by the pair (``irq_latency[machine, kind]``).
+    """
+
+    attr: str  # public hub attribute
+    wire: str  # key inside a stream-v1 ``w`` record
+    kind: str
+    depth: int
+    inner: Tuple[str, ...] = ()  # closed vocabulary of the last key, if any
+
+    @property
+    def paired(self) -> bool:
+        """True when the hub keys this family by ``(outer, inner)`` tuples."""
+        return self.depth == 2 and self.kind != COUNT
+
+    def empty(self):
+        """A fresh hub container for this family."""
+        if self.kind == EVENTS:
+            return []
+        if self.kind == COUNT and self.depth < 2:
+            return Counter() if self.depth else 0
+        return {}
+
+
+#: The probe vocabulary, in stream-v1 wire order.
+FAMILIES: Tuple[Family, ...] = (
+    Family("syscalls", "syscalls", COUNT, 2),  # eBPF syscount
+    Family("runqlat", "runqlat", SAMPLES, 1),  # eBPF runqlat (Active→Exe)
+    Family("irq_latency", "irq", SAMPLES, 2, IRQ_KINDS),  # hardirqs / softirqs
+    Family("context_switches", "ctx", COUNT, 1),  # perf context switches
+    Family("hitm", "hitm", COUNT, 1),  # Intel HITM PEBS
+    # Cross-socket (UPI-hop) subset of the HITM events above.
+    Family("hitm_remote", "hitm_remote", COUNT, 1),
+    Family("retransmissions", "retrans", COUNT, 0),  # eBPF tcpretrans
+    Family("futex_contended_wakes", "futex", COUNT, 1),  # wakes that found waiters
+    # Microseconds stamped onto sampled traces per (machine, category) by
+    # the critical-path instrumentation (repro.telemetry.critpath), at the
+    # same sites as the trace segments, so aggregate cross-checks compare
+    # against an exact-by-construction total.  The number of addends per
+    # key sits beside it in ``attributed_counts``.
+    Family("attributed", "attributed", SUM, 2),
+    # Free-form extension points used by the RPC / loadgen layers.
+    Family("histograms", "hist", SAMPLES, 1),
+    Family("counters", "counters", COUNT, 1),
+    Family("events", "events", EVENTS, 0),
+)
+
+
+class RawSamples(list):
+    """One window of raw samples for one key of an unsealed hub: a list
+    (so it spills as a JSON array) that takes a histogram's ``record``."""
+
+    __slots__ = ()
+    record = list.append
 
 
 class Telemetry:
@@ -17,37 +119,45 @@ class Telemetry:
     Counters and histograms are keyed by *machine name* so that experiments
     can isolate the mid-tier (the paper's object of study) from leaves.
     A ``window_start`` can be set after warm-up so that only steady-state
-    activity is counted.
+    activity is counted.  The public attributes are the ``attr`` column of
+    :data:`FAMILIES`.
     """
+
+    #: Windows the tee keeps per series: all of them (None) here, a bounded
+    #: few in StreamingTelemetry.
+    TEE_WINDOWS = None
 
     def __init__(self, reservoir_size: int = 100_000):
         self.reservoir_size = reservoir_size
         self.window_start: float = 0.0
         self._clock = lambda: 0.0  # replaced via attach_clock
         self._sim = None  # fast clock: set when attach_clock receives a Simulation
-        self.syscalls: Dict[str, Counter] = {}
-        self.runqlat: Dict[str, LatencyHistogram] = {}
-        self.irq_latency: Dict[Tuple[str, str], LatencyHistogram] = {}
-        self.context_switches: Counter = Counter()
-        self.hitm: Counter = Counter()
-        # Cross-socket (UPI-hop) subset of the HITM events above.
-        self.hitm_remote: Counter = Counter()
-        self.retransmissions: int = 0
-        self.futex_contended_wakes: Counter = Counter()
-        # Microseconds stamped onto sampled traces per (machine, category)
-        # by the critical-path instrumentation (repro.telemetry.critpath).
-        # Recorded at the same sites as the trace segments so aggregate
-        # cross-checks can compare against an exact-by-construction total.
-        self.attributed: Dict[Tuple[str, str], float] = {}
-        self.attributed_counts: Counter = Counter()
-        # Free-form extension points used by RPC / loadgen layers.
-        self.histograms: Dict[str, LatencyHistogram] = {}
-        self.counters: Counter = Counter()
-        self.events: List[Tuple[float, str]] = []
+        # Storage mode (module docstring).  This class is always sealed
+        # and never rolls: the probes' ``now >= _roll_at`` is one float
+        # compare that is never true, so ``_roll`` (StreamingTelemetry's)
+        # is never looked up.
+        self._sealed = True
+        self._roll_at = inf
+        self._reset()
         # Opt-in fixed-width metric windows (repro.telemetry.windows),
         # created by enable_windows(). None keeps the probe hot paths
         # unchanged — the off path is a single identity test.
         self.windows = None
+
+    def _reset(self) -> None:
+        """Empty every family: at construction, at the warm-up trim, and
+        after a streamed window has been flushed."""
+        for family in FAMILIES:
+            setattr(self, family.attr, family.empty())
+            if family.kind == SUM:
+                setattr(self, family.attr + "_counts", Counter())
+
+    def _new_sink(self):
+        """A SAMPLES family's per-key container; both kinds take
+        ``record(value)`` and ``extend(values)``."""
+        if self._sealed:
+            return LatencyHistogram(self.reservoir_size)
+        return RawSamples()
 
     # -- wiring ----------------------------------------------------------
     def attach_clock(self, clock, sim=None) -> None:
@@ -70,16 +180,14 @@ class Telemetry:
         """
         from repro.telemetry.windows import WindowedMetrics
 
-        self.windows = WindowedMetrics(width_us, prefixes)
+        self.windows = WindowedMetrics(
+            width_us, prefixes, retain_windows=self.TEE_WINDOWS
+        )
 
     def finalized(self) -> "Telemetry":
-        """The telemetry to read whole-run summaries from.
-
-        The buffered hub aggregates in place, so this is ``self`` and
-        constructs nothing — run helpers call it unconditionally, and
-        only the streaming subclass does work here (fold the spill
-        stream back into these structures).
-        """
+        """The telemetry to read whole-run summaries from: ``self``.  Run
+        helpers call it unconditionally; only the streaming subclass does
+        work here (fold the spill stream back into these structures)."""
         return self
 
     def close(self) -> None:
@@ -90,45 +198,42 @@ class Telemetry:
         and the windows tee.  This is the telemetry-internal high-water
         probe the bounded-memory regression test reads — deliberately
         not RSS, which a one-core runner cannot measure cleanly."""
-        retained = sum(
-            len(hist._samples)
-            for group in (self.runqlat, self.irq_latency, self.histograms)
-            for hist in group.values()
-        )
-        retained += len(self.events)
+        retained = 0
+        for family in FAMILIES:
+            held = getattr(self, family.attr)
+            if family.kind == EVENTS:
+                retained += len(held)
+            elif family.kind == SAMPLES:
+                retained += sum(len(hist._samples) for hist in held.values())
         if self.windows is not None:
             retained += self.windows.retained_samples()
         return retained
 
-    def in_window(self) -> bool:
-        """True when current time is inside the measurement window."""
+    def _recording(self) -> bool:
+        """True when a probe firing now is inside the measurement window;
+        an unsealed hub first rolls its pending window forward to now."""
         sim = self._sim
         now = sim._now if sim is not None else self._clock()
-        return now >= self.window_start
+        if now < self.window_start:
+            return False
+        if now >= self._roll_at:
+            self._roll(now)
+        return True
 
     def open_window(self, start: float) -> None:
         """Discard everything recorded before ``start`` (warm-up trim)."""
         self.window_start = start
-        self.syscalls.clear()
-        self.runqlat.clear()
-        self.irq_latency.clear()
-        self.context_switches.clear()
-        self.hitm.clear()
-        self.hitm_remote.clear()
-        self.retransmissions = 0
-        self.futex_contended_wakes.clear()
-        self.attributed.clear()
-        self.attributed_counts.clear()
-        self.histograms.clear()
-        self.counters.clear()
-        self.events.clear()
+        self._reset()
 
     # -- kernel probes ----------------------------------------------------
     def count_syscall(self, machine: str, name: str) -> None:
         """eBPF ``syscount`` equivalent."""
         sim = self._sim
-        if (sim._now if sim is not None else self._clock()) < self.window_start:
+        now = sim._now if sim is not None else self._clock()
+        if now < self.window_start:
             return
+        if now >= self._roll_at:
+            self._roll(now)
         per_machine = self.syscalls.get(machine)
         if per_machine is None:
             per_machine = Counter()
@@ -143,29 +248,32 @@ class Telemetry:
             self.windows.observe(f"runqlat:{machine}", now, latency_us)
         if now < self.window_start:
             return
-        hist = self.runqlat.get(machine)
-        if hist is None:
-            hist = LatencyHistogram(self.reservoir_size)
-            self.runqlat[machine] = hist
-        hist.record(latency_us)
+        if now >= self._roll_at:
+            self._roll(now)
+        sink = self.runqlat.get(machine)
+        if sink is None:
+            sink = self.runqlat[machine] = self._new_sink()
+        sink.record(latency_us)
 
     def record_irq(self, machine: str, kind: str, latency_us: float) -> None:
         """eBPF ``hardirqs``/``softirqs`` equivalent."""
         if kind not in IRQ_KINDS:
             raise ValueError(f"unknown irq kind: {kind}")
         sim = self._sim
-        if (sim._now if sim is not None else self._clock()) < self.window_start:
+        now = sim._now if sim is not None else self._clock()
+        if now < self.window_start:
             return
+        if now >= self._roll_at:
+            self._roll(now)
         key = (machine, kind)
-        hist = self.irq_latency.get(key)
-        if hist is None:
-            hist = LatencyHistogram(self.reservoir_size)
-            self.irq_latency[key] = hist
-        hist.record(latency_us)
+        sink = self.irq_latency.get(key)
+        if sink is None:
+            sink = self.irq_latency[key] = self._new_sink()
+        sink.record(latency_us)
 
     def count_context_switch(self, machine: str) -> None:
         """``perf`` context-switch count equivalent."""
-        if self.in_window():
+        if self._recording():
             self.context_switches[machine] += 1
 
     def count_hitm(self, machine: str, n: int = 1, remote: bool = False) -> None:
@@ -175,37 +283,42 @@ class Telemetry:
         vs remote HITM); they count toward the total *and* the remote
         counter."""
         sim = self._sim
-        if (sim._now if sim is not None else self._clock()) >= self.window_start:
+        now = sim._now if sim is not None else self._clock()
+        if now >= self.window_start:
+            if now >= self._roll_at:
+                self._roll(now)
             self.hitm[machine] += n
             if remote:
                 self.hitm_remote[machine] += n
 
     def count_retransmission(self) -> None:
         """eBPF ``tcpretrans`` equivalent."""
-        if self.in_window():
+        if self._recording():
             self.retransmissions += 1
 
     def count_contended_wake(self, machine: str) -> None:
         """Futex wakes that found waiters (lock handoffs)."""
-        if self.in_window():
+        if self._recording():
             self.futex_contended_wakes[machine] += 1
 
     def record_attributed(self, machine: str, category: str, us: float) -> None:
         """Count microseconds stamped onto a traced request's segments."""
-        sim = self._sim
-        if (sim._now if sim is not None else self._clock()) < self.window_start:
+        if not self._recording():
             return
         key = (machine, category)
-        self.attributed[key] = self.attributed.get(key, 0.0) + us
-        self.attributed_counts[key] += 1
+        if self._sealed:
+            self.attributed[key] = self.attributed.get(key, 0.0) + us
+            self.attributed_counts[key] += 1
+        else:  # keep the addends: the fold re-adds them one by one
+            self.attributed.setdefault(key, []).append(us)
 
     # -- generic extension probes ----------------------------------------
     def hist(self, name: str) -> LatencyHistogram:
-        """Named histogram, created on first use (e.g. e2e latency)."""
+        """Named histogram, created on first use (e.g. e2e latency); on a
+        streaming hub, read it after ``finalized()``."""
         hist = self.histograms.get(name)
         if hist is None:
-            hist = LatencyHistogram(self.reservoir_size)
-            self.histograms[name] = hist
+            hist = self.histograms[name] = self._new_sink()
         return hist
 
     def record(self, name: str, value: float) -> None:
@@ -215,20 +328,24 @@ class Telemetry:
         if self.windows is not None:
             self.windows.observe(name, now, value)
         if now >= self.window_start:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = LatencyHistogram(self.reservoir_size)
-                self.histograms[name] = hist
-            hist.record(value)
+            if now >= self._roll_at:
+                self._roll(now)
+            sink = self.histograms.get(name)
+            if sink is None:
+                sink = self.histograms[name] = self._new_sink()
+            sink.record(value)
 
     def incr(self, name: str, n: int = 1) -> None:
         """Increment a named counter if inside the window."""
-        if self.in_window():
+        if self._recording():
             self.counters[name] += n
 
     def mark(self, label: str) -> None:
         """Append a timestamped marker (for debugging traces)."""
-        self.events.append((self._clock(), label))
+        now = self._clock()
+        if now >= self._roll_at:
+            self._roll(now)
+        self.events.append((now, label))
 
     # -- summaries ---------------------------------------------------------
     def syscall_counts(self, machine: str) -> Counter:
@@ -248,11 +365,6 @@ class Telemetry:
         return self.attributed.get((machine, category), 0.0)
 
     # -- replica roll-ups (scale-out topologies) ---------------------------
-    def merged_runqlat(self, machines: List[str]) -> LatencyHistogram:
-        """One runqlat histogram combining every named machine's samples."""
-        parts = [self.runqlat[name] for name in machines if name in self.runqlat]
-        return LatencyHistogram.merged(parts)
-
     def merged_syscalls(self, machines: List[str]) -> Counter:
         """Syscall counts summed across the named machines."""
         merged: Counter = Counter()
@@ -297,23 +409,6 @@ class Telemetry:
             "occupancy_p99": occupancy.percentile(99) if occupancy.count else 0.0,
         }
 
-    def per_query_syscall_delta(
-        self, machines: List[str], completed: int, baseline: Dict[str, float],
-    ) -> Dict[str, float]:
-        """Per-query syscall rates minus a baseline run's rates.
-
-        ``baseline`` maps syscall name → invocations per query in the
-        reference (e.g. batching-off) run; negative deltas are the
-        amortization win the coalescer is supposed to buy.
-        """
-        denom = max(completed, 1)
-        merged = self.merged_syscalls(machines)
-        names = set(merged) | set(baseline)
-        return {
-            name: merged.get(name, 0) / denom - baseline.get(name, 0.0)
-            for name in sorted(names)
-        }
-
     def replica_breakdown(self, machines: List[str]) -> Dict[str, Dict[str, float]]:
         """Per-replica runqlat percentiles and syscall/context-switch totals
         — the scale-out analogue of the paper's per-machine eBPF tables."""
@@ -328,3 +423,4 @@ class Telemetry:
                 "context_switches": float(self.context_switches.get(name, 0)),
             }
         return breakdown
+

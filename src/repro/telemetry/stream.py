@@ -1,34 +1,21 @@
-"""Streaming telemetry: windowed probe deltas spilled to a JSONL stream.
+"""Streaming telemetry: the hub's unsealed storage mode and its lifecycle.
 
-:class:`StreamingTelemetry` is a drop-in :class:`~repro.telemetry.probes.Telemetry`
-that does *not* aggregate in memory.  Each probe sample lands in a
-per-window pending buffer; when the simulation clock crosses a window
-boundary the buffer is appended to an on-disk JSONL stream (the
-Prometheus-style collect/ingest split) and evicted, so resident
-telemetry memory is O(windows retained), not O(requests).
+:class:`StreamingTelemetry` is the :class:`~repro.telemetry.probes.Telemetry`
+hub with bounded memory.  The base class's probes fill one pending
+window of raw values; each time the simulation clock crosses a
+``window_us`` boundary the window is appended to an on-disk JSONL stream
+(the Prometheus-style collect/ingest split) and emptied, so resident
+telemetry is O(windows retained), not O(requests).  ``finalized()``
+seals the hub and folds the stream back into it, so every post-run
+reader of ``cluster.telemetry`` works unchanged in both modes.  The
+determinism contract with the buffered hub is stated beside the family
+table in :mod:`repro.telemetry.probes`.
 
-The determinism contract — streaming aggregates bit-identical to the
-buffered path at the same seed — rests on three invariants:
-
-* **Raw values, never subtotals.**  Window records carry the raw
-  per-window sample lists.  Replaying them in stream order reproduces
-  every floating-point addition (histogram totals, critical-path
-  ``attributed`` sums) in the buffered order, and drives each
-  histogram's reservoir RNG through exactly the same sequence.
-* **Order preservation.**  The simulation clock is monotone, so every
-  sample of window *k* is flushed before any sample of window *k+1*;
-  concatenating the per-window lists is the original record order.
-* **Marker-based warm-up trim.**  ``open_window`` is an explicit
-  ``open`` record, flushed *after* the pending window.  The fold resets
-  its state at the marker — discarding everything recorded before the
-  call, exactly like the buffered hub, including samples whose
-  timestamp equals the new window start (a timestamp-based gate would
-  misclassify those).
-
-``finalized()`` flushes, writes the integrity footer, folds the stream
-back through :func:`repro.telemetry.aggregate.fold_stream`, and adopts
-the folded structures *in place* — so every existing post-run reader of
-``cluster.telemetry`` works unchanged in both modes.
+Stream version 1 is one JSON object per line: a ``header`` (``version``,
+``window_us``, ``reservoir_size``); then, as they happened, ``w`` records
+(``i``, ``start_us``, ``end_us`` and one key per non-empty family, in
+table order) and ``open`` markers (``start``); then an ``end`` footer
+with the ``windows`` and ``samples`` written, which the fold checks.
 """
 
 from __future__ import annotations
@@ -36,10 +23,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from math import inf
+from typing import Optional
 
-from repro.telemetry.probes import IRQ_KINDS, Telemetry
+from repro.telemetry.probes import COUNT, EVENTS, FAMILIES, Telemetry
 
 #: Stream format version, recorded in the header.
 STREAM_VERSION = 1
@@ -57,8 +44,19 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _raw_values(family, pending) -> int:
+    """Raw values (not tallies) one family's pending container holds."""
+    if family.kind == COUNT:
+        return 0
+    if family.kind == EVENTS:
+        return len(pending)
+    return sum(map(len, pending.values()))
+
+
 class StreamingTelemetry(Telemetry):
     """Bounded-memory telemetry spilling windowed deltas to JSONL."""
+
+    TEE_WINDOWS = RETAIN_TEE_WINDOWS
 
     def __init__(
         self,
@@ -86,145 +84,82 @@ class StreamingTelemetry(Telemetry):
             "window_us": self.window_us,
             "reservoir_size": self.reservoir_size,
         }) + "\n")
-        self._pending_index: Optional[int] = None
+        self._sealed = False
+        # No window is pending, so the first probe rolls into its own.
+        self._roll_at = -inf
+        self._pending_index = 0  # set by _roll before anything is pending
         self._windows_flushed = 0
         self._samples_streamed = 0
-        #: Raw samples currently pending (the quantity flushing bounds).
-        self.pending_samples = 0
-        #: Peak of ``pending_samples`` over the run — the probe the
-        #: bounded-memory regression test asserts on.
+        #: Most raw values one pending window held — the probe the
+        #: bounded-memory regression test asserts on.  Pending only grows
+        #: inside a window, so its peak is its size when flushed.
         self.high_water_samples = 0
-        self._sealed = False
-        self._reset_pending()
-
-    # -- pending-window buffers -------------------------------------------
-    def _reset_pending(self) -> None:
-        self._p_syscalls: Dict[str, Counter] = {}
-        self._p_runqlat: Dict[str, List[float]] = {}
-        self._p_irq: Dict[str, Dict[str, List[float]]] = {}
-        self._p_ctx: Counter = Counter()
-        self._p_hitm: Counter = Counter()
-        self._p_hitm_remote: Counter = Counter()
-        self._p_retrans = 0
-        self._p_futex: Counter = Counter()
-        self._p_attributed: Dict[str, Dict[str, List[float]]] = {}
-        self._p_hists: Dict[str, List[float]] = {}
-        self._p_counters: Counter = Counter()
-        self._p_events: List[Tuple[float, str]] = []
-        self.pending_samples = 0
-
-    def _pending_empty(self) -> bool:
-        return not (
-            self._p_syscalls or self._p_runqlat or self._p_irq
-            or self._p_ctx or self._p_hitm or self._p_hitm_remote
-            or self._p_retrans or self._p_futex or self._p_attributed
-            or self._p_hists or self._p_counters or self._p_events
-        )
-
-    def _note_sample(self, n: int = 1) -> None:
-        self.pending_samples += n
-        if self.pending_samples > self.high_water_samples:
-            self.high_water_samples = self.pending_samples
 
     def _roll(self, now: float) -> None:
-        """Flush the pending window when ``now`` has crossed into a new
-        one.  The simulation clock is monotone, so a flushed window never
-        receives another sample."""
+        """The clock left the pending window: flush it and start the one
+        holding ``now``.  The simulation clock is monotone, so a flushed
+        window never receives another sample."""
+        self._flush()
         idx = int(now // self.window_us)
-        if self._pending_index is None:
-            self._pending_index = idx
-        elif idx != self._pending_index:
-            self._flush()
-            self._pending_index = idx
+        if (idx + 1) * self.window_us <= now:
+            # For widths that are not exactly representable the rounded
+            # product can sit one ulp below the true edge; ``now`` in that
+            # sliver belongs to the next window, as ``end_us`` will say.
+            idx += 1
+        self._pending_index = idx
+        self._roll_at = (idx + 1) * self.window_us
 
     def _flush(self) -> None:
-        if self._pending_index is None or self._pending_empty():
+        """Append the pending window to the stream as one ``w`` record and
+        empty it.  An empty window writes no record."""
+        body = {}
+        samples = 0
+        for family in FAMILIES:
+            pending = getattr(self, family.attr)
+            if pending:
+                samples += _raw_values(family, pending)
+                if family.paired:  # {(a, b): leaf} -> {a: {b: leaf}}
+                    nested: dict = {}
+                    for (outer, inner), leaf in pending.items():
+                        nested.setdefault(outer, {})[inner] = leaf
+                    pending = nested
+                body[family.wire] = pending
+        if not body:
             return
         idx = self._pending_index
-        record: Dict[str, object] = {
+        self._file.write(_dumps({
             "t": "w",
             "i": idx,
             "start_us": idx * self.window_us,
             "end_us": (idx + 1) * self.window_us,
-        }
-        if self._p_syscalls:
-            record["syscalls"] = {
-                machine: dict(counts)
-                for machine, counts in self._p_syscalls.items()
-            }
-        if self._p_runqlat:
-            record["runqlat"] = self._p_runqlat
-            self._samples_streamed += sum(
-                len(v) for v in self._p_runqlat.values()
-            )
-        if self._p_irq:
-            record["irq"] = self._p_irq
-            self._samples_streamed += sum(
-                len(v) for kinds in self._p_irq.values()
-                for v in kinds.values()
-            )
-        if self._p_ctx:
-            record["ctx"] = dict(self._p_ctx)
-        if self._p_hitm:
-            record["hitm"] = dict(self._p_hitm)
-        if self._p_hitm_remote:
-            record["hitm_remote"] = dict(self._p_hitm_remote)
-        if self._p_retrans:
-            record["retrans"] = self._p_retrans
-        if self._p_futex:
-            record["futex"] = dict(self._p_futex)
-        if self._p_attributed:
-            record["attributed"] = self._p_attributed
-            self._samples_streamed += sum(
-                len(v) for cats in self._p_attributed.values()
-                for v in cats.values()
-            )
-        if self._p_hists:
-            record["hist"] = self._p_hists
-            self._samples_streamed += sum(
-                len(v) for v in self._p_hists.values()
-            )
-        if self._p_counters:
-            record["counters"] = dict(self._p_counters)
-        if self._p_events:
-            record["events"] = [[t, label] for t, label in self._p_events]
-            self._samples_streamed += len(self._p_events)
-        self._file.write(_dumps(record) + "\n")
+            **body,
+        }) + "\n")
         self._windows_flushed += 1
-        self._reset_pending()
-
-    # -- lifecycle ---------------------------------------------------------
-    def enable_windows(self, width_us: float, prefixes=()) -> None:
-        """Same tee as the buffered hub, but with bounded retention —
-        the controller only ever reads the most recent window_us."""
-        from repro.telemetry.windows import WindowedMetrics
-
-        self.windows = WindowedMetrics(
-            width_us, prefixes, retain_windows=RETAIN_TEE_WINDOWS
-        )
+        self._samples_streamed += samples
+        self.high_water_samples = max(self.high_water_samples, samples)
+        self._reset()
 
     def open_window(self, start: float) -> None:
         """Warm-up trim: flush what was recorded so far, then mark the
         stream so the fold discards it — everything recorded *before
         this call*, regardless of timestamp, exactly like the buffered
-        ``open_window``."""
-        if self._sealed:
-            super().open_window(start)
-            return
-        self._flush()
-        self._pending_index = None
-        self._file.write(_dumps({"t": "open", "start": start}) + "\n")
-        self.window_start = start
+        ``open_window`` (a timestamp-based gate would misclassify samples
+        stamped exactly ``start``)."""
+        if not self._sealed:
+            self._flush()
+            self._roll_at = -inf
+            self._file.write(_dumps({"t": "open", "start": start}) + "\n")
+        super().open_window(start)
 
     def finalized(self) -> Telemetry:
-        """Flush, footer, fold, and adopt the folded aggregates in place.
+        """Flush, footer, seal, and fold the stream back into ``self``.
 
         Returns ``self`` so existing post-run readers of
         ``cluster.telemetry`` see exactly the buffered structures.
         """
         if self._sealed:
             return self
-        from repro.telemetry.aggregate import fold_stream
+        from repro.telemetry.aggregate import fold_into
 
         self._flush()
         self._file.write(_dumps({
@@ -233,23 +168,9 @@ class StreamingTelemetry(Telemetry):
             "samples": self._samples_streamed,
         }) + "\n")
         self._file.close()
-        folded = fold_stream(
-            self.spill_path, reservoir_size=self.reservoir_size
-        )
-        self.syscalls = folded.syscalls
-        self.runqlat = folded.runqlat
-        self.irq_latency = folded.irq_latency
-        self.context_switches = folded.context_switches
-        self.hitm = folded.hitm
-        self.hitm_remote = folded.hitm_remote
-        self.retransmissions = folded.retransmissions
-        self.futex_contended_wakes = folded.futex_contended_wakes
-        self.attributed = folded.attributed
-        self.attributed_counts = folded.attributed_counts
-        self.histograms = folded.histograms
-        self.counters = folded.counters
-        self.events = folded.events
         self._sealed = True
+        self._roll_at = inf
+        fold_into(self, self.spill_path, self.reservoir_size)
         if self._owns_spill:
             os.unlink(self.spill_path)
         return self
@@ -262,142 +183,12 @@ class StreamingTelemetry(Telemetry):
             if self._owns_spill and os.path.exists(self.spill_path):
                 os.unlink(self.spill_path)
 
-    # -- kernel probes (same gates as the buffered hub, buffered per
-    # -- window instead of aggregated; after finalized() they fall back to
-    # -- the base implementation so late writes behave exactly buffered) --
-    def count_syscall(self, machine: str, name: str) -> None:
-        if self._sealed:
-            return super().count_syscall(machine, name)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now < self.window_start:
-            return
-        self._roll(now)
-        per_machine = self._p_syscalls.get(machine)
-        if per_machine is None:
-            per_machine = Counter()
-            self._p_syscalls[machine] = per_machine
-        per_machine[name] += 1
-
-    def record_runqlat(self, machine: str, latency_us: float) -> None:
-        if self._sealed:
-            return super().record_runqlat(machine, latency_us)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        # The tee sits before the warm-up gate, as in the buffered hub:
-        # the controller must see warm-up load.
-        if self.windows is not None:
-            self.windows.observe(f"runqlat:{machine}", now, latency_us)
-        if now < self.window_start:
-            return
-        self._roll(now)
-        self._p_runqlat.setdefault(machine, []).append(latency_us)
-        self._note_sample()
-
-    def record_irq(self, machine: str, kind: str, latency_us: float) -> None:
-        if kind not in IRQ_KINDS:
-            raise ValueError(f"unknown irq kind: {kind}")
-        if self._sealed:
-            return super().record_irq(machine, kind, latency_us)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now < self.window_start:
-            return
-        self._roll(now)
-        self._p_irq.setdefault(machine, {}).setdefault(kind, []).append(
-            latency_us
-        )
-        self._note_sample()
-
-    def count_context_switch(self, machine: str) -> None:
-        if self._sealed:
-            return super().count_context_switch(machine)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_ctx[machine] += 1
-
-    def count_hitm(self, machine: str, n: int = 1, remote: bool = False) -> None:
-        if self._sealed:
-            return super().count_hitm(machine, n, remote)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_hitm[machine] += n
-            if remote:
-                self._p_hitm_remote[machine] += n
-
-    def count_retransmission(self) -> None:
-        if self._sealed:
-            return super().count_retransmission()
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_retrans += 1
-
-    def count_contended_wake(self, machine: str) -> None:
-        if self._sealed:
-            return super().count_contended_wake(machine)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_futex[machine] += 1
-
-    def record_attributed(self, machine: str, category: str, us: float) -> None:
-        if self._sealed:
-            return super().record_attributed(machine, category, us)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now < self.window_start:
-            return
-        self._roll(now)
-        self._p_attributed.setdefault(machine, {}).setdefault(
-            category, []
-        ).append(us)
-        self._note_sample()
-
-    # -- generic extension probes ----------------------------------------
-    def record(self, name: str, value: float) -> None:
-        if self._sealed:
-            return super().record(name, value)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if self.windows is not None:
-            self.windows.observe(name, now, value)
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_hists.setdefault(name, []).append(value)
-            self._note_sample()
-
-    def incr(self, name: str, n: int = 1) -> None:
-        if self._sealed:
-            return super().incr(name, n)
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now >= self.window_start:
-            self._roll(now)
-            self._p_counters[name] += n
-
-    def mark(self, label: str) -> None:
-        if self._sealed:
-            return super().mark(label)
-        now = self._clock()
-        self._roll(now)
-        self._p_events.append((now, label))
-        self._note_sample()
-
-    # -- probes ------------------------------------------------------------
     def retained_samples(self) -> int:
-        """Pending raw samples plus the bounded live tee.  Before
-        finalize the aggregate structures are empty by construction;
-        after it the base accounting (which includes the tee) applies."""
+        """Pending raw samples plus the bounded live tee; once sealed, the
+        base accounting (which includes the tee) applies."""
         if self._sealed:
             return super().retained_samples()
-        retained = self.pending_samples
+        retained = sum(_raw_values(f, getattr(self, f.attr)) for f in FAMILIES)
         if self.windows is not None:
             retained += self.windows.retained_samples()
         return retained
