@@ -1,14 +1,15 @@
 """Instantiate a :class:`~repro.graph.config.GraphConfig` on a cluster.
 
 The builder walks the DAG in reverse topological order (children before
-parents): terminal nodes become :class:`~repro.rpc.server.LeafRuntime`\\ s,
-internal nodes become mid-tier runtimes whose ``leaf_addrs`` are their
-children's front addresses — a child replicated N times sits behind its
-own :class:`~repro.rpc.loadbalance.LoadBalancer`, exactly like the PR 3
-scale-out path.  Per-node batching and result caching reuse the same
-conversion :func:`~repro.suite.cluster.build_midtier_replicas` performs,
-so a one-hop graph is wired identically to the existing suite services
-(tests/test_graph.py pins this bit-for-bit).
+parents) and stands every node up through
+:func:`~repro.suite.cluster.build_tier` — the same provisioning path the
+suite services use, so a one-hop graph is wired identically to them
+(tests/test_graph.py pins this bit-for-bit).  Terminal nodes become
+:class:`~repro.rpc.server.LeafRuntime`\\ s, internal nodes become mid-tier
+runtimes whose ``leaf_addrs`` are their children's
+:attr:`~repro.suite.cluster.Tier.address` — the balancer when the child
+is replicated.  What this module adds is the per-node app, the build
+order and the names.
 
 Terminal nodes register with ``role="leaf"`` and a ``leaf_index`` equal
 to their position in :meth:`GraphConfig.terminal_names`, so a
@@ -18,51 +19,27 @@ targets service leaves.  Internal nodes register with ``role="midtier"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.control import Controller
-from repro.control.controller import WINDOW_SERIES
 from repro.graph.apps import GraphLeafApp, GraphNodeApp
-from repro.graph.config import GraphConfig, GraphError, GraphNode
+from repro.graph.config import GraphConfig
 from repro.loadgen import CyclingSource
-from repro.midcache import CacheConfig as MidCacheConfig
-from repro.midcache import QueryCache
-from repro.rpc.adaptive import make_midtier_runtime
-from repro.rpc.batching import BatchConfig as RpcBatchConfig
-from repro.rpc.loadbalance import LoadBalancer
 from repro.rpc.server import LeafRuntime, RuntimeConfig
 from repro.services.costmodel import LinearCost
-from repro.suite.cluster import ServiceHandle, SimCluster
+from repro.suite.cluster import (
+    LEAF_PORT,
+    ServiceHandle,
+    SimCluster,
+    Tier,
+    build_tier,
+    midtier_maker,
+)
 
 #: Role defaults when a node declares no explicit runtime config.
 DEFAULT_LEAF_RUNTIME = RuntimeConfig(network_threads=1, worker_threads=3)
 DEFAULT_NODE_RUNTIME = RuntimeConfig(
     network_threads=2, worker_threads=8, response_threads=4
 )
-
-#: Well-known ports, matching the suite's one-hop services.
-MIDTIER_PORT = 40
-LEAF_PORT = 50
-
-
-def _batch_config(node: GraphNode) -> Optional[RpcBatchConfig]:
-    if not node.batch.enabled:
-        return None
-    return RpcBatchConfig(
-        max_batch=node.batch.max_batch, max_wait_us=node.batch.max_wait_us
-    )
-
-
-def _make_cache(node: GraphNode) -> Optional[QueryCache]:
-    if not node.cache.enabled:
-        return None
-    return QueryCache(
-        MidCacheConfig(
-            capacity=node.cache.capacity,
-            ttl_us=node.cache.ttl_us,
-            policy=node.cache.policy,
-        )
-    )
 
 
 def build_graph(
@@ -74,11 +51,11 @@ def build_graph(
 ) -> ServiceHandle:
     """Wire one service-graph deployment onto ``cluster``.
 
-    Returns a :class:`~repro.suite.cluster.ServiceHandle` whose mid-tier
-    fields describe the root tier, so ``run_open_loop`` /
-    ``run_closed_loop`` drive a graph exactly like a one-hop service.
-    ``extras`` carries the graph, the per-node runtime map, and the
-    terminal-name → fault ``leaf_index`` map.
+    Returns a :class:`~repro.suite.cluster.ServiceHandle` whose ``root``
+    is the root node's tier, so ``run_open_loop`` / ``run_closed_loop``
+    drive a graph exactly like a one-hop service.  ``extras`` carries the
+    graph, the node-name → :class:`~repro.suite.cluster.Tier` map
+    (``tiers``), and the terminal-name → fault ``leaf_index`` map.
     """
     prefix = name_prefix or graph.name
     terminals = graph.terminal_names()
@@ -112,130 +89,68 @@ def build_graph(
                 if outstanding[edge.src] == 0:
                     ready.append(edge.src)
 
-    front_address: Dict[str, Tuple[str, int]] = {}
-    runtimes: Dict[str, list] = {}
-    machines: Dict[str, list] = {}
-    frontends: Dict[str, LoadBalancer] = {}
+    tiers: Dict[str, Tier] = {}
     for name in build_order:
         node = graph.node(name)
-        is_terminal = name in leaf_index
-        use_control = node.control.enabled
-        if use_control and is_terminal:
-            raise GraphError(
-                f"graph {graph.name!r}: terminal node {name!r} cannot be "
-                "controlled (autoscaling actuates mid-tier runtimes only)"
-            )
-        # Controlled nodes provision the warm pool; the controller decides
-        # how many of them admit (see suite.cluster.build_midtier_replicas
-        # for the same convention).
-        n_replicas = node.control.max_replicas if use_control else node.replicas
-        if use_control and cluster.telemetry.windows is None:
-            cluster.telemetry.enable_windows(
-                node.control.window_us, WINDOW_SERIES
-            )
-        node_runtimes: list = []
-        node_machines: list = []
-        for replica in range(n_replicas):
-            suffix = name if n_replicas == 1 else f"{name}{replica}"
-            if is_terminal:
-                machine = cluster.machine(
-                    f"{prefix}-{suffix}", cores=node.cores,
-                    role="leaf", leaf_index=leaf_index[name],
-                )
-                app = GraphLeafApp(
-                    node, LinearCost.calibrated(node.service_us, units)
-                )
-                runtime = LeafRuntime(
+        cost = LinearCost.calibrated(node.service_us, units)
+        if name in leaf_index:
+            app = GraphLeafApp(node, cost)
+            placement = {"role": "leaf", "leaf_index": leaf_index[name]}
+
+            def make_runtime(machine):
+                return LeafRuntime(
                     machine, port=LEAF_PORT, app=app,
                     config=node.runtime or DEFAULT_LEAF_RUNTIME,
                 )
-            else:
-                machine = cluster.machine(
-                    f"{prefix}-{suffix}", cores=node.cores,
-                    policy=midtier_policy, role="midtier",
-                )
-                edges = graph.children(name)
-                app = GraphNodeApp(
-                    node,
-                    children=[(edge, i) for i, edge in enumerate(edges)],
-                    cost=LinearCost.calibrated(node.service_us, units),
-                    merge_cost=LinearCost.calibrated(
-                        node.merge_us,
-                        [sum(e.fanout for e in edges if e.mode == "sync") or 1],
-                    ) if node.merge_us > 0 else LinearCost(0.0, 0.0),
-                )
-                runtime = make_midtier_runtime(
-                    machine, port=MIDTIER_PORT, app=app,
-                    leaf_addrs=[front_address[edge.dst] for edge in edges],
-                    config=node.runtime or DEFAULT_NODE_RUNTIME,
-                    tail_policy=tail_policy,
-                    batch_config=_batch_config(node),
-                    cache=_make_cache(node),
-                )
-            node_runtimes.append(runtime)
-            node_machines.append(machine)
-        if n_replicas > 1:
-            frontend = LoadBalancer(
-                cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-                name=f"{prefix}-{name}-lb",
-                replicas=[runtime.address for runtime in node_runtimes],
-                policy=node.lb.policy,
-                pool_size=node.lb.pool_size,
-                initial_active=(
-                    node.control.initial_replicas if use_control else None
-                ),
-            )
-            frontends[name] = frontend
-            front_address[name] = frontend.address
         else:
-            front_address[name] = node_runtimes[0].address
-        if use_control:
-            controller = Controller(
-                cluster.sim,
-                cluster.telemetry,
-                node.control,
-                name=f"{prefix}-{name}-ctrl",
-                runtimes=node_runtimes,
-                lb=frontends.get(name),
-                signals=[
-                    f"midtier_latency:{machine.name}"
-                    for machine in node_machines
-                ],
-                runq_machines=[machine.name for machine in node_machines],
+            edges = graph.children(name)
+            app = GraphNodeApp(
+                node,
+                children=[(edge, i) for i, edge in enumerate(edges)],
+                cost=cost,
+                merge_cost=LinearCost.calibrated(
+                    node.merge_us,
+                    [sum(e.fanout for e in edges if e.mode == "sync") or 1],
+                ) if node.merge_us > 0 else LinearCost(0.0, 0.0),
             )
-            cluster.controllers.append(controller)
-            controller.start()
-        runtimes[name] = node_runtimes
-        machines[name] = node_machines
+            placement = {"policy": midtier_policy, "role": "midtier"}
+            make_runtime = midtier_maker(
+                node, app, [tiers[edge.dst].address for edge in edges],
+                node.runtime or DEFAULT_NODE_RUNTIME, tail_policy,
+            )
+        tiers[name] = build_tier(
+            cluster, node, node.replicas,
+            name=f"{prefix}-{name}",
+            front=f"{prefix}-{name}",
+            cores=node.cores,
+            make_runtime=make_runtime,
+            # A node's controller watches its own tier's latency: the
+            # end-to-end series would blame every node for any node's tail.
+            signals=lambda machines: [
+                f"midtier_latency:{machine.name}" for machine in machines
+            ],
+            **placement,
+        )
 
     leaves: List[LeafRuntime] = []
     for name in terminals:
-        leaves.extend(runtimes[name])
-    root_runtimes = runtimes[graph.root]
+        leaves.extend(tiers[name].runtimes)
     return ServiceHandle(
         name=graph.name,
-        midtier=root_runtimes[0],
-        midtier_machine=machines[graph.root][0],
+        root=tiers[graph.root],
         leaves=leaves,
         make_source=lambda: CyclingSource(query_set),
         extras={
             "graph": graph,
             "prefix": prefix,
             "leaf_index": leaf_index,
-            "runtimes": runtimes,
-            "machines": machines,
-            "frontends": frontends,
+            "tiers": tiers,
         },
-        midtiers=root_runtimes,
-        midtier_machines=machines[graph.root],
-        frontend=frontends.get(graph.root),
     )
 
 
 __all__ = [
     "DEFAULT_LEAF_RUNTIME",
     "DEFAULT_NODE_RUNTIME",
-    "LEAF_PORT",
-    "MIDTIER_PORT",
     "build_graph",
 ]

@@ -6,9 +6,9 @@ count, and the per-node batching / caching / load-balancing knobs from
 the typed config tree), and each :class:`GraphEdge` is an RPC dependency
 with a fan-out count and a sync vs. async (fire-and-forget) mode.
 Validation happens at construction: duplicate nodes, dangling edge
-endpoints, unreachable nodes, and — most importantly — cycles are all
-rejected with errors that name the offending elements, so a bad graph
-never reaches the builder.
+endpoints, unreachable nodes, controlled terminal nodes, and — most
+importantly — cycles are all rejected with errors that name the
+offending elements, so a bad graph never reaches the builder.
 """
 
 from __future__ import annotations
@@ -175,6 +175,13 @@ class GraphConfig:
                 f"graph {self.name!r}: node(s) unreachable from root "
                 f"{self.root!r}: {', '.join(unreachable)}"
             )
+        terminals = set(self.terminal_names())
+        for node in self.nodes:
+            if node.control.enabled and node.name in terminals:
+                raise GraphError(
+                    f"graph {self.name!r}: terminal node {node.name!r} cannot be "
+                    "controlled (autoscaling actuates mid-tier runtimes only)"
+                )
 
     def _adjacency(self) -> Dict[str, List[GraphEdge]]:
         out: Dict[str, List[GraphEdge]] = {node.name: [] for node in self.nodes}

@@ -14,18 +14,16 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.data.features import FeatureCorpus
-from repro.loadgen import CyclingSource
 from repro.rpc import (
     FanoutPlan,
     LeafApp,
     LeafResult,
     MergeResult,
     MidTierApp,
-    LeafRuntime,
 )
 from repro.services.costmodel import LinearCost
 from repro.services.hdsearch.lsh import LshIndex, tune_lsh
-from repro.suite.cluster import ServiceHandle, SimCluster, build_midtier_replicas
+from repro.suite.cluster import ServiceHandle, SimCluster, build_three_tier
 from repro.suite.config import ServiceScale
 
 #: Wire overhead per RPC beyond the payload proper.
@@ -174,27 +172,6 @@ def build_hdsearch(
         [scale.hds_k * topo.n_leaves],
     )
 
-    leaves: List[LeafRuntime] = []
-    for i in range(topo.n_leaves):
-        machine = cluster.machine(
-            f"{name_prefix}-leaf{i}", cores=topo.leaf_cores, role="leaf", leaf_index=i
-        )
-        app = HdSearchLeafApp(corpus.vectors, i, topo.n_leaves, leaf_cost)
-        leaves.append(LeafRuntime(machine, port=50, app=app, config=scale.leaf_runtime))
-
-    mid_app = HdSearchMidTierApp(index, scale.hds_k, request_cost, merge_cost)
-    midtiers, mid_machines, frontend = build_midtier_replicas(
-        cluster,
-        scale,
-        name_prefix=name_prefix,
-        cores=topo.midtier_cores,
-        app=mid_app,
-        leaf_addrs=[leaf.address for leaf in leaves],
-        config=scale.midtier_runtime,
-        midtier_policy=midtier_policy,
-        tail_policy=tail_policy,
-    )
-
     vec_bytes = _HEADER_BYTES + 8 * corpus.dims
     query_set = [(("query", vec), vec_bytes) for vec in queries]
 
@@ -208,14 +185,16 @@ def build_hdsearch(
         denom = np.linalg.norm(reported_vec) * np.linalg.norm(true_vec)
         return float(reported_vec @ true_vec / denom) if denom else 0.0
 
-    return ServiceHandle(
-        name="hdsearch",
-        midtier=midtiers[0],
-        midtier_machine=mid_machines[0],
-        leaves=leaves,
-        make_source=lambda: CyclingSource(query_set),
+    return build_three_tier(
+        cluster, scale, "hdsearch", name_prefix,
+        leaf_apps={
+            f"{name_prefix}-leaf{i}":
+                HdSearchLeafApp(corpus.vectors, i, topo.n_leaves, leaf_cost)
+            for i in range(topo.n_leaves)
+        },
+        mid_app=HdSearchMidTierApp(index, scale.hds_k, request_cost, merge_cost),
+        query_set=query_set,
         extras={"corpus": corpus, "index": index, "accuracy": accuracy},
-        midtiers=midtiers,
-        midtier_machines=mid_machines,
-        frontend=frontend,
+        midtier_policy=midtier_policy,
+        tail_policy=tail_policy,
     )

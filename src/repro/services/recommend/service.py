@@ -14,19 +14,17 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.data.ratings import RatingsDataset
-from repro.loadgen import CyclingSource
 from repro.rpc import (
     FanoutPlan,
     LeafApp,
     LeafResult,
     MergeResult,
     MidTierApp,
-    LeafRuntime,
 )
 from repro.services.costmodel import LinearCost
 from repro.services.recommend.knn import AllKnnPredictor
 from repro.services.recommend.nmf import complete_matrix, nmf_factorize
-from repro.suite.cluster import ServiceHandle, SimCluster, build_midtier_replicas
+from repro.suite.cluster import ServiceHandle, SimCluster, build_three_tier
 from repro.suite.config import ServiceScale
 
 _HEADER_BYTES = 32
@@ -123,40 +121,19 @@ def build_recommend(
         scale.target_midtier_service_us["recommend"] * 0.4, [float(n_leaves)]
     )
 
-    leaves: List[LeafRuntime] = []
-    for i, predictor in enumerate(predictors):
-        machine = cluster.machine(
-            f"{name_prefix}-leaf{i}", cores=scale.topology.leaf_cores,
-            role="leaf", leaf_index=i
-        )
-        app = RecommendLeafApp(predictor, w, leaf_cost)
-        leaves.append(LeafRuntime(machine, port=50, app=app, config=scale.leaf_runtime))
-
-    mid_app = RecommendMidTierApp(n_leaves, forward_cost, average_cost)
-    midtiers, mid_machines, frontend = build_midtier_replicas(
-        cluster,
-        scale,
-        name_prefix=name_prefix,
-        cores=scale.topology.midtier_cores,
-        app=mid_app,
-        leaf_addrs=[leaf.address for leaf in leaves],
-        config=scale.midtier_runtime,
-        midtier_policy=midtier_policy,
-        tail_policy=tail_policy,
-    )
-
     # Queries come from empty utility-matrix cells only (paper §III-D).
     pairs = data.query_pairs(scale.n_queries, seed=seed + 2)
     query_set = [(pair, _QUERY_BYTES) for pair in pairs]
 
-    return ServiceHandle(
-        name="recommend",
-        midtier=midtiers[0],
-        midtier_machine=mid_machines[0],
-        leaves=leaves,
-        make_source=lambda: CyclingSource(query_set),
+    return build_three_tier(
+        cluster, scale, "recommend", name_prefix,
+        leaf_apps={
+            f"{name_prefix}-leaf{i}": RecommendLeafApp(predictor, w, leaf_cost)
+            for i, predictor in enumerate(predictors)
+        },
+        mid_app=RecommendMidTierApp(n_leaves, forward_cost, average_cost),
+        query_set=query_set,
         extras={"dataset": data, "factors": (w, h), "completed": completed},
-        midtiers=midtiers,
-        midtier_machines=mid_machines,
-        frontend=frontend,
+        midtier_policy=midtier_policy,
+        tail_policy=tail_policy,
     )

@@ -11,22 +11,20 @@ Leaves wrap memcached-like stores.  Leaf index layout:
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.data.kvtrace import KeyValueTrace, KvOp
-from repro.loadgen import CyclingSource
 from repro.rpc import (
     FanoutPlan,
     LeafApp,
     LeafResult,
     MergeResult,
     MidTierApp,
-    LeafRuntime,
 )
 from repro.services.costmodel import LinearCost
 from repro.services.router.memcached import MemcachedStore
 from repro.services.router.spookyhash import SpookyHash
-from repro.suite.cluster import ServiceHandle, SimCluster, build_midtier_replicas
+from repro.suite.cluster import ServiceHandle, SimCluster, build_three_tier
 from repro.suite.config import ServiceScale
 
 _HEADER_BYTES = 32
@@ -182,19 +180,10 @@ def build_router(
     )
 
     hasher = SpookyHash(seed1=0x5EED, seed2=0xF00D)
-    stores: List[MemcachedStore] = []
-    leaves: List[LeafRuntime] = []
-    for shard in range(n_shards):
-        for replica in range(n_replicas):
-            machine = cluster.machine(
-                f"{name_prefix}-leaf{shard}r{replica}",
-                cores=scale.topology.router_leaf_cores,
-                role="leaf", leaf_index=shard * n_replicas + replica,
-            )
-            store = MemcachedStore(clock=lambda: cluster.sim.now)
-            stores.append(store)
-            app = RouterLeafApp(store, leaf_cost)
-            leaves.append(LeafRuntime(machine, port=50, app=app, config=scale.leaf_runtime))
+    stores = [
+        MemcachedStore(clock=lambda: cluster.sim.now)
+        for _ in range(n_shards * n_replicas)
+    ]
 
     # Preload every key into its shard's replication pool (offline warm-up,
     # like populating memcached before opening a service to traffic).
@@ -211,28 +200,22 @@ def build_router(
         replica_rng=cluster.rng.py(f"{name_prefix}:replica"),
         hasher=hasher,
     )
-    midtiers, mid_machines, frontend = build_midtier_replicas(
-        cluster,
-        scale,
-        name_prefix=name_prefix,
-        cores=scale.topology.router_midtier_cores,
-        app=mid_app,
-        leaf_addrs=[leaf.address for leaf in leaves],
-        config=scale.router_midtier_runtime,
-        midtier_policy=midtier_policy,
-        tail_policy=tail_policy,
-    )
-
     query_set = [(op, _HEADER_BYTES + op.size_bytes) for op in ops]
 
-    return ServiceHandle(
-        name="router",
-        midtier=midtiers[0],
-        midtier_machine=mid_machines[0],
-        leaves=leaves,
-        make_source=lambda: CyclingSource(query_set),
+    return build_three_tier(
+        cluster, scale, "router", name_prefix,
+        leaf_apps={
+            f"{name_prefix}-leaf{shard}r{replica}":
+                RouterLeafApp(stores[shard * n_replicas + replica], leaf_cost)
+            for shard in range(n_shards)
+            for replica in range(n_replicas)
+        },
+        mid_app=mid_app,
+        query_set=query_set,
         extras={"trace": trace, "stores": stores, "hasher": hasher},
-        midtiers=midtiers,
-        midtier_machines=mid_machines,
-        frontend=frontend,
+        midtier_policy=midtier_policy,
+        tail_policy=tail_policy,
+        leaf_cores=scale.topology.router_leaf_cores,
+        midtier_cores=scale.topology.router_midtier_cores,
+        midtier_runtime=scale.router_midtier_runtime,
     )

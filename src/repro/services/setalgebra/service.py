@@ -11,18 +11,16 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.data.documents import DocumentCorpus
-from repro.loadgen import CyclingSource
 from repro.rpc import (
     FanoutPlan,
     LeafApp,
     LeafResult,
     MergeResult,
     MidTierApp,
-    LeafRuntime,
 )
 from repro.services.costmodel import LinearCost
 from repro.services.setalgebra.index import InvertedIndex
-from repro.suite.cluster import ServiceHandle, SimCluster, build_midtier_replicas
+from repro.suite.cluster import ServiceHandle, SimCluster, build_three_tier
 from repro.suite.config import ServiceScale
 
 _HEADER_BYTES = 32
@@ -125,38 +123,17 @@ def build_setalgebra(
         scale.target_midtier_service_us["setalgebra"] * 0.4, union_units
     )
 
-    leaves: List[LeafRuntime] = []
-    for i, index in enumerate(indexes):
-        machine = cluster.machine(
-            f"{name_prefix}-leaf{i}", cores=scale.topology.leaf_cores,
-            role="leaf", leaf_index=i
-        )
-        app = SetAlgebraLeafApp(index, leaf_cost)
-        leaves.append(LeafRuntime(machine, port=50, app=app, config=scale.leaf_runtime))
-
-    mid_app = SetAlgebraMidTierApp(n_leaves, forward_cost, union_cost)
-    midtiers, mid_machines, frontend = build_midtier_replicas(
-        cluster,
-        scale,
-        name_prefix=name_prefix,
-        cores=scale.topology.midtier_cores,
-        app=mid_app,
-        leaf_addrs=[leaf.address for leaf in leaves],
-        config=scale.midtier_runtime,
-        midtier_policy=midtier_policy,
-        tail_policy=tail_policy,
-    )
-
     query_set = [(terms, _HEADER_BYTES + 8 * len(terms)) for terms in queries]
 
-    return ServiceHandle(
-        name="setalgebra",
-        midtier=midtiers[0],
-        midtier_machine=mid_machines[0],
-        leaves=leaves,
-        make_source=lambda: CyclingSource(query_set),
+    return build_three_tier(
+        cluster, scale, "setalgebra", name_prefix,
+        leaf_apps={
+            f"{name_prefix}-leaf{i}": SetAlgebraLeafApp(index, leaf_cost)
+            for i, index in enumerate(indexes)
+        },
+        mid_app=SetAlgebraMidTierApp(n_leaves, forward_cost, union_cost),
+        query_set=query_set,
         extras={"corpus": corpus, "stop_list": stop_list, "indexes": indexes},
-        midtiers=midtiers,
-        midtier_machines=mid_machines,
-        frontend=frontend,
+        midtier_policy=midtier_policy,
+        tail_policy=tail_policy,
     )

@@ -14,7 +14,8 @@ from repro.suite.cluster import (
     RunResult,
     ServiceHandle,
     SimCluster,
-    build_midtier_replicas,
+    Tier,
+    build_tier,
 )
 from repro.suite.config import (
     SCALES,
@@ -39,8 +40,9 @@ __all__ = [
     "ServiceHandle",
     "ServiceScale",
     "SimCluster",
+    "Tier",
     "TopologyConfig",
     "TraceConfig",
-    "build_midtier_replicas",
     "build_service",
+    "build_tier",
 ]

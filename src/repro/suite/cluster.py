@@ -1,24 +1,30 @@
 """Cluster assembly and measured runs.
 
 :class:`SimCluster` owns the simulation, fabric, telemetry, and machines
-for one experiment; :class:`ServiceHandle` is what service builders
-return; :func:`drive` is the paper's §V methodology (offer load, trim
-warm-up, measure a window, drain) for any load generator, and
-``run_open_loop`` / ``run_closed_loop`` construct the paper's two
-generators over it.
+for one experiment; :func:`build_tier` is the one way to stand up N
+replicas of a runtime (suite mid-tiers and graph nodes alike);
+:class:`ServiceHandle` is what service builders return; :func:`drive`
+is the paper's §V methodology (offer load, trim warm-up, measure a
+window, drain) for any load generator, and ``run_open_loop`` /
+``run_closed_loop`` construct the paper's two generators over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.control import Controller
 from repro.control.controller import WINDOW_SERIES
 from repro.energy import EnergyAccount, EnergyConfig, EnergyReport
 from repro.kernel import Machine, MachineSpec, OsCosts
 from repro.kernel.scheduler import PlacementPolicy
-from repro.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen, QuerySource
+from repro.loadgen import (
+    ClosedLoopLoadGen,
+    CyclingSource,
+    OpenLoopLoadGen,
+    QuerySource,
+)
 from repro.loadgen.client import E2E_HIST
 from repro.midcache import CacheConfig, QueryCache
 from repro.net import Fabric, LinkSpec
@@ -133,156 +139,225 @@ class SimCluster:
         self.telemetry.close()
 
 
-def build_midtier_replicas(
-    cluster: SimCluster,
-    scale,
-    name_prefix: str,
-    cores: int,
-    app,
-    leaf_addrs,
-    config,
-    midtier_policy=None,
-    tail_policy=None,
-    port: int = 40,
-):
-    """Provision ``scale.topology.midtier_replicas`` mid-tier runtimes, all fanning
-    out to the same leaf shards, plus the front-end balancer when N > 1.
+#: Well-known ports of the two runtime roles, on every service and graph.
+MIDTIER_PORT = 40
+LEAF_PORT = 50
 
-    Every service builder routes its mid-tier construction through here.
-    With one replica (the default) the machine keeps its historical
-    ``<prefix>-mid`` name, no balancer is registered, and no additional
-    randomness is drawn — the single-replica topology stays bit-identical
-    to the paper's.  Returns ``(runtimes, machines, frontend)`` where
-    ``frontend`` is None for the single-replica case.
+
+class Tier(NamedTuple):
+    """One provisioned tier: N replicas of one runtime, their machines,
+    and the balancer in front of them (None for a lone replica)."""
+
+    runtimes: list
+    machines: List[Machine]
+    frontend: Optional[LoadBalancer]
+
+    @property
+    def address(self):
+        """Where callers send requests: the balancer, or the lone replica."""
+        front = self.frontend if self.frontend is not None else self.runtimes[0]
+        return front.address
+
+
+def midtier_maker(knobs, app, leaf_addrs, config, tail_policy=None):
+    """A ``make_runtime`` for :func:`build_tier`: mid-tier replicas of
+    ``app`` fanning out to ``leaf_addrs``, with the batching / caching
+    knobs of ``knobs`` (a ``ServiceScale`` or a ``GraphNode``) converted to
+    their runtime configs.  Both default off: the configs stay None, the
+    runtimes construct nothing extra, and goldens are bit-identical.
     """
-    # Closed-loop control (repro.control).  When enabled the cluster
-    # provisions max_replicas machines up front (a warm pool the
-    # controller activates/drains through the balancer) and a Controller
-    # ticking on the event calendar; disabled (the default) constructs
-    # none of it and the topology below is byte-for-byte the historical
-    # one.
-    control = scale.control
-    use_control = control.enabled
-    n_replicas = (
-        control.max_replicas if use_control else scale.topology.midtier_replicas
-    )
-    if use_control and cluster.telemetry.windows is None:
-        cluster.telemetry.enable_windows(control.window_us, WINDOW_SERIES)
-    # Batching / caching knobs (repro.rpc.batching, repro.midcache).  Both
-    # default off: the configs below stay None, the runtimes construct
-    # nothing extra, and pre-existing goldens are bit-identical.
     batch_config = None
-    if scale.batch.enabled:
+    if knobs.batch.enabled:
         batch_config = BatchConfig(
-            max_batch=scale.batch.max_batch, max_wait_us=scale.batch.max_wait_us
+            max_batch=knobs.batch.max_batch, max_wait_us=knobs.batch.max_wait_us
         )
     cache_config = None
-    if scale.cache.enabled:
+    if knobs.cache.enabled:
         cache_config = CacheConfig(
-            capacity=scale.cache.capacity,
-            ttl_us=scale.cache.ttl_us,
-            policy=scale.cache.policy,
+            capacity=knobs.cache.capacity,
+            ttl_us=knobs.cache.ttl_us,
+            policy=knobs.cache.policy,
         )
 
-    def _make_cache():
-        # One private cache per replica, like a replica-local memcached.
-        return QueryCache(cache_config) if cache_config is not None else None
+    def make_runtime(machine: Machine) -> MidTierRuntime:
+        return make_midtier_runtime(
+            machine, port=MIDTIER_PORT, app=app, leaf_addrs=leaf_addrs,
+            config=config, tail_policy=tail_policy, batch_config=batch_config,
+            # One private cache per replica, like a replica-local memcached.
+            cache=QueryCache(cache_config) if cache_config is not None else None,
+        )
 
-    def _attach_controller(runtimes, machines, frontend):
+    return make_runtime
+
+
+def build_tier(
+    cluster: SimCluster,
+    knobs,
+    replicas: int,
+    name: str,
+    front: str,
+    cores: int,
+    make_runtime: Callable[[Machine], object],
+    signals: Callable[[List[Machine]], List[str]],
+    **placement,
+) -> Tier:
+    """Stand up one tier: ``replicas`` copies of ``make_runtime(machine)``
+    on ``cores``-core machines, behind a balancer when there is more than
+    one.  The one provisioning path for suite mid-tiers and graph nodes.
+
+    ``knobs`` (a ``ServiceScale`` or a ``GraphNode``) supplies ``lb`` and
+    ``control``.  What differs between callers is passed in, because names
+    key RNG streams: a lone replica's machine is ``name`` and N are
+    ``name0..``; the balancer and controller are ``<front>-lb`` /
+    ``<front>-ctrl``; ``signals(machines)`` names the latency series the
+    controller watches.  ``placement`` (``policy`` / ``role`` /
+    ``leaf_index``) goes to :meth:`SimCluster.machine`.  One replica with
+    control off (the default) registers no balancer and draws no extra
+    randomness, so that topology stays bit-identical to the paper's.
+    """
+    # Closed-loop control (repro.control).  When enabled the tier
+    # provisions max_replicas machines up front (a warm pool the
+    # controller activates/drains through the balancer) and a Controller
+    # ticking on the event calendar; disabled constructs none of it.
+    control = knobs.control
+    if control.enabled:
+        replicas = control.max_replicas
+        windows = cluster.telemetry.windows
+        if windows is None:
+            cluster.telemetry.enable_windows(control.window_us, WINDOW_SERIES)
+        elif windows.width_us != control.window_us:
+            # One cluster has one window grid; a controller reading it at
+            # another width would select samples at the wrong granularity.
+            raise ValueError(
+                f"{front}-ctrl: control.window_us={control.window_us} differs "
+                f"from the cluster's telemetry window width {windows.width_us} "
+                "set by an earlier controlled tier; every controller on one "
+                "cluster must use the same window_us"
+            )
+    runtimes: list = []
+    machines: List[Machine] = []
+    for replica in range(replicas):
+        machine = cluster.machine(
+            name if replicas == 1 else f"{name}{replica}", cores=cores, **placement
+        )
+        runtimes.append(make_runtime(machine))
+        machines.append(machine)
+    frontend = None
+    if replicas > 1:
+        frontend = LoadBalancer(
+            cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
+            name=f"{front}-lb",
+            replicas=[runtime.address for runtime in runtimes],
+            policy=knobs.lb.policy,
+            pool_size=knobs.lb.pool_size,
+            initial_active=control.initial_replicas if control.enabled else None,
+        )
+    if control.enabled:
         controller = Controller(
             cluster.sim,
             cluster.telemetry,
             control,
-            name=f"{name_prefix}-ctrl",
+            name=f"{front}-ctrl",
             runtimes=runtimes,
             lb=frontend,
-            signals=[E2E_HIST],
+            signals=signals(machines),
             runq_machines=[machine.name for machine in machines],
         )
         cluster.controllers.append(controller)
         controller.start()
-
-    if n_replicas <= 1:
-        machine = cluster.machine(
-            f"{name_prefix}-mid", cores=cores, policy=midtier_policy, role="midtier"
-        )
-        runtime = make_midtier_runtime(
-            machine, port=port, app=app, leaf_addrs=leaf_addrs, config=config,
-            tail_policy=tail_policy, batch_config=batch_config, cache=_make_cache(),
-        )
-        if use_control:
-            _attach_controller([runtime], [machine], None)
-        return [runtime], [machine], None
-    runtimes: List[MidTierRuntime] = []
-    machines: List[Machine] = []
-    for replica in range(n_replicas):
-        machine = cluster.machine(
-            f"{name_prefix}-mid{replica}", cores=cores, policy=midtier_policy,
-            role="midtier",
-        )
-        runtimes.append(
-            make_midtier_runtime(
-                machine, port=port, app=app, leaf_addrs=leaf_addrs, config=config,
-                tail_policy=tail_policy, batch_config=batch_config,
-                cache=_make_cache(),
-            )
-        )
-        machines.append(machine)
-    frontend = LoadBalancer(
-        cluster.sim,
-        cluster.fabric,
-        cluster.telemetry,
-        cluster.rng,
-        name=f"{name_prefix}-lb",
-        replicas=[runtime.address for runtime in runtimes],
-        policy=scale.lb.policy,
-        pool_size=scale.lb.pool_size,
-        initial_active=control.initial_replicas if use_control else None,
-    )
-    if use_control:
-        _attach_controller(runtimes, machines, frontend)
-    return runtimes, machines, frontend
+    return Tier(runtimes, machines, frontend)
 
 
 @dataclass
 class ServiceHandle:
-    """A built service: its runtimes plus a query source factory."""
+    """A built service: its root tier and leaves plus a query source
+    factory.  ``root`` is where clients send queries — the mid-tier of a
+    suite service, the root node of a graph."""
 
     name: str
-    midtier: MidTierRuntime
-    midtier_machine: Machine
+    root: Tier
     leaves: List[LeafRuntime]
     make_source: Callable[[], QuerySource]
     # Service-specific extras (e.g. HDSearch's accuracy checker).
     extras: Dict[str, object] = field(default_factory=dict)
-    # Scale-out: every mid-tier replica (midtier/midtier_machine remain the
-    # primary replica for single-instance callers) and the front-end
-    # balancer, None when the service runs the paper's 1-replica topology.
-    midtiers: List[MidTierRuntime] = field(default_factory=list)
-    midtier_machines: List[Machine] = field(default_factory=list)
-    frontend: Optional[LoadBalancer] = None
 
-    def __post_init__(self) -> None:
-        if not self.midtiers:
-            self.midtiers = [self.midtier]
-        if not self.midtier_machines:
-            self.midtier_machines = [self.midtier_machine]
+    @property
+    def midtier(self) -> MidTierRuntime:
+        """The primary replica, for single-instance callers."""
+        return self.root.runtimes[0]
+
+    @property
+    def frontend(self) -> Optional[LoadBalancer]:
+        """The front-end balancer; None for the 1-replica topology."""
+        return self.root.frontend
 
     @property
     def midtier_name(self) -> str:
-        return self.midtier_machine.name
+        return self.root.machines[0].name
 
     @property
     def midtier_names(self) -> List[str]:
         """Every replica's machine name (telemetry keys)."""
-        return [machine.name for machine in self.midtier_machines]
+        return [machine.name for machine in self.root.machines]
 
     @property
     def target_address(self):
         """Where clients send queries: the balancer, or the lone mid-tier."""
-        if self.frontend is not None:
-            return self.frontend.address
-        return self.midtier.address
+        return self.root.address
+
+
+def build_three_tier(
+    cluster: SimCluster,
+    scale,
+    name: str,
+    name_prefix: str,
+    leaf_apps: Dict[str, object],
+    mid_app,
+    query_set,
+    extras: Dict[str, object],
+    midtier_policy=None,
+    tail_policy=None,
+    leaf_cores: Optional[int] = None,
+    midtier_cores: Optional[int] = None,
+    midtier_runtime=None,
+) -> ServiceHandle:
+    """The shared tail of the four service builders (paper §III: front-end
+    → mid-tier → leaves): one leaf machine per ``leaf_apps`` entry
+    (machine name → app, in shard order), then the mid-tier through
+    :func:`build_tier`, then the handle.  Tiers are sized from
+    ``scale.topology``'s common fields unless overridden (Router's are).
+    """
+    topo = scale.topology
+    leaves: List[LeafRuntime] = []
+    for i, (leaf_name, app) in enumerate(leaf_apps.items()):
+        machine = cluster.machine(
+            leaf_name, cores=leaf_cores or topo.leaf_cores,
+            role="leaf", leaf_index=i,
+        )
+        leaves.append(
+            LeafRuntime(machine, port=LEAF_PORT, app=app, config=scale.leaf_runtime)
+        )
+    root = build_tier(
+        cluster, scale, topo.midtier_replicas,
+        name=f"{name_prefix}-mid",
+        front=name_prefix,
+        cores=midtier_cores or topo.midtier_cores,
+        make_runtime=midtier_maker(
+            scale, mid_app, [leaf.address for leaf in leaves],
+            midtier_runtime or scale.midtier_runtime, tail_policy,
+        ),
+        # A service's controller watches what its clients see.
+        signals=lambda machines: [E2E_HIST],
+        policy=midtier_policy,
+        role="midtier",
+    )
+    return ServiceHandle(
+        name=name,
+        root=root,
+        leaves=leaves,
+        make_source=lambda: CyclingSource(query_set),
+        extras=extras,
+    )
 
 
 @dataclass
@@ -296,18 +371,13 @@ class RunResult:
     completed: int
     e2e: LatencyHistogram
     telemetry: Telemetry
-    midtier_name: str
-    # All mid-tier replica machine names; [midtier_name] when unreplicated.
-    midtier_names: List[str] = field(default_factory=list)
+    # Every mid-tier replica's machine name (one when unreplicated).
+    midtier_names: List[str]
     # LoadBalancer.stats() snapshot, None for the single-replica topology.
     lb_stats: Optional[Dict[str, object]] = None
     # Windowed EnergyReport, None unless the cluster was built with an
     # enabled EnergyConfig; covers exactly the measured window above.
     energy: Optional[EnergyReport] = None
-
-    def __post_init__(self) -> None:
-        if not self.midtier_names:
-            self.midtier_names = [self.midtier_name]
 
     @property
     def throughput_qps(self) -> float:
@@ -380,7 +450,6 @@ def drive(
         completed=window_completed,
         e2e=telemetry.hist(E2E_HIST),
         telemetry=telemetry,
-        midtier_name=service.midtier_name,
         midtier_names=service.midtier_names,
         lb_stats=service.frontend.stats() if service.frontend else None,
         energy=(

@@ -17,17 +17,14 @@ algorithmic variation.
 
 Knobs are grouped into typed sub-configs — :class:`TopologyConfig`,
 :class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig`,
-:class:`TraceConfig` — instead of one flat namespace.  The old flat
-keywords (``n_leaves=2``, ``batch_enable=True``, …) were deprecated with
-warnings for one release cycle and are now **removed**: constructing or
-copying a :class:`ServiceScale` with one raises ``TypeError`` naming the
-nested replacement, as does reading the old attribute.  The full
-alias → replacement table lives in DESIGN.md (§config migration).
+:class:`TraceConfig` — instead of one flat namespace; a flat keyword
+(``n_leaves=2``, ``batch_enable=True``, …) is an unknown field, so the
+dataclass rejects it with ``TypeError`` like any other misspelling.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
 from repro.control.config import ControlConfig
@@ -118,29 +115,6 @@ class TraceConfig:
             raise ValueError(f"top_k must be >= 1: {self.top_k}")
 
 
-#: Removed flat keyword → (nested field, attribute within it).  Kept as
-#: data so the rejection messages (and DESIGN.md's migration table) name
-#: the exact replacement for each retired alias.
-_LEGACY_FIELDS: Dict[str, tuple] = {
-    "n_leaves": ("topology", "n_leaves"),
-    "leaf_cores": ("topology", "leaf_cores"),
-    "midtier_cores": ("topology", "midtier_cores"),
-    "midtier_replicas": ("topology", "midtier_replicas"),
-    "router_shards": ("topology", "router_shards"),
-    "router_replicas": ("topology", "router_replicas"),
-    "router_leaf_cores": ("topology", "router_leaf_cores"),
-    "router_midtier_cores": ("topology", "router_midtier_cores"),
-    "lb_policy": ("lb", "policy"),
-    "lb_pool_size": ("lb", "pool_size"),
-    "batch_enable": ("batch", "enabled"),
-    "batch_max": ("batch", "max_batch"),
-    "batch_max_wait_us": ("batch", "max_wait_us"),
-    "cache_enable": ("cache", "enabled"),
-    "cache_capacity": ("cache", "capacity"),
-    "cache_ttl_us": ("cache", "ttl_us"),
-    "cache_policy": ("cache", "policy"),
-}
-
 _SUB_CONFIG_TYPES: Dict[str, type] = {
     "topology": TopologyConfig,
     "lb": LbConfig,
@@ -156,21 +130,7 @@ _SUB_CONFIG_TYPES: Dict[str, type] = {
 }
 
 
-def _reject_legacy(names) -> None:
-    """Raise for retired flat keywords, naming each one's replacement."""
-    replacements = ", ".join(
-        f"{name} -> {_LEGACY_FIELDS[name][0]}.{_LEGACY_FIELDS[name][1]}"
-        for name in sorted(names)
-    )
-    raise TypeError(
-        f"flat ServiceScale keyword(s) were removed: {replacements}; pass "
-        "the nested sub-config instead (topology=TopologyConfig(...), "
-        "lb=LbConfig(...), batch=BatchConfig(...), cache=CacheConfig(...), "
-        "trace=TraceConfig(...)) — see DESIGN.md for the migration table"
-    )
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServiceScale:
     """Everything size-dependent about one experiment configuration."""
 
@@ -255,35 +215,9 @@ class ServiceScale:
         }
     )
 
-    def __init__(self, name: str, **kwargs: Any):
-        legacy = {k: kwargs.pop(k) for k in list(kwargs) if k in _LEGACY_FIELDS}
-        canonical = {f.name for f in fields(ServiceScale)}
-        unknown = set(kwargs) - canonical
-        if unknown:
-            raise TypeError(
-                f"unknown ServiceScale field(s): {', '.join(sorted(unknown))}"
-            )
-        object.__setattr__(self, "name", name)
-        for f in fields(ServiceScale):
-            if f.name == "name":
-                continue
-            if f.name in kwargs:
-                value = kwargs[f.name]
-            elif f.default_factory is not MISSING:
-                value = f.default_factory()
-            else:
-                value = f.default
-            object.__setattr__(self, f.name, value)
-        if legacy:
-            _reject_legacy(legacy)
-
     def with_overrides(self, **kwargs: Any) -> "ServiceScale":
-        """A copy with some fields replaced.
-
-        Accepts canonical fields only (``topology=...``, ``n_queries=...``);
-        the retired flat keywords (``n_leaves=...``, ``batch_enable=...``)
-        raise ``TypeError`` naming the nested replacement.
-        """
+        """A copy with some fields replaced (``topology=...``,
+        ``n_queries=...``); an unknown field is a ``TypeError``."""
         return replace(self, **kwargs)
 
     # -- round-trip serialization ----------------------------------------
@@ -311,23 +245,6 @@ class ServiceScale:
             else:
                 kwargs[key] = value
         return cls(**kwargs)
-
-
-def _legacy_property(legacy_name: str, owner: str, sub: str):
-    def getter(self):
-        raise TypeError(
-            f"ServiceScale.{legacy_name} was removed; read "
-            f"ServiceScale.{owner}.{sub}"
-        )
-
-    getter.__name__ = legacy_name
-    getter.__doc__ = f"Removed alias — read ``{owner}.{sub}`` instead."
-    return property(getter)
-
-
-for _legacy_name, (_owner, _sub) in _LEGACY_FIELDS.items():
-    setattr(ServiceScale, _legacy_name, _legacy_property(_legacy_name, _owner, _sub))
-del _legacy_name, _owner, _sub
 
 
 #: "small" keeps full topology but tiny datasets — the benchmark default.

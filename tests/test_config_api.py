@@ -1,11 +1,10 @@
-"""The typed config tree: round-trips, removed aliases, and the public API.
+"""The typed config tree: round-trips, unknown fields, and the public API.
 
-The config redesign groups ServiceScale's knobs into frozen sub-configs
+ServiceScale's knobs are grouped into frozen sub-configs
 (topology/lb/batch/cache/trace/telemetry/energy).  These tests pin the
 two contracts: ``to_dict``/``from_dict`` reconstruct a scale exactly,
-and the retired flat keywords fail fast — constructing, overriding, or
-reading one raises ``TypeError`` naming the nested replacement (the
-migration table lives in DESIGN.md).
+and a flat keyword (``n_leaves=2``) is an unknown field — constructing,
+overriding, or deserialising with one raises ``TypeError``.
 """
 
 import warnings
@@ -56,33 +55,25 @@ def test_to_dict_is_plain_data():
     json.dumps(SCALES["small"].to_dict())  # must not raise
 
 
-# -- removed flat keywords ---------------------------------------------------
+# -- flat keywords are unknown fields -------------------------------------------
 
-def test_removed_constructor_kwargs_raise_naming_replacement():
-    with pytest.raises(TypeError, match="n_leaves -> topology.n_leaves"):
-        ServiceScale(name="t", n_leaves=2)
-    # Several retired keywords at once: all named, each with its target.
-    with pytest.raises(TypeError, match="batch_enable -> batch.enabled"):
-        ServiceScale(name="t", batch_enable=True, cache_capacity=99)
-    with pytest.raises(TypeError, match="DESIGN.md"):
-        ServiceScale(name="t", cache_capacity=99)
+@pytest.mark.parametrize("kwargs", [
+    {"n_leaves": 2}, {"batch_enable": True, "cache_capacity": 99},
+    {"definitely_not_a_knob": 1},
+])
+def test_flat_keyword_is_a_type_error(kwargs):
+    with pytest.raises(TypeError):
+        ServiceScale(name="t", **kwargs)
+    with pytest.raises(TypeError):
+        SCALES["unit"].with_overrides(**kwargs)
+    with pytest.raises(TypeError):
+        ServiceScale.from_dict({"name": "t", **kwargs})
 
 
-def test_removed_with_overrides_kwargs_raise():
-    with pytest.raises(TypeError, match="lb_policy -> lb.policy"):
-        SCALES["unit"].with_overrides(lb_policy="random")
-    # The nested spelling is the only way through.
+def test_nested_override_leaves_other_groups_alone():
     nested = SCALES["unit"].with_overrides(lb=LbConfig(policy="random"))
     assert nested.lb.policy == "random"
     assert nested.topology == SCALES["unit"].topology
-
-
-def test_removed_attribute_reads_raise():
-    scale = SCALES["unit"]
-    with pytest.raises(TypeError, match="ServiceScale.topology.n_leaves"):
-        scale.n_leaves
-    with pytest.raises(TypeError, match="ServiceScale.cache.capacity"):
-        scale.cache_capacity
 
 
 def test_energy_sub_config_rides_the_tree():
@@ -101,11 +92,6 @@ def test_nested_construction_does_not_warn():
         scale = ServiceScale(name="quiet", topology=TopologyConfig(n_leaves=3))
         scale.with_overrides(trace=TraceConfig(enabled=True, sample_every=1))
         scale.to_dict()
-
-
-def test_unknown_field_rejected():
-    with pytest.raises(TypeError, match="unknown ServiceScale field"):
-        ServiceScale(name="bad", definitely_not_a_knob=1)
 
 
 @pytest.mark.parametrize("kwargs", [

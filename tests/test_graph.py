@@ -3,7 +3,7 @@
 Three layers:
 
 * :class:`~repro.graph.GraphConfig` validation — cycles (with the path
-  named in the error), dangling/self/duplicate edges, unreachable nodes —
+  named in the error), dangling/self/duplicate edges, unreachable nodes, controlled terminals —
   plus property-based checks that ``topological_order`` really is
   topological on arbitrary random DAGs;
 * the builder — the committed exemplars instantiate, run, and complete;
@@ -15,10 +15,13 @@ Three layers:
   behavior of its own.
 """
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.config import ControlConfig
 from repro.graph import (
     GraphConfig,
     GraphEdge,
@@ -29,17 +32,19 @@ from repro.graph import (
     onehop_graph,
 )
 from repro.graph.apps import GraphLeafApp, GraphNodeApp
-from repro.graph.build import (
-    DEFAULT_LEAF_RUNTIME,
-    DEFAULT_NODE_RUNTIME,
-    LEAF_PORT,
-    MIDTIER_PORT,
-)
+from repro.graph.build import DEFAULT_LEAF_RUNTIME, DEFAULT_NODE_RUNTIME
 from repro.loadgen import CyclingSource
 from repro.rpc.adaptive import make_midtier_runtime
 from repro.rpc.server import LeafRuntime
 from repro.services.costmodel import LinearCost
-from repro.suite.cluster import ServiceHandle, SimCluster, run_open_loop
+from repro.suite.cluster import (
+    LEAF_PORT,
+    MIDTIER_PORT,
+    ServiceHandle,
+    SimCluster,
+    Tier,
+    run_open_loop,
+)
 
 
 def _nodes(*names):
@@ -122,6 +127,24 @@ def test_bad_node_knobs_rejected():
         GraphNode(name="a", service_us=0.0)
     with pytest.raises(GraphError, match="replicas"):
         GraphNode(name="a", replicas=0)
+
+
+def test_controlled_terminal_rejected_at_construction():
+    controlled = ControlConfig(enabled=True, max_replicas=2)
+    with pytest.raises(GraphError, match="terminal node 'b' cannot be controlled"):
+        GraphConfig(
+            name="g", root="a",
+            nodes=(GraphNode(name="a"), GraphNode(name="b", control=controlled)),
+            edges=(GraphEdge(src="a", dst="b"),),
+        )
+    # The serialized form is rejected by the same check.
+    data = GraphConfig(
+        name="g", root="a", nodes=_nodes("a", "b"),
+        edges=(GraphEdge(src="a", dst="b"),),
+    ).to_dict()
+    data["nodes"][1]["control"] = asdict(controlled)
+    with pytest.raises(GraphError, match="cannot be controlled"):
+        GraphConfig.from_dict(data)
 
 
 # -- topology properties -----------------------------------------------------
@@ -254,9 +277,35 @@ def test_replicated_node_gets_balancer():
     handle = build_graph(cluster, graph)
     names = [machine.name for machine in cluster.machines]
     assert names == ["rep-b0", "rep-b1", "rep-a"]
-    assert "b" in handle.extras["frontends"]
+    balancer = handle.extras["tiers"]["b"].frontend
+    assert balancer is not None
     # The mid-tier fans out to the balancer, not to a replica directly.
-    assert handle.midtier.leaf_addrs == [handle.extras["frontends"]["b"].address]
+    assert handle.midtier.leaf_addrs == [balancer.address]
+    cluster.shutdown()
+
+
+def _two_controlled(window_a, window_b):
+    return GraphConfig(
+        name="two", root="a", n_queries=10,
+        nodes=(
+            GraphNode(name="a", control=ControlConfig(enabled=True, window_us=window_a)),
+            GraphNode(name="b", control=ControlConfig(enabled=True, window_us=window_b)),
+            GraphNode(name="c"),
+        ),
+        edges=(GraphEdge(src="a", dst="b"), GraphEdge(src="b", dst="c")),
+    )
+
+
+def test_controllers_on_one_cluster_must_share_a_window_width():
+    # One cluster has one telemetry window grid; the second controller
+    # used to be handed the first one's grid silently.
+    cluster = SimCluster(seed=0)
+    with pytest.raises(ValueError, match="two-a-ctrl: control.window_us=25000.0"):
+        build_graph(cluster, _two_controlled(25_000.0, 10_000.0))
+    cluster.shutdown()
+    cluster = SimCluster(seed=0)
+    build_graph(cluster, _two_controlled(10_000.0, 10_000.0))
+    assert [ctrl.name for ctrl in cluster.controllers] == ["two-b-ctrl", "two-a-ctrl"]
     cluster.shutdown()
 
 
@@ -323,7 +372,7 @@ def _hand_built_onehop(cluster, graph):
         leaf_addrs=[leaf.address], config=DEFAULT_NODE_RUNTIME,
     )
     return ServiceHandle(
-        name=graph.name, midtier=mid, midtier_machine=mid_machine,
+        name=graph.name, root=Tier([mid], [mid_machine], None),
         leaves=[leaf], make_source=lambda: CyclingSource(query_set),
     )
 
