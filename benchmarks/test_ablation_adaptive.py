@@ -1,20 +1,24 @@
 """§VII extension benchmark: the adaptive runtime vs static block/poll."""
 
-from repro.experiments.ablation_adaptive import (
+from repro.experiments.figures import (
+    FIGURES,
     adaptive_tracks_best,
-    format_adaptive_ablation,
-    run_adaptive_ablation,
+    render,
+    run_figure,
 )
+
+ADAPTIVE = FIGURES["adaptive"]
 
 
 def test_ablation_adaptive(benchmark):
     results = benchmark.pedantic(
-        run_adaptive_ablation,
-        kwargs=dict(service_name="hdsearch", loads=(100.0, 4_000.0), min_queries=300),
+        run_figure,
+        args=(ADAPTIVE, "hdsearch"),
+        kwargs=dict(loads=(100.0, 4_000.0), min_queries=300),
         rounds=1,
         iterations=1,
     )
-    print("\n" + format_adaptive_ablation(results))
+    print("\n" + render(ADAPTIVE, results))
 
     for variant, by_load in results.items():
         for qps, cell in by_load.items():

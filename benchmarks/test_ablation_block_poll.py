@@ -1,16 +1,19 @@
 """§VII ablation benchmark: blocking vs polling front-end reception."""
 
-from repro.experiments.ablation_block_poll import format_block_poll, run_block_poll
+from repro.experiments.figures import FIGURES, render, run_figure
+
+BLOCK_POLL = FIGURES["block-poll"]
 
 
 def test_ablation_block_poll(benchmark):
     results = benchmark.pedantic(
-        run_block_poll,
-        kwargs=dict(service_name="hdsearch", loads=(100.0, 2_000.0), min_queries=300),
+        run_figure,
+        args=(BLOCK_POLL, "hdsearch"),
+        kwargs=dict(loads=(100.0, 2_000.0), min_queries=300),
         rounds=1,
         iterations=1,
     )
-    print("\n" + format_block_poll(results))
+    print("\n" + render(BLOCK_POLL, results))
 
     for mode in ("blocking", "polling"):
         for qps, cell in results[mode].items():

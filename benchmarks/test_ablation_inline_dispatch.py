@@ -1,20 +1,24 @@
 """§VII ablation benchmark: in-line vs dispatch-based processing."""
 
-from repro.experiments.ablation_inline_dispatch import (
-    format_inline_dispatch,
+from repro.experiments.figures import (
+    FIGURES,
     inline_wins_at_low_load,
-    run_inline_dispatch,
+    render,
+    run_figure,
 )
+
+INLINE_DISPATCH = FIGURES["inline-dispatch"]
 
 
 def test_ablation_inline_dispatch(benchmark):
     results = benchmark.pedantic(
-        run_inline_dispatch,
-        kwargs=dict(service_name="hdsearch", loads=(100.0, 2_000.0), min_queries=300),
+        run_figure,
+        args=(INLINE_DISPATCH, "hdsearch"),
+        kwargs=dict(loads=(100.0, 2_000.0), min_queries=300),
         rounds=1,
         iterations=1,
     )
-    print("\n" + format_inline_dispatch(results))
+    print("\n" + render(INLINE_DISPATCH, results))
 
     for mode in ("inline", "dispatch"):
         for qps, cell in results[mode].items():

@@ -1,37 +1,42 @@
 """§VII ablation benchmark: mid-tier worker thread-pool sizing."""
 
-from repro.experiments.ablation_poolsize import (
+from repro.experiments.figures import (
+    FIGURES,
     best_pool_size,
-    format_poolsize,
-    run_poolsize,
+    pool_sizes,
+    render,
+    run_figure,
 )
+
+POOLSIZE = FIGURES["poolsize"]
+QPS = 5_000.0
 
 
 def test_ablation_poolsize(benchmark):
     results = benchmark.pedantic(
-        run_poolsize,
+        run_figure,
+        args=(POOLSIZE, "hdsearch"),
         kwargs=dict(
-            service_name="hdsearch",
-            worker_counts=(1, 4, 16, 48),
-            qps=5_000.0,
+            runtimes=pool_sizes((1, 4, 16, 48)),
+            loads=QPS,
             min_queries=500,
         ),
         rounds=1,
         iterations=1,
     )
-    print("\n" + format_poolsize(results))
+    print("\n" + render(POOLSIZE, results))
 
     # The paper's §VII point, as it manifests here: growing the pool buys
     # no latency — a handful of workers already cover the request path, so
     # the lean pools' tail is at least as good as the 48-worker pool's
     # (within measurement noise)...
     benchmark.extra_info["best_workers"] = best_pool_size(results)
-    lean_tail = min(results[w].e2e.percentile(99) for w in (1, 4))
-    assert lean_tail <= results[48].e2e.percentile(99) * 1.10
+    lean_tail = min(results[w][QPS].e2e.percentile(99) for w in (1, 4))
+    assert lean_tail <= results[48][QPS].e2e.percentile(99) * 1.10
 
     # ...while oversizing *costs* contention: more futex traffic per query
     # and more HITM lock-cacheline bouncing than the lean pools.
-    lean_futex = min(results[w].syscalls_per_query["futex"] for w in (1, 4))
-    assert results[48].syscalls_per_query["futex"] > lean_futex
-    lean_hitm = min(results[w].hitm for w in (1, 4))
-    assert results[48].hitm > lean_hitm
+    lean_futex = min(results[w][QPS].syscalls_per_query["futex"] for w in (1, 4))
+    assert results[48][QPS].syscalls_per_query["futex"] > lean_futex
+    lean_hitm = min(results[w][QPS].hitm for w in (1, 4))
+    assert results[48][QPS].hitm > lean_hitm

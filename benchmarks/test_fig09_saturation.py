@@ -8,7 +8,7 @@ band (~10-17 K QPS) and the ordering matches
 
 import pytest
 
-from repro.experiments.fig09_saturation import (
+from repro.experiments.figures import (
     PAPER_SATURATION_QPS,
     saturation_throughput,
 )

@@ -9,7 +9,11 @@ query are highest at low load, and the messaging syscalls
 import pytest
 
 from benchmarks.conftest import BENCH_LOADS
-from repro.experiments.fig11_14_syscalls import FIGURE_OF, REPORTED_SYSCALLS, dominant_syscall
+from repro.experiments.figures import (
+    REPORTED_SYSCALLS,
+    SYSCALLS_FIGURE_OF,
+    dominant_syscall,
+)
 from repro.suite.registry import SERVICE_NAMES
 
 
@@ -20,7 +24,7 @@ def test_fig11_14_syscall_profile(benchmark, char_cache, service):
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\nFig{FIGURE_OF[service]} {service} (calls per query):")
+    print(f"\nFig{SYSCALLS_FIGURE_OF[service]} {service} (calls per query):")
     for syscall in ("futex", "epoll_pwait", "sendmsg", "recvmsg", "read", "write"):
         series = "  ".join(
             f"@{int(qps)}={cells[qps].syscalls_per_query.get(syscall, 0.0):7.1f}"

@@ -9,7 +9,7 @@ import pytest
 
 from benchmarks.conftest import BENCH_LOADS
 from repro.experiments.characterize import OVERHEAD_KINDS
-from repro.experiments.fig15_18_os_overheads import FIGURE_OF, active_exe_dominates
+from repro.experiments.figures import OVERHEADS_FIGURE_OF, active_exe_dominates
 from repro.suite.registry import SERVICE_NAMES
 
 
@@ -20,7 +20,7 @@ def test_fig15_18_overhead_breakdown(benchmark, char_cache, service):
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\nFig{FIGURE_OF[service]} {service} (p99 in us):")
+    print(f"\nFig{OVERHEADS_FIGURE_OF[service]} {service} (p99 in us):")
     for kind in OVERHEAD_KINDS:
         series = "  ".join(
             f"@{int(qps)}={cells[qps].overheads[kind].percentile(99):8.1f}"

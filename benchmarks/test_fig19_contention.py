@@ -8,7 +8,7 @@ CS at every load.
 import pytest
 
 from benchmarks.conftest import BENCH_LOADS
-from repro.experiments.fig19_contention import rates_per_second
+from repro.experiments.figures import rates_per_second
 from repro.suite.registry import SERVICE_NAMES
 
 

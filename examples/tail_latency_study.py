@@ -14,11 +14,12 @@ mid-tier work is smallest and therefore most OS-dominated):
 Run:  python examples/tail_latency_study.py   (takes a few minutes)
 """
 
-from repro.experiments.ablation_block_poll import format_block_poll, run_block_poll
-from repro.experiments.ablation_poolsize import (
+from repro.experiments.figures import (
+    FIGURES,
     best_pool_size,
-    format_poolsize,
-    run_poolsize,
+    pool_sizes,
+    render,
+    run_figure,
 )
 from repro.experiments.sched_policy_ab import (
     midtier_tail_degradation,
@@ -41,16 +42,18 @@ def main() -> None:
 
     # 2. Blocking vs polling reception.
     print(f"\n[2/3] blocking vs polling reception ({SERVICE})")
-    bp = run_block_poll(SERVICE, loads=(200.0, 5_000.0), min_queries=400)
-    print(format_block_poll(bp))
+    block_poll = FIGURES["block-poll"]
+    bp = run_figure(block_poll, SERVICE, loads=(200.0, 5_000.0), min_queries=400)
+    print(render(block_poll, bp))
     print("  -> polling trades futex wakeups for burned CPU; the paper "
           "suggests switching dynamically")
 
     # 3. Worker pool sweep.
     print(f"\n[3/3] worker-pool sizing ({SERVICE} @ 5K QPS)")
-    sweep = run_poolsize(SERVICE, worker_counts=(1, 4, 16, 48), qps=5_000.0,
-                         min_queries=500)
-    print(format_poolsize(sweep))
+    poolsize = FIGURES["poolsize"]
+    sweep = run_figure(poolsize, SERVICE, loads=5_000.0, min_queries=500,
+                       runtimes=pool_sizes((1, 4, 16, 48)))
+    print(render(poolsize, sweep))
     print(f"  -> best pool: {best_pool_size(sweep)} workers "
           "(bigger pools buy no latency, only futex/HITM contention)")
 

@@ -12,24 +12,27 @@ cell — seeded cluster + service ``runner.build_cluster`` (context manager),
 or graph, pinned arrivals,      ``runner.loadgen``, ``runner.measure_saturation``,
 shared extractions              ``characterize`` / ``characterize_grid``
 ``Experiment`` — run, format,   ``runner.Experiment`` + ``runner.Flag``;
-gate, record, flags, pinned     one ``EXPERIMENT`` value per command, defined
-drift cell                      in the module that implements it (below)
+gate, record, flags, pinned     one value per command, defined in the
+drift cell                      module that implements it (below)
+figure — a paper figure or      one row of ``figures.FIGURES``: variants,
+§VII ablation as a *view* over  loads, columns, footer; ``run_figure`` /
+one characterization grid       ``render`` / ``experiment`` serve every row
 registry — the one table        ``registry.EXPERIMENTS``
 front ends derived from it      ``cli`` (parser + dispatch), ``drift``
                                 (artifact gate); CI runs both
 ==============================  ==============================================
 
-Command modules, each exporting ``EXPERIMENT``:
+Command modules:
 
-* paper figures — ``fig09_saturation``, ``fig10_latency``,
-  ``fig11_14_syscalls``, ``fig15_18_os_overheads``, ``fig19_contention``,
-  ``sched_policy_ab`` (§VI headline), ``load_sweep``;
-* §VII ablations — ``ablation_block_poll``, ``ablation_inline_dispatch``,
-  ``ablation_poolsize``, ``ablation_adaptive``, ``ablation_compression``;
-* sweeps with a committed ``BENCH_*.json`` — ``fault_sweep``,
-  ``scale_sweep``, ``cache_sweep``, ``trace_sweep``, ``graph_sweep``,
-  ``autoscale_sweep``, ``energy_sweep``; plus ``perf_engine``
-  (wall-clock, drift-exempt) and ``figure_smoke`` (CI shape gate).
+* ``figures`` — the paper's Figs. 9-19, the §VII block/poll,
+  in-line/dispatch, pool-size and adaptive ablations and the load sweep,
+  as ``figures.EXPERIMENTS`` (one entry per ``FIGURES`` row), plus the
+  paper-claim measures those figures own;
+* one ``EXPERIMENT`` each — ``sched_policy_ab`` (§VI headline),
+  ``ablation_compression``, the sweeps with a committed ``BENCH_*.json``
+  (``fault_sweep``, ``scale_sweep``, ``cache_sweep``, ``trace_sweep``,
+  ``graph_sweep``, ``autoscale_sweep``, ``energy_sweep``) and
+  ``figure_smoke`` (CI shape gate).
 
 Support: ``schema`` (artifact validation), ``tables`` / ``plots`` (text
 rendering).

@@ -151,16 +151,3 @@ def characterize_grid(
         }
         for variant, (service, scale) in variants.items()
     }
-
-
-def characterize_services(
-    services: Iterable[str],
-    loads: Iterable[float] = PAPER_LOADS,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    min_queries: int = 600,
-) -> Dict[str, Dict[float, CharacterizationResult]]:
-    """The paper figures' grid: every service × load at one scale."""
-    return characterize_grid(
-        {name: (name, scale) for name in services}, loads, seed, min_queries
-    )

@@ -11,14 +11,14 @@ Examples::
     usuite block-poll --service hdsearch
     usuite inline-dispatch --service router
     usuite poolsize --service setalgebra --qps 5000
-    usuite perf --output BENCH_engine.json
     usuite faults --output BENCH_faults.json
     usuite energy --output BENCH_energy.json
     usuite figure-smoke --output smoke.json
     usuite all            # every artifact, in order (slow)
 
 Nothing here knows any command: the parser and the dispatch are derived
-from the :mod:`repro.experiments.registry` table.  Each
+from the :mod:`repro.experiments.registry` table (the paper-figure
+commands above are rows of :data:`repro.experiments.figures.FIGURES`).  Each
 :class:`~repro.experiments.runner.Experiment` declares its flags; the
 CLI passes through every flag that is not None as the keyword its
 :class:`~repro.experiments.runner.Flag` names, and exits with the

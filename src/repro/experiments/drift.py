@@ -11,9 +11,6 @@ fails on any byte difference in the canonical JSON, so a simulator change
 that silently shifts committed numbers turns CI red instead of rotting
 the artifacts.
 
-``BENCH_engine.json`` is exempt by design: it records wall-clock
-throughput, which is hardware-dependent and cannot be byte-stable.
-
 Run as ``python -m repro.experiments.drift [ARTIFACT ...]``; with no
 arguments it checks every known artifact present in the working
 directory.  Exit 0 when everything reproduces, 1 on drift.
@@ -31,9 +28,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import Experiment
 from repro.telemetry import TelemetryConfig
-
-#: Artifacts with wall-clock (hardware-dependent) numbers: never gated.
-EXEMPT = ("BENCH_engine.json",)
 
 #: artifact file name -> the experiment whose pinned cell reproduces it.
 PINNED: Dict[str, Experiment] = {
@@ -106,9 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     failed = False
     for path in paths:
-        if path.name in EXEMPT:
-            print(f"{path}: exempt (wall-clock numbers), skipped")
-            continue
         if not path.exists():
             print(f"{path}: missing")
             failed = True
@@ -123,4 +114,4 @@ if __name__ == "__main__":  # pragma: no cover - exercised via CI
     sys.exit(main())
 
 
-__all__ = ["EXEMPT", "PINNED", "check_artifact", "main"]
+__all__ = ["PINNED", "check_artifact", "main"]

@@ -24,8 +24,11 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.experiments import runner
 from repro.experiments.characterize import characterize
-from repro.experiments.fig09_saturation import saturation_throughput
-from repro.experiments.fig15_18_os_overheads import active_exe_dominates
+from repro.experiments.figures import (
+    active_exe_dominates,
+    low_load_median_inflation,
+    saturation_throughput,
+)
 from repro.experiments.tables import render_table
 
 #: Two services keep the job under a minute; the invariants are
@@ -76,9 +79,7 @@ def run_figure_smoke(
             service, scale=scale, seed=seed,
             duration_us=SMOKE_DURATION_US, warmup_us=SMOKE_WARMUP_US,
         )
-        inflation = (
-            low.e2e.median / mid.e2e.median if mid.e2e.median > 0 else 0.0
-        )
+        inflation = low_load_median_inflation({100.0: low, 1_000.0: mid})
         metrics[service] = {
             "median_100qps_us": low.e2e.median,
             "median_1000qps_us": mid.e2e.median,

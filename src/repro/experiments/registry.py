@@ -1,10 +1,12 @@
 """The one table of ``usuite`` commands.
 
 Every command is an :class:`~repro.experiments.runner.Experiment` value
-defined beside the code it runs; this module only lists them.  The CLI
-parser and dispatch (:mod:`repro.experiments.cli`) and the artifact-drift
-gate (:mod:`repro.experiments.drift`) are derived from :data:`EXPERIMENTS`,
-so adding a command is one ``Experiment`` plus one line here.
+defined beside the code it runs — the paper-figure commands as rows of
+:data:`repro.experiments.figures.FIGURES` — and this module only lists
+them.  The CLI parser and dispatch (:mod:`repro.experiments.cli`) and the
+artifact-drift gate (:mod:`repro.experiments.drift`) are derived from
+:data:`EXPERIMENTS`, so adding a command is one ``Experiment`` (or one
+``FIGURES`` row) plus one line here.
 """
 
 from __future__ import annotations
@@ -12,43 +14,28 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.experiments import (
-    ablation_adaptive,
-    ablation_block_poll,
     ablation_compression,
-    ablation_inline_dispatch,
-    ablation_poolsize,
     autoscale_sweep,
     cache_sweep,
     energy_sweep,
     fault_sweep,
-    fig09_saturation,
-    fig10_latency,
-    fig11_14_syscalls,
-    fig15_18_os_overheads,
-    fig19_contention,
     figure_smoke,
+    figures,
     graph_sweep,
-    load_sweep,
-    perf_engine,
     runner,
     scale_sweep,
     sched_policy_ab,
     trace_sweep,
 )
 
+FIG = figures.EXPERIMENTS
+
 #: What ``usuite all`` regenerates, in order: the paper's figures, the
 #: headline A/B, and the §VII ablations.
 PAPER_ARTIFACTS: Tuple[runner.Experiment, ...] = (
-    fig09_saturation.EXPERIMENT,
-    fig10_latency.EXPERIMENT,
-    fig11_14_syscalls.EXPERIMENT,
-    fig15_18_os_overheads.EXPERIMENT,
-    fig19_contention.EXPERIMENT,
+    FIG["fig9"], FIG["fig10"], FIG["syscalls"], FIG["overheads"], FIG["fig19"],
     sched_policy_ab.EXPERIMENT,
-    ablation_block_poll.EXPERIMENT,
-    ablation_inline_dispatch.EXPERIMENT,
-    ablation_poolsize.EXPERIMENT,
-    ablation_adaptive.EXPERIMENT,
+    FIG["block-poll"], FIG["inline-dispatch"], FIG["poolsize"], FIG["adaptive"],
 )
 
 
@@ -63,9 +50,8 @@ def run_all(scale: str = "small", seed: int = 0) -> None:
 
 EXPERIMENTS: Tuple[runner.Experiment, ...] = PAPER_ARTIFACTS + (
     ablation_compression.EXPERIMENT,
-    load_sweep.EXPERIMENT,
+    FIG["sweep"],
     trace_sweep.EXPERIMENT,
-    perf_engine.EXPERIMENT,
     fault_sweep.EXPERIMENT,
     scale_sweep.EXPERIMENT,
     cache_sweep.EXPERIMENT,

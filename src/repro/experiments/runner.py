@@ -215,11 +215,12 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type: a strictly positive float (durations, ticks, windows).
+    """argparse type: a strictly positive float (loads, durations, ticks,
+    windows).
 
     Non-positive values exit with code 2 (argparse's usage-error code)
-    instead of producing a zero-length measurement window or an
-    un-armable controller tick deep inside a sweep.
+    instead of producing a zero-length measurement window, a division by
+    a zero load or an un-armable controller tick deep inside a sweep.
     """
     try:
         value = float(text)
@@ -282,13 +283,17 @@ def loads_flag(
 ) -> Flag:
     """The QPS grid every latency sweep iterates."""
     return Flag(
-        "--loads", nargs="+", type=float, help=help,
+        "--loads", nargs="+", type=positive_float, help=help,
         default=list(default) if default is not None else None,
     )
 
 
-def qps_flag(default: Optional[float], help: Optional[str] = None) -> Flag:
-    return Flag("--qps", type=float, default=default, help=help)
+def qps_flag(
+    default: Optional[float], help: Optional[str] = None, param: str = "qps"
+) -> Flag:
+    return Flag(
+        "--qps", param=param, type=positive_float, default=default, help=help
+    )
 
 
 def duration_flag(

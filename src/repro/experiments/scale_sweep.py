@@ -413,8 +413,8 @@ EXPERIMENT = runner.Experiment(
         runner.SCALE, runner.SEED, runner.service_flag(),
         runner.loads_flag(None, help="offered loads in QPS for the tail cells"),
         runner.duration_flag(), runner.TELEMETRY,
-        runner.Flag("--replicas", param="replica_counts", nargs="+", type=int,
-                    default=None,
+        runner.Flag("--replicas", param="replica_counts", nargs="+",
+                    type=runner.positive_int, default=None,
                     help="replica counts to sweep (default: 1 2 3)"),
         runner.Flag("--policies", nargs="+", default=None, metavar="POLICY",
                     help="balancing policies (default: all four)"),

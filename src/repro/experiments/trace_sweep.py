@@ -1,6 +1,6 @@
 """Per-request critical-path trace sweep (``usuite trace``).
 
-:mod:`repro.experiments.fig15_18_os_overheads` reproduces the paper's
+``usuite overheads`` (:mod:`repro.experiments.figures`) reproduces the paper's
 *aggregate* OS-overhead distributions; :mod:`repro.telemetry.critpath`
 decomposes each *sampled request's* round trip into the same categories.
 This sweep runs the attribution engine across all four services at the

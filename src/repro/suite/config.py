@@ -57,6 +57,11 @@ class TopologyConfig:
     # McRouter-alike saturates.
     router_midtier_cores: int = 4
 
+    def __post_init__(self):
+        for name, count in asdict(self).items():
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1: {count}")
+
 
 @dataclass(frozen=True)
 class LbConfig:

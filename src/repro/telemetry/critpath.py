@@ -1,6 +1,6 @@
 """Per-request critical-path attribution.
 
-:mod:`repro.experiments.fig15_18_os_overheads` reproduces the paper's
+``usuite overheads`` (:mod:`repro.experiments.figures`) reproduces the paper's
 *aggregate* OS-overhead breakdown: summed histograms of softirq service,
 runqueue wait, and wire time across a whole run.  This module answers
 the per-request question — where did THIS query's tail latency go? — by
@@ -252,7 +252,7 @@ def crosscheck(
 
     For each softirq category the per-trace (unclipped) segment sums over
     ``machines`` are compared against the run's interrupt histograms — the
-    same numbers :mod:`~repro.experiments.fig15_18_os_overheads` plots.
+    same numbers ``usuite overheads`` (Figs. 15-18) plots.
     ``active_exe`` is compared against the telemetry ``attributed``
     channel, which records the identical microseconds at the stamping
     site, and additionally reported as coverage of the full runqueue-wait

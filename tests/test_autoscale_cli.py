@@ -70,7 +70,6 @@ def test_cli_autoscale_unknown_scale_exits_2(capsys):
     ["autoscale", "--base-qps", "0"],
     ["fig9", "--duration-us", "0"],
     ["fig9", "--duration-us", "-1"],
-    ["perf", "--duration-us", "0"],
     ["faults", "--duration-us", "-100"],
     ["scale", "--duration-us", "0"],
     ["cache", "--duration-us", "-0.5"],

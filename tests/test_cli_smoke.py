@@ -104,6 +104,41 @@ def test_scale_schema_rejects_malformed_artifact():
         )
 
 
+# -- non-positive loads and replica counts exit 2 everywhere ----------------
+
+@pytest.mark.parametrize("argv", [
+    ["fig10", "--loads", "0"],
+    ["syscalls", "--loads", "100", "0"],
+    ["block-poll", "--loads", "-1"],
+    ["poolsize", "--qps", "0"],
+    ["sweep", "--loads", "-5"],
+    ["headline", "--loads", "0"],
+    ["faults", "--qps", "0"],
+    ["cache", "--loads", "0"],
+    ["trace", "--loads", "0"],
+    ["scale", "--loads", "0"],
+    ["graph", "--qps", "0"],
+    ["energy", "--qps", "0"],
+])
+def test_cli_rejects_non_positive_loads(argv, capsys):
+    # Parent: a traceback — ZeroDivisionError in default_duration_us or a
+    # bare ValueError from the load generator — for all but graph and
+    # energy, whose run guards already turned a zero rate into exit 2.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "must be a positive value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0", "-2"])
+def test_cli_scale_rejects_non_positive_replicas(bad, capsys):
+    # Parent: IndexError on ``self.runtimes[0]`` inside suite/cluster.py.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scale", "--scale", "unit", "--replicas", bad])
+    assert excinfo.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 # -- usuite cache -----------------------------------------------------------
 
 def test_cli_cache_happy_path(tmp_path, capsys):
@@ -250,10 +285,9 @@ def test_cli_graph_rejects_bad_params(capsys):
     # Intensity outside (0, 1] -> exit 2.
     assert main(["graph", "--intensity", "1.5"]) == 2
     assert "intensity" in capsys.readouterr().err
-    # A zero rate reaches the guard instead of silently running the default.
-    assert main(["graph", "--qps", "0"]) == 2
-    assert "qps" in capsys.readouterr().err
-    assert main(["energy", "--qps", "0", "--lowload-qps", "0"]) == 2
+    # A zero low-load rate reaches the guard instead of silently running
+    # the default (--qps itself is rejected by the flag vocabulary, below).
+    assert main(["energy", "--lowload-qps", "0"]) == 2
     assert "qps" in capsys.readouterr().err
 
 

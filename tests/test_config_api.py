@@ -8,6 +8,7 @@ overriding, or deserialising with one raises ``TypeError``.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,25 @@ def test_nested_construction_does_not_warn():
 def test_trace_config_validates(kwargs):
     with pytest.raises(ValueError):
         TraceConfig(enabled=True, **kwargs)
+
+
+@pytest.mark.parametrize("field", [
+    "n_leaves", "leaf_cores", "midtier_cores", "midtier_replicas",
+    "router_shards", "router_replicas", "router_leaf_cores",
+    "router_midtier_cores",
+])
+def test_topology_config_rejects_counts_below_one(field):
+    # Parent: accepted, then IndexError on ``runtimes[0]`` at build time.
+    with pytest.raises(ValueError, match=f"{field} must be >= 1: 0"):
+        TopologyConfig(**{field: 0})
+    # The same check guards the two other ways a topology is made.
+    small = SCALES["small"]
+    with pytest.raises(ValueError, match=field):
+        ServiceScale.from_dict(
+            {**small.to_dict(), "topology": {**small.to_dict()["topology"], field: -1}}
+        )
+    with pytest.raises(ValueError, match=field):
+        small.with_overrides(topology=replace(small.topology, **{field: 0}))
 
 
 # -- the package's public surface -------------------------------------------

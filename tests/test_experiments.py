@@ -6,15 +6,21 @@ import pytest
 
 from repro.experiments import characterize, drift, registry
 from repro.experiments.characterize import OVERHEAD_KINDS, default_duration_us
-from repro.experiments.fig09_saturation import format_fig09, saturation_throughput
-from repro.experiments.fig10_latency import format_fig10, low_load_median_inflation
-from repro.experiments.fig11_14_syscalls import (
+from repro.experiments.figures import (
+    FIGURES,
     REPORTED_SYSCALLS,
+    active_exe_dominates,
+    default_sweep_loads,
     dominant_syscall,
+    format_fig09,
+    format_overheads,
     format_syscall_profile,
+    knee_load,
+    low_load_median_inflation,
+    rates_per_second,
+    render,
+    saturation_throughput,
 )
-from repro.experiments.fig15_18_os_overheads import active_exe_dominates, format_overheads
-from repro.experiments.fig19_contention import format_fig19, rates_per_second
 from repro.experiments.sched_policy_ab import (
     POLICY_FACTORIES,
     free_scheduler_costs,
@@ -92,12 +98,12 @@ def test_saturation_measurement_reasonable():
 
 def test_format_helpers_render(cell_low, cell_mid):
     by_load = {200.0: cell_low, 1_500.0: cell_mid}
-    assert "service" in format_fig10({"hdsearch": by_load})
+    assert "service" in render(FIGURES["fig10"], {"hdsearch": by_load})
     table = format_syscall_profile("hdsearch", by_load)
     assert "futex" in table and "Fig. 11" in table
     table = format_overheads("hdsearch", by_load)
     assert "active_exe" in table and "retransmissions" in table
-    assert "HITM/s" in format_fig19({"hdsearch": by_load})
+    assert "HITM/s" in render(FIGURES["fig19"], {"hdsearch": by_load})
     assert "ratio" in format_fig09({"hdsearch": 11_000.0})
     for syscall in ("futex", "sendmsg"):
         assert syscall in REPORTED_SYSCALLS
@@ -142,7 +148,7 @@ def test_render_table_alignment():
 COMMANDS = (
     "fig9", "fig10", "syscalls", "overheads", "fig19", "headline",
     "block-poll", "inline-dispatch", "poolsize", "adaptive", "compression",
-    "sweep", "trace", "perf", "faults", "scale", "cache", "autoscale",
+    "sweep", "trace", "faults", "scale", "cache", "autoscale",
     "graph", "energy", "figure-smoke", "all",
 )
 
@@ -184,16 +190,12 @@ def test_cli_rejects_unknown_service():
 
 
 def test_load_sweep_helpers(cell_low, cell_mid):
-    from repro.experiments.load_sweep import (
-        default_sweep_loads, format_load_sweep, knee_load,
-    )
-
     loads = default_sweep_loads("hdsearch")
     assert loads[0] < loads[-1] <= 11_500
     # Reuse the two shared characterizations as a two-point sweep.
     sweep = {200.0: cell_low, 1_500.0: cell_mid}
-    table = format_load_sweep(sweep)
-    assert "p99 vs load" in table and "Active-Exe" in table
+    text = render(FIGURES["sweep"], {"hdsearch": sweep})
+    assert "p99 vs load" in text and "Active-Exe" in text
     assert knee_load(sweep, factor=0.5) in sweep
     assert knee_load(sweep, factor=1e9) == 1_500.0  # never exceeds -> last
 
