@@ -22,10 +22,10 @@ timestamps, so the account itself is bit-deterministic and
 power-model-independent.
 
 Accounting is strictly passive: it never touches the event calendar,
-never draws randomness, and tees its observations into the telemetry
-hub through the ordinary ``record``/``incr`` probes — which is what
-makes the buffered and streaming telemetry views of energy provably
-identical (the streaming fold replays those same calls in order).
+never draws randomness and never reads or writes the telemetry hub — a
+window's energy is the difference of two :meth:`snapshot` calls, which
+is why the buffered and streaming telemetry modes report identical
+energy (the aggregation mode cannot reach the account).
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class MachineEnergy:
         "_thresholds",
         "_busy_from",
         "_idle_from",
-        "_telemetry",
     )
 
-    def __init__(self, name: str, n_cores: int, costs: OsCosts, telemetry=None):
+    def __init__(self, name: str, n_cores: int, costs: OsCosts):
         self.name = name
         self.n_cores = n_cores
         self._thresholds: Tuple[Tuple[str, float], ...] = tuple(
@@ -92,7 +91,6 @@ class MachineEnergy:
         }
         self._busy_from: List[float] = [0.0] * n_cores
         self._idle_from: List[Optional[float]] = [0.0] * n_cores
-        self._telemetry = telemetry
 
     # -- scheduler hooks ---------------------------------------------------
     def on_wake(
@@ -107,13 +105,7 @@ class MachineEnergy:
             self._thresholds, now - idle_start
         ):
             self.idle_us[portion_state] += portion
-            if self._telemetry is not None:
-                self._telemetry.record(
-                    f"energy_idle:{self.name}:{portion_state}", portion
-                )
         self.wake_counts[state] += 1
-        if self._telemetry is not None:
-            self._telemetry.incr(f"energy_wake:{self.name}:{state}")
         self._busy_from[core_index] = now
         self._idle_from[core_index] = None
 
@@ -123,8 +115,6 @@ class MachineEnergy:
             return  # already idle (paired with the scheduler's own guard)
         span = now - self._busy_from[core_index]
         self.active_us += span
-        if self._telemetry is not None:
-            self._telemetry.record(f"energy_active:{self.name}", span)
         self._idle_from[core_index] = now
 
     # -- snapshots ---------------------------------------------------------
@@ -158,6 +148,8 @@ class EnergyAccount:
     """All machines' energy accounts for one cluster."""
 
     def __init__(self, config: EnergyConfig, costs: OsCosts, telemetry=None):
+        # ``telemetry`` is unused (the account never tees); still accepted
+        # because benchmarks/perf passes it.
         if not config.enabled:
             raise ValueError("EnergyAccount requires an enabled EnergyConfig")
         # Fail fast if the cost model has a C-state the power model
@@ -168,15 +160,12 @@ class EnergyAccount:
         self.config = config
         self.costs = costs
         self.machines: Dict[str, MachineEnergy] = {}
-        self._telemetry = telemetry
 
     def add_machine(self, name: str, n_cores: int) -> MachineEnergy:
         """Register one machine; returns the account its scheduler hooks."""
         if name in self.machines:
             raise ValueError(f"machine already registered: {name}")
-        machine = MachineEnergy(
-            name, n_cores, self.costs, telemetry=self._telemetry
-        )
+        machine = MachineEnergy(name, n_cores, self.costs)
         self.machines[name] = machine
         return machine
 

@@ -8,18 +8,25 @@ Mechanism                       Where
 drive — the one warm-up /       ``repro.suite.cluster.drive`` (plus the
 window / drain loop             ``run_open_loop`` / ``run_closed_loop``
                                 constructors over it)
-cell — seeded cluster + service ``runner.build_cluster`` (context manager),
-or graph, pinned arrivals,      ``runner.loadgen``, ``runner.measure_saturation``,
-shared extractions              ``characterize`` / ``characterize_grid``
+cell — seeded cluster + service ``runner.open_loop_cell`` (the one open-loop
+or graph, pinned arrivals,      cell, over ``runner.build_cluster``);
+shared extractions              ``runner.loadgen`` for custom generators;
+                                ``runner.measure_saturation``,
+                                ``characterize`` / ``characterize_grid``
 ``Experiment`` — run, format,   ``runner.Experiment`` + ``runner.Flag``;
 gate, record, flags, pinned     one value per command, defined in the
 drift cell                      module that implements it (below)
+artifact experiment — a sweep   ``run`` returns the JSON document it records;
+is its document                 ``acceptance(doc)`` / ``format(doc)`` are pure,
+                                so they also serve ``json.load(BENCH_x.json)``;
+                                ``runner.double_run`` builds ``reproducibility``
 figure — a paper figure or      one row of ``figures.FIGURES``: variants,
 §VII ablation as a *view* over  loads, columns, footer; ``run_figure`` /
 one characterization grid       ``render`` / ``experiment`` serve every row
 registry — the one table        ``registry.EXPERIMENTS``
 front ends derived from it      ``cli`` (parser + dispatch), ``drift``
-                                (artifact gate); CI runs both
+                                (offline gate re-check + pinned-cell re-run);
+                                CI runs both
 ==============================  ==============================================
 
 Command modules:

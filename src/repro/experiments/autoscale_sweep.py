@@ -30,8 +30,8 @@ from scratch and must be bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.control import ControlConfig
 from repro.experiments import runner
@@ -82,9 +82,6 @@ HEDGE_PCT_OVERLOAD = 99.0
 HEDGE_PCT_BASELINE = 95.0
 BATCH_MAX_OVERLOAD = 8
 BATCH_MAX_BASELINE = 4
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_autoscale.json"
 
 #: Acceptance gates (see module docstring).
 RECOVERY_GATE = 0.75
@@ -155,53 +152,30 @@ class AutoscaleCell:
     controller: Optional[Dict[str, object]] = None
 
 
-@dataclass
-class AutoscaleReport:
-    """The static grid, the controller cell, and its double run."""
+def best_static(doc: dict) -> dict:
+    return min(doc["static_grid"], key=lambda cell: cell["p99_us"])
 
-    service: str
-    scale: str
-    seed: int
-    duration_us: float
-    tick_us: float
-    window_us: float
-    base_qps: float
-    amplitude: float
-    statics: List[AutoscaleCell] = field(default_factory=list)
-    controller_first: Optional[AutoscaleCell] = None
-    controller_second: Optional[AutoscaleCell] = None
 
-    @property
-    def controller_cell(self) -> AutoscaleCell:
-        return self.controller_first
+def worst_static(doc: dict) -> dict:
+    return max(doc["static_grid"], key=lambda cell: cell["p99_us"])
 
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.controller_first) == asdict(self.controller_second)
 
-    def best_static(self) -> AutoscaleCell:
-        return min(self.statics, key=lambda cell: cell.p99_us)
+def p99_recovery(doc: dict) -> float:
+    """Fraction of the worst→best static p99 gap the controller closes."""
+    worst = worst_static(doc)["p99_us"]
+    best = best_static(doc)["p99_us"]
+    ctrl = doc["controller"]["p99_us"]
+    if worst <= best:
+        return 1.0 if ctrl <= best else 0.0
+    return (worst - ctrl) / (worst - best)
 
-    def worst_static(self) -> AutoscaleCell:
-        return max(self.statics, key=lambda cell: cell.p99_us)
 
-    @property
-    def p99_recovery(self) -> float:
-        """Fraction of the worst→best static p99 gap the controller closes."""
-        worst = self.worst_static().p99_us
-        best = self.best_static().p99_us
-        ctrl = self.controller_cell.p99_us
-        if worst <= best:
-            return 1.0 if ctrl <= best else 0.0
-        return (worst - ctrl) / (worst - best)
-
-    @property
-    def replica_seconds_savings(self) -> float:
-        """1 − controller cost / best-static cost, over the window."""
-        best = self.best_static().replica_seconds
-        if best <= 0:
-            return 0.0
-        return 1.0 - self.controller_cell.replica_seconds / best
+def replica_seconds_savings(doc: dict) -> float:
+    """1 − controller cost / best-static cost, over the window."""
+    best = best_static(doc)["replica_seconds"]
+    if best <= 0:
+        return 0.0
+    return 1.0 - doc["controller"]["replica_seconds"] / best
 
 
 def diurnal_curve(
@@ -313,8 +287,9 @@ def run_autoscale_sweep(
     window_us: float = DEFAULT_WINDOW_US,
     static_replicas: Iterable[int] = STATIC_REPLICAS,
     telemetry=None,
-) -> AutoscaleReport:
-    """The full grid plus the controller cell, run twice."""
+) -> dict:
+    """The full grid plus the controller cell, run twice, as the JSON
+    artifact (validates against bench_autoscale.schema.json)."""
     if base_qps <= 0:
         raise runner.UsageError(f"base-qps must be positive: {base_qps}")
     if not 0.0 <= amplitude <= 1.0:
@@ -330,127 +305,39 @@ def run_autoscale_sweep(
         raise runner.UsageError(
             f"static replica counts must be >= 1: {static_replicas}"
         )
-    report = AutoscaleReport(
-        service=service,
-        scale=scale if isinstance(scale, str) else scale.name,
-        seed=seed,
-        duration_us=duration_us,
-        tick_us=tick_us,
-        window_us=window_us,
-        base_qps=base_qps,
-        amplitude=amplitude,
-    )
-    for n in static_replicas:
-        cfg = static_scale(n, scale=scale, service=service)
-        report.statics.append(
-            measure_cell(
-                f"static-{n}", cfg, n,
-                base_qps=base_qps, amplitude=amplitude, service=service,
-                seed=seed, duration_us=duration_us, telemetry=telemetry,
-            )
+    statics = [
+        measure_cell(
+            f"static-{n}", static_scale(n, scale=scale, service=service), n,
+            base_qps=base_qps, amplitude=amplitude, service=service,
+            seed=seed, duration_us=duration_us, telemetry=telemetry,
         )
-    report.controller_first, report.controller_second = (
-        controller_cell(
+        for n in static_replicas
+    ]
+    reproducibility = runner.double_run(
+        lambda: controller_cell(
             max(static_replicas), service=service, scale=scale, seed=seed,
             base_qps=base_qps, amplitude=amplitude, duration_us=duration_us,
             tick_us=tick_us, window_us=window_us, telemetry=telemetry,
         )
-        for _ in range(2)
     )
-    return report
-
-
-def acceptance(report: AutoscaleReport) -> Dict[str, object]:
-    """The checks committed alongside the data."""
-    recovery = report.p99_recovery
-    savings = report.replica_seconds_savings
-    checks = {
-        "worst_static_p99_us": round(report.worst_static().p99_us, 1),
-        "best_static_p99_us": round(report.best_static().p99_us, 1),
-        "best_static_label": report.best_static().label,
-        "controller_p99_us": round(report.controller_cell.p99_us, 1),
-        "p99_recovery": round(recovery, 4),
-        "recovery_gate": RECOVERY_GATE,
-        "best_static_replica_seconds": round(
-            report.best_static().replica_seconds, 4
-        ),
-        "controller_replica_seconds": round(
-            report.controller_cell.replica_seconds, 4
-        ),
-        "replica_seconds_savings": round(savings, 4),
-        "savings_gate": SAVINGS_GATE,
-        "scale_ups": report.controller_cell.controller["scale_ups"],
-        "scale_downs": report.controller_cell.controller["scale_downs"],
-        "bit_reproducible": report.bit_reproducible,
-    }
-    checks["pass"] = bool(
-        recovery >= RECOVERY_GATE
-        and savings >= SAVINGS_GATE
-        and report.bit_reproducible
-    )
-    return checks
-
-
-def format_autoscale(report: AutoscaleReport) -> str:
-    """The sweep as a cost/latency table plus the controller's timeline."""
-    rows = []
-    for cell in report.statics + [report.controller_cell]:
-        rows.append(
-            (
-                cell.label,
-                cell.completed,
-                round(cell.p50_us),
-                round(cell.p99_us),
-                f"{cell.replica_seconds:.3f}",
-            )
-        )
-    out = [
-        f"diurnal ({report.base_qps:g} QPS base, amplitude "
-        f"{report.amplitude:g}) + mid-tier antagonist:",
-        render_table(
-            ("cell", "done", "p50 us", "p99 us", "replica-s"), rows
-        ),
-    ]
-    ctrl = report.controller_cell.controller or {}
-    events = ctrl.get("scale_events", [])
-    if events:
-        out.append("")
-        out.append("controller scale events (t_us, direction, admitting):")
-        out.append(
-            "  " + "; ".join(
-                f"{t / 1e3:.0f}ms {kind}->{n}" for t, kind, n in events
-            )
-        )
-    out.append("")
-    out.append(
-        f"p99 recovery {report.p99_recovery:.1%} "
-        f"(gate {RECOVERY_GATE:.0%}), replica-seconds savings "
-        f"{report.replica_seconds_savings:.1%} (gate {SAVINGS_GATE:.0%}), "
-        + ("bit-identical" if report.bit_reproducible else "DIVERGED")
-    )
-    return "\n".join(out)
-
-
-def to_document(report: AutoscaleReport) -> dict:
-    """The JSON artifact (validates against bench_autoscale.schema.json)."""
-    checks = acceptance(report)
-    return {
+    scale_name = scale if isinstance(scale, str) else scale.name
+    doc = {
         "benchmark": (
-            f"closed-loop autoscaling on {report.service}, "
-            f"scale={report.scale} (midtier_cores={SWEEP_MIDTIER_CORES}, "
-            f"leaf target={SWEEP_LEAF_US:g}us), seed={report.seed}"
+            f"closed-loop autoscaling on {service}, "
+            f"scale={scale_name} (midtier_cores={SWEEP_MIDTIER_CORES}, "
+            f"leaf target={SWEEP_LEAF_US:g}us), seed={seed}"
         ),
-        "service": report.service,
-        "scale": report.scale,
-        "seed": report.seed,
-        "duration_us": report.duration_us,
-        "tick_us": report.tick_us,
-        "window_us": report.window_us,
+        "service": service,
+        "scale": scale_name,
+        "seed": seed,
+        "duration_us": duration_us,
+        "tick_us": tick_us,
+        "window_us": window_us,
         "traffic": {
             "curve": "diurnal",
-            "base_qps": report.base_qps,
-            "amplitude": report.amplitude,
-            "period_us": report.duration_us,
+            "base_qps": base_qps,
+            "amplitude": amplitude,
+            "period_us": duration_us,
         },
         "antagonist": {
             "kind": "midtier_pressure",
@@ -468,15 +355,79 @@ def to_document(report: AutoscaleReport) -> dict:
             "batch_max_overload": BATCH_MAX_OVERLOAD,
             "batch_max_baseline": BATCH_MAX_BASELINE,
         },
-        "static_grid": [asdict(cell) for cell in report.statics],
-        "controller": asdict(report.controller_cell),
-        "reproducibility": {
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.controller_first),
-            "second": asdict(report.controller_second),
-        },
-        "acceptance": checks,
+        "static_grid": [asdict(cell) for cell in statics],
+        "controller": reproducibility["first"],
+        "reproducibility": reproducibility,
     }
+    doc["acceptance"] = acceptance(doc)
+    return doc
+
+
+def acceptance(doc: dict) -> Dict[str, object]:
+    """The checks committed alongside the data."""
+    recovery = p99_recovery(doc)
+    savings = replica_seconds_savings(doc)
+    best, controller = best_static(doc), doc["controller"]
+    reproducible = doc["reproducibility"]["bit_identical"]
+    checks = {
+        "worst_static_p99_us": round(worst_static(doc)["p99_us"], 1),
+        "best_static_p99_us": round(best["p99_us"], 1),
+        "best_static_label": best["label"],
+        "controller_p99_us": round(controller["p99_us"], 1),
+        "p99_recovery": round(recovery, 4),
+        "recovery_gate": RECOVERY_GATE,
+        "best_static_replica_seconds": round(best["replica_seconds"], 4),
+        "controller_replica_seconds": round(controller["replica_seconds"], 4),
+        "replica_seconds_savings": round(savings, 4),
+        "savings_gate": SAVINGS_GATE,
+        "scale_ups": controller["controller"]["scale_ups"],
+        "scale_downs": controller["controller"]["scale_downs"],
+        "bit_reproducible": reproducible,
+    }
+    checks["pass"] = bool(
+        recovery >= RECOVERY_GATE
+        and savings >= SAVINGS_GATE
+        and reproducible
+    )
+    return checks
+
+
+def format_autoscale(doc: dict) -> str:
+    """The sweep as a cost/latency table plus the controller's timeline."""
+    rows = []
+    for cell in doc["static_grid"] + [doc["controller"]]:
+        rows.append((
+            cell["label"],
+            cell["completed"],
+            round(cell["p50_us"]),
+            round(cell["p99_us"]),
+            f"{cell['replica_seconds']:.3f}",
+        ))
+    out = [
+        f"diurnal ({doc['traffic']['base_qps']:g} QPS base, amplitude "
+        f"{doc['traffic']['amplitude']:g}) + mid-tier antagonist:",
+        render_table(
+            ("cell", "done", "p50 us", "p99 us", "replica-s"), rows
+        ),
+    ]
+    ctrl = doc["controller"]["controller"] or {}
+    events = ctrl.get("scale_events", [])
+    if events:
+        out.append("")
+        out.append("controller scale events (t_us, direction, admitting):")
+        out.append(
+            "  " + "; ".join(
+                f"{t / 1e3:.0f}ms {kind}->{n}" for t, kind, n in events
+            )
+        )
+    out.append("")
+    out.append(
+        f"p99 recovery {p99_recovery(doc):.1%} "
+        f"(gate {RECOVERY_GATE:.0%}), replica-seconds savings "
+        f"{replica_seconds_savings(doc):.1%} (gate {SAVINGS_GATE:.0%}), "
+        + runner.reproduced(doc)
+    )
+    return "\n".join(out)
 
 
 def pinned(doc: dict, telemetry=None):
@@ -503,9 +454,8 @@ EXPERIMENT = runner.Experiment(
     run=run_autoscale_sweep,
     format=format_autoscale,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_autoscale.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_autoscale.json",
     pinned=pinned,
     flags=(
         runner.SCALE, runner.SEED, runner.service_flag(),

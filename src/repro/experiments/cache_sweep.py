@@ -24,7 +24,6 @@ from repro.experiments import runner
 from repro.experiments.tables import render_table
 from repro.midcache import CACHE_POLICIES
 from repro.suite import BatchConfig, CacheConfig, ServiceScale
-from repro.suite.cluster import run_open_loop
 from repro.suite.registry import SERVICE_NAMES
 
 #: The off-vs-on comparison's coalescer / cache sizing.
@@ -56,9 +55,6 @@ SATURATION_OFFERED_QPS: Dict[str, float] = {
 WARMUP_US = 200_000.0
 SATURATION_DURATION_US = 300_000.0
 DEFAULT_DURATION_US = 400_000.0
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_cache.json"
 
 #: Acceptance: batching+caching must buy at least one of these on one
 #: service's 10 K QPS cell.
@@ -120,45 +116,6 @@ class CacheCell:
     loads: List[CachePoint] = field(default_factory=list)
 
 
-@dataclass
-class CacheSweepReport:
-    """The whole sweep plus the double-run reproducibility check."""
-
-    scale: str
-    seed: int
-    duration_us: float
-    cells: List[CacheCell]
-    repro_service: str
-    repro_qps: float
-    repro_first: CachePoint
-    repro_second: CachePoint
-
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.repro_first) == asdict(self.repro_second)
-
-    def find_cell(
-        self, service: str, batch_max: int, cache_capacity: int
-    ) -> Optional[CacheCell]:
-        for cell in self.cells:
-            if (
-                cell.service == service
-                and cell.batch_max == batch_max
-                and cell.cache_capacity == cache_capacity
-            ):
-                return cell
-        return None
-
-    @staticmethod
-    def point_at(cell: Optional[CacheCell], qps: float) -> Optional[CachePoint]:
-        if cell is None:
-            return None
-        for point in cell.loads:
-            if point.qps == qps:
-                return point
-        return None
-
-
 def measure_cache_point(
     service_name: str,
     scale: ServiceScale,
@@ -173,15 +130,12 @@ def measure_cache_point(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    with runner.build_cluster(
-        service_name, scale, seed=seed, telemetry=telemetry
-    ) as (cluster, service):
-        result = run_open_loop(
-            cluster, service, qps=qps, duration_us=duration_us,
-            warmup_us=warmup_us,
-        )
+    result, _service = runner.open_loop_cell(
+        service_name, qps, duration_us, scale=scale, seed=seed,
+        warmup_us=warmup_us, telemetry=telemetry,
+    )
     per_query = result.syscalls_per_query()
-    names = service.midtier_names
+    names = result.midtier_names
     point = CachePoint(
         qps=qps,
         sent=result.sent,
@@ -233,8 +187,9 @@ def run_cache_sweep(
     axes: bool = True,
     cache_policy: str = DEFAULT_POLICY,
     telemetry=None,
-) -> CacheSweepReport:
-    """Off-vs-on per service, plus the batch-size and capacity axes."""
+) -> dict:
+    """Off-vs-on per service, plus the batch-size and capacity axes, as
+    the JSON artifact (validates against bench_cache.schema.json)."""
     services = list(services)
 
     def measure_cell(
@@ -291,58 +246,75 @@ def run_cache_sweep(
 
     # Reproducibility: run twice from scratch under the same seed.
     repro_service = services[0]
-    first, second = (
-        pinned_point(
-            repro_service, acceptance_qps, scale=scale, seed=seed,
-            duration_us=duration_us, cache_policy=cache_policy,
-            telemetry=telemetry,
-        )
-        for _ in range(2)
-    )
-    return CacheSweepReport(
-        scale=scale if isinstance(scale, str) else scale.name,
-        seed=seed,
-        duration_us=duration_us,
-        cells=cells,
-        repro_service=repro_service,
-        repro_qps=acceptance_qps,
-        repro_first=first,
-        repro_second=second,
-    )
+    scale_name = scale if isinstance(scale, str) else scale.name
+    doc = {
+        "benchmark": (
+            f"leaf-request batching + mid-tier result cache, "
+            f"scale={scale_name} (batch={DEFAULT_BATCH_MAX}, "
+            f"capacity={DEFAULT_CAPACITY} {DEFAULT_POLICY}), seed={seed}"
+        ),
+        "scale": scale_name,
+        "seed": seed,
+        "duration_us": duration_us,
+        "defaults": {
+            "batch_max": DEFAULT_BATCH_MAX,
+            "batch_max_wait_us": DEFAULT_BATCH_WAIT_US,
+            "cache_capacity": DEFAULT_CAPACITY,
+            "cache_policy": DEFAULT_POLICY,
+        },
+        "cells": [asdict(cell) for cell in cells],
+        "reproducibility": runner.double_run(
+            lambda: pinned_point(
+                repro_service, acceptance_qps, scale=scale, seed=seed,
+                duration_us=duration_us, cache_policy=cache_policy,
+                telemetry=telemetry,
+            ),
+            service=repro_service, qps=acceptance_qps,
+        ),
+    }
+    doc["acceptance"] = acceptance(doc)
+    return doc
 
 
-def acceptance(report: CacheSweepReport) -> Dict[str, object]:
+def acceptance(doc: dict) -> Dict[str, object]:
     """The checks committed alongside the data."""
-    services = sorted({cell.service for cell in report.cells})
-    qps = report.repro_qps
+    services = sorted({cell["service"] for cell in doc["cells"]})
+    qps = doc["reproducibility"]["qps"]
+    reproducible = doc["reproducibility"]["bit_identical"]
     per_service: Dict[str, Dict[str, object]] = {}
     headline = False
     futex_lower_everywhere = True
     hit_rate_positive = True
     for service in services:
-        off = report.find_cell(service, 0, 0)
-        on = report.find_cell(service, DEFAULT_BATCH_MAX, DEFAULT_CAPACITY)
+        off = runner.find_row(
+            doc["cells"], service=service, batch_max=0, cache_capacity=0
+        )
+        on = runner.find_row(
+            doc["cells"], service=service, batch_max=DEFAULT_BATCH_MAX,
+            cache_capacity=DEFAULT_CAPACITY,
+        )
         if off is None or on is None:
             continue
-        p_off = report.point_at(off, qps)
-        p_on = report.point_at(on, qps)
+        p_off = runner.find_row(off["loads"], qps=qps)
+        p_on = runner.find_row(on["loads"], qps=qps)
         if p_off is None or p_on is None:
             continue
-        saturation_gain = (
-            on.saturation_qps / off.saturation_qps if off.saturation_qps else 0.0
+        sat_off, sat_on = off["saturation_qps"], on["saturation_qps"]
+        saturation_gain = sat_on / sat_off if sat_off else 0.0
+        p99_reduction = (
+            1.0 - p_on["p99_us"] / p_off["p99_us"] if p_off["p99_us"] else 0.0
         )
-        p99_reduction = 1.0 - p_on.p99_us / p_off.p99_us if p_off.p99_us else 0.0
-        futex_lower = p_on.futex_per_query < p_off.futex_per_query
-        hit_rate = float(p_on.cache.get("hit_rate", 0.0))
+        futex_lower = p_on["futex_per_query"] < p_off["futex_per_query"]
+        hit_rate = float(p_on["cache"].get("hit_rate", 0.0))
         per_service[service] = {
-            "saturation_off_qps": round(off.saturation_qps, 1),
-            "saturation_on_qps": round(on.saturation_qps, 1),
+            "saturation_off_qps": round(sat_off, 1),
+            "saturation_on_qps": round(sat_on, 1),
             "saturation_gain": round(saturation_gain, 3),
-            "p99_off_us": round(p_off.p99_us, 1),
-            "p99_on_us": round(p_on.p99_us, 1),
+            "p99_off_us": round(p_off["p99_us"], 1),
+            "p99_on_us": round(p_on["p99_us"], 1),
             "p99_reduction": round(p99_reduction, 3),
-            "futex_off_per_query": round(p_off.futex_per_query, 2),
-            "futex_on_per_query": round(p_on.futex_per_query, 2),
+            "futex_off_per_query": round(p_off["futex_per_query"], 2),
+            "futex_on_per_query": round(p_on["futex_per_query"], 2),
             "futex_strictly_lower": futex_lower,
             "hit_rate": round(hit_rate, 3),
         }
@@ -362,34 +334,35 @@ def acceptance(report: CacheSweepReport) -> Dict[str, object]:
         "headline_win": headline,
         "futex_strictly_lower_everywhere": futex_lower_everywhere,
         "hit_rate_positive_everywhere": hit_rate_positive,
-        "bit_reproducible": report.bit_reproducible,
+        "bit_reproducible": reproducible,
     }
     checks["pass"] = bool(
         headline
         and futex_lower_everywhere
         and hit_rate_positive
-        and report.bit_reproducible
+        and reproducible
         and bool(per_service)
     )
     return checks
 
 
-def format_cache_sweep(report: CacheSweepReport) -> str:
+def format_cache_sweep(doc: dict) -> str:
     """The sweep as off-vs-on, batch-axis, and capacity-axis tables."""
     rows = []
-    for cell in report.cells:
-        for point in cell.loads:
+    for cell in doc["cells"]:
+        for point in cell["loads"]:
+            cache, batch = point["cache"], point["batch"]
             rows.append((
-                cell.service,
-                cell.batch_max or "-",
-                cell.cache_capacity or "-",
-                f"{point.qps:g}",
-                f"{cell.saturation_qps:,.0f}" if cell.saturation_qps else "-",
-                round(point.p50_us),
-                round(point.p99_us),
-                f"{point.futex_per_query:.1f}",
-                f"{point.cache.get('hit_rate', 0.0):.2f}" if point.cache else "-",
-                f"{point.batch.get('mean_occupancy', 0.0):.1f}" if point.batch else "-",
+                cell["service"],
+                cell["batch_max"] or "-",
+                cell["cache_capacity"] or "-",
+                f"{point['qps']:g}",
+                f"{cell['saturation_qps']:,.0f}" if cell["saturation_qps"] else "-",
+                round(point["p50_us"]),
+                round(point["p99_us"]),
+                f"{point['futex_per_query']:.1f}",
+                f"{cache.get('hit_rate', 0.0):.2f}" if cache else "-",
+                f"{batch.get('mean_occupancy', 0.0):.1f}" if batch else "-",
             ))
     out = ["batching x caching cells:"]
     out.append(render_table(
@@ -397,43 +370,13 @@ def format_cache_sweep(report: CacheSweepReport) -> str:
          "p99 us", "futex/q", "hit rate", "occupancy"),
         rows,
     ))
+    repro = doc["reproducibility"]
     out.append("")
     out.append(
-        f"reproducibility ({report.repro_service}, batch={DEFAULT_BATCH_MAX}, "
-        f"capacity={DEFAULT_CAPACITY} @ {report.repro_qps:g} QPS): "
-        + ("bit-identical" if report.bit_reproducible else "DIVERGED")
+        f"reproducibility ({repro['service']}, batch={DEFAULT_BATCH_MAX}, "
+        f"capacity={DEFAULT_CAPACITY} @ {repro['qps']:g} QPS): " + runner.reproduced(doc)
     )
     return "\n".join(out)
-
-
-def to_document(report: CacheSweepReport) -> dict:
-    """The JSON artifact (validates against bench_cache.schema.json)."""
-    checks = acceptance(report)
-    return {
-        "benchmark": (
-            f"leaf-request batching + mid-tier result cache, "
-            f"scale={report.scale} (batch={DEFAULT_BATCH_MAX}, "
-            f"capacity={DEFAULT_CAPACITY} {DEFAULT_POLICY}), seed={report.seed}"
-        ),
-        "scale": report.scale,
-        "seed": report.seed,
-        "duration_us": report.duration_us,
-        "defaults": {
-            "batch_max": DEFAULT_BATCH_MAX,
-            "batch_max_wait_us": DEFAULT_BATCH_WAIT_US,
-            "cache_capacity": DEFAULT_CAPACITY,
-            "cache_policy": DEFAULT_POLICY,
-        },
-        "cells": [asdict(cell) for cell in report.cells],
-        "reproducibility": {
-            "service": report.repro_service,
-            "qps": report.repro_qps,
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.repro_first),
-            "second": asdict(report.repro_second),
-        },
-        "acceptance": checks,
-    }
 
 
 def pinned(doc: dict, telemetry=None):
@@ -456,9 +399,8 @@ EXPERIMENT = runner.Experiment(
     run=run_cache_sweep,
     format=format_cache_sweep,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_cache.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_cache.json",
     pinned=pinned,
     flags=(
         runner.SCALE, runner.SEED, runner.services_flag(),
@@ -483,7 +425,7 @@ EXPERIMENT = runner.Experiment(
 __all__ = [
     "BATCH_SIZES", "CACHE_POLICIES", "CAPACITIES", "DEFAULT_BATCH_MAX",
     "DEFAULT_CAPACITY", "DEFAULT_DURATION_US", "EXPERIMENT", "LOADS",
-    "BENCH_PATH", "CacheCell", "CachePoint", "CacheSweepReport", "acceptance",
+    "CacheCell", "CachePoint", "acceptance",
     "format_cache_sweep", "measure_cache_point", "pinned", "pinned_point",
-    "run_cache_sweep", "sweep_scale", "to_document",
+    "run_cache_sweep", "sweep_scale",
 ]

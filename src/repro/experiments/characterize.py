@@ -13,7 +13,6 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.experiments import runner
 from repro.suite import ServiceScale
-from repro.suite.cluster import run_open_loop
 from repro.telemetry import LatencyHistogram
 
 #: The loads the paper characterizes (QPS).
@@ -86,23 +85,20 @@ def characterize(
     """
     if duration_us is None:
         duration_us = default_duration_us(qps)
-    with runner.build_cluster(
-        service_name, scale, seed=seed, overrides=scale_overrides,
+    result, service = runner.open_loop_cell(
+        service_name, qps, duration_us, scale=scale, seed=seed,
+        overrides=scale_overrides, warmup_us=warmup_us,
         midtier_policy=midtier_policy, tail_policy=tail_policy,
         faults=faults, telemetry=telemetry,
-    ) as (cluster, service):
-        result = run_open_loop(
-            cluster, service, qps=qps, duration_us=duration_us,
-            warmup_us=warmup_us,
-        )
-        hub = cluster.telemetry
-        mid = service.midtier_name
+    )
+    hub = result.telemetry
+    mid = service.midtier_name
 
-        overheads: Dict[str, LatencyHistogram] = {}
-        for kind in ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu"):
-            overheads[kind] = hub.irq_hist(mid, kind)
-        overheads["active_exe"] = hub.runqlat.get(mid, LatencyHistogram(1))
-        overheads["net"] = hub.hist(f"net_rpc:{mid}")
+    overheads: Dict[str, LatencyHistogram] = {}
+    for kind in ("hardirq", "net_tx", "net_rx", "block", "sched", "rcu"):
+        overheads[kind] = hub.irq_hist(mid, kind)
+    overheads["active_exe"] = hub.runqlat.get(mid, LatencyHistogram(1))
+    overheads["net"] = hub.hist(f"net_rpc:{mid}")
 
     return CharacterizationResult(
         service=service_name,

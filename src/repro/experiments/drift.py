@@ -11,9 +11,17 @@ fails on any byte difference in the canonical JSON, so a simulator change
 that silently shifts committed numbers turns CI red instead of rotting
 the artifacts.
 
+Before any simulation it re-evaluates every artifact's gates *offline*:
+the document must validate against its experiment's schema and the
+experiment's pure ``acceptance(doc)`` must reproduce the committed
+``acceptance`` block (:func:`check_gates`, milliseconds).  That catches
+what the pinned cell cannot — a hand-edited artifact, or a gate constant
+changed without re-recording.
+
 Run as ``python -m repro.experiments.drift [ARTIFACT ...]``; with no
 arguments it checks every known artifact present in the working
-directory.  Exit 0 when everything reproduces, 1 on drift.
+directory.  Exit 0 when everything reproduces, 1 on drift or on gates
+that differ.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import Experiment
+from repro.experiments.schema import SchemaError, load_schema, validate
 from repro.telemetry import TelemetryConfig
 
 #: artifact file name -> the experiment whose pinned cell reproduces it.
@@ -40,6 +49,14 @@ def _canon(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _diff_keys(fresh: dict, committed: dict) -> str:
+    """The top-level keys whose canonical JSON differs, comma-joined."""
+    return ", ".join(sorted(
+        key for key in set(fresh) | set(committed)
+        if _canon(fresh.get(key)) != _canon(committed.get(key))
+    ))
+
+
 def _compare(
     experiment: Experiment, path: Path, doc: dict, telemetry=None
 ) -> Tuple[bool, str]:
@@ -49,13 +66,23 @@ def _compare(
         label += f" ({telemetry.mode} telemetry)"
     if _canon(fresh) == _canon(committed):
         return True, f"{path}: ok ({label} reproduces byte-identically)"
-    diff_keys = sorted(
-        key for key in set(fresh) | set(committed)
-        if _canon(fresh.get(key)) != _canon(committed.get(key))
-    )
-    return False, (
-        f"{path}: DRIFT in {label}: fields differ: {', '.join(diff_keys)}"
-    )
+    return False, f"{path}: DRIFT in {label}: fields differ: {_diff_keys(fresh, committed)}"
+
+
+def check_gates(path: Path) -> Tuple[bool, str]:
+    """Offline: schema-validate one artifact and re-evaluate its gates."""
+    experiment = PINNED.get(path.name)
+    if experiment is None:
+        return True, f"{path}: no experiment registered, gates skipped"
+    doc = json.loads(path.read_text())
+    try:
+        validate(doc, load_schema(experiment.schema))
+    except SchemaError as err:
+        return False, f"{path}: SCHEMA: {err}"
+    fresh, committed = experiment.acceptance(doc), doc["acceptance"]
+    if _canon(fresh) != _canon(committed):
+        return False, f"{path}: GATES DIFFER: {_diff_keys(fresh, committed)}"
+    return True, f"{path}: gates ok"
 
 
 def check_artifact(path: Path) -> Tuple[bool, str]:
@@ -82,8 +109,9 @@ def check_artifact(path: Path) -> Tuple[bool, str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.drift",
-        description="Re-run each committed benchmark artifact's pinned "
-        "acceptance cell and fail on byte drift.",
+        description="Re-evaluate each committed benchmark artifact's gates "
+        "offline, then re-run its pinned acceptance cell and fail on byte "
+        "drift.",
     )
     parser.add_argument(
         "artifacts", nargs="*",
@@ -98,15 +126,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not paths:
             print("error: no committed artifacts found in the working directory")
             return 2
-    failed = False
-    for path in paths:
-        if not path.exists():
-            print(f"{path}: missing")
-            failed = True
-            continue
-        ok, detail = check_artifact(path)
-        print(detail)
-        failed = failed or not ok
+    missing = [path for path in paths if not path.exists()]
+    for path in missing:
+        print(f"{path}: missing")
+    failed = bool(missing)
+    # Every artifact's offline gate check first (fast), then the re-runs.
+    for check in (check_gates, check_artifact):
+        for path in filter(Path.exists, paths):
+            ok, detail = check(path)
+            print(detail)
+            failed = failed or not ok
     return 1 if failed else 0
 
 
@@ -114,4 +143,4 @@ if __name__ == "__main__":  # pragma: no cover - exercised via CI
     sys.exit(main())
 
 
-__all__ = ["PINNED", "check_artifact", "main"]
+__all__ = ["PINNED", "check_artifact", "check_gates", "main"]

@@ -23,8 +23,9 @@ prices the account on two axes:
   0.1 W) — the paper's §IV-C tension, now in joules.
 * **reproducibility** — the deepest ladder cell re-runs and must be
   dict-for-dict identical, and re-runs again under streaming telemetry,
-  which must produce the identical energy aggregate (the account tees
-  through the ordinary probes, so the stream fold replays it exactly).
+  which must produce the identical energy aggregate (the report prices
+  two snapshots of the account, which never looks at telemetry, so the
+  aggregation mode cannot reach it).
 
 ``usuite energy --output BENCH_energy.json`` records the artifact,
 validated against ``schemas/bench_energy.schema.json``.
@@ -41,7 +42,6 @@ from repro.experiments.tables import render_table
 from repro.graph import GraphConfig, coarsen_once, work_per_query
 from repro.graph.exemplar import onehop_graph, pipeline_graph
 from repro.kernel.config import CStatePoint, OsCosts
-from repro.suite.cluster import run_open_loop
 from repro.telemetry import TelemetryConfig
 
 #: Offered load for the granularity ladder: busy enough that every tier
@@ -64,9 +64,6 @@ LOWLOAD_QUERIES = 400
 WORKLOAD_QUERIES = 300
 
 WARMUP_US = 150_000.0
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_energy.json"
 
 
 def shallow_costs(base: Optional[OsCosts] = None) -> OsCosts:
@@ -96,78 +93,48 @@ class EnergyCell:
     energy: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
-class EnergySweepReport:
-    """The ladder, the low-load pair, and the equivalence re-runs."""
+def granularity_tradeoff(doc: dict) -> Dict[str, object]:
+    """Energy and latency versus tier count, plus the deltas the ladder
+    (coarse to fine, 1 tier first) exists to expose."""
+    ladder = doc["ladder"]
+    coarse, fine = ladder[0], ladder[-1]
+    total = [cell["energy"]["total_uj"] for cell in ladder]
+    return {
+        "tiers": [cell["tiers"] for cell in ladder],
+        "total_uj": total,
+        "uj_per_query": [cell["energy"]["uj_per_query"] for cell in ladder],
+        "wakes_total": [
+            sum(cell["energy"]["wakes"].values()) for cell in ladder
+        ],
+        "e2e_p99_us": [cell["e2e_p99_us"] for cell in ladder],
+        "monotone_nondecreasing": all(
+            earlier <= later for earlier, later in zip(total, total[1:])
+        ),
+        "energy_ratio_fine_vs_monolith": (
+            fine["energy"]["total_uj"] / coarse["energy"]["total_uj"]
+            if coarse["energy"]["total_uj"] else 0.0
+        ),
+        "added_p99_us_fine_vs_monolith": (
+            fine["e2e_p99_us"] - coarse["e2e_p99_us"]
+        ),
+    }
 
-    seed: int
-    qps: float
-    queries_per_cell: int
-    lowload_qps: float
-    lowload_queries: int
-    workload_queries: int
-    power_model: Dict[str, object]
-    work_per_query_us: float
-    total_cores: int
-    #: Granularity rungs, coarse to fine (1 tier first).
-    ladder: List[EnergyCell]
-    lowload_deep: EnergyCell
-    lowload_shallow: EnergyCell
-    repro_second: EnergyCell
-    #: The deepest rung's energy aggregate re-measured under streaming
-    #: telemetry (must equal the buffered one dict-for-dict).
-    streaming_energy: Dict[str, object]
 
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.ladder[-1]) == asdict(self.repro_second)
-
-    @property
-    def streaming_identical(self) -> bool:
-        return self.ladder[-1].energy == self.streaming_energy
-
-    def granularity_tradeoff(self) -> Dict[str, object]:
-        """Energy and latency versus tier count, plus the deltas the
-        ladder exists to expose."""
-        coarse, fine = self.ladder[0], self.ladder[-1]
-        total = [cell.energy["total_uj"] for cell in self.ladder]
-        return {
-            "tiers": [cell.tiers for cell in self.ladder],
-            "total_uj": total,
-            "uj_per_query": [
-                cell.energy["uj_per_query"] for cell in self.ladder
-            ],
-            "wakes_total": [
-                sum(cell.energy["wakes"].values()) for cell in self.ladder
-            ],
-            "e2e_p99_us": [cell.e2e_p99_us for cell in self.ladder],
-            "monotone_nondecreasing": all(
-                earlier <= later for earlier, later in zip(total, total[1:])
-            ),
-            "energy_ratio_fine_vs_monolith": (
-                fine.energy["total_uj"] / coarse.energy["total_uj"]
-                if coarse.energy["total_uj"] else 0.0
-            ),
-            "added_p99_us_fine_vs_monolith": (
-                fine.e2e_p99_us - coarse.e2e_p99_us
-            ),
-        }
-
-    def lowload_tradeoff(self) -> Dict[str, object]:
-        """Deep sleep vs. C1-only at light load: latency and idle joules."""
-        deep, shallow = self.lowload_deep, self.lowload_shallow
-        return {
-            "p99_us_deep": deep.e2e_p99_us,
-            "p99_us_shallow": shallow.e2e_p99_us,
-            "p99_saved_us": deep.e2e_p99_us - shallow.e2e_p99_us,
-            "idle_uj_deep": deep.energy["idle_uj_total"],
-            "idle_uj_shallow": shallow.energy["idle_uj_total"],
-            "idle_uj_cost": (
-                shallow.energy["idle_uj_total"] - deep.energy["idle_uj_total"]
-            ),
-            "total_uj_deep": deep.energy["total_uj"],
-            "total_uj_shallow": shallow.energy["total_uj"],
-        }
+def lowload_tradeoff(doc: dict) -> Dict[str, object]:
+    """Deep sleep vs. C1-only at light load: latency and idle joules."""
+    deep, shallow = doc["lowload"]["deep"], doc["lowload"]["shallow"]
+    return {
+        "p99_us_deep": deep["e2e_p99_us"],
+        "p99_us_shallow": shallow["e2e_p99_us"],
+        "p99_saved_us": deep["e2e_p99_us"] - shallow["e2e_p99_us"],
+        "idle_uj_deep": deep["energy"]["idle_uj_total"],
+        "idle_uj_shallow": shallow["energy"]["idle_uj_total"],
+        "idle_uj_cost": (
+            shallow["energy"]["idle_uj_total"] - deep["energy"]["idle_uj_total"]
+        ),
+        "total_uj_deep": deep["energy"]["total_uj"],
+        "total_uj_shallow": shallow["energy"]["total_uj"],
+    }
 
 
 def measure_energy_cell(
@@ -181,14 +148,10 @@ def measure_energy_cell(
 ) -> EnergyCell:
     """Run one open-loop cell with the energy account enabled."""
     duration_us = queries / qps * 1e6
-    with runner.build_cluster(
-        graph, seed=seed, costs=costs, telemetry=telemetry,
-        overrides={"energy": EnergyConfig(enabled=True)},
-    ) as (cluster, handle):
-        result = run_open_loop(
-            cluster, handle, qps=qps, duration_us=duration_us,
-            warmup_us=WARMUP_US,
-        )
+    result, _handle = runner.open_loop_cell(
+        graph, qps, duration_us, seed=seed, warmup_us=WARMUP_US, costs=costs,
+        overrides={"energy": EnergyConfig(enabled=True)}, telemetry=telemetry,
+    )
     return EnergyCell(
         graph=graph.name,
         tiers=graph.depth(),
@@ -223,8 +186,9 @@ def run_energy_sweep(
     workload_queries: int = WORKLOAD_QUERIES,
     seed: int = 0,
     telemetry: Optional[TelemetryConfig] = None,
-) -> EnergySweepReport:
-    """The ladder, the low-load pair, and both equivalence re-runs.
+) -> dict:
+    """The ladder, the low-load pair, and both equivalence re-runs, as
+    the JSON artifact (validates against bench_energy.schema.json).
 
     ``telemetry`` configures the measurement cells (the streaming
     equivalence re-run always forces ``mode="streaming"`` regardless).
@@ -247,61 +211,76 @@ def run_energy_sweep(
             f"workload-queries must be >= 1: {workload_queries}"
         )
     rungs = granularity_ladder(tiers, workload_queries)
-    ladder = [
-        measure_energy_cell(
-            rung, qps, seed=seed, queries=queries, telemetry=telemetry
-        )
-        for rung in rungs
-    ]
     onehop = onehop_graph(n_queries=workload_queries)
-    lowload_deep = measure_energy_cell(
-        onehop, lowload_qps, seed=seed, queries=lowload_queries,
-        telemetry=telemetry,
-    )
-    lowload_shallow = measure_energy_cell(
-        onehop, lowload_qps, seed=seed, queries=lowload_queries,
-        costs=shallow_costs(), cstates="shallow", telemetry=telemetry,
-    )
-    repro_second = measure_energy_cell(
-        rungs[-1], qps, seed=seed, queries=queries, telemetry=telemetry
-    )
-    streaming_cell = measure_energy_cell(
-        rungs[-1], qps, seed=seed, queries=queries,
-        telemetry=TelemetryConfig(mode="streaming"),
-    )
-    config = EnergyConfig(enabled=True)
-    power_model = asdict(config)
+
+    def rung_cell(graph: GraphConfig, telemetry=telemetry) -> EnergyCell:
+        return measure_energy_cell(
+            graph, qps, seed=seed, queries=queries, telemetry=telemetry
+        )
+
+    def lowload_cell(**cost_model) -> EnergyCell:
+        return measure_energy_cell(
+            onehop, lowload_qps, seed=seed, queries=lowload_queries,
+            telemetry=telemetry, **cost_model,
+        )
+
+    # The deepest rung closes the ladder and is the reproducibility cell.
+    ladder = [asdict(rung_cell(rung)) for rung in rungs[:-1]]
+    reproducibility = runner.double_run(lambda: rung_cell(rungs[-1]))
+    ladder.append(reproducibility["first"])
+    lowload = {
+        "deep": asdict(lowload_cell()),
+        "shallow": asdict(lowload_cell(costs=shallow_costs(), cstates="shallow")),
+    }
+    streaming_energy = rung_cell(rungs[-1], TelemetryConfig(mode="streaming")).energy
+    power_model = asdict(EnergyConfig(enabled=True))
     # The schema validator (and JSON) wants arrays, not tuples.
     for table in ("idle_w", "wake_uj"):
         power_model[table] = [list(pair) for pair in power_model[table]]
-    return EnergySweepReport(
-        seed=seed,
-        qps=qps,
-        queries_per_cell=queries,
-        lowload_qps=lowload_qps,
-        lowload_queries=lowload_queries,
-        workload_queries=workload_queries,
-        power_model=power_model,
-        work_per_query_us=work_per_query(rungs[-1]),
-        total_cores=sum(node.cores for node in rungs[-1].nodes),
-        ladder=ladder,
-        lowload_deep=lowload_deep,
-        lowload_shallow=lowload_shallow,
-        repro_second=repro_second,
-        streaming_energy=streaming_cell.energy,
-    )
+    doc = {
+        "benchmark": (
+            f"per-core energy: granularity ladder "
+            f"({ladder[0]['tiers']}-{ladder[-1]['tiers']} tiers @ "
+            f"{qps:g} QPS) + low-load C-state tension "
+            f"(@ {lowload_qps:g} QPS), seed={seed}"
+        ),
+        "seed": seed,
+        "qps": qps,
+        "queries_per_cell": queries,
+        "lowload_qps": lowload_qps,
+        "lowload_queries": lowload_queries,
+        "workload_queries": workload_queries,
+        "power_model": power_model,
+        "work_per_query_us": work_per_query(rungs[-1]),
+        "total_cores": sum(node.cores for node in rungs[-1].nodes),
+        "ladder": ladder,
+        "lowload": lowload,
+        "reproducibility": reproducibility,
+        # The deepest rung's energy aggregate re-measured under streaming
+        # telemetry (must equal the buffered one dict-for-dict).
+        "streaming": {
+            "identical": ladder[-1]["energy"] == streaming_energy,
+            "energy": streaming_energy,
+        },
+    }
+    doc["granularity_tradeoff"] = granularity_tradeoff(doc)
+    doc["lowload_tradeoff"] = lowload_tradeoff(doc)
+    doc["acceptance"] = acceptance(doc)
+    return doc
 
 
-def acceptance(report: EnergySweepReport) -> Dict[str, object]:
+def acceptance(doc: dict) -> Dict[str, object]:
     """The checks committed alongside the data."""
-    granularity = report.granularity_tradeoff()
-    lowload = report.lowload_tradeoff()
-    cells = report.ladder + [report.lowload_deep, report.lowload_shallow]
-    all_completed = all(cell.completed > 0 for cell in cells)
+    granularity = granularity_tradeoff(doc)
+    lowload = lowload_tradeoff(doc)
+    cells = doc["ladder"] + list(doc["lowload"].values())
+    all_completed = all(cell["completed"] > 0 for cell in cells)
+    reproducible = doc["reproducibility"]["bit_identical"]
+    streaming_identical = doc["streaming"]["identical"]
     checks: Dict[str, object] = {
         "cells_completed": all_completed,
-        "ladder_points": len(report.ladder),
-        "ladder_points_ok": len(report.ladder) >= 3,
+        "ladder_points": len(doc["ladder"]),
+        "ladder_points_ok": len(doc["ladder"]) >= 3,
         "energy_monotone_with_tiers": granularity["monotone_nondecreasing"],
         "energy_ratio_fine_vs_monolith": granularity[
             "energy_ratio_fine_vs_monolith"
@@ -317,8 +296,8 @@ def acceptance(report: EnergySweepReport) -> Dict[str, object]:
         ),
         "lowload_p99_saved_us": lowload["p99_saved_us"],
         "lowload_idle_uj_cost": lowload["idle_uj_cost"],
-        "bit_reproducible": report.bit_reproducible,
-        "streaming_identical": report.streaming_identical,
+        "bit_reproducible": reproducible,
+        "streaming_identical": streaming_identical,
     }
     checks["pass"] = bool(
         all_completed
@@ -326,35 +305,35 @@ def acceptance(report: EnergySweepReport) -> Dict[str, object]:
         and checks["energy_monotone_with_tiers"]
         and checks["lowload_shallow_cuts_p99"]
         and checks["lowload_shallow_raises_idle_uj"]
-        and report.bit_reproducible
-        and report.streaming_identical
+        and reproducible
+        and streaming_identical
     )
     return checks
 
 
-def format_energy_sweep(report: EnergySweepReport) -> str:
+def format_energy_sweep(doc: dict) -> str:
     """Ladder table, both tradeoffs, and the equivalence verdicts."""
-    granularity = report.granularity_tradeoff()
-    lowload = report.lowload_tradeoff()
+    granularity, lowload = doc["granularity_tradeoff"], doc["lowload_tradeoff"]
     rows = []
-    for cell in report.ladder:
+    for cell in doc["ladder"]:
+        energy = cell["energy"]
         rows.append((
-            cell.graph,
-            cell.tiers,
-            f"{cell.qps:g}",
-            cell.completed,
-            round(cell.e2e_p50_us),
-            round(cell.e2e_p99_us),
-            f"{cell.energy['total_uj'] / 1e6:.3f}",
-            f"{cell.energy['uj_per_query']:.0f}",
-            int(sum(cell.energy["wakes"].values())),
-            f"{cell.energy['avg_power_w']:.2f}",
+            cell["graph"],
+            cell["tiers"],
+            f"{cell['qps']:g}",
+            cell["completed"],
+            round(cell["e2e_p50_us"]),
+            round(cell["e2e_p99_us"]),
+            f"{energy['total_uj'] / 1e6:.3f}",
+            f"{energy['uj_per_query']:.0f}",
+            int(sum(energy["wakes"].values())),
+            f"{energy['avg_power_w']:.2f}",
         ))
     out = [
         (
-            f"energy vs. granularity ({report.total_cores} cores, "
-            f"{report.work_per_query_us:g}us work/query at every rung, "
-            f"{report.queries_per_cell} queries/cell @ {report.qps:g} QPS):"
+            f"energy vs. granularity ({doc['total_cores']} cores, "
+            f"{doc['work_per_query_us']:g}us work/query at every rung, "
+            f"{doc['queries_per_cell']} queries/cell @ {doc['qps']:g} QPS):"
         ),
         render_table(
             (
@@ -365,7 +344,7 @@ def format_energy_sweep(report: EnergySweepReport) -> str:
         ),
         "",
         (
-            f"granularity: {report.ladder[-1].tiers} tiers burn "
+            f"granularity: {doc['ladder'][-1]['tiers']} tiers burn "
             f"{granularity['energy_ratio_fine_vs_monolith']:.2f}x the "
             f"monolith's joules at the same load "
             f"(p99 {granularity['added_p99_us_fine_vs_monolith']:+.0f}us) — "
@@ -376,7 +355,7 @@ def format_energy_sweep(report: EnergySweepReport) -> str:
             )
         ),
         (
-            f"low load ({report.lowload_qps:g} QPS, one hop): disabling deep "
+            f"low load ({doc['lowload_qps']:g} QPS, one hop): disabling deep "
             f"C-states cuts p99 {lowload['p99_us_deep']:.0f} -> "
             f"{lowload['p99_us_shallow']:.0f}us "
             f"(-{lowload['p99_saved_us']:.0f}us) but raises idle energy "
@@ -385,55 +364,13 @@ def format_energy_sweep(report: EnergySweepReport) -> str:
             f"(+{lowload['idle_uj_cost'] / 1e6:.3f}J)"
         ),
         "",
-        (
-            "reproducibility (deepest rung, double run): "
-            + ("bit-identical" if report.bit_reproducible else "DIVERGED")
-        ),
+        "reproducibility (deepest rung, double run): " + runner.reproduced(doc),
         (
             "streaming telemetry energy aggregate: "
-            + ("identical" if report.streaming_identical else "DIVERGED")
+            + ("identical" if doc["streaming"]["identical"] else "DIVERGED")
         ),
     ]
     return "\n".join(out)
-
-
-def to_document(report: EnergySweepReport) -> dict:
-    """The JSON artifact (validates against bench_energy.schema.json)."""
-    checks = acceptance(report)
-    return {
-        "benchmark": (
-            f"per-core energy: granularity ladder "
-            f"({report.ladder[0].tiers}-{report.ladder[-1].tiers} tiers @ "
-            f"{report.qps:g} QPS) + low-load C-state tension "
-            f"(@ {report.lowload_qps:g} QPS), seed={report.seed}"
-        ),
-        "seed": report.seed,
-        "qps": report.qps,
-        "queries_per_cell": report.queries_per_cell,
-        "lowload_qps": report.lowload_qps,
-        "lowload_queries": report.lowload_queries,
-        "workload_queries": report.workload_queries,
-        "power_model": report.power_model,
-        "work_per_query_us": report.work_per_query_us,
-        "total_cores": report.total_cores,
-        "ladder": [asdict(cell) for cell in report.ladder],
-        "lowload": {
-            "deep": asdict(report.lowload_deep),
-            "shallow": asdict(report.lowload_shallow),
-        },
-        "granularity_tradeoff": report.granularity_tradeoff(),
-        "lowload_tradeoff": report.lowload_tradeoff(),
-        "reproducibility": {
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.ladder[-1]),
-            "second": asdict(report.repro_second),
-        },
-        "streaming": {
-            "identical": report.streaming_identical,
-            "energy": report.streaming_energy,
-        },
-        "acceptance": checks,
-    }
 
 
 def pinned(doc: dict, telemetry=None):
@@ -456,9 +393,8 @@ EXPERIMENT = runner.Experiment(
     run=run_energy_sweep,
     format=format_energy_sweep,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_energy.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_energy.json",
     pinned=pinned,
     flags=(
         runner.SEED,
@@ -478,9 +414,9 @@ EXPERIMENT = runner.Experiment(
 
 
 __all__ = [
-    "BENCH_PATH", "EXPERIMENT", "LOWLOAD_QPS", "LOWLOAD_QUERIES", "QPS",
+    "EXPERIMENT", "LOWLOAD_QPS", "LOWLOAD_QUERIES", "QPS",
     "QUERIES_PER_CELL", "TIERS", "WORKLOAD_QUERIES", "EnergyCell",
-    "EnergySweepReport", "acceptance", "format_energy_sweep",
-    "granularity_ladder", "measure_energy_cell", "pinned",
-    "run_energy_sweep", "shallow_costs", "to_document",
+    "acceptance", "format_energy_sweep", "granularity_ladder",
+    "granularity_tradeoff", "lowload_tradeoff", "measure_energy_cell",
+    "pinned", "run_energy_sweep", "shallow_costs",
 ]

@@ -23,6 +23,7 @@ generator alike) — the comparison isolates the fault/policy effect.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments import runner
@@ -42,9 +43,6 @@ RECOVERY_INTENSITY = 0.05
 #: healthy sub-ms service times, mimicking a degraded replica.
 TAIL_SCALE_US = 1_500.0
 TAIL_ALPHA = 1.8
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_faults.json"
 
 
 def slowdown_plan(
@@ -83,12 +81,14 @@ class FaultCell:
     partial_replies: int
     extra_leaf_load: float
 
-    @property
-    def tail_amplification(self) -> float:
-        """Faulted p99 over the healthy (no-fault, no-policy) p99."""
-        if self.healthy_p99_us <= 0:
-            return 0.0
-        return self.p99_us / self.healthy_p99_us
+
+def tail_amplification(cell: dict) -> float:
+    """Faulted p99 over the healthy (no-fault, no-policy) p99 of one
+    sweep row (a :class:`FaultCell` as a dict).  The row records it
+    rounded; the table prints it from the full-precision p99s."""
+    if cell["healthy_p99_us"] <= 0:
+        return 0.0
+    return cell["p99_us"] / cell["healthy_p99_us"]
 
 
 def run_fault_sweep(
@@ -104,23 +104,17 @@ def run_fault_sweep(
     """Sweep injector intensity × policy {off, on} across services."""
     cells: List[FaultCell] = []
     for service in services or SERVICE_NAMES:
-        healthy = characterize(
-            service, qps, faults=None, tail_policy=None,
-            scale=scale, seed=seed, duration_us=duration_us,
-            telemetry=telemetry,
+        # Healthy (no faults, no policy) unless a cell says otherwise.
+        measure = partial(
+            characterize, service, qps, scale=scale, seed=seed,
+            duration_us=duration_us, telemetry=telemetry,
         )
-        healthy_p99 = healthy.e2e.percentile(99)
+        healthy_p99 = measure().e2e.percentile(99)
         for intensity in intensities:
             for policy_on in (False, True):
-                cell = characterize(
-                    service,
-                    qps,
+                cell = measure(
                     faults=slowdown_plan(intensity),
                     tail_policy=tail_policy if policy_on else None,
-                    scale=scale,
-                    seed=seed,
-                    duration_us=duration_us,
-                    telemetry=telemetry,
                 )
                 tail = cell.extras["tail"]
                 cells.append(
@@ -143,24 +137,22 @@ def run_fault_sweep(
     return cells
 
 
-def format_fault_sweep(cells: List[FaultCell]) -> str:
-    """The sweep as a tail-amplification table."""
+def format_fault_sweep(cells: List[dict]) -> str:
+    """The sweep rows of the document as a tail-amplification table."""
     rows = []
     for cell in cells:
-        rows.append(
-            (
-                cell.service,
-                f"{cell.intensity:.2f}",
-                "on" if cell.policy_on else "off",
-                round(cell.p50_us),
-                round(cell.p99_us),
-                f"{cell.tail_amplification:.2f}x",
-                cell.hedges_sent,
-                cell.retries_sent,
-                cell.partial_replies,
-                f"{cell.extra_leaf_load:.3f}",
-            )
-        )
+        rows.append((
+            cell["service"],
+            f"{cell['intensity']:.2f}",
+            "on" if cell["policy_on"] else "off",
+            round(cell["p50_us"]),
+            round(cell["p99_us"]),
+            f"{tail_amplification(cell):.2f}x",
+            cell["hedges_sent"],
+            cell["retries_sent"],
+            cell["partial_replies"],
+            f"{cell['extra_leaf_load']:.3f}",
+        ))
     return render_table(
         (
             "service", "intensity", "policy", "p50 us", "p99 us",
@@ -197,25 +189,27 @@ class RecoveryReport:
     extra_leaf_load: float
     completed: int
 
-    def format(self) -> str:
-        return "\n".join(
-            [
-                f"recovery cell      {self.service} @ {self.qps:g} QPS "
-                f"(intensity={self.intensity:g}, scale={self.scale}, seed={self.seed})",
-                f"healthy p99        {self.base_p99_us:10.1f} us",
-                f"faulted p99 (off)  {self.faulted_p99_us:10.1f} us",
-                f"faulted p99 (on)   {self.tolerant_p99_us:10.1f} us",
-                f"injected inflation {self.injected_p99_inflation_us:10.1f} us",
-                f"recovered          {self.recovered_p99_us:10.1f} us "
-                f"({self.recovery_fraction:.1%} of the inflation)",
-                f"hedges             {self.hedges_sent:10d} "
-                f"(wins {self.hedge_wins}, wasted {self.hedges_wasted})",
-                f"retries            {self.retries_sent:10d}",
-                f"partial replies    {self.partial_replies:10d}",
-                f"extra leaf load    {self.extra_leaf_load:10.3f}",
-                f"completed/cell     {self.completed:10d}",
-            ]
-        )
+
+def format_recovery(recovery: dict) -> str:
+    """The recovery triple of the document (a :class:`RecoveryReport` as
+    a dict) as an aligned listing."""
+    r = recovery
+    return "\n".join([
+        f"recovery cell      {r['service']} @ {r['qps']:g} QPS "
+        f"(intensity={r['intensity']:g}, scale={r['scale']}, seed={r['seed']})",
+        f"healthy p99        {r['base_p99_us']:10.1f} us",
+        f"faulted p99 (off)  {r['faulted_p99_us']:10.1f} us",
+        f"faulted p99 (on)   {r['tolerant_p99_us']:10.1f} us",
+        f"injected inflation {r['injected_p99_inflation_us']:10.1f} us",
+        f"recovered          {r['recovered_p99_us']:10.1f} us "
+        f"({r['recovery_fraction']:.1%} of the inflation)",
+        f"hedges             {r['hedges_sent']:10d} "
+        f"(wins {r['hedge_wins']}, wasted {r['hedges_wasted']})",
+        f"retries            {r['retries_sent']:10d}",
+        f"partial replies    {r['partial_replies']:10d}",
+        f"extra leaf load    {r['extra_leaf_load']:10.3f}",
+        f"completed/cell     {r['completed']:10d}",
+    ])
 
 
 def run_recovery(
@@ -230,21 +224,13 @@ def run_recovery(
 ) -> RecoveryReport:
     """Measure how much injected p99 inflation the policies recover."""
     faults = slowdown_plan(intensity)
-    base = characterize(
-        service, qps, faults=None, tail_policy=None,
-        scale=scale, seed=seed, duration_us=duration_us,
-        telemetry=telemetry,
+    measure = partial(
+        characterize, service, qps, scale=scale, seed=seed,
+        duration_us=duration_us, telemetry=telemetry,
     )
-    faulted = characterize(
-        service, qps, faults=faults, tail_policy=None,
-        scale=scale, seed=seed, duration_us=duration_us,
-        telemetry=telemetry,
-    )
-    tolerant = characterize(
-        service, qps, faults=faults, tail_policy=tail_policy,
-        scale=scale, seed=seed, duration_us=duration_us,
-        telemetry=telemetry,
-    )
+    base = measure()
+    faulted = measure(faults=faults)
+    tolerant = measure(faults=faults, tail_policy=tail_policy)
     base_p99 = base.e2e.percentile(99)
     faulted_p99 = faulted.e2e.percentile(99)
     tolerant_p99 = tolerant.e2e.percentile(99)
@@ -282,14 +268,6 @@ def run_recovery(
 TARGET_RECOVERY = 0.5
 
 
-@dataclass
-class FaultsReport:
-    """``usuite faults``: the recovery triple, plus the sweep when asked."""
-
-    recovery: RecoveryReport
-    sweep: Optional[List[FaultCell]] = None
-
-
 def run_faults(
     services: Optional[Iterable[str]] = None,
     qps: float = RECOVERY_QPS,
@@ -298,8 +276,10 @@ def run_faults(
     duration_us: Optional[float] = None,
     sweep: bool = False,
     telemetry=None,
-) -> FaultsReport:
-    """The recovery triple, preceded by the (slow) sweep when ``sweep``."""
+) -> dict:
+    """``usuite faults``: the recovery triple, preceded by the (slow)
+    sweep when ``sweep``, as the JSON artifact (validates against
+    bench_faults.schema.json)."""
     cells = None
     if sweep:
         cells = run_fault_sweep(
@@ -310,35 +290,7 @@ def run_faults(
         qps=qps, scale=scale, seed=seed, duration_us=duration_us,
         telemetry=telemetry,
     )
-    return FaultsReport(recovery=recovery, sweep=cells)
-
-
-def format_faults(report: FaultsReport) -> str:
-    out = []
-    if report.sweep:
-        out += [
-            "Fault sweep — tail amplification, policy off vs on",
-            format_fault_sweep(report.sweep),
-            "",
-        ]
-    out += ["Tail-tolerance recovery (leaf slowdown)", report.recovery.format()]
-    return "\n".join(out)
-
-
-def acceptance(report: FaultsReport) -> Dict[str, object]:
-    """The checks committed alongside the data."""
-    fraction = report.recovery.recovery_fraction
-    return {
-        "target_recovery_fraction": TARGET_RECOVERY,
-        "achieved_recovery_fraction": round(fraction, 4),
-        "pass": fraction >= TARGET_RECOVERY,
-    }
-
-
-def to_document(report: FaultsReport) -> dict:
-    """The JSON artifact (validates against bench_faults.schema.json)."""
-    recovery = report.recovery
-    data: dict = {
+    doc: dict = {
         "benchmark": (
             f"leaf slowdown (p={recovery.intensity:g}, "
             f"pareto scale={TAIL_SCALE_US:g}us alpha={TAIL_ALPHA:g}) on "
@@ -347,14 +299,36 @@ def to_document(report: FaultsReport) -> dict:
         ),
         "policy": asdict(DEFAULT_TAIL_POLICY),
         "recovery": asdict(recovery),
-        "acceptance": acceptance(report),
     }
-    if report.sweep:
-        data["sweep"] = [
-            {**asdict(cell), "tail_amplification": round(cell.tail_amplification, 3)}
-            for cell in report.sweep
+    doc["acceptance"] = acceptance(doc)
+    if cells:
+        doc["sweep"] = [
+            {**row, "tail_amplification": round(tail_amplification(row), 3)}
+            for row in map(asdict, cells)
         ]
-    return data
+    return doc
+
+
+def format_faults(doc: dict) -> str:
+    out = []
+    if doc.get("sweep"):
+        out += [
+            "Fault sweep — tail amplification, policy off vs on",
+            format_fault_sweep(doc["sweep"]),
+            "",
+        ]
+    out += ["Tail-tolerance recovery (leaf slowdown)", format_recovery(doc["recovery"])]
+    return "\n".join(out)
+
+
+def acceptance(doc: dict) -> Dict[str, object]:
+    """The checks committed alongside the data."""
+    fraction = doc["recovery"]["recovery_fraction"]
+    return {
+        "target_recovery_fraction": TARGET_RECOVERY,
+        "achieved_recovery_fraction": round(fraction, 4),
+        "pass": fraction >= TARGET_RECOVERY,
+    }
 
 
 def pinned(doc: dict, telemetry=None):
@@ -376,9 +350,8 @@ EXPERIMENT = runner.Experiment(
     run=run_faults,
     format=format_faults,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_faults.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_faults.json",
     pinned=pinned,
     flags=(
         runner.SCALE, runner.SEED, runner.services_flag(),

@@ -155,7 +155,7 @@ EXPERIMENT = runner.Experiment(
     title="Figure smoke — paper-shape checks on miniature cells",
     run=run_figure_smoke,
     format=format_figure_smoke,
-    acceptance=lambda report: {"pass": report["passed"]},
+    acceptance=lambda doc: {"pass": doc["passed"]},
     schema="figure_smoke.schema.json",
     flags=(
         runner.SCALE, runner.SEED,

@@ -5,7 +5,7 @@ characterization run per (service, load) — exactly as on real hardware,
 where one 30 s measurement feeds Figs. 10-19.  :data:`FIGURES` therefore
 holds one :class:`Figure` row per ``usuite`` command and a row states
 only what differs: which variants it compares (the services themselves,
-or one service under N ``midtier_runtime`` overrides), its default loads
+or one service under N mid-tier runtime overrides), its default loads
 and window, its table as ``(header, cell -> value)`` columns (or a
 per-service pivot), any footer or ``--plot`` violins.  The paper-claim
 measures each figure owns (``low_load_median_inflation``,
@@ -54,9 +54,9 @@ class Figure:
     help: str
     flags: Tuple[runner.Flag, ...]
     title: Optional[str] = None
-    #: ``{variant: midtier_runtime field overrides}``: the row compares
-    #: one service under these runtimes.  None: it compares the services
-    #: named on the command line, at one scale.
+    #: ``{variant: mid-tier RuntimeConfig field overrides}``: the row
+    #: compares one service under these runtimes.  None: it compares the
+    #: services named on the command line, at one scale.
     runtimes: Optional[Mapping[object, Mapping[str, object]]] = None
     #: Default loads; None means :func:`default_sweep_loads` of the service.
     loads: Optional[Tuple[float, ...]] = PAPER_LOADS
@@ -101,9 +101,11 @@ def run_figure(
     else:
         (service,) = services
         base = runner.resolve_scale(scale)
+        # Router builds its mid-tier from its own runtime field.
+        field = "router_midtier_runtime" if service == "router" else "midtier_runtime"
         variants = {
             label: (service, base.with_overrides(
-                midtier_runtime=replace(base.midtier_runtime, **fields)
+                **{field: replace(getattr(base, field), **fields)}
             ))
             for label, fields in runtimes.items()
         }

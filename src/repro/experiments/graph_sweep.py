@@ -32,6 +32,7 @@ against the checked-in ``schemas/bench_graph.schema.json``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 from repro.experiments import runner
@@ -46,7 +47,7 @@ from repro.loadgen.traffic import (
     SessionLoadGen,
     VariableRateLoadGen,
 )
-from repro.suite.cluster import drive, run_open_loop
+from repro.suite.cluster import drive
 from repro.telemetry.tracing import Tracer
 
 #: Offered load for the amplification cells: high enough that the
@@ -77,9 +78,6 @@ ATTRIBUTION_GATE = 0.5
 ARRIVALS_TOLERANCE = 0.10
 
 WARMUP_US = 150_000.0
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_graph.json"
 
 
 def injection_plan(intensity: float = INJECT_INTENSITY) -> FaultPlan:
@@ -129,81 +127,49 @@ class SessionCell:
     conserved: bool
 
 
-@dataclass
-class GraphSweepReport:
-    """The whole sweep plus the double-run reproducibility check."""
+def amplification(doc: dict) -> Dict[str, float]:
+    """Added end-to-end p99 (injected − clean), deep vs. one hop."""
+    p99 = {name: cell["e2e_p99_us"] for name, cell in doc["cells"].items()}
+    added_onehop = p99["onehop_injected"] - p99["onehop_clean"]
+    added_deep = p99["deep_injected"] - p99["deep_clean"]
+    ratio = added_deep / added_onehop if added_onehop > 0 else 0.0
+    return {
+        "added_p99_us_onehop": added_onehop,
+        "added_p99_us_deep": added_deep,
+        "inflation_onehop": (
+            p99["onehop_injected"] / p99["onehop_clean"]
+            if p99["onehop_clean"] > 0 else 0.0
+        ),
+        "inflation_deep": (
+            p99["deep_injected"] / p99["deep_clean"]
+            if p99["deep_clean"] > 0 else 0.0
+        ),
+        "ratio": ratio,
+    }
 
-    seed: int
-    qps: float
-    queries_per_cell: int
-    workload_queries: int
-    intensity: float
-    tail_scale_us: float
-    tail_alpha: float
-    injected_node: str
-    deep_graph: dict
-    onehop_graph: dict
-    depth: int
-    visits_per_query: Dict[str, float]
-    onehop_clean: GraphCell
-    onehop_injected: GraphCell
-    deep_clean: GraphCell
-    deep_injected: GraphCell
-    traffic: TrafficCell
-    sessions: SessionCell
-    repro_second: GraphCell
 
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.deep_injected) == asdict(self.repro_second)
-
-    @property
-    def injected_machine(self) -> str:
-        return f"{self.deep_graph['name']}-{self.injected_node}"
-
-    def amplification(self) -> Dict[str, float]:
-        """Added end-to-end p99 (injected − clean), deep vs. one hop."""
-        added_onehop = (
-            self.onehop_injected.e2e_p99_us - self.onehop_clean.e2e_p99_us
-        )
-        added_deep = self.deep_injected.e2e_p99_us - self.deep_clean.e2e_p99_us
-        ratio = added_deep / added_onehop if added_onehop > 0 else 0.0
-        return {
-            "added_p99_us_onehop": added_onehop,
-            "added_p99_us_deep": added_deep,
-            "inflation_onehop": (
-                self.onehop_injected.e2e_p99_us / self.onehop_clean.e2e_p99_us
-                if self.onehop_clean.e2e_p99_us > 0 else 0.0
-            ),
-            "inflation_deep": (
-                self.deep_injected.e2e_p99_us / self.deep_clean.e2e_p99_us
-                if self.deep_clean.e2e_p99_us > 0 else 0.0
-            ),
-            "ratio": ratio,
-        }
-
-    def attribution(self) -> Dict[str, object]:
-        """Per-machine added tail time (injected − clean deep cells)."""
-        added: Dict[str, float] = {}
-        machines = set(self.deep_injected.machine_tail_us) | set(
-            self.deep_clean.machine_tail_us
-        )
-        for machine in sorted(machines):
-            delta = self.deep_injected.machine_tail_us.get(
-                machine, 0.0
-            ) - self.deep_clean.machine_tail_us.get(machine, 0.0)
-            if delta > 0:
-                added[machine] = delta
-        total_added = sum(added.values())
-        injected_share = (
-            added.get(self.injected_machine, 0.0) / total_added
-            if total_added > 0 else 0.0
-        )
-        return {
-            "injected_machine": self.injected_machine,
-            "added_tail_us_by_machine": added,
-            "injected_share": injected_share,
-        }
+def attribution(doc: dict) -> Dict[str, object]:
+    """Per-machine added tail time (injected − clean deep cells)."""
+    injected = doc["cells"]["deep_injected"]["machine_tail_us"]
+    clean = doc["cells"]["deep_clean"]["machine_tail_us"]
+    injected_machine = (
+        f"{doc['graphs']['deep']['name']}-{doc['injection']['node']}"
+    )
+    added: Dict[str, float] = {}
+    for machine in sorted(set(injected) | set(clean)):
+        delta = injected.get(machine, 0.0) - clean.get(machine, 0.0)
+        if delta > 0:
+            added[machine] = delta
+    total_added = sum(added.values())
+    injected_share = (
+        added.get(injected_machine, 0.0) / total_added
+        if total_added > 0 else 0.0
+    )
+    return {
+        "injected_machine": injected_machine,
+        "added_tail_us_by_machine": added,
+        "injected_share": injected_share,
+    }
 
 
 def measure_graph_cell(
@@ -223,13 +189,10 @@ def measure_graph_cell(
     tracer = (
         Tracer(sample_every=1, max_traces=2 * queries) if traced else None
     )
-    with runner.build_cluster(
-        graph, seed=seed, faults=faults, telemetry=telemetry
-    ) as (cluster, handle):
-        result = run_open_loop(
-            cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
-            warmup_us=WARMUP_US, tracer=tracer,
-        )
+    result, _handle = runner.open_loop_cell(
+        graph, qps, queries / qps * 1e6, seed=seed, warmup_us=WARMUP_US,
+        faults=faults, tracer=tracer, telemetry=telemetry,
+    )
     traces = tracer.finished if tracer is not None else []
     _attrs, tail = runner.tail_attributions(traces, TAIL_PERCENTILE)
     machine_tail: Dict[str, float] = {}
@@ -368,9 +331,10 @@ def run_graph_sweep(
     seed: int = 0,
     intensity: float = INJECT_INTENSITY,
     telemetry=None,
-) -> GraphSweepReport:
+) -> dict:
     """The four amplification cells, the traffic checks, and the repro
-    double run."""
+    double run, as the JSON artifact (validates against
+    bench_graph.schema.json)."""
     if qps <= 0:
         raise runner.UsageError(f"qps must be positive: {qps}")
     if queries < 100:
@@ -388,64 +352,76 @@ def run_graph_sweep(
     deep = exemplar_graph(n_queries=workload_queries)
     onehop = onehop_graph(n_queries=workload_queries)
     plan = injection_plan(intensity)
-    onehop_clean = measure_graph_cell(
-        onehop, qps, seed=seed, queries=queries, telemetry=telemetry
-    )
-    onehop_injected = measure_graph_cell(
-        onehop, qps, seed=seed, queries=queries, faults=plan,
+    measure = partial(
+        measure_graph_cell, qps=qps, seed=seed, queries=queries,
         telemetry=telemetry,
     )
-    deep_clean = measure_graph_cell(
-        deep, qps, seed=seed, queries=queries, traced=True,
-        telemetry=telemetry,
-    )
-    deep_injected, repro_second = (
-        pinned_cell(
+    onehop_clean = measure(onehop)
+    onehop_injected = measure(onehop, faults=plan)
+    deep_clean = measure(deep, traced=True)
+    # The acceptance (deep injected) cell is also the reproducibility
+    # cell: its double run's first record is the sweep's fourth cell.
+    reproducibility = runner.double_run(
+        lambda: pinned_cell(
             qps, queries, workload_queries, seed=seed, intensity=intensity,
             telemetry=telemetry,
         )
-        for _ in range(2)
     )
     traffic = measure_traffic_cell(
         deep, qps=qps, seed=seed, queries=queries, telemetry=telemetry
     )
     sessions = measure_session_cell(deep, seed=seed, telemetry=telemetry)
-    return GraphSweepReport(
-        seed=seed,
-        qps=qps,
-        queries_per_cell=queries,
-        workload_queries=workload_queries,
-        intensity=intensity,
-        tail_scale_us=TAIL_SCALE_US,
-        tail_alpha=TAIL_ALPHA,
-        injected_node=INJECTED_NODE,
-        deep_graph=deep.to_dict(),
-        onehop_graph=onehop.to_dict(),
-        depth=deep.depth(),
-        visits_per_query=deep.visits_per_query(),
-        onehop_clean=onehop_clean,
-        onehop_injected=onehop_injected,
-        deep_clean=deep_clean,
-        deep_injected=deep_injected,
-        traffic=traffic,
-        sessions=sessions,
-        repro_second=repro_second,
-    )
+    doc = {
+        "benchmark": (
+            f"service-graph tail amplification, {deep.depth()}-tier "
+            f"exemplar vs one hop ({queries} queries/cell "
+            f"@ {qps:g} QPS), seed={seed}"
+        ),
+        "seed": seed,
+        "qps": qps,
+        "queries_per_cell": queries,
+        "workload_queries": workload_queries,
+        "injection": {
+            "node": INJECTED_NODE,
+            "leaf_index": INJECTED_LEAF_INDEX,
+            "intensity": intensity,
+            "tail_scale_us": TAIL_SCALE_US,
+            "tail_alpha": TAIL_ALPHA,
+        },
+        "graphs": {
+            "deep": deep.to_dict(),
+            "onehop": onehop.to_dict(),
+            "depth": deep.depth(),
+            "visits_per_query": deep.visits_per_query(),
+        },
+        "cells": {
+            "onehop_clean": asdict(onehop_clean),
+            "onehop_injected": asdict(onehop_injected),
+            "deep_clean": asdict(deep_clean),
+            "deep_injected": reproducibility["first"],
+        },
+        "traffic": asdict(traffic),
+        "sessions": asdict(sessions),
+        "reproducibility": reproducibility,
+    }
+    doc["amplification"] = amplification(doc)
+    doc["attribution"] = attribution(doc)
+    doc["acceptance"] = acceptance(doc)
+    return doc
 
 
-def acceptance(report: GraphSweepReport) -> Dict[str, object]:
+def acceptance(doc: dict) -> Dict[str, object]:
     """The checks committed alongside the data."""
-    amp = report.amplification()
-    attr = report.attribution()
-    cells = (
-        report.onehop_clean, report.onehop_injected,
-        report.deep_clean, report.deep_injected,
+    amp = amplification(doc)
+    attr = attribution(doc)
+    cells, traffic = doc["cells"], doc["traffic"]
+    all_completed = all(cell["completed"] > 0 for cell in cells.values())
+    traced = cells["deep_clean"]["tail_traces"] > 0 and (
+        cells["deep_injected"]["tail_traces"] > 0
     )
-    all_completed = all(cell.completed > 0 for cell in cells)
-    traced = report.deep_clean.tail_traces > 0 and (
-        report.deep_injected.tail_traces > 0
-    )
-    arrivals_ok = report.traffic.rel_err <= ARRIVALS_TOLERANCE
+    arrivals_ok = traffic["rel_err"] <= ARRIVALS_TOLERANCE
+    conserved = doc["sessions"]["conserved"]
+    reproducible = doc["reproducibility"]["bit_identical"]
     checks: Dict[str, object] = {
         "cells_completed": all_completed,
         "amplification_gate": AMPLIFICATION_GATE,
@@ -456,11 +432,11 @@ def acceptance(report: GraphSweepReport) -> Dict[str, object]:
         "injected_share": attr["injected_share"],
         "attribution_ok": attr["injected_share"] >= ATTRIBUTION_GATE,
         "arrivals_tolerance": ARRIVALS_TOLERANCE,
-        "arrivals_rel_err": report.traffic.rel_err,
-        "arrivals_thinned": report.traffic.thinned,
+        "arrivals_rel_err": traffic["rel_err"],
+        "arrivals_thinned": traffic["thinned"],
         "arrivals_ok": arrivals_ok,
-        "sessions_conserved": report.sessions.conserved,
-        "bit_reproducible": report.bit_reproducible,
+        "sessions_conserved": conserved,
+        "bit_reproducible": reproducible,
     }
     checks["pass"] = bool(
         all_completed
@@ -468,39 +444,42 @@ def acceptance(report: GraphSweepReport) -> Dict[str, object]:
         and checks["amplification_ok"]
         and checks["attribution_ok"]
         and arrivals_ok
-        and report.traffic.thinned > 0
-        and report.sessions.conserved
-        and report.bit_reproducible
+        and traffic["thinned"] > 0
+        and conserved
+        and reproducible
     )
     return checks
 
 
-def format_graph_sweep(report: GraphSweepReport) -> str:
+#: The amplification cells in the order the table (and the sweep) runs them.
+CELL_ORDER = ("onehop_clean", "onehop_injected", "deep_clean", "deep_injected")
+
+
+def format_graph_sweep(doc: dict) -> str:
     """Cell table, amplification verdict, attribution, traffic checks."""
-    amp = report.amplification()
-    attr = report.attribution()
+    amp, attr = doc["amplification"], doc["attribution"]
+    injection, traffic, sessions = doc["injection"], doc["traffic"], doc["sessions"]
+    # In mix order: the keys of a json.load-ed document come back sorted.
+    classes = [(cls.name, sessions["classes"][cls.name]) for cls in SESSION_MIX]
     rows = []
-    for cell in (
-        report.onehop_clean, report.onehop_injected,
-        report.deep_clean, report.deep_injected,
-    ):
+    for cell in (doc["cells"][name] for name in CELL_ORDER):
         rows.append((
-            cell.graph,
-            "injected" if cell.injected else "clean",
-            f"{cell.qps:g}",
-            cell.completed,
-            round(cell.e2e_p50_us),
-            round(cell.e2e_p99_us),
-            cell.traces or "-",
+            cell["graph"],
+            "injected" if cell["injected"] else "clean",
+            f"{cell['qps']:g}",
+            cell["completed"],
+            round(cell["e2e_p50_us"]),
+            round(cell["e2e_p99_us"]),
+            cell["traces"] or "-",
         ))
     out = [
-        f"service-graph amplification ({report.depth} tiers, "
-        f"{report.visits_per_query[report.injected_node]:g} storage reads "
-        f"per query vs. "
-        f"{onehop_visits(report):g} one hop away; Pareto "
-        f"p={report.intensity:g} scale={report.tail_scale_us:g}us "
-        f"alpha={report.tail_alpha:g} at "
-        f"{report.injected_node!r}):",
+        f"service-graph amplification ({doc['graphs']['depth']} tiers, "
+        f"{doc['graphs']['visits_per_query'][injection['node']]:g} storage "
+        f"reads per query vs. "
+        f"{onehop_visits(doc):g} one hop away; Pareto "
+        f"p={injection['intensity']:g} scale={injection['tail_scale_us']:g}us "
+        f"alpha={injection['tail_alpha']:g} at "
+        f"{injection['node']!r}):",
         render_table(
             ("graph", "faults", "QPS", "done", "p50 us", "p99 us", "traces"),
             rows,
@@ -517,10 +496,10 @@ def format_graph_sweep(report: GraphSweepReport) -> str:
             f"{ATTRIBUTION_GATE:.0%})"
         ),
         (
-            f"traffic: {report.traffic.sent} arrivals vs "
-            f"{report.traffic.expected_arrivals:.1f} expected "
-            f"(rel err {report.traffic.rel_err:.3f}, "
-            f"{report.traffic.thinned} thinned)"
+            f"traffic: {traffic['sent']} arrivals vs "
+            f"{traffic['expected_arrivals']:.1f} expected "
+            f"(rel err {traffic['rel_err']:.3f}, "
+            f"{traffic['thinned']} thinned)"
         ),
         (
             "sessions: "
@@ -528,68 +507,20 @@ def format_graph_sweep(report: GraphSweepReport) -> str:
                 f"{name} {int(info['completed'])} done "
                 f"(max in-flight {int(info['max_in_flight'])}/"
                 f"{int(info['clients'])})"
-                for name, info in report.sessions.classes.items()
+                for name, info in classes
             )
-            + (" - conserved" if report.sessions.conserved else " - VIOLATED")
+            + (" - conserved" if sessions["conserved"] else " - VIOLATED")
         ),
         "",
-        (
-            "reproducibility (deep injected cell, double run): "
-            + ("bit-identical" if report.bit_reproducible else "DIVERGED")
-        ),
+        "reproducibility (deep injected cell, double run): " + runner.reproduced(doc),
     ]
     return "\n".join(out)
 
 
-def onehop_visits(report: GraphSweepReport) -> float:
+def onehop_visits(doc: dict) -> float:
     """Storage reads per query in the one-hop baseline."""
-    graph = GraphConfig.from_dict(report.onehop_graph)
-    return graph.visits_per_query()[report.injected_node]
-
-
-def to_document(report: GraphSweepReport) -> dict:
-    """The JSON artifact (validates against bench_graph.schema.json)."""
-    checks = acceptance(report)
-    return {
-        "benchmark": (
-            f"service-graph tail amplification, {report.depth}-tier "
-            f"exemplar vs one hop ({report.queries_per_cell} queries/cell "
-            f"@ {report.qps:g} QPS), seed={report.seed}"
-        ),
-        "seed": report.seed,
-        "qps": report.qps,
-        "queries_per_cell": report.queries_per_cell,
-        "workload_queries": report.workload_queries,
-        "injection": {
-            "node": report.injected_node,
-            "leaf_index": INJECTED_LEAF_INDEX,
-            "intensity": report.intensity,
-            "tail_scale_us": report.tail_scale_us,
-            "tail_alpha": report.tail_alpha,
-        },
-        "graphs": {
-            "deep": report.deep_graph,
-            "onehop": report.onehop_graph,
-            "depth": report.depth,
-            "visits_per_query": report.visits_per_query,
-        },
-        "cells": {
-            "onehop_clean": asdict(report.onehop_clean),
-            "onehop_injected": asdict(report.onehop_injected),
-            "deep_clean": asdict(report.deep_clean),
-            "deep_injected": asdict(report.deep_injected),
-        },
-        "amplification": report.amplification(),
-        "attribution": report.attribution(),
-        "traffic": asdict(report.traffic),
-        "sessions": asdict(report.sessions),
-        "reproducibility": {
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.deep_injected),
-            "second": asdict(report.repro_second),
-        },
-        "acceptance": checks,
-    }
+    graph = GraphConfig.from_dict(doc["graphs"]["onehop"])
+    return graph.visits_per_query()[doc["injection"]["node"]]
 
 
 def pinned(doc: dict, telemetry=None):
@@ -610,9 +541,8 @@ EXPERIMENT = runner.Experiment(
     run=run_graph_sweep,
     format=format_graph_sweep,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_graph.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_graph.json",
     pinned=pinned,
     flags=(
         runner.SEED,
@@ -630,10 +560,10 @@ EXPERIMENT = runner.Experiment(
 
 __all__ = [
     "AMPLIFICATION_GATE", "ARRIVALS_TOLERANCE", "ATTRIBUTION_GATE",
-    "BENCH_PATH", "EXPERIMENT", "INJECTED_NODE", "INJECT_INTENSITY", "QPS",
-    "QUERIES_PER_CELL", "WORKLOAD_QUERIES", "GraphCell", "GraphSweepReport",
-    "SessionCell", "TrafficCell", "acceptance", "format_graph_sweep",
-    "injection_plan", "measure_graph_cell", "measure_session_cell",
-    "measure_traffic_cell", "pinned", "pinned_cell", "run_graph_sweep",
-    "to_document", "traffic_curve",
+    "EXPERIMENT", "INJECTED_NODE", "INJECT_INTENSITY", "QPS",
+    "QUERIES_PER_CELL", "WORKLOAD_QUERIES", "GraphCell", "SessionCell",
+    "TrafficCell", "acceptance", "amplification", "attribution",
+    "format_graph_sweep", "injection_plan", "measure_graph_cell",
+    "measure_session_cell", "measure_traffic_cell", "pinned", "pinned_cell",
+    "run_graph_sweep", "traffic_curve",
 ]

@@ -3,18 +3,24 @@
 Bottom to top (each ``usuite`` command is built from these and nothing
 else; see DESIGN.md "Experiment layer"):
 
-* **cell** — :func:`build_cluster` builds one seeded cluster plus a
-  service *or* service graph and, used as a context manager, shuts it
-  down; the load is offered by :func:`repro.suite.cluster.drive` (the
-  one warm-up / window / drain loop), either through ``run_open_loop``
-  or with a :func:`loadgen`-built generator.  A sweep's ``measure_*``
-  function is therefore only its metric extraction.
+* **cell** — :func:`open_loop_cell` is the one open-loop cell: build a
+  seeded cluster plus a service *or* service graph
+  (:func:`build_cluster`, a context manager that owns ``shutdown()``),
+  offer Poisson load through :func:`repro.suite.cluster.drive` (the one
+  warm-up / window / drain loop), return the ``RunResult``.  A sweep's
+  ``measure_*`` function is therefore only its metric extraction; the
+  three cells with a custom generator build theirs with :func:`loadgen`
+  and call ``drive`` themselves.  :func:`double_run` measures a cell
+  twice and returns the artifact's ``reproducibility`` block.
 * **Experiment** — one value per command: how to run, print, gate and
   record it, its ``argparse`` declarations (:class:`Flag`), and — for
   commands with a committed ``BENCH_*.json`` — the *pinned cell* the
-  drift gate re-measures.  ``repro.experiments.registry`` lists them all;
-  the CLI parser, the CLI dispatch and the drift gate are derived from
-  that table.
+  drift gate re-measures.  An *artifact experiment* (one with a
+  ``schema``) **is its document**: ``run`` returns the complete JSON it
+  records, and ``acceptance`` / ``format`` are pure functions of that
+  document, fresh or ``json.load``-ed.  ``repro.experiments.registry``
+  lists them all; the CLI parser, the CLI dispatch and the drift gate
+  are derived from that table.
 * **runner** — :func:`run_experiment` drives one :class:`Experiment` and
   returns an :class:`ExperimentOutcome` whose ``exit_code`` follows the
   suite-wide convention: 0 on success, 1 when an acceptance gate fails,
@@ -26,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
@@ -35,7 +41,9 @@ from typing import (
 from repro.graph import GraphConfig, build_graph
 from repro.loadgen import OpenLoopLoadGen
 from repro.suite import SCALES, ServiceScale, SimCluster, build_service
-from repro.suite.cluster import CLIENT_NAME, ServiceHandle, run_open_loop
+from repro.suite.cluster import (
+    CLIENT_NAME, RunResult, ServiceHandle, run_open_loop,
+)
 from repro.suite.registry import SERVICE_NAMES
 from repro.telemetry import critpath
 
@@ -141,6 +149,46 @@ def loadgen(cluster: SimCluster, handle: ServiceHandle, cls=OpenLoopLoadGen, **k
     )
 
 
+def open_loop_cell(
+    target: str | GraphConfig,
+    qps: float,
+    duration_us: float,
+    scale: ServiceScale | str = "small",
+    seed: int = 0,
+    overrides: Optional[Mapping[str, object]] = None,
+    warmup_us: float = 200_000.0,
+    drain_us: float = 50_000.0,
+    midtier_policy=None,
+    tail_policy=None,
+    faults=None,
+    costs=None,
+    tracer=None,
+    telemetry=None,
+) -> Tuple[RunResult, ServiceHandle]:
+    """The one open-loop cell: a fresh :func:`build_cluster` of ``target``
+    driven at ``qps`` (paper §V: Poisson arrivals, ``warmup_us`` trimmed,
+    ``duration_us`` measured, ``drain_us`` to finish in-flight queries),
+    shut down on the way out.
+
+    Every ``measure_*`` function, :func:`measure_saturation` and
+    ``characterize`` read their metrics off what this returns: the
+    ``RunResult`` (whose ``telemetry`` is the cluster's finalized hub) and
+    the ``ServiceHandle`` (machine names, the mid-tier's tail counters).
+    ``tracer`` samples requests for critical-path attribution; the other
+    keywords are :func:`build_cluster`'s.
+    """
+    with build_cluster(
+        target, scale, seed=seed, overrides=overrides,
+        midtier_policy=midtier_policy, tail_policy=tail_policy,
+        faults=faults, costs=costs, telemetry=telemetry,
+    ) as (cluster, handle):
+        result = run_open_loop(
+            cluster, handle, qps=qps, duration_us=duration_us,
+            warmup_us=warmup_us, drain_us=drain_us, tracer=tracer,
+        )
+    return result, handle
+
+
 def measure_saturation(
     service_name: str,
     scale: ServiceScale | str,
@@ -154,11 +202,38 @@ def measure_saturation(
     ``offered_qps`` should be ~2× the expected ceiling so the measured
     completion rate is the saturation throughput, not the offered load.
     """
-    with build_cluster(service_name, scale, seed=seed) as (cluster, service):
-        return run_open_loop(
-            cluster, service, qps=offered_qps, duration_us=duration_us,
-            warmup_us=warmup_us, drain_us=0.0,
-        ).throughput_qps
+    result, _service = open_loop_cell(
+        service_name, offered_qps, duration_us, scale=scale, seed=seed,
+        warmup_us=warmup_us, drain_us=0.0,
+    )
+    return result.throughput_qps
+
+
+def double_run(measure: Callable[[], Any], **cell) -> dict:
+    """An artifact's ``reproducibility`` block: ``measure()`` — one cell,
+    built from scratch under a fixed seed — run twice.
+
+    ``cell`` labels which cell it was (``service=``, ``qps=``, ...); the
+    block adds both records as plain dicts and ``bit_identical``, their
+    dict-for-dict equality.  ``first`` is what the drift gate later
+    re-measures through the experiment's ``pinned`` probe.
+    """
+    first, second = (asdict(measure()) for _ in range(2))
+    return {**cell, "bit_identical": first == second, "first": first, "second": second}
+
+
+def reproduced(doc: dict) -> str:
+    """The double run's verdict word, as every sweep prints it."""
+    return "bit-identical" if doc["reproducibility"]["bit_identical"] else "DIVERGED"
+
+
+def find_row(rows: Sequence[dict], **match) -> Optional[dict]:
+    """The first of ``rows`` (a document's cells, a cell's load points)
+    whose fields equal ``match``; None when there is none."""
+    for row in rows:
+        if all(row[key] == value for key, value in match.items()):
+            return row
+    return None
 
 
 def tail_attributions(traces: Sequence, pct: float = 99.0) -> Tuple[List, List]:
@@ -315,18 +390,22 @@ def plot_flag(help: str) -> Flag:
 class Experiment:
     """One ``usuite`` command: how to declare, run, print, gate, record it.
 
-    ``run`` produces the report object from the keywords its ``flags``
-    feed; the optional callables adapt it: ``format`` to a
-    human-readable string, ``acceptance`` to a checks dict with a boolean
-    ``"pass"`` key, ``to_document`` to the JSON artifact (defaulting to
-    the report itself when it is already a dict).  ``title`` is the
-    header line, ``str.format``-ed with the run keywords.  ``schema``
-    names the JSON schema the artifact must satisfy (an experiment with
-    a schema gets an ``--output`` flag); ``bench_path`` is
-    the committed artifact, and ``pinned(doc, telemetry)`` re-measures
-    that artifact's reproducibility cell from the parameters recorded in
-    ``doc``, returning ``(fresh, committed, label)`` for the drift gate
-    (``drift_streaming`` asks for a second, streaming-telemetry re-run).
+    ``run`` produces the report from the keywords its ``flags`` feed and
+    ``format`` renders it as text; ``title`` is the header line,
+    ``str.format``-ed with the run keywords.  An experiment with gates is
+    an *artifact experiment* and is its document: ``run`` returns the
+    complete JSON it records — parameters, cells, derived blocks,
+    ``reproducibility`` and the ``acceptance`` block holding the verdict —
+    and ``acceptance`` (document -> checks dict with a boolean ``"pass"``)
+    and ``format`` are pure functions of that document, so both work
+    unchanged on a fresh run and on ``json.load(open(bench_path))``.
+    ``schema`` names the JSON schema the document must satisfy (an
+    experiment with a schema gets an ``--output`` flag); ``bench_path`` is
+    the committed artifact (relative to the repository root / CWD), and
+    ``pinned(doc, telemetry)`` re-measures that artifact's reproducibility
+    cell from the parameters recorded in ``doc``, returning ``(fresh,
+    committed, label)`` for the drift gate (``drift_streaming`` asks for a
+    second, streaming-telemetry re-run).
     """
 
     name: str
@@ -335,8 +414,7 @@ class Experiment:
     title: Optional[str] = None
     flags: Tuple[Flag, ...] = ()
     format: Optional[Callable[..., str]] = None
-    acceptance: Optional[Callable[[Any], Dict[str, object]]] = None
-    to_document: Optional[Callable[[Any], dict]] = None
+    acceptance: Optional[Callable[[dict], Dict[str, object]]] = None
     schema: Optional[str] = None
     bench_path: Optional[str] = None
     pinned: Optional[Callable[[dict, Any], Tuple[Any, dict, str]]] = None
@@ -345,11 +423,14 @@ class Experiment:
 
 @dataclass
 class ExperimentOutcome:
-    """What :func:`run_experiment` produced, plus the CLI exit code."""
+    """What :func:`run_experiment` produced, plus the CLI exit code.
+
+    ``report`` is what ``run`` returned (the document, for an artifact
+    experiment); ``passed`` its acceptance verdict, None without gates.
+    """
 
     report: Any
-    document: Optional[dict]
-    checks: Optional[Dict[str, object]]
+    passed: Optional[bool]
     exit_code: int
 
 
@@ -362,9 +443,11 @@ def run_experiment(
     """Drive one :class:`Experiment` end to end.
 
     Prints the title, runs it with ``params``, prints the formatted
-    report to ``stream`` (stdout by default), evaluates acceptance, and
-    — when ``output`` is set — records the schema-validated artifact
-    there; the acceptance verdict is printed either way.
+    report to ``stream`` (stdout by default), and — when ``output`` is
+    set — records the schema-validated document there.  A gated
+    experiment's verdict is read from the document itself, where
+    ``python -m repro.experiments.schema --require-pass`` reads it, and
+    printed either way.
     :class:`UsageError` from the run (or an unknown ``scale`` parameter,
     checked up front so a typo is a one-line error rather than a
     traceback after seconds of set-up) maps to exit code 2; a failed
@@ -380,46 +463,32 @@ def run_experiment(
         report = experiment.run(**params)
     except UsageError as err:
         print(f"usuite {experiment.name}: error: {err}", file=sys.stderr)
-        return ExperimentOutcome(None, None, None, 2)
+        return ExperimentOutcome(None, None, 2)
     if experiment.format is not None:
         print(experiment.format(report), file=stream)
-    checks = (
-        experiment.acceptance(report)
-        if experiment.acceptance is not None
-        else None
-    )
-    verdict = ""
-    if checks is not None:
-        verdict = f"acceptance: {'pass' if checks.get('pass') else 'FAIL'}"
-    document = None
+    passed = None
+    if experiment.acceptance is not None:
+        from repro.experiments.schema import verdict  # see write_artifact
+
+        passed = bool(verdict(report))
+    label = "" if passed is None else f"acceptance: {'pass' if passed else 'FAIL'}"
     if output:
-        if experiment.to_document is not None:
-            document = experiment.to_document(report)
-        elif isinstance(report, dict):
-            document = report
-        else:
-            raise TypeError(
-                f"experiment {experiment.name!r} has no to_document and its "
-                f"report is not a dict"
-            )
-        write_artifact(document, output, schema=experiment.schema)
+        write_artifact(report, output, schema=experiment.schema)
         print(
-            f"\nrecorded {output}" + (f" ({verdict})" if verdict else ""),
+            f"\nrecorded {output}" + (f" ({label})" if label else ""),
             file=stream,
         )
-    elif verdict:
-        print(verdict, file=stream)
-    exit_code = 0
-    if checks is not None and not checks.get("pass", True):
-        exit_code = 1
-    return ExperimentOutcome(report, document, checks, exit_code)
+    elif label:
+        print(label, file=stream)
+    return ExperimentOutcome(report, passed, 1 if passed is False else 0)
 
 
 __all__ = [
     "COMMON", "Cell", "Experiment", "ExperimentOutcome", "Flag", "MIN_QUERIES",
     "SCALE", "SEED", "TELEMETRY", "UsageError", "build_cluster",
-    "duration_flag", "loadgen", "loads_flag", "measure_saturation",
-    "plot_flag", "positive_float", "positive_int", "qps_flag",
-    "queries_flag", "resolve_scale", "run_experiment", "service_flag",
-    "services_flag", "tail_attributions", "write_artifact",
+    "double_run", "duration_flag", "find_row", "loadgen", "loads_flag",
+    "measure_saturation", "open_loop_cell", "plot_flag", "positive_float",
+    "positive_int", "qps_flag", "queries_flag", "reproduced",
+    "resolve_scale", "run_experiment", "service_flag", "services_flag",
+    "tail_attributions", "write_artifact",
 ]

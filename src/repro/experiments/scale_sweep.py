@@ -30,7 +30,6 @@ from repro.experiments import runner
 from repro.experiments.tables import render_table
 from repro.rpc.loadbalance import canonical_policy, replica_imbalance
 from repro.suite import ServiceScale
-from repro.suite.cluster import run_open_loop
 
 SWEEP_SERVICE = "hdsearch"
 #: Leaf service-time target that keeps leaves unsaturated to ~50 K QPS.
@@ -51,9 +50,6 @@ SATURATION_OFFERED_QPS = 40_000.0
 WARMUP_US = 200_000.0
 SATURATION_DURATION_US = 300_000.0
 DEFAULT_DURATION_US = 500_000.0
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_scale.json"
 
 #: Acceptance: 2 replicas must lift saturation by at least this factor.
 TARGET_SPEEDUP_AT_2 = 1.7
@@ -105,42 +101,23 @@ class ScaleCell:
     loads: List[LoadPoint] = field(default_factory=list)
 
 
-@dataclass
-class ScaleSweepReport:
-    """The whole sweep plus the double-run reproducibility check."""
+def saturation_series(doc: dict) -> List[Tuple[int, float]]:
+    """(replicas, saturation) along the round-robin axis (the 1-replica
+    cell has no balancer, so it belongs to every policy)."""
+    return sorted(
+        (cell["replicas"], cell["saturation_qps"])
+        for cell in doc["cells"]
+        if cell["replicas"] == 1 or cell["policy"] == "round-robin"
+    )
 
-    service: str
-    scale: str
-    seed: int
-    duration_us: float
-    cells: List[ScaleCell]
-    repro_replicas: int
-    repro_policy: str
-    repro_qps: float
-    repro_first: LoadPoint
-    repro_second: LoadPoint
 
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.repro_first) == asdict(self.repro_second)
-
-    def saturation_series(self) -> List[Tuple[int, float]]:
-        """(replicas, saturation) along the round-robin axis (the
-        1-replica cell has no balancer, so it belongs to every policy)."""
-        series = [
-            (cell.replicas, cell.saturation_qps)
-            for cell in self.cells
-            if cell.replicas == 1 or cell.policy == "round-robin"
-        ]
-        return sorted(series)
-
-    def find_cell(self, replicas: int, policy: str) -> Optional[ScaleCell]:
-        for cell in self.cells:
-            if cell.replicas == replicas and (
-                cell.replicas == 1 or cell.policy == policy
-            ):
-                return cell
-        return None
+def find_cell(doc: dict, replicas: int, policy: str) -> Optional[dict]:
+    for cell in doc["cells"]:
+        if cell["replicas"] == replicas and (
+            cell["replicas"] == 1 or cell["policy"] == policy
+        ):
+            return cell
+    return None
 
 
 def measure_load_point(
@@ -157,14 +134,11 @@ def measure_load_point(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    with runner.build_cluster(
-        service_name, scale, seed=seed, telemetry=telemetry
-    ) as (cluster, service):
-        result = run_open_loop(
-            cluster, service, qps=qps, duration_us=duration_us,
-            warmup_us=warmup_us,
-        )
-        breakdown = cluster.telemetry.replica_breakdown(service.midtier_names)
+    result, _service = runner.open_loop_cell(
+        service_name, qps, duration_us, scale=scale, seed=seed,
+        warmup_us=warmup_us, telemetry=telemetry,
+    )
+    breakdown = result.telemetry.replica_breakdown(result.midtier_names)
     point = LoadPoint(
         qps=qps,
         sent=result.sent,
@@ -218,8 +192,9 @@ def run_scale_sweep(
     seed: int = 0,
     duration_us: float = DEFAULT_DURATION_US,
     telemetry=None,
-) -> ScaleSweepReport:
-    """The full sweep plus a same-seed double run of one cell."""
+) -> dict:
+    """The full sweep plus a same-seed double run of one cell, as the
+    JSON artifact (validates against bench_scale.schema.json)."""
     # Validate policies up front: a typo'd name is a one-line usage
     # error, not a ValueError traceback mid-sweep.
     try:
@@ -234,22 +209,21 @@ def run_scale_sweep(
         for policy in cell_policies:
             built = sweep_scale(n, policy if n > 1 else "round-robin",
                                 scale=scale, service=service)
-            cell = ScaleCell(
+            cells.append(ScaleCell(
                 replicas=n,
                 policy=policy,
                 saturation_qps=runner.measure_saturation(
                     service, built, SATURATION_OFFERED_QPS, seed=seed,
                     duration_us=SATURATION_DURATION_US, warmup_us=WARMUP_US,
                 ),
-            )
-            for qps in loads:
-                cell.loads.append(
+                loads=[
                     measure_load_point(
                         service, built, qps, seed=seed, duration_us=duration_us,
                         telemetry=telemetry,
                     )
-                )
-            cells.append(cell)
+                    for qps in loads
+                ],
+            ))
 
     # Reproducibility: the most stochastic cell (power-of-two if swept),
     # run twice from scratch under the same seed.
@@ -258,31 +232,37 @@ def run_scale_sweep(
     repro_qps = loads[len(loads) // 2] if loads else 1_000.0
     if repro_n == 1:
         repro_policy = "direct"
-    first, second = (
-        pinned_point(
-            repro_n, repro_policy, repro_qps, service=service, scale=scale,
-            seed=seed, duration_us=duration_us, telemetry=telemetry,
-        )
-        for _ in range(2)
-    )
+    scale_name = scale if isinstance(scale, str) else scale.name
+    doc = {
+        "benchmark": (
+            f"mid-tier scale-out on {service}, scale={scale_name} "
+            f"(midtier_cores={SWEEP_MIDTIER_CORES}, "
+            f"leaf target={SWEEP_LEAF_US:g}us), seed={seed}"
+        ),
+        "service": service,
+        "scale": scale_name,
+        "seed": seed,
+        "duration_us": duration_us,
+        "scale_overrides": {
+            "midtier_cores": SWEEP_MIDTIER_CORES,
+            "target_leaf_service_us": SWEEP_LEAF_US,
+        },
+        "cells": [asdict(cell) for cell in cells],
+        "reproducibility": runner.double_run(
+            lambda: pinned_point(
+                repro_n, repro_policy, repro_qps, service=service, scale=scale,
+                seed=seed, duration_us=duration_us, telemetry=telemetry,
+            ),
+            replicas=repro_n, policy=repro_policy, qps=repro_qps,
+        ),
+    }
+    doc["acceptance"] = acceptance(doc)
+    return doc
 
-    return ScaleSweepReport(
-        service=service,
-        scale=scale if isinstance(scale, str) else scale.name,
-        seed=seed,
-        duration_us=duration_us,
-        cells=cells,
-        repro_replicas=repro_n,
-        repro_policy=repro_policy,
-        repro_qps=repro_qps,
-        repro_first=first,
-        repro_second=second,
-    )
 
-
-def acceptance(report: ScaleSweepReport) -> Dict[str, object]:
+def acceptance(doc: dict) -> Dict[str, object]:
     """The checks committed alongside the data."""
-    series = report.saturation_series()
+    series = saturation_series(doc)
     saturations = [qps for _, qps in series]
     monotone = all(b > a for a, b in zip(saturations, saturations[1:]))
     speedup = 0.0
@@ -291,12 +271,13 @@ def acceptance(report: ScaleSweepReport) -> Dict[str, object]:
         if 1 in by_n and 2 in by_n and by_n[1] > 0:
             speedup = by_n[2] / by_n[1]
 
-    max_n = max((cell.replicas for cell in report.cells), default=1)
-    p2c = report.find_cell(max_n, "power-of-two")
-    rr = report.find_cell(max_n, "round-robin")
-    p2c_p99 = p2c.loads[-1].p99_us if p2c and p2c.loads else 0.0
-    rr_p99 = rr.loads[-1].p99_us if rr and rr.loads else 0.0
+    max_n = max((cell["replicas"] for cell in doc["cells"]), default=1)
+    p2c = find_cell(doc, max_n, "power-of-two")
+    rr = find_cell(doc, max_n, "round-robin")
+    p2c_p99 = p2c["loads"][-1]["p99_us"] if p2c and p2c["loads"] else 0.0
+    rr_p99 = rr["loads"][-1]["p99_us"] if rr and rr["loads"] else 0.0
     p2c_wins = bool(p2c_p99 and rr_p99 and p2c_p99 <= rr_p99)
+    reproducible = doc["reproducibility"]["bit_identical"]
 
     checks = {
         "saturation_monotone": monotone,
@@ -305,81 +286,48 @@ def acceptance(report: ScaleSweepReport) -> Dict[str, object]:
         "p2c_p99_us": round(p2c_p99, 1),
         "round_robin_p99_us": round(rr_p99, 1),
         "p2c_beats_round_robin": p2c_wins,
-        "bit_reproducible": report.bit_reproducible,
+        "bit_reproducible": reproducible,
     }
     checks["pass"] = bool(
         monotone
         and speedup >= TARGET_SPEEDUP_AT_2
         and p2c_wins
-        and report.bit_reproducible
+        and reproducible
     )
     return checks
 
 
-def format_scale_sweep(report: ScaleSweepReport) -> str:
+def format_scale_sweep(doc: dict) -> str:
     """The sweep as saturation and tail-latency tables."""
-    sat_rows = [
-        (n, f"{qps:,.0f}") for n, qps in report.saturation_series()
-    ]
+    sat_rows = [(n, f"{qps:,.0f}") for n, qps in saturation_series(doc)]
     out = ["saturation vs replicas (round-robin):"]
     out.append(render_table(("replicas", "saturation QPS"), sat_rows))
     rows = []
-    for cell in report.cells:
-        for point in cell.loads:
-            rows.append(
-                (
-                    cell.replicas,
-                    cell.policy,
-                    f"{point.qps:g}",
-                    point.completed,
-                    round(point.p50_us),
-                    round(point.p99_us),
-                    f"{point.replica_imbalance:.2f}" if cell.replicas > 1 else "-",
-                )
-            )
+    for cell in doc["cells"]:
+        for point in cell["loads"]:
+            rows.append((
+                cell["replicas"],
+                cell["policy"],
+                f"{point['qps']:g}",
+                point["completed"],
+                round(point["p50_us"]),
+                round(point["p99_us"]),
+                f"{point['replica_imbalance']:.2f}"
+                if cell["replicas"] > 1 else "-",
+            ))
     out.append("")
     out.append("tail latency per cell:")
     out.append(render_table(
         ("replicas", "policy", "QPS", "done", "p50 us", "p99 us", "imbalance"),
         rows,
     ))
+    repro = doc["reproducibility"]
     out.append("")
     out.append(
-        f"reproducibility ({report.repro_replicas} replicas, "
-        f"{report.repro_policy} @ {report.repro_qps:g} QPS): "
-        + ("bit-identical" if report.bit_reproducible else "DIVERGED")
+        f"reproducibility ({repro['replicas']} replicas, "
+        f"{repro['policy']} @ {repro['qps']:g} QPS): " + runner.reproduced(doc)
     )
     return "\n".join(out)
-
-
-def to_document(report: ScaleSweepReport) -> dict:
-    """The JSON artifact (validates against bench_scale.schema.json)."""
-    checks = acceptance(report)
-    return {
-        "benchmark": (
-            f"mid-tier scale-out on {report.service}, scale={report.scale} "
-            f"(midtier_cores={SWEEP_MIDTIER_CORES}, "
-            f"leaf target={SWEEP_LEAF_US:g}us), seed={report.seed}"
-        ),
-        "service": report.service,
-        "scale": report.scale,
-        "seed": report.seed,
-        "duration_us": report.duration_us,
-        "scale_overrides": {
-            "midtier_cores": SWEEP_MIDTIER_CORES,
-            "target_leaf_service_us": SWEEP_LEAF_US,
-        },
-        "cells": [asdict(cell) for cell in report.cells],
-        "reproducibility": {
-            "replicas": report.repro_replicas,
-            "policy": report.repro_policy,
-            "qps": report.repro_qps,
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.repro_first),
-            "second": asdict(report.repro_second),
-        },
-        "acceptance": checks,
-    }
 
 
 def pinned(doc: dict, telemetry=None):
@@ -405,9 +353,8 @@ EXPERIMENT = runner.Experiment(
     run=run_scale_sweep,
     format=format_scale_sweep,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_scale.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_scale.json",
     pinned=pinned,
     flags=(
         runner.SCALE, runner.SEED, runner.service_flag(),

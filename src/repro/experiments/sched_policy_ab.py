@@ -34,7 +34,6 @@ from repro.kernel.scheduler import (
     WorstFitPlacement,
 )
 from repro.suite import ServiceScale
-from repro.suite.cluster import run_open_loop
 from repro.suite.registry import SERVICE_NAMES
 
 #: Policies compared by the A/B (constructed fresh per run).
@@ -114,10 +113,9 @@ def scheduler_tail_contribution(
     duration = default_duration_us(qps, min_queries)
 
     def midtier_tail(costs: Optional[OsCosts]) -> float:
-        with runner.build_cluster(
-            service_name, scale, seed=seed, costs=costs
-        ) as (cluster, service):
-            result = run_open_loop(cluster, service, qps=qps, duration_us=duration)
+        result, service = runner.open_loop_cell(
+            service_name, qps, duration, scale=scale, seed=seed, costs=costs
+        )
         return result.telemetry.hist(
             f"midtier_latency:{service.midtier_name}"
         ).percentile(pct)

@@ -112,6 +112,13 @@ def load_schema(name: str) -> Dict[str, Any]:
     return json.loads(path.read_text())
 
 
+def verdict(document: Dict[str, Any]) -> Any:
+    """An artifact's own acceptance verdict: ``acceptance.pass``, or the
+    top-level ``passed`` of a document without an acceptance block
+    (figure-smoke); None when it carries neither."""
+    return document.get("acceptance", {}).get("pass", document.get("passed"))
+
+
 def main(argv=None) -> int:
     """CLI: validate an artifact file against a checked-in schema.
 
@@ -144,11 +151,9 @@ def main(argv=None) -> int:
         print(f"error: {err}")
         return 2
     if args.require_pass:
-        verdict = document.get("acceptance", {}).get(
-            "pass", document.get("passed")
-        )
-        if verdict is not True:
-            print(f"{args.artifact}: FAIL: acceptance verdict is {verdict!r}")
+        passed = verdict(document)
+        if passed is not True:
+            print(f"{args.artifact}: FAIL: acceptance verdict is {passed!r}")
             return 1
     print(f"{args.artifact}: ok ({args.schema})")
     return 0
@@ -160,4 +165,4 @@ if __name__ == "__main__":  # pragma: no cover - exercised via CI
     sys.exit(main())
 
 
-__all__ = ["SchemaError", "load_schema", "main", "validate"]
+__all__ = ["SchemaError", "load_schema", "main", "validate", "verdict"]

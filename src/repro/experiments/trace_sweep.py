@@ -40,12 +40,11 @@ against the checked-in ``schemas/bench_trace.schema.json``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.experiments import runner
 from repro.experiments.tables import render_table
 from repro.suite import ServiceScale, TraceConfig
-from repro.suite.cluster import run_open_loop
 from repro.suite.registry import SERVICE_NAMES
 from repro.telemetry import critpath
 from repro.telemetry.tracing import Tracer
@@ -69,9 +68,6 @@ CROSSCHECK_TOLERANCE = 0.01
 
 #: Tiling is exact by construction; the tolerance absorbs float summing.
 TILING_TOLERANCE_US = 1e-6
-
-#: Default artifact path, relative to the repository root / CWD.
-BENCH_PATH = "BENCH_trace.json"
 
 
 def _rebase_exemplars(
@@ -113,31 +109,6 @@ class TraceCell:
     crosscheck: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
-@dataclass
-class TraceSweepReport:
-    """The whole sweep plus the double-run reproducibility check."""
-
-    scale: str
-    seed: int
-    queries_per_cell: int
-    sample_every: int
-    cells: List[TraceCell]
-    repro_service: str
-    repro_qps: float
-    repro_first: TraceCell
-    repro_second: TraceCell
-
-    @property
-    def bit_reproducible(self) -> bool:
-        return asdict(self.repro_first) == asdict(self.repro_second)
-
-    def find_cell(self, service: str, qps: float) -> Optional[TraceCell]:
-        for cell in self.cells:
-            if cell.service == service and cell.qps == qps:
-                return cell
-        return None
-
-
 def measure_trace_cell(
     service: str,
     scale: ServiceScale | str,
@@ -162,16 +133,13 @@ def measure_trace_cell(
         top_k=top_k,
     )
     tracer = Tracer(sample_every=sample_every, max_traces=max_traces)
-    with runner.build_cluster(
-        service, scale, seed=seed, overrides={"trace": trace},
+    # warmup 0: the telemetry window and the sampled traces then cover
+    # the same events, which is what makes ``crosscheck`` an equality.
+    result, _handle = runner.open_loop_cell(
+        service, qps, queries / qps * 1e6, scale=scale, seed=seed,
+        overrides={"trace": trace}, warmup_us=0.0, tracer=tracer,
         telemetry=telemetry,
-    ) as (cluster, handle):
-        # warmup 0: the telemetry window and the sampled traces then cover
-        # the same events, which is what makes ``crosscheck`` an equality.
-        result = run_open_loop(
-            cluster, handle, qps=qps, duration_us=queries / qps * 1e6,
-            warmup_us=0.0, tracer=tracer,
-        )
+    )
     traces = tracer.finished
     attrs, tail = runner.tail_attributions(traces, TAIL_PERCENTILE)
     totals = critpath.aggregate(attrs)
@@ -222,63 +190,65 @@ def run_trace_sweep(
     sample_every: int = 1,
     top_k: int = 5,
     telemetry=None,
-) -> TraceSweepReport:
-    """The full sweep plus a same-seed double run of one cell."""
+) -> dict:
+    """The full sweep plus a same-seed double run of one cell, as the
+    JSON artifact (validates against bench_trace.schema.json)."""
     services = list(services)
     loads = sorted(loads)
-    cells = [
-        measure_trace_cell(
+    def measure(service: str, qps: float) -> TraceCell:
+        return measure_trace_cell(
             service, scale, qps, seed=seed, queries=queries,
             sample_every=sample_every, top_k=top_k, telemetry=telemetry,
         )
-        for service in services
-        for qps in loads
-    ]
 
+    cells = [measure(service, qps) for service in services for qps in loads]
     repro_service = services[0]
     repro_qps = (
         CROSSCHECK_QPS if CROSSCHECK_QPS in loads else loads[len(loads) // 2]
     )
-    first, second = (
-        measure_trace_cell(
-            repro_service, scale, repro_qps, seed=seed, queries=queries,
-            sample_every=sample_every, top_k=top_k, telemetry=telemetry,
-        )
-        for _ in range(2)
-    )
-    return TraceSweepReport(
-        scale=scale if isinstance(scale, str) else scale.name,
-        seed=seed,
-        queries_per_cell=queries,
-        sample_every=sample_every,
-        cells=cells,
-        repro_service=repro_service,
-        repro_qps=repro_qps,
-        repro_first=first,
-        repro_second=second,
-    )
+    scale_name = scale if isinstance(scale, str) else scale.name
+    doc = {
+        "benchmark": (
+            f"per-request critical-path attribution, scale={scale_name} "
+            f"({queries} queries/cell, "
+            f"sample_every={sample_every}), seed={seed}"
+        ),
+        "scale": scale_name,
+        "seed": seed,
+        "queries_per_cell": queries,
+        "sample_every": sample_every,
+        "categories": list(critpath.CATEGORIES),
+        "cells": [asdict(cell) for cell in cells],
+        "reproducibility": runner.double_run(
+            lambda: measure(repro_service, repro_qps),
+            service=repro_service, qps=repro_qps,
+        ),
+    }
+    doc["acceptance"] = acceptance(doc)
+    return doc
 
 
-def acceptance(report: TraceSweepReport) -> Dict[str, object]:
+def acceptance(doc: dict) -> Dict[str, object]:
     """The checks committed alongside the data."""
-    services = sorted({cell.service for cell in report.cells})
+    services = sorted({cell["service"] for cell in doc["cells"]})
     max_tiling = max(
-        (cell.max_tiling_error_us for cell in report.cells), default=0.0
+        (cell["max_tiling_error_us"] for cell in doc["cells"]), default=0.0
     )
-    traces_everywhere = all(cell.traces > 0 for cell in report.cells)
+    traces_everywhere = all(cell["traces"] > 0 for cell in doc["cells"])
+    reproducible = doc["reproducibility"]["bit_identical"]
 
     # Cross-check gate: only exact when every request is traced.
     crosscheck_detail: Dict[str, Dict[str, float]] = {}
     crosscheck_ok = True
-    crosscheck_gated = report.sample_every == 1
+    crosscheck_gated = doc["sample_every"] == 1
     for service in services:
-        cell = report.find_cell(service, CROSSCHECK_QPS)
+        cell = runner.find_row(doc["cells"], service=service, qps=CROSSCHECK_QPS)
         if cell is None or not crosscheck_gated:
             continue
         rel = {
-            name: round(cell.crosscheck[name]["rel_err"], 6)
+            name: round(cell["crosscheck"][name]["rel_err"], 6)
             for name in CROSSCHECK_CATEGORIES
-            if name in cell.crosscheck
+            if name in cell["crosscheck"]
         }
         crosscheck_detail[service] = rel
         crosscheck_ok = crosscheck_ok and all(
@@ -293,15 +263,15 @@ def acceptance(report: TraceSweepReport) -> Dict[str, object]:
     peaks_low = True
     for service in services:
         cells = sorted(
-            (c for c in report.cells if c.service == service),
-            key=lambda c: c.qps,
+            (c for c in doc["cells"] if c["service"] == service),
+            key=lambda c: c["qps"],
         )
         service_dominates = all(
-            c.midtier_tail_us["active_exe"] >= c.midtier_tail_us[other]
+            c["midtier_tail_us"]["active_exe"] >= c["midtier_tail_us"][other]
             for c in cells
             for other in ("hardirq", "net_rx", "net_tx")
         )
-        series = [round(c.midtier_tail_us["active_exe"], 1) for c in cells]
+        series = [round(c["midtier_tail_us"]["active_exe"], 1) for c in cells]
         service_peaks = all(a >= b for a, b in zip(series, series[1:]))
         dominance_detail[service] = service_dominates
         low_load_detail[service] = series
@@ -322,7 +292,7 @@ def acceptance(report: TraceSweepReport) -> Dict[str, object]:
         "runqueue_dominance_per_service": dominance_detail,
         "runqueue_tail_us_by_load": low_load_detail,
         "runqueue_peaks_at_low_load": peaks_low,
-        "bit_reproducible": report.bit_reproducible,
+        "bit_reproducible": reproducible,
     }
     checks["pass"] = bool(
         checks["tiling_exact"]
@@ -330,27 +300,27 @@ def acceptance(report: TraceSweepReport) -> Dict[str, object]:
         and crosscheck_ok
         and dominates
         and peaks_low
-        and report.bit_reproducible
+        and reproducible
     )
     return checks
 
 
-def format_trace_sweep(report: TraceSweepReport, show: int = 3) -> str:
+def format_trace_sweep(doc: dict, show: int = 3) -> str:
     """Cell table, per-cell exemplars, and the reproducibility verdict."""
     rows = []
-    for cell in report.cells:
-        share = cell.category_share
+    for cell in doc["cells"]:
+        share = cell["category_share"]
         rows.append((
-            cell.service,
-            f"{cell.qps:g}",
-            cell.traces,
-            round(cell.e2e_p99_us),
+            cell["service"],
+            f"{cell['qps']:g}",
+            cell["traces"],
+            round(cell["e2e_p99_us"]),
             f"{share.get('active_exe', 0.0):.1%}",
             f"{share.get('net', 0.0):.1%}",
             f"{share.get('leaf_compute', 0.0):.1%}",
             f"{share.get('queue_dwell', 0.0):.1%}",
-            round(cell.midtier_tail_us.get("active_exe", 0.0), 1),
-            f"{cell.max_tiling_error_us:.1e}",
+            round(cell["midtier_tail_us"].get("active_exe", 0.0), 1),
+            f"{cell['max_tiling_error_us']:.1e}",
         ))
     out = ["critical-path attribution cells:"]
     out.append(render_table(
@@ -362,11 +332,11 @@ def format_trace_sweep(report: TraceSweepReport, show: int = 3) -> str:
         out.append("")
         out.append(f"slowest exemplars (top {show} per cell):")
         ex_rows = []
-        for cell in report.cells:
-            for exemplar in cell.exemplars[:show]:
+        for cell in doc["cells"]:
+            for exemplar in cell["exemplars"][:show]:
                 ex_rows.append((
-                    cell.service,
-                    f"{cell.qps:g}",
+                    cell["service"],
+                    f"{cell['qps']:g}",
                     exemplar["request_id"],
                     round(float(exemplar["total_us"])),
                     exemplar["dominant"],
@@ -374,39 +344,13 @@ def format_trace_sweep(report: TraceSweepReport, show: int = 3) -> str:
         out.append(render_table(
             ("service", "QPS", "request", "total us", "dominant"), ex_rows
         ))
+    repro = doc["reproducibility"]
     out.append("")
     out.append(
-        f"reproducibility ({report.repro_service} @ {report.repro_qps:g} "
-        "QPS, double run): "
-        + ("bit-identical" if report.bit_reproducible else "DIVERGED")
+        f"reproducibility ({repro['service']} @ {repro['qps']:g} "
+        "QPS, double run): " + runner.reproduced(doc)
     )
     return "\n".join(out)
-
-
-def to_document(report: TraceSweepReport) -> dict:
-    """The JSON artifact (validates against bench_trace.schema.json)."""
-    checks = acceptance(report)
-    return {
-        "benchmark": (
-            f"per-request critical-path attribution, scale={report.scale} "
-            f"({report.queries_per_cell} queries/cell, "
-            f"sample_every={report.sample_every}), seed={report.seed}"
-        ),
-        "scale": report.scale,
-        "seed": report.seed,
-        "queries_per_cell": report.queries_per_cell,
-        "sample_every": report.sample_every,
-        "categories": list(critpath.CATEGORIES),
-        "cells": [asdict(cell) for cell in report.cells],
-        "reproducibility": {
-            "service": report.repro_service,
-            "qps": report.repro_qps,
-            "bit_identical": report.bit_reproducible,
-            "first": asdict(report.repro_first),
-            "second": asdict(report.repro_second),
-        },
-        "acceptance": checks,
-    }
 
 
 def pinned(doc: dict, telemetry=None):
@@ -432,9 +376,8 @@ EXPERIMENT = runner.Experiment(
     run=run_trace_sweep,
     format=format_trace_sweep,
     acceptance=acceptance,
-    to_document=to_document,
     schema="bench_trace.schema.json",
-    bench_path=BENCH_PATH,
+    bench_path="BENCH_trace.json",
     pinned=pinned,
     drift_streaming=True,
     flags=(
@@ -452,8 +395,8 @@ EXPERIMENT = runner.Experiment(
 
 
 __all__ = [
-    "BENCH_PATH", "CROSSCHECK_QPS", "CROSSCHECK_TOLERANCE", "EXPERIMENT",
+    "CROSSCHECK_QPS", "CROSSCHECK_TOLERANCE", "EXPERIMENT",
     "LOADS", "QUERIES_PER_CELL", "TILING_TOLERANCE_US", "TraceCell",
-    "TraceSweepReport", "acceptance", "format_trace_sweep",
-    "measure_trace_cell", "pinned", "run_trace_sweep", "to_document",
+    "acceptance", "format_trace_sweep", "measure_trace_cell", "pinned",
+    "run_trace_sweep",
 ]

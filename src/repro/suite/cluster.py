@@ -86,9 +86,7 @@ class SimCluster:
         # pre-existing goldens stay byte-identical.
         self.energy: Optional[EnergyAccount] = None
         if energy is not None and energy.enabled:
-            self.energy = EnergyAccount(
-                energy, self.costs, telemetry=self.telemetry
-            )
+            self.energy = EnergyAccount(energy, self.costs)
 
     def machine(
         self,

@@ -1,6 +1,10 @@
-"""Smoke tests: the ``usuite`` CLI runs end to end at unit scale."""
+"""Smoke tests: the ``usuite`` CLI runs end to end at unit scale.
 
-import json
+The sweeps' happy paths (one tiny ``--output`` run each, stdout and
+artifact pinned byte for byte) are rows of
+``tests/test_artifact_experiments.py``; this module keeps the figure
+commands, the usage errors and the malformed-artifact rejections.
+"""
 
 import pytest
 
@@ -52,27 +56,6 @@ def test_cli_overheads_single_cell(capsys):
     out = capsys.readouterr().out
     assert "active_exe" in out
     assert "retransmissions" in out
-
-
-def test_cli_scale_happy_path(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_scale.json"
-    exit_code = main([
-        "scale", "--scale", "unit", "--replicas", "1", "2",
-        "--policies", "round-robin", "--loads", "800",
-        "--duration-us", "120000", "--output", str(out_path),
-    ])
-    # A round-robin-only grid cannot clear the power-of-two gate (that is
-    # the committed artifact's job), and a failed gate exits 1.
-    assert exit_code == 1
-    out = capsys.readouterr().out
-    assert "Scale-out sweep" in out
-    assert "saturation vs replicas" in out
-    assert "bit-identical" in out
-    # The artifact exists and conforms to the checked-in schema.
-    data = json.loads(out_path.read_text())
-    validate(data, load_schema("bench_scale.schema.json"))
-    assert data["reproducibility"]["bit_identical"] is True
-    assert len(data["cells"]) == 2
 
 
 def test_cli_scale_unknown_policy_exits_2(capsys):
@@ -141,30 +124,6 @@ def test_cli_scale_rejects_non_positive_replicas(bad, capsys):
 
 # -- usuite cache -----------------------------------------------------------
 
-def test_cli_cache_happy_path(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_cache.json"
-    exit_code = main([
-        "cache", "--scale", "unit", "--services", "hdsearch",
-        "--loads", "1000", "2500", "--duration-us", "150000",
-        "--no-axes", "--output", str(out_path),
-    ])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    assert "Batching x caching sweep" in out
-    assert "bit-identical" in out
-    assert "recorded" in out
-    # The artifact exists and conforms to the checked-in schema.
-    data = json.loads(out_path.read_text())
-    validate(data, load_schema("bench_cache.schema.json"))
-    assert data["reproducibility"]["bit_identical"] is True
-    # Off cell and batching+caching-on cell, per service swept.
-    assert len(data["cells"]) == 2
-    on = [c for c in data["cells"] if c["cache_capacity"] > 0]
-    assert on and all(
-        point["cache"]["hits"] > 0 for cell in on for point in cell["loads"]
-    )
-
-
 def test_cli_cache_unknown_policy_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["cache", "--policy", "bogus"])
@@ -192,32 +151,6 @@ def test_cli_cache_bad_batch_size_exits_2(capsys):
 
 
 # -- usuite trace -----------------------------------------------------------
-
-def test_cli_trace_happy_path(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_trace.json"
-    exit_code = main([
-        "trace", "--scale", "unit", "--services", "hdsearch",
-        "--loads", "1000", "--queries", "150", "--output", str(out_path),
-    ])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    assert "Critical-path attribution sweep" in out
-    assert "bit-identical" in out
-    assert "recorded" in out
-    # The artifact exists and conforms to the checked-in schema.
-    data = json.loads(out_path.read_text())
-    validate(data, load_schema("bench_trace.schema.json"))
-    acceptance = data["acceptance"]
-    assert acceptance["pass"] is True
-    assert acceptance["tiling_exact"] is True
-    assert acceptance["traces_sampled_everywhere"] is True
-    assert acceptance["crosscheck_within_tolerance"] is True
-    assert acceptance["bit_reproducible"] is True
-    assert data["reproducibility"]["bit_identical"] is True
-    # Exemplar ids are cell-relative so double runs stay comparable.
-    for cell in data["cells"]:
-        assert all(e["request_id"] >= 0 for e in cell["exemplars"])
-
 
 def test_cli_trace_unknown_scale_exits_2(capsys):
     exit_code = main(["trace", "--scale", "zeppelin"])

@@ -8,11 +8,12 @@ Three invariants the account must hold by construction:
 * Core-time conservation: at any instant every core is either busy or
   idle, so ``active_us + Σ idle_us == n_cores × now`` for any snapshot,
   however the timeline is split into wake/sleep spans.
-* Telemetry-mode invariance: the account tees its spans through the
-  ordinary telemetry probes, so a streaming-telemetry run must produce
-  the dict-identical energy aggregate to the buffered run — and with
-  the account *disabled*, latency metrics must be byte-identical to a
-  run with no account at all (accounting is observation, not behavior).
+* Telemetry-mode invariance: a window's energy is the difference of two
+  account snapshots and the account never looks at telemetry, so a
+  streaming-telemetry run must produce the dict-identical energy
+  aggregate to the buffered run — and with the account *disabled*,
+  latency metrics must be byte-identical to a run with no account at
+  all (accounting is observation, not behavior).
 """
 
 import pytest

@@ -2,7 +2,9 @@
 
 One reduced-size sweep (3 ladder rungs, short windows) runs once per
 module; every assertion about the tradeoffs, the equivalence re-runs,
-and the document schema reads from that shared report.
+and the document schema reads from that shared document — the sweep
+*is* its JSON artifact (the CLI run at similar sizes is pinned byte for
+byte in ``tests/test_artifact_experiments.py``).
 """
 
 import pytest
@@ -14,7 +16,7 @@ from repro.graph import pipeline_graph, work_per_query
 
 
 @pytest.fixture(scope="module")
-def report():
+def doc():
     return energy_sweep.run_energy_sweep(
         qps=600.0, queries=150, tiers=3,
         lowload_qps=100.0, lowload_queries=100, workload_queries=100,
@@ -62,8 +64,9 @@ def test_shallow_costs_disable_deep_states():
 
 # -- acceptance gates on the reduced sweep -----------------------------------
 
-def test_energy_monotone_with_tier_count(report):
-    tradeoff = report.granularity_tradeoff()
+def test_energy_monotone_with_tier_count(doc):
+    tradeoff = energy_sweep.granularity_tradeoff(doc)
+    assert tradeoff == doc["granularity_tradeoff"]
     assert tradeoff["tiers"] == [1, 2, 3]
     assert tradeoff["monotone_nondecreasing"] is True
     assert tradeoff["energy_ratio_fine_vs_monolith"] > 1.0
@@ -72,40 +75,46 @@ def test_energy_monotone_with_tier_count(report):
     assert wakes[0] < wakes[-1]
 
 
-def test_lowload_deep_sleep_tension(report):
-    tradeoff = report.lowload_tradeoff()
+def test_lowload_deep_sleep_tension(doc):
+    tradeoff = energy_sweep.lowload_tradeoff(doc)
+    assert tradeoff == doc["lowload_tradeoff"]
     # C1-only cuts tail latency (no deep exits on the wake path) ...
     assert tradeoff["p99_us_shallow"] < tradeoff["p99_us_deep"]
     # ... and pays for it in idle joules (1.5 W floor vs 0.1 W C6).
     assert tradeoff["idle_uj_shallow"] > tradeoff["idle_uj_deep"]
 
 
-def test_reruns_are_equivalent(report):
-    assert report.bit_reproducible
-    assert report.streaming_identical
+def test_reruns_are_equivalent(doc):
+    repro = doc["reproducibility"]
+    assert repro["bit_identical"] is True and repro["first"] == repro["second"]
+    # The deepest rung is measured once: the ladder's last cell is the
+    # double run's first record.
+    assert doc["ladder"][-1] == repro["first"]
+    assert doc["streaming"]["identical"] is True
+    assert doc["streaming"]["energy"] == repro["first"]["energy"]
 
 
-def test_acceptance_passes(report):
-    checks = energy_sweep.acceptance(report)
+def test_acceptance_passes(doc):
+    checks = energy_sweep.acceptance(doc)
+    assert checks == doc["acceptance"]
     assert checks["pass"] is True
     assert checks["ladder_points"] == 3
 
 
-def test_format_names_the_verdicts(report):
-    text = energy_sweep.format_energy_sweep(report)
+def test_format_names_the_verdicts(doc):
+    text = energy_sweep.format_energy_sweep(doc)
     assert "energy vs. granularity" in text
     assert "bit-identical" in text
     assert "identical" in text
     assert "NOT monotone" not in text
 
 
-def test_document_validates_against_committed_schema(report):
-    document = energy_sweep.to_document(report)
-    validate(document, load_schema("bench_energy.schema.json"))
-    assert document["acceptance"]["pass"] is True
+def test_document_validates_against_committed_schema(doc):
+    validate(doc, load_schema("bench_energy.schema.json"))
+    assert doc["acceptance"]["pass"] is True
     # The artifact pins everything the drift probe needs to re-run the
     # deepest rung: its tier count, workload size, seed, and load.
-    first = document["reproducibility"]["first"]
+    first = doc["reproducibility"]["first"]
     assert first["tiers"] == 3
-    assert document["workload_queries"] == 100
-    assert document["qps"] == 600.0
+    assert doc["workload_queries"] == 100
+    assert doc["qps"] == 600.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import characterize, drift, registry
+from repro.experiments import characterize, drift, figures, registry
 from repro.experiments.characterize import OVERHEAD_KINDS, default_duration_us
 from repro.experiments.figures import (
     FIGURES,
@@ -19,6 +19,7 @@ from repro.experiments.figures import (
     low_load_median_inflation,
     rates_per_second,
     render,
+    run_figure,
     saturation_throughput,
 )
 from repro.experiments.sched_policy_ab import (
@@ -172,15 +173,50 @@ def test_registered_experiment_is_complete(experiment):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_cli_exits_1_when_the_acceptance_gate_fails(name, monkeypatch, capsys):
+    # The runner reads the verdict where the document carries it.
     failing = replace(
         registry.BY_NAME[name],
-        run=lambda **params: {},
+        run=lambda **params: {"acceptance": {"pass": False}},
         format=lambda report, **options: "",
-        acceptance=lambda report: {"pass": False},
+        acceptance=lambda doc: doc["acceptance"],
     )
     monkeypatch.setitem(registry.BY_NAME, name, failing)
     assert main([name]) == 1
     assert "acceptance: FAIL" in capsys.readouterr().out
+
+
+ABLATION_ROWS = ("block-poll", "inline-dispatch", "poolsize", "adaptive")
+
+
+@pytest.mark.parametrize("row", ABLATION_ROWS)
+@pytest.mark.parametrize("service, field", [
+    ("hdsearch", "midtier_runtime"), ("router", "router_midtier_runtime"),
+])
+def test_ablation_rows_override_the_runtime_the_service_is_built_from(
+    row, service, field, monkeypatch
+):
+    # Router builds its mid-tier from ``router_midtier_runtime``; a row that
+    # overrode ``midtier_runtime`` for it compared identical configurations.
+    seen = {}
+    monkeypatch.setattr(
+        figures, "characterize_grid",
+        lambda variants, *args: seen.update(variants) or {},
+    )
+    run_figure(FIGURES[row], service, scale="unit")
+    runtimes = [getattr(scale, field) for _service, scale in seen.values()]
+    assert len(runtimes) == len(FIGURES[row].runtimes)
+    assert all(a != b for i, a in enumerate(runtimes) for b in runtimes[:i])
+
+
+def test_router_block_poll_rows_differ():
+    # Parent: two identical rows (p50, p99, futex and epoll per query).
+    grid = run_figure(FIGURES["block-poll"], "router", loads=1_000.0,
+                      scale="unit", min_queries=60)
+    blocking, polling = grid["blocking"][1_000.0], grid["polling"][1_000.0]
+    assert polling.syscalls_per_query["epoll_pwait"] > 5 * (
+        blocking.syscalls_per_query["epoll_pwait"]
+    )
+    assert blocking.e2e.median != polling.e2e.median
 
 
 def test_cli_rejects_unknown_service():
