@@ -17,8 +17,8 @@ Three layers, top to bottom:
   :func:`characterize` for one fully instrumented cell;
 * **suite** — :class:`SimCluster`, :func:`build_service`, the typed
   :class:`ServiceScale` config tree (:class:`TopologyConfig`,
-  :class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig`,
-  :class:`TraceConfig`) and the :data:`SCALES` registry;
+  :class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig`) and the
+  :data:`SCALES` registry;
 * **telemetry** — the :class:`Tracer` span sampler and the critical-path
   attribution engine (:func:`attribute`, :func:`tail_exemplars`,
   :func:`crosscheck` in :mod:`repro.telemetry.critpath`).
@@ -66,7 +66,6 @@ _EXPORTS = {
     "LbConfig": "repro.suite",
     "BatchConfig": "repro.suite",
     "CacheConfig": "repro.suite",
-    "TraceConfig": "repro.suite",
     "RunResult": "repro.suite",
     "build_service": "repro.suite",
     "drive": "repro.suite.cluster",

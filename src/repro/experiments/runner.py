@@ -100,7 +100,7 @@ def build_cluster(
 
     ``overrides`` are forwarded to :meth:`ServiceScale.with_overrides`
     after ``scale`` resolves, so callers can say
-    ``overrides={"trace": TraceConfig(enabled=True)}`` without touching
+    ``overrides={"energy": EnergyConfig(enabled=True)}`` without touching
     the registry scale; ``telemetry`` (a
     :class:`~repro.telemetry.TelemetryConfig`) is the one override every
     sweep threads through, None keeping the scale's default.  A

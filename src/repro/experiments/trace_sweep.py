@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.experiments import runner
 from repro.experiments.tables import render_table
-from repro.suite import ServiceScale, TraceConfig
+from repro.suite import ServiceScale
 from repro.suite.registry import SERVICE_NAMES
 from repro.telemetry import critpath
 from repro.telemetry.tracing import Tracer
@@ -128,17 +128,12 @@ def measure_trace_cell(
     ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) selects
     the aggregation mode; None keeps the scale's default (buffered).
     """
-    trace = TraceConfig(
-        enabled=True, sample_every=sample_every, max_traces=max_traces,
-        top_k=top_k,
-    )
     tracer = Tracer(sample_every=sample_every, max_traces=max_traces)
     # warmup 0: the telemetry window and the sampled traces then cover
     # the same events, which is what makes ``crosscheck`` an equality.
     result, _handle = runner.open_loop_cell(
         service, qps, queries / qps * 1e6, scale=scale, seed=seed,
-        overrides={"trace": trace}, warmup_us=0.0, tracer=tracer,
-        telemetry=telemetry,
+        warmup_us=0.0, tracer=tracer, telemetry=telemetry,
     )
     traces = tracer.finished
     attrs, tail = runner.tail_attributions(traces, TAIL_PERCENTILE)

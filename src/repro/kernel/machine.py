@@ -18,7 +18,7 @@ from repro.net.fabric import Fabric, Packet
 from repro.sim.core import Simulation
 from repro.sim.rng import RngStreams, lognormal_from_median_sigma
 from repro.telemetry import Telemetry
-from repro.telemetry.critpath import riders
+from repro.telemetry.critpath import riders, stamp
 
 #: Period of the background RCU bookkeeping tick, in microseconds.
 RCU_TICK_US = 4000.0
@@ -131,13 +131,11 @@ class Machine:
         carried = riders(packet.payload)
         if carried:
             now = self.sim.now
-            for trace, rid in carried:
-                trace.add_segment("hardirq", self.name, now, now + hardirq, rid)
-                trace.add_segment(
-                    "net_rx", self.name, now + hardirq, now + hardirq + softirq, rid
-                )
-            self.telemetry.record_attributed(self.name, "hardirq", hardirq)
-            self.telemetry.record_attributed(self.name, "net_rx", softirq)
+            stamp(self.telemetry, carried, self.name, "hardirq", now, now + hardirq, hardirq)
+            stamp(
+                self.telemetry, carried, self.name, "net_rx",
+                now + hardirq, now + hardirq + softirq, softirq,
+            )
         # Interrupt handling steals cycles from whatever runs on that core.
         self.scheduler.steal_cpu(irq_core, hardirq + softirq)
         self.sim.defer_in(hardirq + softirq, self._socket_deliver, packet)
@@ -150,12 +148,9 @@ class Machine:
             packet.payload.delivered(self.sim.now)
         # The softirq core writes the rx-queue head; a later recvmsg from a
         # poller core takes the cacheline back (HITM both directions).
-        irq_core = self.scheduler.least_busy_irq_core(self.spec.nic_irq_cores)
-        previous = sock.cacheline.last_core
-        if previous is not None and previous != irq_core:
-            remote = self.spec.socket_of(previous) != self.spec.socket_of(irq_core)
-            self.telemetry.count_hitm(self.name, remote=remote)
-        sock.cacheline.last_core = irq_core
+        scheduler = self.scheduler
+        irq_core = scheduler.least_busy_irq_core(self.spec.nic_irq_cores)
+        scheduler.touch_cacheline(scheduler.cores[irq_core], sock.cacheline)
         carried = riders(packet.payload)
         if carried:
             now = self.sim.now
@@ -165,7 +160,6 @@ class Machine:
                 trace.add_segment("net", self.name, start, now, rid)
             # Threads woken synchronously by this delivery (epoll wake-all)
             # owe their upcoming runqueue wait to these traced requests.
-            scheduler = self.scheduler
             scheduler._pending_wake_riders = carried
             try:
                 sock.deliver(packet.payload)

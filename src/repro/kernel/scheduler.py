@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.kernel.config import OsCosts
@@ -51,7 +52,7 @@ from repro.kernel.ops import (
 from repro.kernel.threads import SimThread, ThreadState
 from repro.sim.core import Simulation
 from repro.sim.rng import lognormal_from_median_sigma
-from repro.telemetry.critpath import riders
+from repro.telemetry.critpath import riders, stamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.machine import Machine
@@ -139,13 +140,19 @@ class PlacementPolicy:
 
     name = "abstract"
 
+    def __init__(self, wake_delay_median_us: float = 0.0, wake_delay_sigma: float = 0.6):
+        self.wake_delay_median_us = wake_delay_median_us
+        self.wake_delay_sigma = wake_delay_sigma
+
     def choose_core(self, thread: SimThread, cores: Sequence[Core], rng) -> Core:
         """Return the core to enqueue ``thread`` on."""
         raise NotImplementedError
 
     def wake_delay_us(self, rng) -> float:
         """Extra latency before the target core reacts to the wakeup."""
-        return 0.0
+        if self.wake_delay_median_us <= 0:
+            return 0.0
+        return lognormal_from_median_sigma(rng, self.wake_delay_median_us, self.wake_delay_sigma)
 
 
 class WakeAffinityPlacement(PlacementPolicy):
@@ -194,17 +201,8 @@ class RandomPlacement(PlacementPolicy):
 
     name = "random"
 
-    def __init__(self, wake_delay_median_us: float = 0.0, wake_delay_sigma: float = 0.6):
-        self.wake_delay_median_us = wake_delay_median_us
-        self.wake_delay_sigma = wake_delay_sigma
-
     def choose_core(self, thread: SimThread, cores: Sequence[Core], rng) -> Core:
         return cores[rng.randrange(len(cores))]
-
-    def wake_delay_us(self, rng) -> float:
-        if self.wake_delay_median_us <= 0:
-            return 0.0
-        return lognormal_from_median_sigma(rng, self.wake_delay_median_us, self.wake_delay_sigma)
 
 
 class WorstFitPlacement(PlacementPolicy):
@@ -213,10 +211,6 @@ class WorstFitPlacement(PlacementPolicy):
     Active→Exe queueing."""
 
     name = "worst-fit"
-
-    def __init__(self, wake_delay_median_us: float = 0.0, wake_delay_sigma: float = 0.6):
-        self.wake_delay_median_us = wake_delay_median_us
-        self.wake_delay_sigma = wake_delay_sigma
 
     def choose_core(self, thread: SimThread, cores: Sequence[Core], rng) -> Core:
         # max by (load, -index): highest load, lowest index on ties.
@@ -227,11 +221,6 @@ class WorstFitPlacement(PlacementPolicy):
             if load > best_load:
                 best, best_load = core, load
         return best
-
-    def wake_delay_us(self, rng) -> float:
-        if self.wake_delay_median_us <= 0:
-            return 0.0
-        return lognormal_from_median_sigma(rng, self.wake_delay_median_us, self.wake_delay_sigma)
 
 
 class Scheduler:
@@ -266,28 +255,33 @@ class Scheduler:
         # hooks below only observe the busy/idle transitions the scheduler
         # already makes; None (the default) costs one comparison per switch.
         self.energy = None
-        self._handlers = {
-            Compute: self._op_compute,
-            AtomicAccess: self._op_atomic,
-            FutexWait: self._op_futex_wait,
-            FutexWake: self._op_futex_wake,
-            EpollWait: self._op_epoll_wait,
-            SockSend: self._op_sock_send,
-            SockRecv: self._op_sock_recv,
-            EventfdWrite: self._op_eventfd_write,
-            EventfdRead: self._op_eventfd_read,
-            Nanosleep: self._op_nanosleep,
-            YieldCpu: self._op_yield,
+        # One table drives the op interpreter (see _advance): op class ->
+        # (syscall name, kernel-entry cost, getter for the contended
+        # cacheline the entry touches or None, body run once the entry cost
+        # is paid).  Costs are looked up here, once.
+        futex_line = attrgetter("futex.cacheline")
+        self._ops = {
+            op: (name, costs.syscall_cost(name), line, body)
+            for op, name, line, body in (
+                # The kernel reads/updates the futex word: a cross-core HITM.
+                (FutexWait, "futex", futex_line, self._futex_wait_body),
+                (FutexWake, "futex", futex_line, self._futex_wake_body),
+                (EpollWait, "epoll_pwait", None, self._epoll_wait_body),
+                (SockSend, "sendmsg", None, self._sock_send_body),
+                # The rx-queue head was last written by the delivering
+                # softirq core.
+                (SockRecv, "recvmsg", attrgetter("sock.cacheline"), self._sock_recv_body),
+                (EventfdWrite, "write", None, self._eventfd_write_body),
+                (EventfdRead, "read", None, self._eventfd_read_body),
+                (Nanosleep, "nanosleep", None, self._nanosleep_body),
+                (YieldCpu, "sched_yield", None, self._yield_body),
+            )
         }
+        # Userspace ops never enter the kernel: no name, the body is all.
+        self._ops[Compute] = (None, 0.0, None, self._op_compute)
+        self._ops[AtomicAccess] = (None, 0.0, None, self._op_atomic)
 
-    # -- telemetry shorthands ------------------------------------------------
-    @property
-    def telemetry(self):
-        return self.machine.telemetry
-
-    def _count_syscall(self, name: str) -> None:
-        self._telemetry.count_syscall(self._mname, name)
-
+    # -- telemetry shorthand -------------------------------------------------
     def _softirq_sample(self, kind: str, median: float, sigma: float) -> float:
         latency = lognormal_from_median_sigma(self.rng, median, sigma)
         self._telemetry.record_irq(self._mname, kind, latency)
@@ -297,7 +291,7 @@ class Scheduler:
     def spawn(self, thread: SimThread) -> SimThread:
         """Create a thread: charge clone/mmap/mprotect and make it runnable."""
         for syscall in ("clone", "mmap", "mmap", "mprotect"):
-            self._count_syscall(syscall)
+            self._telemetry.count_syscall(self._mname, syscall)
         self.threads.append(thread)
         self.make_runnable(thread)
         return thread
@@ -385,11 +379,10 @@ class Scheduler:
         if carried is not None:
             thread.wake_riders = None
             if wait > 0.0:
-                for trace, rid in carried:
-                    trace.add_segment(
-                        "active_exe", self._mname, thread.runnable_since, now, rid
-                    )
-                self._telemetry.record_attributed(self._mname, "active_exe", wait)
+                stamp(
+                    self._telemetry, carried, self._mname, "active_exe",
+                    thread.runnable_since, now, wait,
+                )
         core.slice_end = now + self.costs.timeslice_us
         if thread.pending_compute > 0.0:
             remaining = thread.pending_compute
@@ -414,10 +407,20 @@ class Scheduler:
             return
         thread.send_value = None
         try:
-            handler = self._handlers[op.__class__]
+            name, cost, line, body = self._ops[op.__class__]
         except KeyError:
             raise TypeError(f"{thread} yielded unknown op {op!r}") from None
-        handler(core, thread, op)
+        if name is None:  # userspace op: Compute / AtomicAccess
+            body(core, thread, op)
+            return
+        # The one syscall entry: count it, charge the entry cost (plus a
+        # HITM transfer when another core owns the line the kernel
+        # touches), then run the op's body.
+        self._telemetry.count_syscall(self._mname, name)
+        if line is not None:
+            cost = cost + self.touch_cacheline(core, line(op))
+        thread.vruntime += cost
+        self._occupy(core, cost, body, core, thread, op)
 
     def _thread_exit(self, core: Core, thread: SimThread) -> None:
         thread.state = ThreadState.DONE
@@ -493,10 +496,11 @@ class Scheduler:
         reason: str,
         resume_hook: Optional[Callable[[], object]],
         timeout_us: Optional[float],
-        waitlist: Optional[list],
+        waitlist: list,
     ) -> None:
-        """Park ``thread``; on timeout it is removed from ``waitlist`` (if
-        given) and made runnable again."""
+        """Park ``thread`` on ``waitlist``; on timeout it is removed from it
+        and made runnable again."""
+        waitlist.append(thread)
         thread.state = ThreadState.BLOCKED
         thread.block_reason = reason
         thread.resume_hook = resume_hook
@@ -540,7 +544,7 @@ class Scheduler:
             thread.vruntime += us
             self._occupy(core, us, self._advance, core, thread)
 
-    def _touch_cacheline(self, core: Core, line) -> float:
+    def touch_cacheline(self, core: Core, line) -> float:
         """HITM accounting for a shared-cacheline access; returns extra cost.
 
         Cross-core accesses are HITM events; when the previous owner sat
@@ -560,18 +564,9 @@ class Scheduler:
         return 0.0
 
     def _op_atomic(self, core: Core, thread: SimThread, op: AtomicAccess) -> None:
-        cost = self.costs.atomic_op_us + self._touch_cacheline(core, op.cacheline)
+        cost = self.costs.atomic_op_us + self.touch_cacheline(core, op.cacheline)
         thread.vruntime += cost
         self._occupy(core, cost, self._advance, core, thread)
-
-    def _op_futex_wait(self, core: Core, thread: SimThread, op: FutexWait) -> None:
-        self._count_syscall("futex")
-        # The kernel reads/updates the futex word: a cross-core HITM.
-        cost = self.costs.syscall_cost("futex") + self._touch_cacheline(
-            core, op.futex.cacheline
-        )
-        thread.vruntime += cost
-        self._occupy(core, cost, self._futex_wait_body, core, thread, op)
 
     def _futex_wait_body(self, core: Core, thread: SimThread, op: FutexWait) -> None:
         if op.futex.value != op.expected:
@@ -579,24 +574,14 @@ class Scheduler:
             thread.send_value = False
             self._advance(core, thread)
             return
-        waiters = op.futex.waiters
-        waiters.append(thread)
         self._block(
             core,
             thread,
             reason="futex",
             resume_hook=_return_true,
             timeout_us=op.timeout_us,
-            waitlist=waiters,
+            waitlist=op.futex.waiters,
         )
-
-    def _op_futex_wake(self, core: Core, thread: SimThread, op: FutexWake) -> None:
-        self._count_syscall("futex")
-        cost = self.costs.syscall_cost("futex") + self._touch_cacheline(
-            core, op.futex.cacheline
-        )
-        thread.vruntime += cost
-        self._occupy(core, cost, self._futex_wake_body, core, thread, op)
 
     def _futex_wake_body(self, core: Core, thread: SimThread, op: FutexWake) -> None:
         waiters = op.futex.waiters
@@ -620,12 +605,6 @@ class Scheduler:
         thread.send_value = woken
         self._advance(core, thread)
 
-    def _op_epoll_wait(self, core: Core, thread: SimThread, op: EpollWait) -> None:
-        self._count_syscall("epoll_pwait")
-        cost = self.costs.syscall_cost("epoll_pwait")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._epoll_wait_body, core, thread, op)
-
     def _epoll_wait_body(self, core: Core, thread: SimThread, op: EpollWait) -> None:
         ready = op.epoll.snapshot_ready()
         if ready:
@@ -636,15 +615,13 @@ class Scheduler:
             thread.send_value = []
             self._advance(core, thread)
             return
-        waiters = op.epoll.waiters
-        waiters.append(thread)
         self._block(
             core,
             thread,
             reason="epoll",
             resume_hook=op.epoll.snapshot_ready,
             timeout_us=op.timeout_us,
-            waitlist=waiters,
+            waitlist=op.epoll.waiters,
         )
 
     def wake_epoll_waiters(self, waiters: List[SimThread]) -> None:
@@ -653,12 +630,6 @@ class Scheduler:
             if waiter.state is ThreadState.BLOCKED:
                 self.make_runnable(waiter)
 
-    def _op_sock_send(self, core: Core, thread: SimThread, op: SockSend) -> None:
-        self._count_syscall("sendmsg")
-        cost = self.costs.syscall_cost("sendmsg")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._sock_send_body, core, thread, op)
-
     def _sock_send_body(self, core: Core, thread: SimThread, op: SockSend) -> None:
         tx_latency = self._softirq_sample(
             "net_tx", self.costs.softirq_net_tx_median_us, self.costs.softirq_net_tx_sigma
@@ -666,31 +637,17 @@ class Scheduler:
         carried = riders(op.payload)
         if carried:
             now = self.sim._now
-            for trace, rid in carried:
-                trace.add_segment("net_tx", self._mname, now, now + tx_latency, rid)
-            self._telemetry.record_attributed(self._mname, "net_tx", tx_latency)
+            stamp(
+                self._telemetry, carried, self._mname, "net_tx",
+                now, now + tx_latency, tx_latency,
+            )
         self.machine.transmit(op.sock, op.dst, op.payload, op.size_bytes, tx_latency)
         thread.send_value = None
         self._advance(core, thread)
 
-    def _op_sock_recv(self, core: Core, thread: SimThread, op: SockRecv) -> None:
-        self._count_syscall("recvmsg")
-        # The rx-queue head was last written by the delivering softirq core.
-        cost = self.costs.syscall_cost("recvmsg") + self._touch_cacheline(
-            core, op.sock.cacheline
-        )
-        thread.vruntime += cost
-        self._occupy(core, cost, self._sock_recv_body, core, thread, op)
-
     def _sock_recv_body(self, core: Core, thread: SimThread, op: SockRecv) -> None:
         thread.send_value = op.sock.pop()
         self._advance(core, thread)
-
-    def _op_eventfd_write(self, core: Core, thread: SimThread, op: EventfdWrite) -> None:
-        self._count_syscall("write")
-        cost = self.costs.syscall_cost("write")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._eventfd_write_body, core, thread, op)
 
     def _eventfd_write_body(self, core: Core, thread: SimThread, op: EventfdWrite) -> None:
         op.efd.add(op.value)
@@ -700,56 +657,30 @@ class Scheduler:
         thread.send_value = None
         self._advance(core, thread)
 
-    def _op_eventfd_read(self, core: Core, thread: SimThread, op: EventfdRead) -> None:
-        self._count_syscall("read")
-        cost = self.costs.syscall_cost("read")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._eventfd_read_body, core, thread, op)
-
     def _eventfd_read_body(self, core: Core, thread: SimThread, op: EventfdRead) -> None:
         if op.efd.counter > 0:
             thread.send_value = op.efd.consume()
             self._advance(core, thread)
             return
-        readers = op.efd.readers
-        readers.append(thread)
         self._block(
             core,
             thread,
             reason="eventfd",
             resume_hook=op.efd.consume,
             timeout_us=None,
-            waitlist=readers,
+            waitlist=op.efd.readers,
         )
-
-    def _op_nanosleep(self, core: Core, thread: SimThread, op: Nanosleep) -> None:
-        self._count_syscall("nanosleep")
-        cost = self.costs.syscall_cost("nanosleep")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._nanosleep_body, core, thread, op)
 
     def _nanosleep_body(self, core: Core, thread: SimThread, op: Nanosleep) -> None:
         thread.state = ThreadState.BLOCKED
         thread.block_reason = "nanosleep"
         thread.resume_hook = None
-        self.sim.defer_in(op.us, self._sleep_expired, thread)
+        # A sleeper sits on no wait list: expiry is its only wake.
+        self.sim.defer_in(op.us, self._wait_timeout, thread, None)
         self._switch_away(core)
 
-    def _sleep_expired(self, thread: SimThread) -> None:
-        if thread.state is ThreadState.BLOCKED:
-            self.make_runnable(thread)
-
-    def _op_yield(self, core: Core, thread: SimThread, op: YieldCpu) -> None:
-        self._count_syscall("sched_yield")
-        cost = self.costs.syscall_cost("sched_yield")
-        thread.vruntime += cost
-        self._occupy(core, cost, self._yield_body, core, thread)
-
-    def _yield_body(self, core: Core, thread: SimThread) -> None:
+    def _yield_body(self, core: Core, thread: SimThread, op: YieldCpu) -> None:
         if not core.runqueue:
             self._advance(core, thread)
             return
-        thread.state = ThreadState.RUNNABLE
-        thread.runnable_since = self.sim._now
-        core.push(thread)
-        self._switch_away(core)
+        self._preempt(core, thread, remaining_compute=0.0)

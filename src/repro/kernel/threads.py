@@ -46,9 +46,6 @@ class SimThread:
         self.send_value: Any = None
         # Remaining CPU time of a preempted Compute op, if any.
         self.pending_compute: float = 0.0
-        self.pending_compute_tag: Optional[str] = None
-        # Time actually spent running in the current timeslice.
-        self.slice_used = 0.0
         # Set while the thread sits on a futex/eventfd/epoll wait list.
         self.block_reason: Optional[str] = None
         # Cancellation hook for a blocking-op timeout, if armed.

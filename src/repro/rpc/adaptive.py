@@ -46,8 +46,6 @@ class AdaptivePolicy:
     # Active workers sized so each handles about this many QPS.
     per_worker_qps: float = 700.0
     min_workers: int = 2
-    # Parked (deactivated) workers re-check activation on this period.
-    park_check_us: float = 4_000.0
 
 
 class AdaptiveMidTierRuntime(MidTierRuntime):
@@ -66,7 +64,6 @@ class AdaptiveMidTierRuntime(MidTierRuntime):
         cache: Optional[QueryCache] = None,
     ):
         self.policy = policy or AdaptivePolicy()
-        self.active_workers = config.worker_threads
         self.mode_switches = 0
         self.resizes = 0
         self.mode_history: List[Tuple[float, str]] = []
@@ -76,23 +73,6 @@ class AdaptiveMidTierRuntime(MidTierRuntime):
             batch_config=batch_config, cache=cache,
         )
         machine.spawn("adapt-monitor", self._monitor_loop())
-
-    # -- adapted worker pool -------------------------------------------------
-    def _worker_loop(self, index: int = 0):
-        while True:
-            if index >= self.active_workers:
-                # Deactivated: parked entirely off the task-queue condvar,
-                # so it adds no lock contention while idle.
-                yield Nanosleep(self.policy.park_check_us)
-                continue
-            item = yield from self.task_queue.get(
-                wait_timeout_us=self.config.worker_wait_timeout_us
-            )
-            if isinstance(item, tuple):
-                request, plan, cache_key = item
-                yield from self._process(request, plan, cache_key)
-            else:
-                yield from self._process(item)
 
     # -- the monitor ------------------------------------------------------------
     def _monitor_loop(self):
@@ -146,12 +126,8 @@ def make_midtier_runtime(
     cache: Optional[QueryCache] = None,
 ) -> MidTierRuntime:
     """Construct the right mid-tier runtime for ``config``."""
-    if config.adaptive:
-        return AdaptiveMidTierRuntime(
-            machine, port, app, leaf_addrs, config, tail_policy=tail_policy,
-            batch_config=batch_config, cache=cache,
-        )
-    return MidTierRuntime(
+    runtime = AdaptiveMidTierRuntime if config.adaptive else MidTierRuntime
+    return runtime(
         machine, port, app, leaf_addrs, config, tail_policy=tail_policy,
         batch_config=batch_config, cache=cache,
     )

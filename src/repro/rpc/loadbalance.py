@@ -53,9 +53,6 @@ class BalancingPolicy:
         """Return one of ``candidates`` (indices into the replica list)."""
         raise NotImplementedError
 
-    def resize(self, n_replicas: int) -> None:
-        """The replica list grew to ``n_replicas`` (autoscale add)."""
-
 
 class RoundRobinPolicy(BalancingPolicy):
     """Cycle through replicas in order, skipping exhausted pools."""
@@ -74,11 +71,6 @@ class RoundRobinPolicy(BalancingPolicy):
             if index in allowed:
                 return index
         return candidates[0]  # unreachable: candidates is never empty
-
-    def resize(self, n_replicas: int) -> None:
-        self._n = n_replicas
-        if self._next >= n_replicas:
-            self._next = 0
 
 
 class RandomPolicy(BalancingPolicy):
@@ -271,17 +263,6 @@ class LoadBalancer:
             return True
         self._draining[index] = on_retired
         return False
-
-    def add_replica(self, address: Address, active: bool = True) -> int:
-        """Register a new replica endpoint live; returns its index."""
-        self.replicas.append(tuple(address))
-        self.outstanding.append(0)
-        self.per_replica_forwarded.append(0)
-        self.active.append(active)
-        self.policy.resize(len(self.replicas))
-        if active:
-            self._drain_backlog()
-        return len(self.replicas) - 1
 
     def _on_packet(self, packet: Packet) -> None:
         payload = packet.payload

@@ -34,6 +34,8 @@ Address = Tuple[str, int]
 
 #: Observed leaf latencies kept for the auto-hedge percentile estimate.
 _HEDGE_WINDOW = 512
+#: Parked (deactivated) workers re-check activation on this period.
+PARK_CHECK_US = 4_000.0
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,11 @@ class RuntimeConfig:
 
 
 class _RuntimeBase:
-    """Socket + poller plumbing shared by leaf and mid-tier runtimes."""
+    """The thread-pool skeleton shared by leaf and mid-tier runtimes:
+    server socket, network pollers, task queue, workers (Fig. 8).  A
+    subclass supplies :meth:`_handle`, the work done per received item."""
 
-    def __init__(self, machine: Machine, port: int, config: RuntimeConfig):
+    def __init__(self, machine: Machine, port: int, config: RuntimeConfig, queue: str):
         self.machine = machine
         self.config = config
         self.server_sock = machine.socket(port)
@@ -87,6 +91,15 @@ class _RuntimeBase:
         self._timeout_rng = machine.rng.py(f"rpc:{port}:timeouts")
         # Requests received off the front-end socket (adaptation signal).
         self.received = 0
+        self.task_queue = TaskQueue(machine, name=f"{machine.name}.{queue}")
+        # Workers with an index at or above this park off the task queue;
+        # only the §VII monitor (repro.rpc.adaptive) ever lowers it.
+        self.active_workers = config.worker_threads
+        for i in range(config.network_threads):
+            machine.spawn(f"netpoll{i}", self._poller_loop())
+        if config.processing_mode == "dispatch":
+            for i in range(config.worker_threads):
+                machine.spawn(f"worker{i}", self._worker_loop(i))
 
     def _jittered(self, timeout_us: float) -> float:
         """Jitter deadline waits so pool re-wakes don't synchronize."""
@@ -131,15 +144,28 @@ class _RuntimeBase:
                         yield from self._enqueue(message)
                 yield from sock.lock.release()
                 if message is not None and self.config.processing_mode == "inline":
-                    yield from self._serve_inline(message)
+                    # In-line mode: the network thread is the worker.
+                    yield from self._handle(message)
 
     def _enqueue(self, request: RpcRequest):
         """Dispatch mode: hand the request to the worker pool."""
-        raise NotImplementedError
-        yield  # pragma: no cover
+        yield from self.task_queue.put(request)
 
-    def _serve_inline(self, request: RpcRequest):
-        """In-line mode: run the handler in the network thread."""
+    def _worker_loop(self, index: int):
+        """Worker thread: park on the task queue, handle what it yields."""
+        while True:
+            if index >= self.active_workers:
+                # Deactivated: parked entirely off the task-queue condvar,
+                # so it adds no lock contention while idle.
+                yield Nanosleep(PARK_CHECK_US)
+                continue
+            item = yield from self.task_queue.get(
+                wait_timeout_us=self.config.worker_wait_timeout_us
+            )
+            yield from self._handle(item)
+
+    def _handle(self, item):
+        """Generator: serve one received (or dequeued) item."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -148,94 +174,37 @@ class LeafRuntime(_RuntimeBase):
     """A leaf microserver: serves sub-requests from mid-tiers."""
 
     def __init__(self, machine: Machine, port: int, app: LeafApp, config: RuntimeConfig):
-        super().__init__(machine, port, config)
+        super().__init__(machine, port, config, queue="leafq")
         self.app = app
         # Optional fault injector installed by the cluster (repro.faults);
         # None on the default path, which stays byte-for-byte identical.
         self.fault = getattr(machine, "fault_injector", None)
-        self.task_queue = TaskQueue(machine, name=f"{machine.name}.leafq")
-        for i in range(config.network_threads):
-            machine.spawn(f"netpoll{i}", self._poller_loop())
-        if config.processing_mode == "dispatch":
-            for i in range(config.worker_threads):
-                machine.spawn(f"worker{i}", self._worker_loop())
 
-    def _enqueue(self, request: RpcRequest):
-        yield from self.task_queue.put(request)
-
-    def _serve_inline(self, request: RpcRequest):
-        yield from self._serve(request)
-
-    def _worker_loop(self, index: int = 0):
-        while True:
-            request = yield from self.task_queue.get(
-                wait_timeout_us=self.config.worker_wait_timeout_us
-            )
-            yield from self._serve(request)
-
-    def _serve(self, request: RpcRequest):
-        if isinstance(request.payload, BatchEnvelope):
-            yield from self._serve_batch(request)
-            return
+    def _handle(self, request: RpcRequest):
+        """Serve a sub-request — or a coalesced batch of them: every
+        sub-request, one compute charge, one reply message, so the
+        per-message softirq/wakeup costs are paid once per batch instead
+        of once per sub-request.  A plain request is a batch of one whose
+        reply goes back bare."""
         fault = self.fault
         if fault is not None:
             decision, stall_us = fault.pre_serve(self.machine.sim.now)
             if decision == "drop":
-                # Crashed: the sub-request is lost; the mid-tier's hedges,
+                # Crashed: the request (a whole batch, if coalesced) is
+                # lost like a dropped message; the mid-tier's hedges,
                 # retries, or deadline recover (or degrade) the query.
                 return
             if decision == "stall":
                 yield Nanosleep(stall_us)  # parked until timed recovery
-        if request.deadline is not None and self.machine.sim.now > request.deadline:
-            # The mid-tier already gave up on this sub-request: shed the
-            # work instead of computing a reply nobody will merge.
-            self.machine.telemetry.incr(f"leaf_deadline_drops:{self.machine.name}")
-            return
-        self.machine.alloc_tick()
+        batched = isinstance(request.payload, BatchEnvelope)
         serve_start = request.arrive_time or self.machine.sim.now
-        result = self.app.handle(request.payload)
-        compute_us = result.compute_us
-        if fault is not None:
-            compute_us = fault.inflate(compute_us)
-        yield Compute(compute_us, tag="leaf-compute")
-        response = RpcResponse(
-            request_id=request.request_id,
-            payload=result.payload,
-            size_bytes=result.size_bytes,
-            parent_id=request.parent_id,
-            client_start=request.client_start,
-        )
-        # Carry the downstream hop's wire time back for Net accounting.
-        response.upstream_net_us = request.net_us
-        if request.trace is not None:
-            request.trace.record(
-                f"leaf:{self.machine.name}", self.machine.name,
-                serve_start, self.machine.sim.now,
-                request_id=request.request_id,
-            )
-            # Ride the trace back so the mid-tier's response-path kernel
-            # events (softirq, wakeup runqueue wait) attribute to it.
-            response.trace = request.trace
-        yield SockSend(self.server_sock, request.reply_to, response, result.size_bytes)
-
-    def _serve_batch(self, envelope: RpcRequest):
-        """Serve a coalesced batch: every sub-request, one compute charge,
-        one reply message — so the per-message softirq/wakeup costs are
-        paid once per batch instead of once per sub-request."""
-        fault = self.fault
-        if fault is not None:
-            decision, stall_us = fault.pre_serve(self.machine.sim.now)
-            if decision == "drop":
-                # Crashed: the whole batch is lost, like a dropped message.
-                return
-            if decision == "stall":
-                yield Nanosleep(stall_us)
-        serve_start = envelope.arrive_time or self.machine.sim.now
         now = self.machine.sim.now
         total_compute = 0.0
         replies: List[RpcResponse] = []
-        for sub in envelope.payload.subrequests:
+        for sub in request.payload.subrequests if batched else (request,):
             if sub.deadline is not None and now > sub.deadline:
+                # The mid-tier already gave up on this sub-request: shed
+                # the work instead of computing a reply nobody will merge.
                 self.machine.telemetry.incr(f"leaf_deadline_drops:{self.machine.name}")
                 continue
             self.machine.alloc_tick()
@@ -251,26 +220,33 @@ class LeafRuntime(_RuntimeBase):
                 parent_id=sub.parent_id,
                 client_start=sub.client_start,
             )
+            # Ride the trace back so the mid-tier's response-path kernel
+            # events (softirq, wakeup runqueue wait) attribute to it.
             reply.trace = sub.trace
             replies.append(reply)
         if not replies:
             return  # every sub-request was shed past its deadline
         yield Compute(total_compute, tag="leaf-compute")
-        for sub in envelope.payload.subrequests:
-            if sub.trace is not None:
-                sub.trace.record(
+        for reply in replies:  # served sub-requests only: a shed one has no span
+            if reply.trace is not None:
+                reply.trace.record(
                     f"leaf:{self.machine.name}", self.machine.name,
                     serve_start, self.machine.sim.now,
-                    request_id=sub.request_id,
+                    request_id=reply.request_id,
                 )
-        size = BATCH_HEADER_BYTES + sum(r.size_bytes for r in replies)
-        batch_reply = RpcResponse(
-            request_id=envelope.request_id,
-            payload=BatchReply(replies),
-            size_bytes=size,
-        )
-        batch_reply.upstream_net_us = envelope.net_us
-        yield SockSend(self.server_sock, envelope.reply_to, batch_reply, size)
+        if batched:
+            size = BATCH_HEADER_BYTES + sum(r.size_bytes for r in replies)
+            reply = RpcResponse(
+                request_id=request.request_id,
+                payload=BatchReply(replies),
+                size_bytes=size,
+            )
+        else:
+            (reply,) = replies
+            size = reply.size_bytes
+        # Carry the downstream hop's wire time back for Net accounting.
+        reply.upstream_net_us = request.net_us
+        yield SockSend(self.server_sock, request.reply_to, reply, size)
 
 
 class _PendingRequest:
@@ -358,7 +334,7 @@ class MidTierRuntime(_RuntimeBase):
         batch_config: Optional[BatchConfig] = None,
         cache: Optional[QueryCache] = None,
     ):
-        super().__init__(machine, port, config)
+        super().__init__(machine, port, config, queue="midq")
         self.app = app
         self.leaf_addrs = list(leaf_addrs)
         # Tail-tolerance layer; None (the default) arms nothing, draws no
@@ -385,7 +361,6 @@ class MidTierRuntime(_RuntimeBase):
         self._leaf_lat: deque = deque(maxlen=_HEDGE_WINDOW)
         self._leaf_obs = 0
         self._hedge_delay_cache: Optional[float] = None
-        self.task_queue = TaskQueue(machine, name=f"{machine.name}.midq")
         # Client side: one socket receiving every leaf response.
         self.client_sock = machine.socket(port + 1)
         self.client_epoll = machine.epoll()
@@ -396,11 +371,6 @@ class MidTierRuntime(_RuntimeBase):
         self.pending: Dict[int, _PendingRequest] = {}
         self.pending_mutex = Mutex(f"{machine.name}.pending")
         self.completed = 0
-        for i in range(config.network_threads):
-            machine.spawn(f"netpoll{i}", self._poller_loop())
-        if config.processing_mode == "dispatch":
-            for i in range(config.worker_threads):
-                machine.spawn(f"worker{i}", self._worker_loop(i))
         for i in range(config.response_threads):
             machine.spawn(f"resp{i}", self._response_loop())
 
@@ -413,32 +383,30 @@ class MidTierRuntime(_RuntimeBase):
             # under the completion-queue lock the caller holds — and so
             # does the cache probe, which on a hit replaces the route
             # computation entirely (the McRouter-local-cache fast path).
-            cache_key = None
-            if self.cache is not None:
-                outcome, data = yield from self._cache_check(request)
-                if outcome == "done":
-                    return
-                cache_key = data
-            self.machine.alloc_tick()
-            plan = self.app.fanout(request.payload)
-            yield Compute(plan.compute_us, tag="midtier-request")
-            yield from self.task_queue.put((request, plan, cache_key))
+            planned = yield from self._plan(request)
+            if planned is None:
+                return
+            yield from self.task_queue.put((request, planned))
         else:
             yield from self.task_queue.put(request)
 
-    def _serve_inline(self, request: RpcRequest):
-        yield from self._process(request)
+    def _plan(self, request: RpcRequest):
+        """Generator: cache probe, allocator tick, the service's fan-out
+        plan and its request-path compute — run by the worker, or by the
+        network thread when ``parse_in_network_thread`` is set.
 
-    def _worker_loop(self, index: int = 0):
-        while True:
-            item = yield from self.task_queue.get(
-                wait_timeout_us=self.config.worker_wait_timeout_us
-            )
-            if isinstance(item, tuple):
-                request, plan, cache_key = item
-                yield from self._process(request, plan, cache_key)
-            else:
-                yield from self._process(item)
+        Returns ``(plan, cache_key)``, or None when the request needs no
+        fan-out (see :meth:`_cache_check`).
+        """
+        cache_key = None
+        if self.cache is not None:
+            outcome, cache_key = yield from self._cache_check(request)
+            if outcome == "done":
+                return None
+        self.machine.alloc_tick()
+        plan = self.app.fanout(request.payload)
+        yield Compute(plan.compute_us, tag="midtier-request")
+        return plan, cache_key
 
     def _cache_check(self, request: RpcRequest):
         """Generator: probe the result cache for one query.
@@ -499,19 +467,18 @@ class MidTierRuntime(_RuntimeBase):
         self.completed += 1
         yield SockSend(self.server_sock, request.reply_to, reply, size_bytes)
 
-    def _process(self, request: RpcRequest, plan=None, cache_key=None):
-        """Request path: service compute, then asynchronous leaf fan-out."""
+    def _handle(self, item):
+        """Request path: service compute (unless the network thread already
+        planned it), then asynchronous leaf fan-out.  ``item`` is a request,
+        or the network thread's ``(request, (plan, cache_key))``."""
+        request, planned = item if isinstance(item, tuple) else (item, None)
         if request.trace is not None:
             request.trace.end_last("queue_wait", self.machine.sim.now)
-        if plan is None:
-            if self.cache is not None:
-                outcome, data = yield from self._cache_check(request)
-                if outcome == "done":
-                    return
-                cache_key = data
-            self.machine.alloc_tick()
-            plan = self.app.fanout(request.payload)
-            yield Compute(plan.compute_us, tag="midtier-request")
+        if planned is None:
+            planned = yield from self._plan(request)
+            if planned is None:
+                return
+        plan, cache_key = planned
         arrival = request.arrive_time or self.machine.sim.now
         if not plan.subrequests:
             # Degenerate fan-out (e.g. LSH found no candidates): merge empty.
@@ -618,16 +585,7 @@ class MidTierRuntime(_RuntimeBase):
             if self.tail_policy is not None and response.parent_id is not None:
                 self.late_responses += 1
                 self.machine.telemetry.incr(f"late_responses:{self.machine.name}")
-        elif self.tail_policy is None:
-            entry.responses.append(response)
-            trace = entry.request.trace
-            if trace is not None:
-                trace.note_winner(response.request_id)
-            is_last = len(entry.responses) >= entry.expected
-            if is_last:
-                entry.finished = True
-                del self.pending[response.parent_id]
-        else:
+        elif self.tail_policy is not None:
             slot = entry.sub_slot.get(response.request_id)
             if slot is None or slot in entry.responded_slots:
                 # The slot was already answered by the other copy.
@@ -636,12 +594,6 @@ class MidTierRuntime(_RuntimeBase):
                 entry = None
             else:
                 entry.responded_slots.add(slot)
-                entry.responses.append(response)
-                trace = entry.request.trace
-                if trace is not None:
-                    # This copy's response got merged: its path is the
-                    # critical one; the losing duplicate's events drop.
-                    trace.note_winner(response.request_id)
                 entry.cancel_slot_timers(slot)
                 if response.request_id in entry.dup_ids:
                     self.hedge_wins += 1
@@ -649,10 +601,18 @@ class MidTierRuntime(_RuntimeBase):
                 sent = entry.sent_at.get(slot)
                 if sent is not None:
                     self._observe_leaf_latency(self.machine.sim.now - sent)
-                is_last = len(entry.responded_slots) >= entry.expected
-                if is_last:
-                    entry.close()
-                    del self.pending[response.parent_id]
+        if entry is not None:
+            entry.responses.append(response)
+            trace = entry.request.trace
+            if trace is not None:
+                # This copy's response got merged: its path is the
+                # critical one; the losing duplicate's events drop.
+                trace.note_winner(response.request_id)
+            # One merged response per slot, so this counts answered slots.
+            is_last = len(entry.responses) >= entry.expected
+            if is_last:
+                entry.close()
+                del self.pending[response.parent_id]
         yield from self.pending_mutex.release()
         if entry is None or not is_last:
             return None

@@ -25,7 +25,6 @@ from repro.suite.config import (
     LbConfig,
     ServiceScale,
     TopologyConfig,
-    TraceConfig,
 )
 from repro.suite.registry import SERVICE_NAMES, build_service
 
@@ -42,7 +41,6 @@ __all__ = [
     "SimCluster",
     "Tier",
     "TopologyConfig",
-    "TraceConfig",
     "build_service",
     "build_tier",
 ]

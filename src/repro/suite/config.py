@@ -16,10 +16,10 @@ target, letting the latency distribution's shape come from genuine
 algorithmic variation.
 
 Knobs are grouped into typed sub-configs — :class:`TopologyConfig`,
-:class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig`,
-:class:`TraceConfig` — instead of one flat namespace; a flat keyword
-(``n_leaves=2``, ``batch_enable=True``, …) is an unknown field, so the
-dataclass rejects it with ``TypeError`` like any other misspelling.
+:class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig` — instead
+of one flat namespace; a flat keyword (``n_leaves=2``,
+``batch_enable=True``, …) is an unknown field, so the dataclass rejects
+it with ``TypeError`` like any other misspelling.
 """
 
 from __future__ import annotations
@@ -97,35 +97,11 @@ class CacheConfig:
     policy: str = "lru"
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    """Request sampling for critical-path attribution
-    (repro.telemetry.critpath).  Off by default: no Tracer is built, no
-    segments are recorded, and every golden stays bit-identical."""
-
-    enabled: bool = False
-    # Sample every Nth request (1 = trace everything).
-    sample_every: int = 100
-    # Cap on retained traces per run (oldest-first admission).
-    max_traces: int = 1000
-    # Tail exemplars to mine per measured cell.
-    top_k: int = 5
-
-    def __post_init__(self):
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {self.sample_every}")
-        if self.max_traces < 1:
-            raise ValueError(f"max_traces must be >= 1: {self.max_traces}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1: {self.top_k}")
-
-
 _SUB_CONFIG_TYPES: Dict[str, type] = {
     "topology": TopologyConfig,
     "lb": LbConfig,
     "batch": BatchConfig,
     "cache": CacheConfig,
-    "trace": TraceConfig,
     "control": ControlConfig,
     "telemetry": TelemetryConfig,
     "midtier_runtime": RuntimeConfig,
@@ -146,7 +122,6 @@ class ServiceScale:
     lb: LbConfig = field(default_factory=LbConfig)
     batch: BatchConfig = field(default_factory=BatchConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    trace: TraceConfig = field(default_factory=TraceConfig)
     # Closed-loop control plane (repro.control).  Off by default: no
     # controller, no telemetry windows, no warm replicas — bit-identical
     # to a build without this field.
@@ -291,5 +266,4 @@ __all__ = [
     "SCALES",
     "ServiceScale",
     "TopologyConfig",
-    "TraceConfig",
 ]

@@ -100,6 +100,24 @@ def riders(message) -> Tuple[Tuple[Trace, Optional[int]], ...]:
     return tuple(found)
 
 
+def stamp(
+    telemetry, carried, machine: str, category: str,
+    start_us: float, end_us: float, us: float,
+) -> None:
+    """Land one kernel interval on the traces riding it.
+
+    The one place the kernel layer does so: every trace in ``carried`` (a
+    :func:`riders` tuple) gets ``[start_us, end_us]`` under ``category``,
+    and the hub's ``attributed`` channel counts the interval once.  ``us``
+    is the duration as the caller sampled it, never re-derived here:
+    ``(now + x) - now`` differs from ``x`` in the last bit, and
+    :func:`crosscheck` compares ``attributed`` by equality.
+    """
+    for trace, rid in carried:
+        trace.add_segment(category, machine, start_us, end_us, rid)
+    telemetry.record_attributed(machine, category, us)
+
+
 @dataclass
 class Attribution:
     """Exact decomposition of one request's round trip.

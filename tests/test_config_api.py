@@ -1,7 +1,7 @@
 """The typed config tree: round-trips, unknown fields, and the public API.
 
 ServiceScale's knobs are grouped into frozen sub-configs
-(topology/lb/batch/cache/trace/telemetry/energy).  These tests pin the
+(topology/lb/batch/cache/telemetry/energy).  These tests pin the
 two contracts: ``to_dict``/``from_dict`` reconstruct a scale exactly,
 and a flat keyword (``n_leaves=2``) is an unknown field — constructing,
 overriding, or deserialising with one raises ``TypeError``.
@@ -20,7 +20,6 @@ from repro.suite.config import (
     LbConfig,
     ServiceScale,
     TopologyConfig,
-    TraceConfig,
 )
 
 
@@ -39,15 +38,13 @@ def test_round_trip_preserves_nested_overrides():
         lb=LbConfig(policy="power-of-two", pool_size=16),
         batch=BatchConfig(enabled=True, max_batch=4, max_wait_us=25.0),
         cache=CacheConfig(enabled=True, capacity=64, ttl_us=1e6, policy="fifo"),
-        trace=TraceConfig(enabled=True, sample_every=1, max_traces=50, top_k=3),
     )
     rebuilt = ServiceScale.from_dict(scale.to_dict())
     assert rebuilt == scale
-    assert rebuilt.trace.sample_every == 1
     assert rebuilt.cache.ttl_us == 1e6
     # The sub-configs come back as the typed classes, not plain dicts.
     assert isinstance(rebuilt.topology, TopologyConfig)
-    assert isinstance(rebuilt.trace, TraceConfig)
+    assert isinstance(rebuilt.cache, CacheConfig)
 
 
 def test_to_dict_is_plain_data():
@@ -91,16 +88,8 @@ def test_nested_construction_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         scale = ServiceScale(name="quiet", topology=TopologyConfig(n_leaves=3))
-        scale.with_overrides(trace=TraceConfig(enabled=True, sample_every=1))
+        scale.with_overrides(batch=BatchConfig(enabled=True))
         scale.to_dict()
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"sample_every": 0}, {"max_traces": 0}, {"top_k": 0},
-])
-def test_trace_config_validates(kwargs):
-    with pytest.raises(ValueError):
-        TraceConfig(enabled=True, **kwargs)
 
 
 @pytest.mark.parametrize("field", [
@@ -128,7 +117,7 @@ def test_repro_package_exports_the_stable_api():
     import repro
 
     for name in ("build_cluster", "run_experiment", "ServiceScale",
-                 "TraceConfig", "SCALES", "Tracer", "attribute",
+                 "SCALES", "Tracer", "attribute",
                  # PR 10: the energy account and granularity transforms.
                  "EnergyAccount", "EnergyConfig", "EnergyReport",
                  "attribution_energy", "pipeline_graph", "merge_edge",
