@@ -39,7 +39,7 @@ def main() -> None:
         frontend.machine.spawn(f"user{index}", frontend.submit_query(image))
     cluster.run(until=cluster.sim.now + 500_000)
     print(f"\n[cold] {frontend.stats.pages_built} pages built, "
-          f"{frontend.stats.extractions} extractions, "
+          f"{frontend.stats.cache_misses} extractions, "
           f"cache hit rate {frontend.hit_rate():.0%}")
     cold_latency = np.median([p['latency_us'] for p in frontend.pages])
     print(f"[cold] median page latency: {cold_latency / 1000:.1f} ms "

@@ -38,15 +38,14 @@ from repro.control.policies import (
     WindowSummary,
     make_control_policy,
 )
-from repro.telemetry.windows import rank_percentile
+from repro.telemetry.histogram import rank_percentile
 
 #: Series-name prefixes the telemetry windows tee must keep for a
 #: :class:`Controller`: the latency signals and ``runqlat:<machine>``
-#: series it reads in :meth:`Controller.window_summary`, and the
-#: ``ctrl_*`` series it writes on each tick.  Every topology builder
-#: passes this to ``Telemetry.enable_windows``, so a series the
+#: series it reads in :meth:`Controller.window_summary`.  Every topology
+#: builder passes this to ``Telemetry.enable_windows``, so a series the
 #: controller starts reading cannot be teed in one and missing in another.
-WINDOW_SERIES = ("e2e_latency", "midtier_latency:", "runqlat:", "ctrl_")
+WINDOW_SERIES = ("e2e_latency", "midtier_latency:", "runqlat:")
 
 
 class Controller:
@@ -216,11 +215,6 @@ class Controller:
         if action.target_active != self._admitting():
             self._apply_replicas(action.target_active)
         self._apply_mode(action.mode)
-        # Export the controller's own view as windowed gauges (subject to
-        # the windows' prefix filter, like any other series).
-        windows = self.telemetry.windows
-        windows.observe(f"ctrl_inflight:{self.name}", now, summary.inflight)
-        windows.observe(f"ctrl_active:{self.name}", now, float(self._admitting()))
         if self._running:
             self._timer = self.sim.call_in(self.config.tick_us, self._tick)
 

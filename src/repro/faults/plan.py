@@ -166,7 +166,7 @@ class FaultPlan:
 class LeafFaultInjector:
     """Applies slowdown/stall decisions inside one leaf's serve path."""
 
-    __slots__ = ("slowdown", "stall", "machine", "_rng", "drops", "stalls", "inflations")
+    __slots__ = ("slowdown", "stall", "machine", "_rng")
 
     def __init__(
         self,
@@ -180,19 +180,14 @@ class LeafFaultInjector:
         # One named stream per leaf machine: deterministic for a fixed
         # master seed, independent of every other subsystem's stream.
         self._rng = machine.rng.py("fault:leaf")
-        self.drops = 0
-        self.stalls = 0
-        self.inflations = 0
 
     def pre_serve(self, now: float) -> Tuple[str, float]:
         """Decision before serving: ("ok"|"stall"|"drop", stall_us)."""
         stall = self.stall
         if stall is not None and stall.start_us <= now < stall.end_us:
             if stall.mode == "crash":
-                self.drops += 1
                 self.machine.telemetry.incr(f"fault_leaf_drops:{self.machine.name}")
                 return "drop", 0.0
-            self.stalls += 1
             self.machine.telemetry.incr(f"fault_leaf_stalls:{self.machine.name}")
             return "stall", stall.end_us - now
         return "ok", 0.0
@@ -207,7 +202,6 @@ class LeafFaultInjector:
             # Pareto(scale, alpha): scale * U^(-1/alpha), heavy right tail.
             u = 1.0 - self._rng.random()
             out += slowdown.tail_scale_us * u ** (-1.0 / slowdown.tail_alpha)
-            self.inflations += 1
             self.machine.telemetry.incr(f"fault_leaf_inflations:{self.machine.name}")
         return out
 

@@ -123,13 +123,12 @@ class OsCosts:
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """Hardware description of one simulated server (paper Table II)."""
+    """Hardware description of one simulated server (paper Table II:
+    2.4 GHz, 64 GB DRAM, 10 Gbit/s NIC).  Only what the model reads is a
+    field; the wire speed is ``repro.net.LinkSpec.gbps``."""
 
     name: str = "skylake"
     cores: int = 80  # logical cores: 40 physical / 80 HW threads
-    clock_ghz: float = 2.4
-    dram_gb: int = 64
-    nic_gbps: float = 10.0
     # Cores eligible to take NIC interrupts (RSS spreading).
     nic_irq_cores: int = 8
     # NUMA sockets (the paper's testbed is a 2-socket Gold 6148 box);
@@ -142,16 +141,3 @@ class MachineSpec:
         if not 0 <= core_index < self.cores:
             raise ValueError(f"core {core_index} out of range")
         return core_index * self.sockets // self.cores
-
-    def restricted(self, cores: int, name: str | None = None) -> "MachineSpec":
-        """A copy limited to ``cores`` logical cores (the paper's tasksets)."""
-        return MachineSpec(
-            name=name or f"{self.name}-{cores}c",
-            cores=cores,
-            clock_ghz=self.clock_ghz,
-            dram_gb=self.dram_gb,
-            nic_gbps=self.nic_gbps,
-            nic_irq_cores=min(self.nic_irq_cores, cores),
-            sockets=min(self.sockets, cores),
-            costs=self.costs,
-        )

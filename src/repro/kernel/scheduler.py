@@ -59,6 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Minimum slice a preempting compute still receives, in microseconds.
 MIN_GRANULARITY_US = 0.5
+#: Lognormal sigma of a placement policy's wakeup reaction delay.
+WAKE_DELAY_SIGMA = 0.6
 
 
 def _return_true() -> bool:
@@ -140,9 +142,8 @@ class PlacementPolicy:
 
     name = "abstract"
 
-    def __init__(self, wake_delay_median_us: float = 0.0, wake_delay_sigma: float = 0.6):
+    def __init__(self, wake_delay_median_us: float = 0.0):
         self.wake_delay_median_us = wake_delay_median_us
-        self.wake_delay_sigma = wake_delay_sigma
 
     def choose_core(self, thread: SimThread, cores: Sequence[Core], rng) -> Core:
         """Return the core to enqueue ``thread`` on."""
@@ -152,7 +153,7 @@ class PlacementPolicy:
         """Extra latency before the target core reacts to the wakeup."""
         if self.wake_delay_median_us <= 0:
             return 0.0
-        return lognormal_from_median_sigma(rng, self.wake_delay_median_us, self.wake_delay_sigma)
+        return lognormal_from_median_sigma(rng, self.wake_delay_median_us, WAKE_DELAY_SIGMA)
 
 
 class WakeAffinityPlacement(PlacementPolicy):

@@ -44,9 +44,6 @@ class _ClientBase:
         self.sent = 0
         self.completed = 0
         self.errors = 0
-        # Deadline-degraded replies (tail-tolerance layer): counted toward
-        # ``completed`` — the client did get an answer — but tracked.
-        self.partials = 0
         # Optional repro.telemetry.tracing.Tracer for sampled traces.
         self.tracer = tracer
         fabric.register(self.name, self._on_packet)
@@ -75,7 +72,8 @@ class _ClientBase:
             return
         self.completed += 1
         if response.partial:
-            self.partials += 1
+            # A deadline-degraded reply (tail-tolerance layer) counts toward
+            # ``completed`` — the client did get an answer — but is tracked.
             self.telemetry.incr("client_partial_replies")
         if response.client_start is not None:
             self.telemetry.record(E2E_HIST, self.sim.now - response.client_start)

@@ -35,18 +35,21 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Supported eviction policies (the ``usuite cache --policy`` choices).
 CACHE_POLICIES: Tuple[str, ...] = ("lru", "fifo")
 
+#: CPU charged for a hit (hash + probe), replacing the fan-out compute.
+HIT_COMPUTE_US = 2.0
+
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Sizing, freshness, and hit-path cost knobs."""
+    """Sizing and freshness knobs.  Off by default (one cache per
+    mid-tier replica when enabled); validated whether enabled or not."""
 
+    enabled: bool = False
     capacity: int = 1024
     # None = entries never expire; otherwise entries aged >= ttl_us are
     # treated as misses and evicted on lookup.
     ttl_us: Optional[float] = None
     policy: str = "lru"
-    # CPU charged for a hit (hash + probe), replacing the fan-out compute.
-    hit_compute_us: float = 2.0
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -58,8 +61,6 @@ class CacheConfig:
                 f"unknown cache policy {self.policy!r}; "
                 f"choose from: {', '.join(CACHE_POLICIES)}"
             )
-        if self.hit_compute_us < 0:
-            raise ValueError(f"hit_compute_us must be >= 0: {self.hit_compute_us}")
 
 
 class QueryCache:

@@ -67,14 +67,11 @@ class Fabric:
         self._rng = rng.py("fabric")
         self._rng_streams = rng
         self._endpoints: Dict[str, Callable[[Packet], None]] = {}
-        self.packets_sent = 0
-        self.bytes_sent = 0
         # Optional repro.faults.NetworkFault; None on the default path, and
         # its RNG stream is created only on installation so a fault-free
         # run consumes exactly the randomness it always did.
         self.fault = None
         self._fault_rng = None
-        self.fault_drops = 0
 
     def install_fault(self, fault) -> None:
         """Attach a network fault injector (extra delay/jitter/drop)."""
@@ -114,8 +111,6 @@ class Fabric:
             send_time=self.sim.now,
             extra_delay_us=extra_delay_us,
         )
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
         self._transmit(packet)
         return packet
 
@@ -129,7 +124,6 @@ class Fabric:
             ):
                 # A true drop (no retransmission): upstream hedges/retries
                 # or deadlines are what recover from it.
-                self.fault_drops += 1
                 self.telemetry.incr("fault_net_drops")
                 return
             packet.extra_delay_us += fault.extra_delay_us + exponential(

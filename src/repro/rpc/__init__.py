@@ -41,6 +41,6 @@ __all__ = [
     "TaskQueue",
 ]
 
-# repro.rpc.adaptive (AdaptiveMidTierRuntime, AdaptivePolicy,
-# make_midtier_runtime) is imported directly by users who need it; it is
-# not re-exported here to keep the import graph acyclic.
+# repro.rpc.adaptive (AdaptiveMidTierRuntime, make_midtier_runtime) is
+# imported directly by users who need it; it is not re-exported here to
+# keep the import graph acyclic.

@@ -13,14 +13,14 @@ The paper's discussion proposes two adaptation systems this module builds:
   spare workers parked off the task-queue condvar entirely.
 
 A monitor thread samples the request arrival rate every
-``sample_interval_us`` and applies both decisions with hysteresis.
+``SAMPLE_INTERVAL_US`` and applies both decisions with hysteresis.
 (The authors' follow-up paper, µTune at OSDI '18, builds exactly this
 kind of framework.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.kernel.machine import Machine
@@ -33,19 +33,15 @@ from repro.rpc.server import MidTierRuntime, RuntimeConfig
 
 Address = Tuple[str, int]
 
-
-@dataclass(frozen=True)
-class AdaptivePolicy:
-    """Thresholds for the monitor's decisions (all hysteretic)."""
-
-    sample_interval_us: float = 20_000.0
-    # Below this offered load, switch reception to polling (cheap CPU,
-    # big wakeup-latency win); above the high mark, back to blocking.
-    poll_below_qps: float = 800.0
-    block_above_qps: float = 2_000.0
-    # Active workers sized so each handles about this many QPS.
-    per_worker_qps: float = 700.0
-    min_workers: int = 2
+#: The monitor's sampling period; the thresholds below are hysteretic.
+SAMPLE_INTERVAL_US = 20_000.0
+#: Below this offered load, switch reception to polling (cheap CPU, big
+#: wakeup-latency win); above the high mark, back to blocking.
+POLL_BELOW_QPS = 800.0
+BLOCK_ABOVE_QPS = 2_000.0
+#: Active workers sized so each handles about this many QPS.
+PER_WORKER_QPS = 700.0
+MIN_WORKERS = 2
 
 
 class AdaptiveMidTierRuntime(MidTierRuntime):
@@ -58,12 +54,10 @@ class AdaptiveMidTierRuntime(MidTierRuntime):
         app: MidTierApp,
         leaf_addrs: Sequence[Address],
         config: RuntimeConfig,
-        policy: Optional[AdaptivePolicy] = None,
         tail_policy: Optional[TailPolicy] = None,
         batch_config: Optional[BatchConfig] = None,
         cache: Optional[QueryCache] = None,
     ):
-        self.policy = policy or AdaptivePolicy()
         self.mode_switches = 0
         self.resizes = 0
         self.mode_history: List[Tuple[float, str]] = []
@@ -76,43 +70,36 @@ class AdaptiveMidTierRuntime(MidTierRuntime):
 
     # -- the monitor ------------------------------------------------------------
     def _monitor_loop(self):
-        policy = self.policy
         last_received = self.received
         while True:
-            yield Nanosleep(policy.sample_interval_us)
+            yield Nanosleep(SAMPLE_INTERVAL_US)
             received = self.received
-            rate_qps = (received - last_received) / (policy.sample_interval_us / 1e6)
+            rate_qps = (received - last_received) / (SAMPLE_INTERVAL_US / 1e6)
             last_received = received
             self._adapt_reception(rate_qps)
             self._adapt_pool(rate_qps)
 
     def _adapt_reception(self, rate_qps: float) -> None:
         mode = self.config.reception_mode
-        if mode == "blocking" and rate_qps < self.policy.poll_below_qps:
+        if mode == "blocking" and rate_qps < POLL_BELOW_QPS:
             self._switch_mode("polling")
-        elif mode == "polling" and rate_qps > self.policy.block_above_qps:
+        elif mode == "polling" and rate_qps > BLOCK_ABOVE_QPS:
             self._switch_mode("blocking")
 
     def _switch_mode(self, mode: str) -> None:
         self.config = replace(self.config, reception_mode=mode)
         self.mode_switches += 1
         self.mode_history.append((self.machine.sim.now, mode))
-        self.machine.telemetry.incr(f"adaptive_mode_switch:{self.machine.name}")
 
     def _adapt_pool(self, rate_qps: float) -> None:
-        policy = self.policy
         wanted = max(
-            policy.min_workers,
-            min(
-                self.config.worker_threads,
-                int(rate_qps / policy.per_worker_qps) + 1,
-            ),
+            MIN_WORKERS,
+            min(self.config.worker_threads, int(rate_qps / PER_WORKER_QPS) + 1),
         )
         if wanted != self.active_workers:
             self.active_workers = wanted
             self.resizes += 1
             self.resize_history.append((self.machine.sim.now, wanted))
-            self.machine.telemetry.incr(f"adaptive_resize:{self.machine.name}")
 
 
 def make_midtier_runtime(

@@ -17,15 +17,15 @@ wire message.  This module adds that layer:
   representation: one fabric message carrying many sub-requests, and one
   carrying their responses for fan-in demux at the mid-tier.
 
-Everything is constructed only when a :class:`BatchConfig` is supplied;
-the default (batching off) path allocates nothing, arms no timers, and
-draws no randomness, keeping the engine bit-identical to the unbatched
-goldens.
+Everything is constructed only when an enabled :class:`BatchConfig` is
+supplied; the default (batching off) path allocates nothing, arms no
+timers, and draws no randomness, keeping the engine bit-identical to the
+unbatched goldens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Tuple
 
 from repro.kernel.ops import SockSend
@@ -37,8 +37,10 @@ BATCH_HEADER_BYTES = 48
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Coalescer knobs: flush on size or on age, whichever comes first."""
+    """Coalescer knobs: flush on size or on age, whichever comes first.
+    Off by default; validated whether enabled or not."""
 
+    enabled: bool = False
     max_batch: int = 8
     max_wait_us: float = 50.0
 
@@ -199,11 +201,8 @@ class LeafBatcher:
         sends, which only simulated threads may do; the wait-time bound
         (``max_wait_us`` timer) is unchanged, so nothing is stranded.
         """
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1: {max_batch}")
-        self.config = BatchConfig(
-            max_batch=max_batch, max_wait_us=self.config.max_wait_us
-        )
+        # replace() re-runs the config's validation (max_batch >= 1).
+        self.config = replace(self.config, max_batch=max_batch)
         for buf in self.buffers:
             buf.max_batch = max_batch
 

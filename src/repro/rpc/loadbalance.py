@@ -43,6 +43,10 @@ from repro.telemetry import Telemetry
 
 Address = Tuple[str, int]
 
+#: The balancer's fixed forwarding delay, each way (an ideal endpoint:
+#: no queueing of its own, see the module docstring).
+FORWARD_DELAY_US = 2.0
+
 
 class BalancingPolicy:
     """Picks a replica index given per-replica outstanding counts."""
@@ -165,7 +169,6 @@ class LoadBalancer:
         replicas: Sequence[Address],
         policy: str = "round-robin",
         pool_size: int = 128,
-        forward_delay_us: float = 2.0,
         initial_active: int = None,
     ):
         if not replicas:
@@ -185,7 +188,6 @@ class LoadBalancer:
         self.policy_name = canonical_policy(policy)
         self.policy = make_policy(policy, len(self.replicas), rng.py(f"lb:{name}"))
         self.pool_size = pool_size
-        self.forward_delay_us = forward_delay_us
         # request_id -> (original reply_to, replica index, arrival time).
         self._inflight: Dict[int, Tuple[Address, int, float]] = {}
         self.outstanding: List[int] = [0] * len(self.replicas)
@@ -278,7 +280,6 @@ class LoadBalancer:
             # response frees a slot (proxy-side queueing, visible in the
             # lb_backlog_wait histogram rather than hidden in e2e noise).
             self.backlogged += 1
-            self.telemetry.incr(f"lb_backlogged:{self.name}")
             self._backlog.append((request, self.sim.now))
             return
         self._dispatch(request, candidates)
@@ -290,13 +291,12 @@ class LoadBalancer:
         self.per_replica_forwarded[index] += 1
         replica = self.replicas[index]
         self._inflight[request.request_id] = (request.reply_to, index, self.sim.now)
-        self.telemetry.incr(f"lb_forwarded:{self.name}:{replica[0]}")
         # Rewrite the reply path through the balancer so completions are
         # observable (least-outstanding and power-of-two depend on it).
         request.reply_to = self.address
         self.fabric.send(
             self.address, replica, request, request.size_bytes,
-            extra_delay_us=self.forward_delay_us,
+            extra_delay_us=FORWARD_DELAY_US,
         )
 
     # -- response path -----------------------------------------------------
@@ -313,7 +313,7 @@ class LoadBalancer:
         if self.fabric.has_endpoint(reply_to[0]):
             self.fabric.send(
                 self.address, reply_to, response, response.size_bytes,
-                extra_delay_us=self.forward_delay_us,
+                extra_delay_us=FORWARD_DELAY_US,
             )
         if index in self._draining and self.outstanding[index] == 0:
             # Last outstanding response for a draining replica: retire.
@@ -374,6 +374,7 @@ def replica_imbalance(per_replica: Sequence[int]) -> float:
 
 __all__ = [
     "BalancingPolicy",
+    "FORWARD_DELAY_US",
     "LeastOutstandingPolicy",
     "LoadBalancer",
     "POLICY_NAMES",

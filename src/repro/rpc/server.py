@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.kernel.machine import Machine
 from repro.kernel.ops import Compute, EpollWait, Nanosleep, SockRecv, SockSend
 from repro.kernel.futex import Mutex
-from repro.midcache import QueryCache
+from repro.midcache import HIT_COMPUTE_US, QueryCache
 from repro.rpc.apps import LeafApp, MidTierApp
 from repro.rpc.batching import BATCH_HEADER_BYTES, BatchConfig, BatchEnvelope, BatchReply, LeafBatcher
 from repro.rpc.message import RpcRequest, RpcResponse
@@ -36,6 +36,16 @@ Address = Tuple[str, int]
 _HEDGE_WINDOW = 512
 #: Parked (deactivated) workers re-check activation on this period.
 PARK_CHECK_US = 4_000.0
+#: Spin granularity charged per empty poll in polling mode (coarse
+#: relative to a real poll loop, to bound simulator event counts; the
+#: latency effect — readiness noticed within one interval rather than
+#: after a thread wakeup — is preserved).
+POLL_INTERVAL_US = 5.0
+#: gRPC-style deadline waits: blocked epoll_pwait and condvar waits
+#: re-wake on these timeouts even with no work, which is why the paper
+#: measures the highest futex/epoll counts *per query* at low load.
+RECEPTION_TIMEOUT_US = 5000.0
+WORKER_WAIT_TIMEOUT_US = 2000.0
 
 
 @dataclass(frozen=True)
@@ -50,16 +60,6 @@ class RuntimeConfig:
     # "dispatch" hands requests to workers; "inline" runs them in the
     # network thread (§VII in-line vs dispatch trade-off).
     processing_mode: str = "dispatch"
-    # Spin granularity charged per empty poll in polling mode (coarse
-    # relative to a real poll loop, to bound simulator event counts; the
-    # latency effect — readiness noticed within poll_interval rather than
-    # after a thread wakeup — is preserved).
-    poll_interval_us: float = 5.0
-    # gRPC-style deadline waits: blocked epoll_pwait and condvar waits
-    # re-wake on these timeouts even with no work, which is why the paper
-    # measures the highest futex/epoll counts *per query* at low load.
-    reception_timeout_us: float = 5000.0
-    worker_wait_timeout_us: float = 2000.0
     # Run the request-path compute (parse + route) in the network thread
     # *under the completion-queue lock*, McRouter-style.  The lock then
     # bounds throughput, and contention on it floods futex at high load —
@@ -75,6 +75,15 @@ class RuntimeConfig:
             raise ValueError(f"bad reception_mode: {self.reception_mode}")
         if self.processing_mode not in ("dispatch", "inline"):
             raise ValueError(f"bad processing_mode: {self.processing_mode}")
+        # A zero-sized pool answers nothing; in-line mode needs no
+        # workers (the network threads serve).
+        pools = ["network_threads", "response_threads"]
+        if self.processing_mode == "dispatch":
+            pools.append("worker_threads")
+        for name in pools:
+            count = getattr(self, name)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1: {count}")
 
 
 class _RuntimeBase:
@@ -114,13 +123,13 @@ class _RuntimeBase:
         """Generator: one blocking or polling wait on the server epoll."""
         if self.config.reception_mode == "blocking":
             ready = yield EpollWait(
-                self.server_epoll, timeout_us=self._jittered(self.config.reception_timeout_us)
+                self.server_epoll, timeout_us=self._jittered(RECEPTION_TIMEOUT_US)
             )
         else:
             ready = yield EpollWait(self.server_epoll, timeout_us=0)
             if not ready:
                 # Burn CPU for one spin interval, as a poll loop would.
-                yield Compute(self.config.poll_interval_us, tag="spin")
+                yield Compute(POLL_INTERVAL_US, tag="spin")
         return ready
 
     def _poller_loop(self):
@@ -159,9 +168,7 @@ class _RuntimeBase:
                 # so it adds no lock contention while idle.
                 yield Nanosleep(PARK_CHECK_US)
                 continue
-            item = yield from self.task_queue.get(
-                wait_timeout_us=self.config.worker_wait_timeout_us
-            )
+            item = yield from self.task_queue.get(wait_timeout_us=WORKER_WAIT_TIMEOUT_US)
             yield from self._handle(item)
 
     def _handle(self, item):
@@ -346,9 +353,6 @@ class MidTierRuntime(_RuntimeBase):
         # stays bit-identical to the batch/cache-free goldens).
         self.batcher = LeafBatcher(self, batch_config) if batch_config else None
         self.cache = cache
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.single_flight_waits = 0
         self.subrequests_sent = 0
         self.hedges_sent = 0
         self.hedges_denied = 0
@@ -425,18 +429,15 @@ class MidTierRuntime(_RuntimeBase):
             return "miss", None
         hit, value = cache.lookup(key, self.machine.sim.now)
         if hit:
-            self.cache_hits += 1
             self.machine.telemetry.incr(f"midcache_hits:{self.machine.name}")
             payload, size_bytes = value
-            yield Compute(cache.config.hit_compute_us, tag="midcache-hit")
+            yield Compute(HIT_COMPUTE_US, tag="midcache-hit")
             yield from self._reply_cached(request, payload, size_bytes)
             return "done", None
-        self.cache_misses += 1
         self.machine.telemetry.incr(f"midcache_misses:{self.machine.name}")
         if cache.join_flight(key, request):
             # An identical query is already fanning out; its merge will
             # answer this one too.  No second fan-out is issued.
-            self.single_flight_waits += 1
             self.machine.telemetry.incr(f"midcache_coalesced:{self.machine.name}")
             return "done", None
         return "miss", key
@@ -531,7 +532,7 @@ class MidTierRuntime(_RuntimeBase):
     def _response_loop(self):
         while True:
             ready = yield EpollWait(
-                self.client_epoll, timeout_us=self._jittered(self.config.reception_timeout_us)
+                self.client_epoll, timeout_us=self._jittered(RECEPTION_TIMEOUT_US)
             )
             for sock in ready:
                 # One response per poll round (see _poller_loop): the
@@ -584,20 +585,17 @@ class MidTierRuntime(_RuntimeBase):
             # (A parent-less reply is a fire-and-forget ack, not late.)
             if self.tail_policy is not None and response.parent_id is not None:
                 self.late_responses += 1
-                self.machine.telemetry.incr(f"late_responses:{self.machine.name}")
         elif self.tail_policy is not None:
             slot = entry.sub_slot.get(response.request_id)
             if slot is None or slot in entry.responded_slots:
                 # The slot was already answered by the other copy.
                 self.hedges_wasted += 1
-                self.machine.telemetry.incr(f"hedges_wasted:{self.machine.name}")
                 entry = None
             else:
                 entry.responded_slots.add(slot)
                 entry.cancel_slot_timers(slot)
                 if response.request_id in entry.dup_ids:
                     self.hedge_wins += 1
-                    self.machine.telemetry.incr(f"hedge_wins:{self.machine.name}")
                 sent = entry.sent_at.get(slot)
                 if sent is not None:
                     self._observe_leaf_latency(self.machine.sim.now - sent)
@@ -706,7 +704,6 @@ class MidTierRuntime(_RuntimeBase):
             return
         policy = self.tail_policy
         self.retries_sent += 1
-        self.machine.telemetry.incr(f"retries_sent:{self.machine.name}")
         self.machine.spawn(
             f"retry{entry.request.request_id}.{slot}.{attempt}",
             self._send_duplicate(entry, slot),
@@ -755,7 +752,6 @@ class MidTierRuntime(_RuntimeBase):
                 reply_to=self.client_sock.address,
             )
             self.async_subs_sent += 1
-            self.machine.telemetry.incr(f"async_subs:{self.machine.name}")
             yield from self._send_sub(leaf_index, sub, size_bytes)
 
     def _send_sub(self, leaf_index: int, sub: RpcRequest, size_bytes: int):
@@ -791,8 +787,6 @@ class MidTierRuntime(_RuntimeBase):
         yield from self.pending_mutex.release()
         if not live:
             return  # completed between the timer firing and this thread running
-        missing = entry.expected - len(entry.responses)
-        self.machine.telemetry.incr(f"partial_missing:{self.machine.name}", missing)
         yield from self._finish(
             entry, entry.responses, last_arrival=self.machine.sim.now
         )
@@ -816,7 +810,6 @@ class MidTierRuntime(_RuntimeBase):
             # and to the client (repro.loadgen counts these separately).
             reply.partial = True
             self.partial_replies += 1
-            self.machine.telemetry.incr(f"partial_replies:{self.machine.name}")
             if request.trace is not None:
                 request.trace.record(
                     "deadline_partial", self.machine.name, entry.arrival,

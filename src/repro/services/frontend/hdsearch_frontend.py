@@ -19,7 +19,7 @@ the cache behaviour is testable.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.machine import Machine
@@ -42,10 +42,8 @@ class FrontendStats:
 
     requests: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
-    extractions: int = 0
+    cache_misses: int = 0  # each one runs feature extraction
     pages_built: int = 0
-    latencies_us: List[float] = field(default_factory=list)
 
 
 class HdSearchFrontend:
@@ -94,7 +92,6 @@ class HdSearchFrontend:
             vector = FeatureExtractor.decode(cached)
         else:
             self.stats.cache_misses += 1
-            self.stats.extractions += 1
             # Feature extraction (the expensive Inception V3 stand-in).
             yield Compute(self.extractor.extraction_cost_us, tag="fe-extract")
             vector = self.extractor.extract(image_bytes)
@@ -135,7 +132,6 @@ class HdSearchFrontend:
         yield Compute(_PAGE_BUILD_US, tag="fe-page")
         latency = self.machine.sim.now - start
         self.stats.pages_built += 1
-        self.stats.latencies_us.append(latency)
         self._pages.append({"results": results, "latency_us": latency})
 
     # -- results -----------------------------------------------------------

@@ -297,8 +297,9 @@ class RedisLikeStore:
         """Non-generator BLPOP core: pop immediately if data exists, else
         register ``wake`` to be called with ``(key, value)`` on next push.
 
-        Simulated threads use :meth:`blpop` below; this hook form also
-        serves unit tests and non-simulated callers.
+        There is no blocking generator wrapper: callers (unit tests,
+        non-simulated code) park on ``wake`` themselves and drop it with
+        :meth:`cancel_blpop` on timeout.
         """
         for key in keys:
             value = self.lpop(key)

@@ -26,10 +26,9 @@ from repro.loadgen import (
     QuerySource,
 )
 from repro.loadgen.client import E2E_HIST
-from repro.midcache import CacheConfig, QueryCache
-from repro.net import Fabric, LinkSpec
+from repro.midcache import QueryCache
+from repro.net import Fabric
 from repro.rpc.adaptive import make_midtier_runtime
-from repro.rpc.batching import BatchConfig
 from repro.rpc.loadbalance import LoadBalancer
 from repro.rpc.server import LeafRuntime, MidTierRuntime
 from repro.sim import RngStreams, Simulation
@@ -47,9 +46,7 @@ class SimCluster:
     def __init__(
         self,
         seed: int = 0,
-        link: Optional[LinkSpec] = None,
         costs: Optional[OsCosts] = None,
-        reservoir_size: int = 100_000,
         faults=None,
         telemetry: Optional[TelemetryConfig] = None,
         energy: Optional[EnergyConfig] = None,
@@ -61,15 +58,14 @@ class SimCluster:
         # sees the same public interface.
         if telemetry is not None and telemetry.streaming:
             self.telemetry: Telemetry = StreamingTelemetry(
-                reservoir_size=reservoir_size,
                 window_us=telemetry.window_us,
                 spill_path=telemetry.spill_path,
             )
         else:
-            self.telemetry = Telemetry(reservoir_size=reservoir_size)
+            self.telemetry = Telemetry()
         self.telemetry.attach_clock(lambda: self.sim.now, sim=self.sim)
         self.rng = RngStreams(seed)
-        self.fabric = Fabric(self.sim, self.telemetry, self.rng, link=link)
+        self.fabric = Fabric(self.sim, self.telemetry, self.rng)
         self.costs = costs or OsCosts()
         self.machines: List[Machine] = []
         # Optional repro.faults.FaultPlan; a plan with nothing enabled (or
@@ -160,29 +156,17 @@ class Tier(NamedTuple):
 def midtier_maker(knobs, app, leaf_addrs, config, tail_policy=None):
     """A ``make_runtime`` for :func:`build_tier`: mid-tier replicas of
     ``app`` fanning out to ``leaf_addrs``, with the batching / caching
-    knobs of ``knobs`` (a ``ServiceScale`` or a ``GraphNode``) converted to
-    their runtime configs.  Both default off: the configs stay None, the
-    runtimes construct nothing extra, and goldens are bit-identical.
+    knobs of ``knobs`` (a ``ServiceScale`` or a ``GraphNode``).  Both
+    default off: the runtimes get None, construct nothing extra, and
+    goldens are bit-identical.
     """
-    batch_config = None
-    if knobs.batch.enabled:
-        batch_config = BatchConfig(
-            max_batch=knobs.batch.max_batch, max_wait_us=knobs.batch.max_wait_us
-        )
-    cache_config = None
-    if knobs.cache.enabled:
-        cache_config = CacheConfig(
-            capacity=knobs.cache.capacity,
-            ttl_us=knobs.cache.ttl_us,
-            policy=knobs.cache.policy,
-        )
-
     def make_runtime(machine: Machine) -> MidTierRuntime:
         return make_midtier_runtime(
             machine, port=MIDTIER_PORT, app=app, leaf_addrs=leaf_addrs,
-            config=config, tail_policy=tail_policy, batch_config=batch_config,
+            config=config, tail_policy=tail_policy,
+            batch_config=knobs.batch if knobs.batch.enabled else None,
             # One private cache per replica, like a replica-local memcached.
-            cache=QueryCache(cache_config) if cache_config is not None else None,
+            cache=QueryCache(knobs.cache) if knobs.cache.enabled else None,
         )
 
     return make_runtime

@@ -16,8 +16,9 @@ target, letting the latency distribution's shape come from genuine
 algorithmic variation.
 
 Knobs are grouped into typed sub-configs — :class:`TopologyConfig`,
-:class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig` — instead
-of one flat namespace; a flat keyword (``n_leaves=2``,
+:class:`LbConfig`, and the runtime's own ``BatchConfig``
+(:mod:`repro.rpc.batching`) and ``CacheConfig`` (:mod:`repro.midcache`)
+— instead of one flat namespace; a flat keyword (``n_leaves=2``,
 ``batch_enable=True``, …) is an unknown field, so the dataclass rejects
 it with ``TypeError`` like any other misspelling.
 """
@@ -25,10 +26,12 @@ it with ``TypeError`` like any other misspelling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.control.config import ControlConfig
 from repro.energy.config import EnergyConfig
+from repro.midcache import CacheConfig
+from repro.rpc.batching import BatchConfig
 from repro.rpc.server import RuntimeConfig
 from repro.telemetry.config import TelemetryConfig
 
@@ -75,28 +78,6 @@ class LbConfig:
     pool_size: int = 128
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    """Leaf-request batching (repro.rpc.batching).  Off by default —
-    nothing is constructed and every pre-batching golden stays
-    bit-identical."""
-
-    enabled: bool = False
-    max_batch: int = 8
-    max_wait_us: float = 50.0
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Mid-tier query-result cache (repro.midcache).  Off by default,
-    same bit-identity guarantee.  One cache per mid-tier replica."""
-
-    enabled: bool = False
-    capacity: int = 1024
-    ttl_us: Optional[float] = None  # None = entries never expire
-    policy: str = "lru"
-
-
 _SUB_CONFIG_TYPES: Dict[str, type] = {
     "topology": TopologyConfig,
     "lb": LbConfig,
@@ -120,6 +101,8 @@ class ServiceScale:
     # Typed knob groups (see the classes above).
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     lb: LbConfig = field(default_factory=LbConfig)
+    # Leaf-request batching and the mid-tier result cache.  Off by
+    # default: nothing is constructed and every golden stays bit-identical.
     batch: BatchConfig = field(default_factory=BatchConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     # Closed-loop control plane (repro.control).  Off by default: no

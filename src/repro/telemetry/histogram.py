@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.rng import seeded_py
+
+
+def rank_percentile(ordered: Sequence[float], pct: float) -> float:
+    """The ``pct``-th percentile (0..100) of an already-sorted sequence:
+    linear interpolation between closest ranks, 0.0 when empty."""
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError(f"percentile out of range: {pct}")
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    # low + frac*(high-low) is exact when both ranks hold equal values,
+    # keeping percentiles monotone under floating point.
+    return ordered[low] + frac * (ordered[high] - ordered[low])
 
 
 class LatencyHistogram:
@@ -135,23 +153,10 @@ class LatencyHistogram:
     # -- percentiles -------------------------------------------------------
     def percentile(self, pct: float) -> float:
         """Estimate the ``pct``-th percentile (0..100) from the reservoir."""
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"percentile out of range: {pct}")
-        if not self._samples:
-            return 0.0
         ordered = self._sorted_cache
         if ordered is None:
             ordered = self._sorted_cache = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        # Linear interpolation between closest ranks.
-        rank = (pct / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        frac = rank - low
-        # low + frac*(high-low) is exact when both ranks hold equal values,
-        # keeping percentiles monotone under floating point.
-        return ordered[low] + frac * (ordered[high] - ordered[low])
+        return rank_percentile(ordered, pct)
 
     @property
     def median(self) -> float:

@@ -123,10 +123,6 @@ class Telemetry:
     :data:`FAMILIES`.
     """
 
-    #: Windows the tee keeps per series: all of them (None) here, a bounded
-    #: few in StreamingTelemetry.
-    TEE_WINDOWS = None
-
     def __init__(self, reservoir_size: int = 100_000):
         self.reservoir_size = reservoir_size
         self.window_start: float = 0.0
@@ -176,12 +172,13 @@ class Telemetry:
         Unlike the whole-run aggregates, the windows ignore
         ``window_start`` (controllers must see warm-up load) and survive
         :meth:`open_window`.  Runqueue-wait samples appear under the
-        series name ``runqlat:<machine>``.
+        series name ``runqlat:<machine>``.  Both storage modes keep the
+        last ``RETAIN_TEE_WINDOWS`` windows per series.
         """
-        from repro.telemetry.windows import WindowedMetrics
+        from repro.telemetry.windows import RETAIN_TEE_WINDOWS, WindowedMetrics
 
         self.windows = WindowedMetrics(
-            width_us, prefixes, retain_windows=self.TEE_WINDOWS
+            width_us, prefixes, retain_windows=RETAIN_TEE_WINDOWS
         )
 
     def finalized(self) -> "Telemetry":

@@ -31,12 +31,6 @@ from repro.telemetry.probes import COUNT, EVENTS, FAMILIES, Telemetry
 #: Stream format version, recorded in the header.
 STREAM_VERSION = 1
 
-#: Windows the live control-plane tee retains per series in streaming
-#: mode.  The controller reads back one ``window_us`` (two windows at
-#: window granularity); 64 leaves generous slack for any future reader
-#: while keeping the tee O(1) in run length.
-RETAIN_TEE_WINDOWS = 64
-
 
 def _dumps(record: dict) -> str:
     # Compact separators; float repr round-trips every IEEE double
@@ -55,8 +49,6 @@ def _raw_values(family, pending) -> int:
 
 class StreamingTelemetry(Telemetry):
     """Bounded-memory telemetry spilling windowed deltas to JSONL."""
-
-    TEE_WINDOWS = RETAIN_TEE_WINDOWS
 
     def __init__(
         self,
@@ -194,4 +186,4 @@ class StreamingTelemetry(Telemetry):
         return retained
 
 
-__all__ = ["RETAIN_TEE_WINDOWS", "STREAM_VERSION", "StreamingTelemetry"]
+__all__ = ["STREAM_VERSION", "StreamingTelemetry"]

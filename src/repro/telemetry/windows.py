@@ -17,8 +17,9 @@ probe path changes — a single ``is None`` test.
 The concatenation property (proved in ``tests/test_control_properties``)
 is that count/sum/min/max and percentile over all windows of a series,
 concatenated, exactly equal the same aggregates over the whole run —
-each sample lands in exactly one window, and the percentile math is the
-same closest-rank interpolation as :class:`LatencyHistogram`.
+each sample lands in exactly one window, and the percentile is the same
+:func:`~repro.telemetry.histogram.rank_percentile` as
+:class:`LatencyHistogram`'s.
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.histogram import rank_percentile
 
-def rank_percentile(ordered: Sequence[float], pct: float) -> float:
-    """Closest-rank linear interpolation, identical to
-    :meth:`LatencyHistogram.percentile` over an already-sorted sequence."""
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile out of range: {pct}")
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] + frac * (ordered[high] - ordered[low])
+#: Windows the hub's tee retains per series, in both storage modes.  The
+#: controller reads back one ``window_us`` (two windows at window
+#: granularity); 64 leaves generous slack for any future reader while
+#: keeping the tee O(1) in run length.
+RETAIN_TEE_WINDOWS = 64
 
 
 @dataclass
@@ -85,7 +78,6 @@ class WindowedMetrics:
         self,
         width_us: float,
         prefixes: Sequence[str] = (),
-        start_us: float = 0.0,
         retain_windows: Optional[int] = None,
     ):
         if width_us <= 0:
@@ -96,8 +88,7 @@ class WindowedMetrics:
             )
         self.width_us = float(width_us)
         self.prefixes: Tuple[str, ...] = tuple(prefixes)
-        self.start_us = float(start_us)
-        # None keeps every window (the buffered default); an integer keeps
+        # None keeps every window; an integer (the tee's) keeps
         # only the most recent N per series — readers that look back at
         # most (N-1) windows (the controller reads one window_us) see
         # identical values, but memory stays O(retained), not O(run).
@@ -114,7 +105,7 @@ class WindowedMetrics:
         if series is None:
             series = {}
             self._series[name] = series
-        idx = int((now_us - self.start_us) // self.width_us)
+        idx = int(now_us // self.width_us)
         window = series.get(idx)
         if window is None:
             # Both edges come from the same grid expression, so window k's
@@ -125,8 +116,8 @@ class WindowedMetrics:
             # window-aligned cut in windows_between (a double count).
             window = MetricWindow(
                 index=idx,
-                start_us=self.start_us + idx * self.width_us,
-                end_us=self.start_us + (idx + 1) * self.width_us,
+                start_us=idx * self.width_us,
+                end_us=(idx + 1) * self.width_us,
             )
             series[idx] = window
             if self.retain_windows is not None:

@@ -2,13 +2,14 @@
 
 from dataclasses import replace
 
-from repro.rpc.adaptive import AdaptiveMidTierRuntime, AdaptivePolicy
+from repro.rpc import adaptive
+from repro.rpc.adaptive import AdaptiveMidTierRuntime
 from repro.rpc.server import MidTierRuntime
 from repro.suite import SCALES, SimCluster, build_service
 from repro.suite.cluster import run_open_loop
 
 
-def _adaptive_scale(policy_kwargs=None):
+def _adaptive_scale():
     scale = SCALES["unit"]
     runtime = replace(scale.midtier_runtime, adaptive=True)
     return scale.with_overrides(midtier_runtime=runtime)
@@ -65,7 +66,7 @@ def test_adaptive_resizes_worker_pool_with_load():
                   warmup_us=100_000)
     low_active = runtime.active_workers
     assert low_active < max_workers
-    assert low_active >= runtime.policy.min_workers
+    assert low_active >= adaptive.MIN_WORKERS
     spike_start = cluster.sim.now
     run_open_loop(cluster, service, qps=3_000.0, duration_us=300_000,
                   warmup_us=100_000)
@@ -89,6 +90,5 @@ def test_adaptive_still_serves_correctly_through_transitions():
 
 
 def test_adaptive_policy_hysteresis_thresholds_sane():
-    policy = AdaptivePolicy()
-    assert policy.poll_below_qps < policy.block_above_qps
-    assert policy.min_workers >= 1
+    assert adaptive.POLL_BELOW_QPS < adaptive.BLOCK_ABOVE_QPS
+    assert adaptive.MIN_WORKERS >= 1

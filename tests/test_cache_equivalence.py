@@ -21,8 +21,7 @@ from repro.loadgen.client import _ClientBase
 from repro.midcache import CacheConfig, QueryCache
 from repro.rpc.message import RpcRequest
 from repro.suite import SCALES, SimCluster, build_service
-from repro.suite.config import BatchConfig
-from repro.suite.config import CacheConfig as ScaleCacheConfig
+from repro.rpc.batching import BatchConfig
 
 
 class RecordingLoadGen(OpenLoopLoadGen):
@@ -99,10 +98,10 @@ def _assert_equivalent(service, base, fast):
 
 CONFIGS = {
     "batch": dict(batch=BatchConfig(enabled=True, max_batch=8, max_wait_us=50.0)),
-    "cache": dict(cache=ScaleCacheConfig(enabled=True, capacity=2048)),
+    "cache": dict(cache=CacheConfig(enabled=True, capacity=2048)),
     "batch+cache": dict(
         batch=BatchConfig(enabled=True, max_batch=4, max_wait_us=30.0),
-        cache=ScaleCacheConfig(enabled=True, capacity=2048),
+        cache=CacheConfig(enabled=True, capacity=2048),
     ),
 }
 
@@ -138,7 +137,7 @@ def test_ttl_expiry_still_equivalent_and_exercised():
     base, _ = _run_config("router")
     fast, midtier = _run_config(
         "router",
-        cache=ScaleCacheConfig(enabled=True, capacity=2048, ttl_us=50_000.0),
+        cache=CacheConfig(enabled=True, capacity=2048, ttl_us=50_000.0),
     )
     _assert_equivalent("router", base.responses, fast.responses)
     stats = midtier.cache_stats()
@@ -150,7 +149,7 @@ def test_router_write_invalidation_exercised():
     """Router's YCSB-A sets must invalidate cached gets during the run."""
     base, _ = _run_config("router")
     fast, midtier = _run_config(
-        "router", cache=ScaleCacheConfig(enabled=True, capacity=2048),
+        "router", cache=CacheConfig(enabled=True, capacity=2048),
     )
     _assert_equivalent("router", base.responses, fast.responses)
     stats = midtier.cache_stats()

@@ -2,16 +2,22 @@
 
 ServiceScale's knobs are grouped into frozen sub-configs
 (topology/lb/batch/cache/telemetry/energy).  These tests pin the
-two contracts: ``to_dict``/``from_dict`` reconstruct a scale exactly,
-and a flat keyword (``n_leaves=2``) is an unknown field — constructing,
-overriding, or deserialising with one raises ``TypeError``.
+three contracts: ``to_dict``/``from_dict`` reconstruct a scale exactly;
+a flat keyword (``n_leaves=2``) is an unknown field — constructing,
+overriding, or deserialising with one raises ``TypeError``; and a
+malformed knob is a ``ValueError`` wherever it is built, on both knob
+carriers (``ServiceScale`` and ``GraphNode``).
 """
 
+import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+from repro.graph import GraphConfig, onehop_graph
+from repro.rpc.server import RuntimeConfig
 from repro.suite import SCALES
 from repro.suite.config import (
     BatchConfig,
@@ -111,6 +117,67 @@ def test_topology_config_rejects_counts_below_one(field):
         small.with_overrides(topology=replace(small.topology, **{field: 0}))
 
 
+def _graph_dict_with(node_key, value):
+    """The one-hop graph's dict with its root node's ``node_key`` set."""
+    graph = onehop_graph(n_queries=10).to_dict()
+    graph["nodes"][0][node_key] = value
+    return graph
+
+
+@pytest.mark.parametrize("enabled", [False, True])
+@pytest.mark.parametrize("knob, field, value", [
+    ("batch", "max_batch", 0), ("batch", "max_wait_us", 0),
+    ("cache", "capacity", -1), ("cache", "policy", "mru"),
+    ("cache", "ttl_us", 0),
+])
+def test_batch_and_cache_knobs_reject_bad_values_at_construction(
+    knob, field, value, enabled
+):
+    # Parent: the suite's copies took anything; a disabled bad cache was
+    # never rejected, an enabled one only when the cluster was built.
+    config_type = {"batch": BatchConfig, "cache": CacheConfig}[knob]
+    with pytest.raises(ValueError, match=field):
+        config_type(enabled=enabled, **{field: value})
+    small = SCALES["small"]
+    knob_dict = {**small.to_dict()[knob], "enabled": enabled, field: value}
+    with pytest.raises(ValueError, match=field):
+        small.with_overrides(**{knob: replace(getattr(small, knob), **knob_dict)})
+    with pytest.raises(ValueError, match=field):
+        ServiceScale.from_dict({**small.to_dict(), knob: knob_dict})
+    with pytest.raises(ValueError, match=field):
+        GraphConfig.from_dict(_graph_dict_with(knob, knob_dict))
+
+
+_ZERO_POOL_CARRIERS = {
+    "constructor": lambda runtime: RuntimeConfig(**runtime),
+    "ServiceScale.from_dict": lambda runtime: ServiceScale.from_dict(
+        {**SCALES["unit"].to_dict(), "midtier_runtime": runtime}
+    ),
+    "GraphConfig.from_dict": lambda runtime: GraphConfig.from_dict(
+        _graph_dict_with("runtime", runtime)
+    ),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(_ZERO_POOL_CARRIERS))
+@pytest.mark.parametrize("field", [
+    "network_threads", "worker_threads", "response_threads",
+])
+def test_zero_sized_thread_pool_is_rejected(field, carrier):
+    # Parent: accepted; the pool then answered nothing, silently (unit
+    # hdsearch at 500 QPS sent 65 queries and completed 0).
+    runtime = {**asdict(RuntimeConfig()), field: 0}
+    with pytest.raises(ValueError, match=f"{field} must be >= 1: 0"):
+        _ZERO_POOL_CARRIERS[carrier](runtime)
+
+
+def test_committed_graph_configs_round_trip():
+    with open(Path(__file__).resolve().parent.parent / "BENCH_graph.json") as f:
+        graphs = json.load(f)["graphs"]
+    for name in ("onehop", "deep"):
+        assert GraphConfig.from_dict(graphs[name]).to_dict() == graphs[name]
+
+
 # -- the package's public surface -------------------------------------------
 
 def test_repro_package_exports_the_stable_api():
@@ -124,6 +191,15 @@ def test_repro_package_exports_the_stable_api():
                  "split_node", "monolith", "work_per_query"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
+
+
+def test_one_config_class_per_feature():
+    import repro
+    from repro import midcache
+    from repro.rpc import batching
+
+    assert repro.BatchConfig is BatchConfig is batching.BatchConfig
+    assert repro.CacheConfig is CacheConfig is midcache.CacheConfig
 
 
 def test_repro_package_rejects_internals():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel.config import CStatePoint, MachineSpec, OsCosts
+from repro.kernel.config import CStatePoint, OsCosts
 from repro.net.fabric import LinkSpec
 from repro.services.costmodel import LinearCost
 from repro.suite import SCALES, SimCluster, build_service
@@ -39,17 +39,6 @@ def test_cstate_exit_latency_monotone(idle_us):
 def test_custom_cstate_table():
     costs = OsCosts(cstates=(CStatePoint(0.0, 3.0, "X"),))
     assert costs.cstate_exit_latency(1e9) == (3.0, "X")
-
-
-def test_machine_spec_restricted():
-    spec = MachineSpec(name="big", cores=80, nic_irq_cores=8)
-    small = spec.restricted(4)
-    assert small.cores == 4
-    assert small.nic_irq_cores == 4  # clamped to core count
-    assert small.name == "big-4c"
-    assert small.clock_ghz == spec.clock_ghz
-    named = spec.restricted(2, name="tiny")
-    assert named.name == "tiny"
 
 
 # -- LinearCost -----------------------------------------------------------------

@@ -25,7 +25,8 @@ from repro.control import ControlConfig, make_control_policy
 from repro.control.account import ReplicaSecondsAccount
 from repro.control.policies import WindowSummary
 from repro.telemetry import LatencyHistogram
-from repro.telemetry.windows import WindowedMetrics, rank_percentile
+from repro.telemetry.histogram import rank_percentile
+from repro.telemetry.windows import WindowedMetrics
 
 # -- windows: concat == whole run -------------------------------------------
 

@@ -122,7 +122,6 @@ def test_lru_refreshes_on_hit_fifo_does_not():
         dict(ttl_us=0.0),
         dict(ttl_us=-1.0),
         dict(policy="mru"),
-        dict(hit_compute_us=-1.0),
     ],
 )
 def test_cache_config_validation(kwargs):

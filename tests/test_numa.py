@@ -23,12 +23,6 @@ def test_socket_of_validates_range():
         spec.socket_of(-1)
 
 
-def test_restricted_clamps_sockets():
-    spec = MachineSpec(cores=80, sockets=2)
-    assert spec.restricted(1).sockets == 1
-    assert spec.restricted(8).sockets == 2
-
-
 def test_cores_carry_socket_ids():
     rig = Rig()
     machine = rig.machine("m", cores=4)
