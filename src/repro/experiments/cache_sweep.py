@@ -251,7 +251,7 @@ def run_cache_sweep(
         "benchmark": (
             f"leaf-request batching + mid-tier result cache, "
             f"scale={scale_name} (batch={DEFAULT_BATCH_MAX}, "
-            f"capacity={DEFAULT_CAPACITY} {DEFAULT_POLICY}), seed={seed}"
+            f"capacity={DEFAULT_CAPACITY} {cache_policy}), seed={seed}"
         ),
         "scale": scale_name,
         "seed": seed,
@@ -260,7 +260,8 @@ def run_cache_sweep(
             "batch_max": DEFAULT_BATCH_MAX,
             "batch_max_wait_us": DEFAULT_BATCH_WAIT_US,
             "cache_capacity": DEFAULT_CAPACITY,
-            "cache_policy": DEFAULT_POLICY,
+            # The policy the cells ran under: drift's pinned re-run reads it.
+            "cache_policy": cache_policy,
         },
         "cells": [asdict(cell) for cell in cells],
         "reproducibility": runner.double_run(
@@ -415,7 +416,7 @@ EXPERIMENT = runner.Experiment(
                     type=runner.positive_int, default=None, metavar="N",
                     help="cache-capacity axis (default: 256 1024 4096)"),
         runner.Flag("--policy", param="cache_policy", choices=CACHE_POLICIES,
-                    default="lru", help="cache eviction policy"),
+                    default=DEFAULT_POLICY, help="cache eviction policy"),
         runner.Flag("--no-axes", dest="axes", action="store_false",
                     help="skip the batch-size / capacity axes (off-vs-on only)"),
     ),

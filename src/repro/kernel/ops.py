@@ -4,7 +4,7 @@ A thread body is a Python generator.  Real computation (LSH lookups, hash
 routing, set intersections, ...) runs natively between yields; simulated
 *time* is charged by yielding these operation objects, which the scheduler
 interprets.  Blocking operations (futex wait, epoll wait without ready
-events, eventfd read on zero) suspend the thread and free its core.
+events) suspend the thread and free its core.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class SockRecv(KernelOp):
 
 
 class EventfdWrite(KernelOp):
-    """``write`` on an eventfd: add ``value`` and wake one reader."""
+    """``write`` on an eventfd: add ``value`` to its counter."""
 
     __slots__ = ("efd", "value")
 
@@ -124,7 +124,8 @@ class EventfdWrite(KernelOp):
 
 
 class EventfdRead(KernelOp):
-    """``read`` on an eventfd: yields the counter, blocking while zero."""
+    """``read`` on an eventfd: yields and drains the counter; never
+    blocks (0 when already drained)."""
 
     __slots__ = ("efd",)
 

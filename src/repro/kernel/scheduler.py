@@ -652,25 +652,14 @@ class Scheduler:
 
     def _eventfd_write_body(self, core: Core, thread: SimThread, op: EventfdWrite) -> None:
         op.efd.add(op.value)
-        if op.efd.readers:
-            reader = op.efd.readers.pop(0)
-            self.make_runnable(reader)
         thread.send_value = None
         self._advance(core, thread)
 
     def _eventfd_read_body(self, core: Core, thread: SimThread, op: EventfdRead) -> None:
-        if op.efd.counter > 0:
-            thread.send_value = op.efd.consume()
-            self._advance(core, thread)
-            return
-        self._block(
-            core,
-            thread,
-            reason="eventfd",
-            resume_hook=op.efd.consume,
-            timeout_us=None,
-            waitlist=op.efd.readers,
-        )
+        # EFD_NONBLOCK: a counter a sibling drained during this syscall's
+        # entry reads 0 (EAGAIN) instead of parking the caller.
+        thread.send_value = op.efd.consume()
+        self._advance(core, thread)
 
     def _nanosleep_body(self, core: Core, thread: SimThread, op: Nanosleep) -> None:
         thread.state = ThreadState.BLOCKED

@@ -106,15 +106,18 @@ class Epoll:
 
 
 class Eventfd:
-    """An eventfd counter used for completion-queue kicks."""
+    """An eventfd counter used for completion-queue kicks.
+
+    Non-blocking, like gRPC's ``EFD_NONBLOCK`` wakeup fd: reading a drained
+    counter returns 0 at once, so no thread ever waits on an eventfd.
+    """
 
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.counter = 0
-        self.readers: List["SimThread"] = []
 
     def add(self, value: int) -> None:
-        """write(): bump the counter (reader wakeup handled by scheduler)."""
+        """write(): bump the counter."""
         self.counter += value
 
     def consume(self) -> int:

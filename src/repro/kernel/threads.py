@@ -46,7 +46,7 @@ class SimThread:
         self.send_value: Any = None
         # Remaining CPU time of a preempted Compute op, if any.
         self.pending_compute: float = 0.0
-        # Set while the thread sits on a futex/eventfd/epoll wait list.
+        # Set while the thread sits on a futex/epoll wait list.
         self.block_reason: Optional[str] = None
         # Cancellation hook for a blocking-op timeout, if armed.
         self.wait_timer = None

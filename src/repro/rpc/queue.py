@@ -67,7 +67,8 @@ class TaskQueue:
             yield from self.condvar.wait(self.mutex, timeout_us=timeout)
         item = self.items.popleft()
         yield from self.mutex.release()
-        # Drain the kick counter (non-blocking when already consumed).
+        # Drain the kick counter.  A sibling may drain it during this read's
+        # syscall entry; the read then returns 0 and never holds the item.
         if self.kick_efd.counter > 0:
             yield EventfdRead(self.kick_efd)
         return item

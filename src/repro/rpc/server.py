@@ -259,11 +259,10 @@ class LeafRuntime(_RuntimeBase):
 class _PendingRequest:
     """Fan-out bookkeeping for one in-flight mid-tier request.
 
-    With a :class:`~repro.rpc.policy.TailPolicy` attached the entry also
-    tracks per-slot sub-request identity (so hedged duplicates cannot be
-    double-counted), the timers armed for each slot, and the deadline
-    state.  Without one (``track_slots=False``), none of that is
-    allocated and countdown works purely by response count, as before.
+    Every entry tracks per-slot sub-request identity, so each response is
+    matched to its fan-out slot and a hedged duplicate cannot be
+    double-counted.  Only a :class:`~repro.rpc.policy.TailPolicy` arms
+    slot timers or sets a deadline.
     """
 
     __slots__ = (
@@ -275,7 +274,7 @@ class _PendingRequest:
 
     def __init__(
         self, request: RpcRequest, expected: int, arrival: float,
-        track_slots: bool = False,
+        cache_key: Optional[bytes],
     ):
         self.request = request
         self.expected = expected
@@ -290,26 +289,18 @@ class _PendingRequest:
         # repro.midcache: the key this query's merge will be stored under
         # (and whose single-flight followers it will answer); None when
         # caching is off or the query is uncacheable.
-        self.cache_key: Optional[bytes] = None
-        if track_slots:
-            # sub-request id → fan-out slot; slot → (leaf, payload, size).
-            self.sub_slot: Optional[Dict[int, int]] = {}
-            self.slot_info: Optional[Dict[int, tuple]] = {}
-            self.sent_at: Optional[Dict[int, float]] = {}
-            self.responded_slots: Optional[set] = set()
-            self.dup_ids: Optional[set] = set()
-            self.slot_timers: Optional[Dict[int, list]] = {}
-        else:
-            self.sub_slot = None
-            self.slot_info = None
-            self.sent_at = None
-            self.responded_slots = None
-            self.dup_ids = None
-            self.slot_timers = None
+        self.cache_key = cache_key
+        # sub-request id → fan-out slot; slot → (leaf, payload, size).
+        self.sub_slot: Dict[int, int] = {}
+        self.slot_info: Dict[int, tuple] = {}
+        self.sent_at: Dict[int, float] = {}
+        self.responded_slots: set = set()
+        self.dup_ids: set = set()
+        self.slot_timers: Dict[int, list] = {}
 
     def cancel_slot_timers(self, slot: int) -> None:
         """First-response-wins: kill the slot's hedge/retry timers."""
-        timers = self.slot_timers.pop(slot, None) if self.slot_timers else None
+        timers = self.slot_timers.pop(slot, None)
         if timers:
             for timer in timers:
                 timer.cancel()
@@ -320,11 +311,10 @@ class _PendingRequest:
         if self.deadline_call is not None:
             self.deadline_call.cancel()
             self.deadline_call = None
-        if self.slot_timers:
-            for timers in self.slot_timers.values():
-                for timer in timers:
-                    timer.cancel()
-            self.slot_timers.clear()
+        for timers in self.slot_timers.values():
+            for timer in timers:
+                timer.cancel()
+        self.slot_timers.clear()
 
 
 class MidTierRuntime(_RuntimeBase):
@@ -432,7 +422,11 @@ class MidTierRuntime(_RuntimeBase):
             self.machine.telemetry.incr(f"midcache_hits:{self.machine.name}")
             payload, size_bytes = value
             yield Compute(HIT_COMPUTE_US, tag="midcache-hit")
-            yield from self._reply_cached(request, payload, size_bytes)
+            arrival = request.arrive_time or self.machine.sim.now
+            yield from self._reply(
+                request, payload, size_bytes, "cache_hit", False,
+                arrival, arrival, request.net_us,
+            )
             return "done", None
         self.machine.telemetry.incr(f"midcache_misses:{self.machine.name}")
         if cache.join_flight(key, request):
@@ -441,32 +435,6 @@ class MidTierRuntime(_RuntimeBase):
             self.machine.telemetry.incr(f"midcache_coalesced:{self.machine.name}")
             return "done", None
         return "miss", key
-
-    def _reply_cached(
-        self, request: RpcRequest, payload, size_bytes: int,
-        partial: bool = False, label: str = "cache_hit",
-    ):
-        """Generator: answer one query from a cached (or coalesced) merge."""
-        arrival = request.arrive_time or self.machine.sim.now
-        reply = RpcResponse(
-            request_id=request.request_id,
-            payload=payload,
-            size_bytes=size_bytes,
-            parent_id=request.parent_id,
-            client_start=request.client_start,
-        )
-        reply.partial = partial
-        reply.upstream_net_us = request.net_us
-        now = self.machine.sim.now
-        telemetry = self.machine.telemetry
-        telemetry.record(f"net_rpc:{self.machine.name}", request.net_us)
-        telemetry.record(f"midtier_latency:{self.machine.name}", now - arrival)
-        telemetry.record(f"midtier_span:{self.machine.name}", now - arrival)
-        if request.trace is not None:
-            request.trace.record(label, self.machine.name, arrival, now)
-            reply.trace = request.trace
-        self.completed += 1
-        yield SockSend(self.server_sock, request.reply_to, reply, size_bytes)
 
     def _handle(self, item):
         """Request path: service compute (unless the network thread already
@@ -481,41 +449,24 @@ class MidTierRuntime(_RuntimeBase):
                 return
         plan, cache_key = planned
         arrival = request.arrive_time or self.machine.sim.now
+        entry = _PendingRequest(request, len(plan.subrequests), arrival, cache_key)
         if not plan.subrequests:
             # Degenerate fan-out (e.g. LSH found no candidates): merge empty.
-            entry = _PendingRequest(request, expected=0, arrival=arrival)
-            entry.cache_key = cache_key
             yield from self._send_async(plan)
             entry.request_path_us = self.machine.sim.now - arrival
-            yield from self._finish(entry, [], last_arrival=self.machine.sim.now)
+            yield from self._finish(entry, last_arrival=self.machine.sim.now)
             return
         policy = self.tail_policy
-        entry = _PendingRequest(
-            request, expected=len(plan.subrequests), arrival=arrival,
-            track_slots=policy is not None,
-        )
-        entry.cache_key = cache_key
         if policy is not None and policy.deadline_us is not None:
             entry.deadline_at = arrival + policy.deadline_us
         yield from self.pending_mutex.acquire()
         self.pending[request.request_id] = entry
         yield from self.pending_mutex.release()
         for slot, (leaf_index, payload, size_bytes) in enumerate(plan.subrequests):
-            sub = RpcRequest(
-                method="leaf",
-                payload=payload,
-                size_bytes=size_bytes,
-                reply_to=self.client_sock.address,
-                parent_id=request.request_id,
-                client_start=request.client_start,
-            )
-            sub.trace = request.trace  # propagate the sampled trace
-            if policy is not None:
-                sub.deadline = entry.deadline_at
-                entry.sub_slot[sub.request_id] = slot
-                entry.slot_info[slot] = (leaf_index, payload, size_bytes)
-                entry.sent_at[slot] = self.machine.sim.now
+            entry.slot_info[slot] = (leaf_index, payload, size_bytes)
+            entry.sent_at[slot] = self.machine.sim.now
             self.subrequests_sent += 1
+            sub = self._leaf_request(payload, size_bytes, entry, slot)
             yield from self._send_sub(leaf_index, sub, size_bytes)
         yield from self._send_async(plan)
         # Responses may already have arrived (sends advance time), so arm
@@ -560,15 +511,15 @@ class MidTierRuntime(_RuntimeBase):
                             completed.append(done)
                 yield from sock.lock.release()
                 for entry, last_arrival in completed:
-                    yield from self._finish(entry, entry.responses, last_arrival)
+                    yield from self._finish(entry, last_arrival)
 
     def _countdown(self, response: RpcResponse):
         """Stash one leaf response; returns (entry, arrival) when last.
 
-        With a tail policy, responses are matched to fan-out *slots*: the
-        first response for a slot wins (and cancels the slot's hedge and
-        retry timers); a hedge duplicate that lost its race is dropped
-        without being counted, so hedging can never double-count a leaf.
+        Responses are matched to fan-out *slots*: the first response for a
+        slot wins (and cancels the slot's hedge and retry timers); a
+        duplicate that lost its race is dropped without being counted, so
+        hedging can never double-count a leaf.
         """
         if response.arrive_time is not None:
             # Socket-queue dwell + wakeup until a response thread picks it up.
@@ -583,9 +534,9 @@ class MidTierRuntime(_RuntimeBase):
             # Completed (or deadline-degraded) parent: a late original or a
             # losing hedge/retry duplicate.  Dropped, never merged twice.
             # (A parent-less reply is a fire-and-forget ack, not late.)
-            if self.tail_policy is not None and response.parent_id is not None:
+            if response.parent_id is not None:
                 self.late_responses += 1
-        elif self.tail_policy is not None:
+        else:
             slot = entry.sub_slot.get(response.request_id)
             if slot is None or slot in entry.responded_slots:
                 # The slot was already answered by the other copy.
@@ -596,9 +547,8 @@ class MidTierRuntime(_RuntimeBase):
                 entry.cancel_slot_timers(slot)
                 if response.request_id in entry.dup_ids:
                     self.hedge_wins += 1
-                sent = entry.sent_at.get(slot)
-                if sent is not None:
-                    self._observe_leaf_latency(self.machine.sim.now - sent)
+                if self.tail_policy is not None:
+                    self._observe_leaf_latency(self.machine.sim.now - entry.sent_at[slot])
         if entry is not None:
             entry.responses.append(response)
             trace = entry.request.trace
@@ -721,38 +671,42 @@ class MidTierRuntime(_RuntimeBase):
         if entry.finished or slot in entry.responded_slots:
             return
         leaf_index, payload, size_bytes = entry.slot_info[slot]
-        request = entry.request
-        sub = RpcRequest(
-            method="leaf",
-            payload=payload,
-            size_bytes=size_bytes,
-            reply_to=self.client_sock.address,
-            parent_id=request.request_id,
-            client_start=request.client_start,
-        )
-        sub.trace = request.trace
-        sub.deadline = entry.deadline_at
-        entry.sub_slot[sub.request_id] = slot
+        sub = self._leaf_request(payload, size_bytes, entry, slot)
         entry.dup_ids.add(sub.request_id)
         yield from self._send_sub(leaf_index, sub, size_bytes)
 
     def _send_async(self, plan):
         """Generator: the plan's fire-and-forget sub-requests, if any.
-
-        Async subs carry no parent id (their replies drop in
-        :meth:`_countdown`), no deadline, and no trace — a side-effect
-        branch is off the request's critical path by construction.  The
-        default empty list sends nothing and schedules nothing.
-        """
+        The default empty list sends nothing and schedules nothing."""
         for leaf_index, payload, size_bytes in plan.fire_and_forget:
-            sub = RpcRequest(
-                method="leaf",
-                payload=payload,
-                size_bytes=size_bytes,
-                reply_to=self.client_sock.address,
-            )
             self.async_subs_sent += 1
+            sub = self._leaf_request(payload, size_bytes)
             yield from self._send_sub(leaf_index, sub, size_bytes)
+
+    def _leaf_request(
+        self, payload, size_bytes: int,
+        entry: Optional[_PendingRequest] = None, slot: int = 0,
+    ) -> RpcRequest:
+        """One leaf sub-request: with ``entry``, an original or a hedge/retry
+        duplicate for fan-out ``slot`` — it carries the query's id, start,
+        trace and deadline, and is registered to the slot its response will
+        count against.  Without, a fire-and-forget sub: no parent id (its
+        reply drops in :meth:`_countdown`), no deadline and no trace, so a
+        side-effect branch is off the critical path by construction."""
+        parent = entry.request if entry is not None else None
+        sub = RpcRequest(
+            method="leaf",
+            payload=payload,
+            size_bytes=size_bytes,
+            reply_to=self.client_sock.address,
+            parent_id=parent.request_id if parent is not None else None,
+            client_start=parent.client_start if parent is not None else None,
+        )
+        if parent is not None:
+            sub.trace = parent.trace  # propagate the sampled trace
+            sub.deadline = entry.deadline_at
+            entry.sub_slot[sub.request_id] = slot
+        return sub
 
     def _send_sub(self, leaf_index: int, sub: RpcRequest, size_bytes: int):
         """Generator: one leaf sub-request, coalesced when batching is on.
@@ -787,57 +741,28 @@ class MidTierRuntime(_RuntimeBase):
         yield from self.pending_mutex.release()
         if not live:
             return  # completed between the timer firing and this thread running
-        yield from self._finish(
-            entry, entry.responses, last_arrival=self.machine.sim.now
-        )
+        yield from self._finish(entry, last_arrival=self.machine.sim.now)
 
-    def _finish(self, entry: _PendingRequest, responses: List[RpcResponse], last_arrival: float):
+    def _finish(self, entry: _PendingRequest, last_arrival: float):
+        """Generator: merge what arrived, answer the query, then close its
+        single-flight (store the merge, answer the queries behind it)."""
         request = entry.request
-        merged = self.app.merge(request.payload, [r.payload for r in responses])
+        merged = self.app.merge(request.payload, [r.payload for r in entry.responses])
         yield Compute(merged.compute_us, tag="midtier-merge")
-        reply = RpcResponse(
-            request_id=request.request_id,
-            payload=merged.payload,
-            size_bytes=merged.size_bytes,
-            # Echoed so a *parent* mid-tier (repro.graph nests runtimes)
-            # can match this reply to its fan-out slot; None for requests
-            # that came straight from a load generator.
-            parent_id=request.parent_id,
-            client_start=request.client_start,
-        )
         if entry.partial:
             # Graceful degradation: surface the partial merge to telemetry
             # and to the client (repro.loadgen counts these separately).
-            reply.partial = True
             self.partial_replies += 1
             if request.trace is not None:
                 request.trace.record(
                     "deadline_partial", self.machine.name, entry.arrival,
                     self.machine.sim.now,
                 )
-        net_us = request.net_us + sum(r.net_us + r.upstream_net_us for r in responses)
-        reply.upstream_net_us = net_us
-        telemetry = self.machine.telemetry
-        telemetry.record(f"net_rpc:{self.machine.name}", net_us)
-        now = self.machine.sim.now
-        # The paper's "Net mid-tier latency" (Figs. 15-18, category 8): the
-        # mid-tier server's own contribution — request path (arrival →
-        # fan-out sent) plus response path (final leaf response arrival →
-        # reply sent) — excluding time spent waiting on leaves.
-        response_path_us = now - last_arrival
-        telemetry.record(f"midtier_reqpath:{self.machine.name}", entry.request_path_us)
-        telemetry.record(f"midtier_resppath:{self.machine.name}", response_path_us)
-        telemetry.record(
-            f"midtier_latency:{self.machine.name}",
-            entry.request_path_us + response_path_us,
+        net_us = request.net_us + sum(r.net_us + r.upstream_net_us for r in entry.responses)
+        yield from self._reply(
+            request, merged.payload, merged.size_bytes, "response_path",
+            entry.partial, entry.arrival, last_arrival, net_us, entry.request_path_us,
         )
-        # Full span (arrival → reply) kept for saturation diagnostics.
-        telemetry.record(f"midtier_span:{self.machine.name}", now - entry.arrival)
-        if request.trace is not None:
-            request.trace.record("response_path", self.machine.name, last_arrival, now)
-            reply.trace = request.trace  # carried back to the client
-        self.completed += 1
-        yield SockSend(self.server_sock, request.reply_to, reply, merged.size_bytes)
         if self.cache is not None and entry.cache_key is not None:
             # Close the single-flight: store the merge (never a partial
             # one — a degraded reply must not shadow future full merges)
@@ -850,22 +775,61 @@ class MidTierRuntime(_RuntimeBase):
                     self.machine.sim.now,
                 )
             for follower in followers:
-                yield from self._reply_cached(
+                arrival = follower.arrive_time or self.machine.sim.now
+                yield from self._reply(
                     follower, merged.payload, merged.size_bytes,
-                    partial=entry.partial, label="single_flight",
+                    "single_flight", entry.partial, arrival, arrival,
+                    follower.net_us,
                 )
 
-    def cache_stats(self) -> Optional[Dict[str, float]]:
-        """Result-cache accounting, or None when caching is off."""
-        if self.cache is None:
-            return None
-        return self.cache.stats()
+    def _reply(
+        self, request: RpcRequest, payload, size_bytes: int, label: str,
+        partial: bool, arrival: float, since: float, net_us: float,
+        request_path_us: Optional[float] = None,
+    ):
+        """Generator: build and send one query's reply, record its mid-tier
+        series and its ``label`` trace span (``since`` → now).
 
-    def batch_stats(self) -> Optional[Dict[str, float]]:
-        """Coalescer accounting, or None when batching is off."""
-        if self.batcher is None:
-            return None
-        return self.batcher.stats()
+        ``request_path_us`` is given for a fan-out's merge only: its
+        mid-tier latency is then request path plus response path (``since``
+        is the final leaf response), each also recorded on its own.  A cache
+        hit or single-flight follower had no fan-out, so ``since`` is its
+        arrival and its whole dwell is mid-tier time.
+        """
+        now = self.machine.sim.now
+        reply = RpcResponse(
+            request_id=request.request_id,
+            payload=payload,
+            size_bytes=size_bytes,
+            # Echoed so a *parent* mid-tier (repro.graph nests runtimes)
+            # can match this reply to its fan-out slot; None for requests
+            # that came straight from a load generator.
+            parent_id=request.parent_id,
+            client_start=request.client_start,
+        )
+        reply.partial = partial
+        reply.upstream_net_us = net_us
+        name = self.machine.name
+        telemetry = self.machine.telemetry
+        telemetry.record(f"net_rpc:{name}", net_us)
+        latency_us = now - arrival
+        if request_path_us is not None:
+            # The paper's "Net mid-tier latency" (Figs. 15-18, category 8):
+            # the mid-tier server's own contribution — request path (arrival
+            # → fan-out sent) plus response path (final leaf response
+            # arrival → reply sent) — excluding time spent waiting on leaves.
+            response_path_us = now - since
+            telemetry.record(f"midtier_reqpath:{name}", request_path_us)
+            telemetry.record(f"midtier_resppath:{name}", response_path_us)
+            latency_us = request_path_us + response_path_us
+        telemetry.record(f"midtier_latency:{name}", latency_us)
+        # Full span (arrival → reply) kept for saturation diagnostics.
+        telemetry.record(f"midtier_span:{name}", now - arrival)
+        if request.trace is not None:
+            request.trace.record(label, name, since, now)
+            reply.trace = request.trace  # carried back to the client
+        self.completed += 1
+        yield SockSend(self.server_sock, request.reply_to, reply, size_bytes)
 
     def tail_stats(self) -> Dict[str, float]:
         """Tail-tolerance accounting for experiment reports."""

@@ -13,6 +13,11 @@ functions of that document.  Two halves, one row per sweep:
   commit *before* the seven sweeps stopped carrying a report class next
   to the document, so they pin every title, table, verdict line and
   artifact byte of the refactor (the ``tests/test_figures.py`` method).
+  The scale, cache, faults and graph literals were re-captured when
+  eventfd reads became non-blocking, because some of their cells had a
+  worker block on a drained kick counter; only those cells moved.  The
+  graph run's gate now passes: its deep clean cell's p99 had been
+  inflated by requests parked behind such reads.
 """
 
 import json
@@ -110,13 +115,13 @@ Scale-out sweep — hdsearch
 saturation vs replicas (round-robin):
 replicas  saturation QPS
 --------  --------------
-       1           7,313
+       1           7,293
        2          20,100
 
 tail latency per cell:
 replicas       policy  QPS  done  p50 us  p99 us  imbalance
 --------  -----------  ---  ----  ------  ------  ---------
-       1       direct  800    87     444     624          -
+       1       direct  800    87     445     624          -
        2  round-robin  800    87     497     665       1.00
 
 reproducibility (2 replicas, round-robin @ 800 QPS): bit-identical
@@ -125,13 +130,13 @@ recorded out.json (acceptance: FAIL)
 """,
         '{"acceptance": {"bit_reproducible": true, "p2c_beats_round_robin": false, "p'
         '2c_p99_us": 0.0, "pass": false, "round_robin_p99_us": 665.0, "saturation_mon'
-        'otone": true, "speedup_at_2_replicas": 2.748, "target_speedup_at_2_replicas"'
+        'otone": true, "speedup_at_2_replicas": 2.756, "target_speedup_at_2_replicas"'
         ': 1.7}, "benchmark": "mid-tier scale-out on hdsearch, scale=unit (midtier_co'
         'res=1, leaf target=80us), seed=0", "cells": [{"loads": [{"completed": 87, "l'
-        'b_backlogged": 0, "mean_us": 448.17229942011346, "p50_us": 444.4678305168636'
-        ', "p99_us": 623.6879183637927, "per_replica_forwarded": [], "per_replica_run'
-        'qlat_p99_us": [109.31322867348376], "qps": 800.0, "replica_imbalance": 0.0, '
-        '"sent": 87}], "policy": "direct", "replicas": 1, "saturation_qps": 7313.3333'
+        'b_backlogged": 0, "mean_us": 447.58198519025217, "p50_us": 444.9742470751516'
+        '5, "p99_us": 623.9554172458639, "per_replica_forwarded": [], "per_replica_ru'
+        'nqlat_p99_us": [118.4859916761706], "qps": 800.0, "replica_imbalance": 0.0, '
+        '"sent": 87}], "policy": "direct", "replicas": 1, "saturation_qps": 7293.3333'
         '33333334}, {"loads": [{"completed": 87, "lb_backlogged": 0, "mean_us": 497.4'
         '5638924288687, "p50_us": 496.63695299311075, "p99_us": 664.9915733871184, "p'
         'er_replica_forwarded": [126, 125], "per_replica_runqlat_p99_us": [88.8998464'
@@ -158,10 +163,10 @@ Batching x caching sweep
 batching x caching cells:
  service  batch  capacity   QPS  saturation  p50 us  p99 us  futex/q  hit rate  occupancy
 --------  -----  --------  ----  ----------  ------  ------  -------  --------  ---------
-hdsearch      -         -  1000       6,463     807    1055      8.9         -          -
+hdsearch      -         -  1000       6,463     802    1056      9.1         -          -
 hdsearch      -         -  2500       6,463     739    1134      7.2         -          -
-hdsearch      8      4096  1000      24,877     849    1316      7.4      0.29        1.1
-hdsearch      8      4096  2500      24,877     154     237      2.6      1.00        0.0
+hdsearch      8      4096  1000      24,880     849    1316      7.4      0.29        1.1
+hdsearch      8      4096  2500      24,880     154     237      2.6      1.00        0.0
 
 reproducibility (hdsearch, batch=8, capacity=4096 @ 2500 QPS): bit-identical
 
@@ -173,48 +178,48 @@ recorded out.json (acceptance: pass)
         'uery": 7.19, "futex_on_per_query": 2.65, "futex_strictly_lower": true, "hit_'
         'rate": 1.0, "p99_off_us": 1133.5, "p99_on_us": 237.5, "p99_reduction": 0.791'
         ', "saturation_gain": 3.849, "saturation_off_qps": 6463.3, "saturation_on_qps'
-        '": 24876.7}}, "target_p99_reduction": 0.25, "target_saturation_gain": 1.3}, '
+        '": 24880.0}}, "target_p99_reduction": 0.25, "target_saturation_gain": 1.3}, '
         '"benchmark": "leaf-request batching + mid-tier result cache, scale=unit (bat'
         'ch=8, capacity=4096 lru), seed=0", "cells": [{"batch_max": 0, "cache_capacit'
         'y": 0, "loads": [{"batch": {}, "cache": {}, "completed": 134, "epoll_per_que'
-        'ry": 4.432835820895522, "futex_per_query": 8.947761194029852, "mean_us": 791'
-        '.0372275511961, "p50_us": 806.9249191938725, "p99_us": 1054.831363817405, "q'
-        'ps": 1000.0, "sendmsg_per_query": 3.0223880597014925, "sent": 135}, {"batch"'
-        ': {}, "cache": {}, "completed": 391, "epoll_per_query": 4.171355498721228, "'
-        'futex_per_query": 7.194373401534527, "mean_us": 755.6539820716293, "p50_us":'
-        ' 739.4352173785737, "p99_us": 1133.5036392413576, "qps": 2500.0, "sendmsg_pe'
-        'r_query": 2.9948849104859336, "sent": 390}], "saturation_qps": 6463.33333333'
-        '3334, "service": "hdsearch"}, {"batch_max": 8, "cache_capacity": 4096, "load'
-        's": [{"batch": {"batches_sent": 169.0, "mean_occupancy": 1.136094674556213, '
-        '"occupancy_p99": 2.0, "subrequests_batched": 192.0}, "cache": {"coalesced": '
-        '0.0, "hit_rate": 0.28888888888888886, "hits": 39.0, "invalidations": 0.0, "l'
-        'ookups": 135.0, "misses": 96.0}, "completed": 134, "epoll_per_query": 3.5298'
-        '50746268657, "futex_per_query": 7.447761194029851, "mean_us": 720.4347297640'
-        '54, "p50_us": 849.1939966375357, "p99_us": 1315.8898010436415, "qps": 1000.0'
-        ', "sendmsg_per_query": 2.2686567164179103, "sent": 135}, {"batch": {"batches'
-        '_sent": 0.0, "mean_occupancy": 0.0, "occupancy_p99": 0.0, "subrequests_batch'
-        'ed": 0.0}, "cache": {"coalesced": 0.0, "hit_rate": 1.0, "hits": 390.0, "inva'
-        'lidations": 0.0, "lookups": 390.0, "misses": 0.0}, "completed": 390, "epoll_'
-        'per_query": 1.2307692307692308, "futex_per_query": 2.6487179487179486, "mean'
-        '_us": 151.0272738196193, "p50_us": 154.25464098507655, "p99_us": 237.4631329'
-        '555792, "qps": 2500.0, "sendmsg_per_query": 1.0, "sent": 390}], "saturation_'
-        'qps": 24876.666666666668, "service": "hdsearch"}], "defaults": {"batch_max":'
-        ' 8, "batch_max_wait_us": 50.0, "cache_capacity": 4096, "cache_policy": "lru"'
-        '}, "duration_us": 150000.0, "reproducibility": {"bit_identical": true, "firs'
-        't": {"batch": {"batches_sent": 0.0, "mean_occupancy": 0.0, "occupancy_p99": '
-        '0.0, "subrequests_batched": 0.0}, "cache": {"coalesced": 0.0, "hit_rate": 1.'
-        '0, "hits": 390.0, "invalidations": 0.0, "lookups": 390.0, "misses": 0.0}, "c'
-        'ompleted": 390, "epoll_per_query": 1.2307692307692308, "futex_per_query": 2.'
-        '6487179487179486, "mean_us": 151.0272738196193, "p50_us": 154.25464098507655'
-        ', "p99_us": 237.4631329555792, "qps": 2500.0, "sendmsg_per_query": 1.0, "sen'
-        't": 390}, "qps": 2500.0, "second": {"batch": {"batches_sent": 0.0, "mean_occ'
-        'upancy": 0.0, "occupancy_p99": 0.0, "subrequests_batched": 0.0}, "cache": {"'
-        'coalesced": 0.0, "hit_rate": 1.0, "hits": 390.0, "invalidations": 0.0, "look'
-        'ups": 390.0, "misses": 0.0}, "completed": 390, "epoll_per_query": 1.23076923'
-        '07692308, "futex_per_query": 2.6487179487179486, "mean_us": 151.027273819619'
-        '3, "p50_us": 154.25464098507655, "p99_us": 237.4631329555792, "qps": 2500.0,'
-        ' "sendmsg_per_query": 1.0, "sent": 390}, "service": "hdsearch"}, "scale": "u'
-        'nit", "seed": 0}',
+        'ry": 4.455223880597015, "futex_per_query": 9.149253731343284, "mean_us": 793'
+        '.0487860926085, "p50_us": 801.9250436730508, "p99_us": 1055.5984440185593, "'
+        'qps": 1000.0, "sendmsg_per_query": 3.0223880597014925, "sent": 135}, {"batch'
+        '": {}, "cache": {}, "completed": 391, "epoll_per_query": 4.171355498721228, '
+        '"futex_per_query": 7.194373401534527, "mean_us": 755.6539820716293, "p50_us"'
+        ': 739.4352173785737, "p99_us": 1133.5036392413576, "qps": 2500.0, "sendmsg_p'
+        'er_query": 2.9948849104859336, "sent": 390}], "saturation_qps": 6463.3333333'
+        '33334, "service": "hdsearch"}, {"batch_max": 8, "cache_capacity": 4096, "loa'
+        'ds": [{"batch": {"batches_sent": 169.0, "mean_occupancy": 1.136094674556213,'
+        ' "occupancy_p99": 2.0, "subrequests_batched": 192.0}, "cache": {"coalesced":'
+        ' 0.0, "hit_rate": 0.28888888888888886, "hits": 39.0, "invalidations": 0.0, "'
+        'lookups": 135.0, "misses": 96.0}, "completed": 134, "epoll_per_query": 3.529'
+        '850746268657, "futex_per_query": 7.447761194029851, "mean_us": 720.434729764'
+        '054, "p50_us": 849.1939966375357, "p99_us": 1315.8898010436415, "qps": 1000.'
+        '0, "sendmsg_per_query": 2.2686567164179103, "sent": 135}, {"batch": {"batche'
+        's_sent": 0.0, "mean_occupancy": 0.0, "occupancy_p99": 0.0, "subrequests_batc'
+        'hed": 0.0}, "cache": {"coalesced": 0.0, "hit_rate": 1.0, "hits": 390.0, "inv'
+        'alidations": 0.0, "lookups": 390.0, "misses": 0.0}, "completed": 390, "epoll'
+        '_per_query": 1.2307692307692308, "futex_per_query": 2.6487179487179486, "mea'
+        'n_us": 151.0272738196193, "p50_us": 154.25464098507655, "p99_us": 237.463132'
+        '9555792, "qps": 2500.0, "sendmsg_per_query": 1.0, "sent": 390}], "saturation'
+        '_qps": 24880.0, "service": "hdsearch"}], "defaults": {"batch_max": 8, "batch'
+        '_max_wait_us": 50.0, "cache_capacity": 4096, "cache_policy": "lru"}, "durati'
+        'on_us": 150000.0, "reproducibility": {"bit_identical": true, "first": {"batc'
+        'h": {"batches_sent": 0.0, "mean_occupancy": 0.0, "occupancy_p99": 0.0, "subr'
+        'equests_batched": 0.0}, "cache": {"coalesced": 0.0, "hit_rate": 1.0, "hits":'
+        ' 390.0, "invalidations": 0.0, "lookups": 390.0, "misses": 0.0}, "completed":'
+        ' 390, "epoll_per_query": 1.2307692307692308, "futex_per_query": 2.6487179487'
+        '179486, "mean_us": 151.0272738196193, "p50_us": 154.25464098507655, "p99_us"'
+        ': 237.4631329555792, "qps": 2500.0, "sendmsg_per_query": 1.0, "sent": 390}, '
+        '"qps": 2500.0, "second": {"batch": {"batches_sent": 0.0, "mean_occupancy": 0'
+        '.0, "occupancy_p99": 0.0, "subrequests_batched": 0.0}, "cache": {"coalesced"'
+        ': 0.0, "hit_rate": 1.0, "hits": 390.0, "invalidations": 0.0, "lookups": 390.'
+        '0, "misses": 0.0}, "completed": 390, "epoll_per_query": 1.2307692307692308, '
+        '"futex_per_query": 2.6487179487179486, "mean_us": 151.0272738196193, "p50_us'
+        '": 154.25464098507655, "p99_us": 237.4631329555792, "qps": 2500.0, "sendmsg_'
+        'per_query": 1.0, "sent": 390}, "service": "hdsearch"}, "scale": "unit", "see'
+        'd": 0}',
     ),
     'trace': (
         'trace --scale unit --services hdsearch --loads 1000 --queries 150',
@@ -437,26 +442,26 @@ Fault sweep — tail amplification, policy off vs on
  service  intensity  policy  p50 us  p99 us  tail amp  hedges  retries  partials  extra load
 --------  ---------  ------  ------  ------  --------  ------  -------  --------  ----------
 hdsearch       0.02     off     839   22630    18.71x       0        0         0       0.000
-hdsearch       0.02      on     959   10089     8.34x     112       38        33       0.130
+hdsearch       0.02      on     924   10085     8.34x     109       30        26       0.121
 hdsearch       0.05     off     927   21890    18.10x       0        0         0       0.000
-hdsearch       0.05      on    1932   10096     8.35x      81       34        28       0.100
+hdsearch       0.05      on    1980   10091     8.34x      80       34        28       0.099
 
 Tail-tolerance recovery (leaf slowdown)
 recovery cell      hdsearch @ 2000 QPS (intensity=0.05, scale=unit, seed=0)
 healthy p99            1209.7 us
 faulted p99 (off)     21890.1 us
-faulted p99 (on)      10095.9 us
+faulted p99 (on)      10090.7 us
 injected inflation    20680.5 us
-recovered             11794.3 us (57.0% of the inflation)
-hedges                     81 (wins 5, wasted 2)
+recovered             11799.5 us (57.1% of the inflation)
+hedges                     80 (wins 5, wasted 2)
 retries                    34
 partial replies            28
-extra leaf load         0.100
+extra leaf load         0.099
 completed/cell            184
 
 recorded out.json (acceptance: pass)
 """,
-        '{"acceptance": {"achieved_recovery_fraction": 0.5703, "pass": true, "target_'
+        '{"acceptance": {"achieved_recovery_fraction": 0.5706, "pass": true, "target_'
         'recovery_fraction": 0.5}, "benchmark": "leaf slowdown (p=0.05, pareto scale='
         '1500us alpha=1.8) on hdsearch @ 2000 QPS, scale=unit, seed=0", "policy": {"d'
         'eadline_us": 10000.0, "degrade_partial": true, "hedge_after_us": null, "hedg'
@@ -464,31 +469,31 @@ recorded out.json (acceptance: pass)
         'dging": true, "max_retries": 1, "retry_backoff": 2.0, "retry_max_backoff_us"'
         ': 32000.0, "retry_timeout_us": 8000.0}, "recovery": {"base_p50_us": 767.9925'
         '13247882, "base_p99_us": 1209.6519185133309, "completed": 184, "duration_us"'
-        ': 100000.0, "extra_leaf_load": 0.1, "faulted_p50_us": 927.3068769246602, "fa'
-        'ulted_p99_us": 21890.14186818231, "hedge_wins": 5, "hedges_sent": 81, "hedge'
-        's_wasted": 2, "injected_p99_inflation_us": 20680.48994966898, "intensity": 0'
-        '.05, "partial_replies": 28, "qps": 2000.0, "recovered_p99_us": 11794.2852342'
-        '22476, "recovery_fraction": 0.5703097587594272, "retries_sent": 34, "scale":'
-        ' "unit", "seed": 0, "service": "hdsearch", "tolerant_p50_us": 1932.463421998'
-        '3418, "tolerant_p99_us": 10095.856633959833}, "sweep": [{"completed": 152, "'
-        'extra_leaf_load": 0.0, "healthy_p99_us": 1209.6519185133309, "hedge_wins": 0'
-        ', "hedges_sent": 0, "intensity": 0.02, "p50_us": 839.0545901929145, "p99_us"'
-        ': 22629.5615386899, "partial_replies": 0, "policy_on": false, "qps": 2000.0,'
-        ' "retries_sent": 0, "service": "hdsearch", "tail_amplification": 18.707}, {"'
-        'completed": 186, "extra_leaf_load": 0.13043478260869565, "healthy_p99_us": 1'
-        '209.6519185133309, "hedge_wins": 13, "hedges_sent": 112, "intensity": 0.02, '
-        '"p50_us": 959.0362599778164, "p99_us": 10089.462580040243, "partial_replies"'
-        ': 33, "policy_on": true, "qps": 2000.0, "retries_sent": 38, "service": "hdse'
-        'arch", "tail_amplification": 8.341}, {"completed": 147, "extra_leaf_load": 0'
-        '.0, "healthy_p99_us": 1209.6519185133309, "hedge_wins": 0, "hedges_sent": 0,'
-        ' "intensity": 0.05, "p50_us": 927.3068769246602, "p99_us": 21890.14186818231'
-        ', "partial_replies": 0, "policy_on": false, "qps": 2000.0, "retries_sent": 0'
-        ', "service": "hdsearch", "tail_amplification": 18.096}, {"completed": 184, "'
-        'extra_leaf_load": 0.1, "healthy_p99_us": 1209.6519185133309, "hedge_wins": 5'
-        ', "hedges_sent": 81, "intensity": 0.05, "p50_us": 1932.4634219983418, "p99_u'
-        's": 10095.856633959833, "partial_replies": 28, "policy_on": true, "qps": 200'
-        '0.0, "retries_sent": 34, "service": "hdsearch", "tail_amplification": 8.346}'
-        ']}',
+        ': 100000.0, "extra_leaf_load": 0.09913043478260869, "faulted_p50_us": 927.30'
+        '68769246602, "faulted_p99_us": 21890.14186818231, "hedge_wins": 5, "hedges_s'
+        'ent": 80, "hedges_wasted": 2, "injected_p99_inflation_us": 20680.48994966898'
+        ', "intensity": 0.05, "partial_replies": 28, "qps": 2000.0, "recovered_p99_us'
+        '": 11799.460975074744, "recovery_fraction": 0.5705600304340764, "retries_sen'
+        't": 34, "scale": "unit", "seed": 0, "service": "hdsearch", "tolerant_p50_us"'
+        ': 1979.795228442672, "tolerant_p99_us": 10090.680893107565}, "sweep": [{"com'
+        'pleted": 152, "extra_leaf_load": 0.0, "healthy_p99_us": 1209.6519185133309, '
+        '"hedge_wins": 0, "hedges_sent": 0, "intensity": 0.02, "p50_us": 839.05459019'
+        '29145, "p99_us": 22629.815799630647, "partial_replies": 0, "policy_on": fals'
+        'e, "qps": 2000.0, "retries_sent": 0, "service": "hdsearch", "tail_amplificat'
+        'ion": 18.708}, {"completed": 186, "extra_leaf_load": 0.1208695652173913, "he'
+        'althy_p99_us": 1209.6519185133309, "hedge_wins": 17, "hedges_sent": 109, "in'
+        'tensity": 0.02, "p50_us": 924.2900574069208, "p99_us": 10084.568725468185, "'
+        'partial_replies": 26, "policy_on": true, "qps": 2000.0, "retries_sent": 30, '
+        '"service": "hdsearch", "tail_amplification": 8.337}, {"completed": 147, "ext'
+        'ra_leaf_load": 0.0, "healthy_p99_us": 1209.6519185133309, "hedge_wins": 0, "'
+        'hedges_sent": 0, "intensity": 0.05, "p50_us": 927.3068769246602, "p99_us": 2'
+        '1890.14186818231, "partial_replies": 0, "policy_on": false, "qps": 2000.0, "'
+        'retries_sent": 0, "service": "hdsearch", "tail_amplification": 18.096}, {"co'
+        'mpleted": 184, "extra_leaf_load": 0.09913043478260869, "healthy_p99_us": 120'
+        '9.6519185133309, "hedge_wins": 5, "hedges_sent": 80, "intensity": 0.05, "p50'
+        '_us": 1979.795228442672, "p99_us": 10090.680893107565, "partial_replies": 28'
+        ', "policy_on": true, "qps": 2000.0, "retries_sent": 34, "service": "hdsearch'
+        '", "tail_amplification": 8.342}]}',
     ),
     'energy': (
         'energy --qps 600 --queries 150 --tiers 3 --lowload-qps 100',
@@ -653,144 +658,143 @@ recorded out.json (acceptance: pass)
     ),
     'graph': (
         'graph --queries 100',
-        1,
+        0,
         """\
 Service-graph amplification sweep
 service-graph amplification (5 tiers, 16 storage reads per query vs. 4 one hop away; Pareto p=0.02 scale=1500us alpha=1.8 at 'store'):
     graph    faults   QPS  done  p50 us  p99 us  traces
 ---------  --------  ----  ----  ------  ------  ------
-   onehop     clean  1200    91     359     521       -
-   onehop  injected  1200    91     395    7839       -
-socialnet     clean  1200    92    1041    3753     200
-socialnet  injected  1200    93    2026   12963     200
+   onehop     clean  1200    91     347     551       -
+   onehop  injected  1200    91     394    7877       -
+socialnet     clean  1200    91    1035    1398     200
+socialnet  injected  1200    93    1884   12777     200
 
-added p99: one-hop +7318us, deep +9209us -> amplification 1.26x (gate 1.5x)
-attribution: 99.3% of added tail time on socialnet-store (gate 50%)
+added p99: one-hop +7326us, deep +11379us -> amplification 1.55x (gate 1.5x)
+attribution: 98.2% of added tail time on socialnet-store (gate 50%)
 traffic: 101 arrivals vs 109.5 expected (rel err 0.078, 156 thinned)
-sessions: interactive 932 done (max in-flight 6/6), reporting 157 done (max in-flight 3/3), bulk 1451 done (max in-flight 2/2) - conserved
+sessions: interactive 936 done (max in-flight 6/6), reporting 157 done (max in-flight 3/3), bulk 1486 done (max in-flight 2/2) - conserved
 
 reproducibility (deep injected cell, double run): bit-identical
 
-recorded out.json (acceptance: FAIL)
+recorded out.json (acceptance: pass)
 """,
-        '{"acceptance": {"amplification_gate": 1.5, "amplification_ok": false, "ampli'
-        'fication_ratio": 1.258513574573006, "arrivals_ok": true, "arrivals_rel_err":'
+        '{"acceptance": {"amplification_gate": 1.5, "amplification_ok": true, "amplif'
+        'ication_ratio": 1.5532496146138657, "arrivals_ok": true, "arrivals_rel_err":'
         ' 0.07763820813885793, "arrivals_thinned": 156, "arrivals_tolerance": 0.1, "a'
         'ttribution_gate": 0.5, "attribution_ok": true, "bit_reproducible": true, "ce'
-        'lls_completed": true, "injected_share": 0.9932418715108126, "pass": false, "'
-        'sessions_conserved": true, "tail_traced": true}, "amplification": {"added_p9'
-        '9_us_deep": 9209.457154067637, "added_p99_us_onehop": 7317.7257203540785, "i'
-        'nflation_deep": 3.4538165532814236, "inflation_onehop": 15.041971198147436, '
-        '"ratio": 1.258513574573006}, "attribution": {"added_tail_us_by_machine": {"-'
-        '": 0.15680607279743253, "client1": 9.250477485156201, "socialnet-compose": 4'
-        '2.09774474834677, "socialnet-frontend": 3.7616541327103334, "socialnet-socia'
-        'l": 29.297909121104908, "socialnet-store": 16846.465350868646, "socialnet-ti'
-        'meline": 29.49356276034632, "socialnet-user": 0.5670751381367154}, "injected'
-        '_machine": "socialnet-store", "injected_share": 0.9932418715108126}, "benchm'
-        'ark": "service-graph tail amplification, 5-tier exemplar vs one hop (100 que'
-        'ries/cell @ 1200 QPS), seed=0", "cells": {"deep_clean": {"completed": 92, "d'
-        'uration_us": 83333.33333333333, "e2e_p50_us": 1040.867217218969, "e2e_p99_us'
-        '": 3753.115587125726, "graph": "socialnet", "injected": false, "machine_tail'
-        '_us": {"-": 4.8431939272025675, "client1": 1.6182095048425253, "socialnet-co'
-        'mpose": 174.117394945982, "socialnet-frontend": 131.35111683567084, "socialn'
-        'et-media": 21.80901038363906, "socialnet-social": 806.8707682284972, "social'
-        'net-store": 1542.9366347157313, "socialnet-timeline": 181.6628420007061, "so'
-        'cialnet-user": 20.201164499143488}, "qps": 1200.0, "sent": 92, "tail_traces"'
-        ': 3, "traces": 200}, "deep_injected": {"completed": 93, "duration_us": 83333'
-        '.33333333333, "e2e_p50_us": 2026.0772851881047, "e2e_p99_us": 12962.57274119'
-        '3362, "graph": "socialnet", "injected": true, "machine_tail_us": {"-": 5.0, '
-        '"client1": 10.868686989998727, "socialnet-compose": 216.21513969432877, "soc'
-        'ialnet-frontend": 135.11277096838117, "socialnet-media": 14.070296795650089,'
-        ' "socialnet-social": 836.1686773496021, "socialnet-store": 18389.40198558437'
-        '6, "socialnet-timeline": 211.1564047610524, "socialnet-user": 20.76823963728'
-        '0203}, "qps": 1200.0, "sent": 92, "tail_traces": 3, "traces": 200}, "onehop_'
-        'clean": {"completed": 91, "duration_us": 83333.33333333333, "e2e_p50_us": 35'
-        '9.41466752388806, "e2e_p99_us": 521.1323693157489, "graph": "onehop", "injec'
-        'ted": false, "machine_tail_us": {}, "qps": 1200.0, "sent": 92, "tail_traces"'
-        ': 0, "traces": 0}, "onehop_injected": {"completed": 91, "duration_us": 83333'
-        '.33333333333, "e2e_p50_us": 395.3852725686884, "e2e_p99_us": 7838.8580896698'
-        '28, "graph": "onehop", "injected": true, "machine_tail_us": {}, "qps": 1200.'
-        '0, "sent": 92, "tail_traces": 0, "traces": 0}}, "graphs": {"deep": {"edges":'
-        ' [{"dst": "compose", "fanout": 1, "mode": "sync", "request_bytes": 96, "src"'
-        ': "frontend"}, {"dst": "analytics", "fanout": 1, "mode": "async", "request_b'
-        'ytes": 96, "src": "frontend"}, {"dst": "timeline", "fanout": 2, "mode": "syn'
-        'c", "request_bytes": 96, "src": "compose"}, {"dst": "media", "fanout": 1, "m'
-        'ode": "sync", "request_bytes": 96, "src": "compose"}, {"dst": "user", "fanou'
-        't": 1, "mode": "sync", "request_bytes": 96, "src": "compose"}, {"dst": "soci'
-        'al", "fanout": 2, "mode": "sync", "request_bytes": 96, "src": "timeline"}, {'
-        '"dst": "store", "fanout": 4, "mode": "sync", "request_bytes": 96, "src": "so'
-        'cial"}], "n_queries": 300, "name": "socialnet", "nodes": [{"batch": {"enable'
-        'd": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024,'
-        ' "enabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"pol'
-        'icy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "frontend",'
-        ' "replicas": 1, "response_bytes": 64, "service_us": 15.0}, {"batch": {"enabl'
-        'ed": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024'
-        ', "enabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"po'
-        'licy": "round-robin", "pool_size": 128}, "merge_us": 6.0, "name": "compose",'
-        ' "replicas": 1, "response_bytes": 64, "service_us": 25.0}, {"batch": {"enabl'
-        'ed": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024'
-        ', "enabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"po'
-        'licy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "timeline"'
-        ', "replicas": 1, "response_bytes": 64, "service_us": 20.0}, {"batch": {"enab'
-        'led": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 102'
-        '4, "enabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"p'
-        'olicy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "social",'
-        ' "replicas": 1, "response_bytes": 64, "service_us": 18.0}, {"batch": {"enabl'
-        'ed": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024'
-        ', "enabled": false, "policy": "lru", "ttl_us": null}, "cores": 4, "lb": {"po'
-        'licy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "store", "'
-        'replicas": 1, "response_bytes": 64, "service_us": 30.0}, {"batch": {"enabled'
-        '": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024, '
-        '"enabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"poli'
-        'cy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "media", "re'
-        'plicas": 1, "response_bytes": 64, "service_us": 30.0}, {"batch": {"enabled":'
-        ' false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024, "e'
-        'nabled": false, "policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"policy'
-        '": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "user", "repli'
-        'cas": 1, "response_bytes": 64, "service_us": 25.0}, {"batch": {"enabled": fa'
-        'lse, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024, "enab'
-        'led": false, "policy": "lru", "ttl_us": null}, "cores": 1, "lb": {"policy": '
-        '"round-robin", "pool_size": 128}, "merge_us": 5.0, "name": "analytics", "rep'
-        'licas": 1, "response_bytes": 64, "service_us": 40.0}], "request_bytes": 96, '
-        '"root": "frontend", "units_high": 1.5, "units_low": 0.5}, "depth": 5, "oneho'
-        'p": {"edges": [{"dst": "store", "fanout": 4, "mode": "sync", "request_bytes"'
-        ': 96, "src": "gateway"}], "n_queries": 300, "name": "onehop", "nodes": [{"ba'
-        'tch": {"enabled": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"ca'
-        'pacity": 1024, "enabled": false, "policy": "lru", "ttl_us": null}, "cores": '
-        '2, "lb": {"policy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name'
-        '": "gateway", "replicas": 1, "response_bytes": 64, "service_us": 15.0}, {"ba'
-        'tch": {"enabled": false, "max_batch": 8, "max_wait_us": 50.0}, "cache": {"ca'
-        'pacity": 1024, "enabled": false, "policy": "lru", "ttl_us": null}, "cores": '
-        '4, "lb": {"policy": "round-robin", "pool_size": 128}, "merge_us": 5.0, "name'
-        '": "store", "replicas": 1, "response_bytes": 64, "service_us": 30.0}], "requ'
-        'est_bytes": 96, "root": "gateway", "units_high": 1.5, "units_low": 0.5}, "vi'
-        'sits_per_query": {"analytics": 1.0, "compose": 1.0, "frontend": 1.0, "media"'
-        ': 1.0, "social": 4.0, "store": 16.0, "timeline": 2.0, "user": 1.0}}, "inject'
-        'ion": {"intensity": 0.02, "leaf_index": 0, "node": "store", "tail_alpha": 1.'
-        '8, "tail_scale_us": 1500.0}, "qps": 1200.0, "queries_per_cell": 100, "reprod'
-        'ucibility": {"bit_identical": true, "first": {"completed": 93, "duration_us"'
-        ': 83333.33333333333, "e2e_p50_us": 2026.0772851881047, "e2e_p99_us": 12962.5'
-        '72741193362, "graph": "socialnet", "injected": true, "machine_tail_us": {"-"'
-        ': 5.0, "client1": 10.868686989998727, "socialnet-compose": 216.2151396943287'
-        '7, "socialnet-frontend": 135.11277096838117, "socialnet-media": 14.070296795'
-        '650089, "socialnet-social": 836.1686773496021, "socialnet-store": 18389.4019'
-        '85584376, "socialnet-timeline": 211.1564047610524, "socialnet-user": 20.7682'
-        '39637280203}, "qps": 1200.0, "sent": 92, "tail_traces": 3, "traces": 200}, "'
-        'second": {"completed": 93, "duration_us": 83333.33333333333, "e2e_p50_us": 2'
-        '026.0772851881047, "e2e_p99_us": 12962.572741193362, "graph": "socialnet", "'
-        'injected": true, "machine_tail_us": {"-": 5.0, "client1": 10.868686989998727'
-        ', "socialnet-compose": 216.21513969432877, "socialnet-frontend": 135.1127709'
-        '6838117, "socialnet-media": 14.070296795650089, "socialnet-social": 836.1686'
-        '773496021, "socialnet-store": 18389.401985584376, "socialnet-timeline": 211.'
-        '1564047610524, "socialnet-user": 20.768239637280203}, "qps": 1200.0, "sent":'
-        ' 92, "tail_traces": 3, "traces": 200}}, "seed": 0, "sessions": {"classes": {'
-        '"bulk": {"clients": 2, "completed": 1451, "max_in_flight": 2, "think_mean_us'
-        '": 0.0}, "interactive": {"clients": 6, "completed": 932, "max_in_flight": 6,'
-        ' "think_mean_us": 4000.0}, "reporting": {"clients": 3, "completed": 157, "ma'
-        'x_in_flight": 3, "think_mean_us": 15000.0}}, "conserved": true, "duration_us'
-        '": 800000.0}, "traffic": {"completed": 100, "curve": "flash(x2.5 @ [45833.3,'
-        ' 62500]us) over diurnal(base=960, amp=0.4, period=55555.6us)", "duration_us"'
-        ': 83333.33333333333, "expected_arrivals": 109.50150026943565, "rel_err": 0.0'
-        '7763820813885793, "sent": 101, "thinned": 156}, "workload_queries": 300}',
+        'lls_completed": true, "injected_share": 0.9815337284040585, "pass": true, "s'
+        'essions_conserved": true, "tail_traced": true}, "amplification": {"added_p99'
+        '_us_deep": 11378.761209200235, "added_p99_us_onehop": 7325.777584067818, "in'
+        'flation_deep": 9.13901915885096, "inflation_onehop": 14.294523699131217, "ra'
+        'tio": 1.5532496146138657}, "attribution": {"added_tail_us_by_machine": {"-":'
+        ' 7.0, "socialnet-compose": 11.01036939901374, "socialnet-frontend": 21.83485'
+        '488324125, "socialnet-social": 247.57597675436102, "socialnet-store": 17913.'
+        '136990053426, "socialnet-timeline": 49.591010791786175}, "injected_machine":'
+        ' "socialnet-store", "injected_share": 0.9815337284040585}, "benchmark": "ser'
+        'vice-graph tail amplification, 5-tier exemplar vs one hop (100 queries/cell '
+        '@ 1200 QPS), seed=0", "cells": {"deep_clean": {"completed": 91, "duration_us'
+        '": 83333.33333333333, "e2e_p50_us": 1034.6344135626277, "e2e_p99_us": 1398.0'
+        '50672583335, "graph": "socialnet", "injected": false, "machine_tail_us": {"c'
+        'lient1": 11.348335202429249, "socialnet-compose": 181.61076763840296, "socia'
+        'lnet-frontend": 124.41204341004293, "socialnet-media": 44.332641397037754, "'
+        'socialnet-social": 528.9733965772539, "socialnet-store": 526.3180315224794, '
+        '"socialnet-timeline": 174.47399351930167, "socialnet-user": 25.0604390959924'
+        '8}, "qps": 1200.0, "sent": 92, "tail_traces": 3, "traces": 200}, "deep_injec'
+        'ted": {"completed": 93, "duration_us": 83333.33333333333, "e2e_p50_us": 1884'
+        '.0280016596662, "e2e_p99_us": 12776.81188178357, "graph": "socialnet", "inje'
+        'cted": true, "machine_tail_us": {"-": 7.0, "client1": 4.70093119137285, "soc'
+        'ialnet-compose": 192.6211370374167, "socialnet-frontend": 146.24689829328418'
+        ', "socialnet-media": 13.185655265310439, "socialnet-social": 776.54937333161'
+        '49, "socialnet-store": 18439.455021575905, "socialnet-timeline": 224.0650043'
+        '1108785, "socialnet-user": 14.008253848261424}, "qps": 1200.0, "sent": 92, "'
+        'tail_traces": 3, "traces": 200}, "onehop_clean": {"completed": 91, "duration'
+        '_us": 83333.33333333333, "e2e_p50_us": 347.11365177930566, "e2e_p99_us": 551'
+        '.0372353201755, "graph": "onehop", "injected": false, "machine_tail_us": {},'
+        ' "qps": 1200.0, "sent": 92, "tail_traces": 0, "traces": 0}, "onehop_injected'
+        '": {"completed": 91, "duration_us": 83333.33333333333, "e2e_p50_us": 394.367'
+        '14383352955, "e2e_p99_us": 7876.814819387993, "graph": "onehop", "injected":'
+        ' true, "machine_tail_us": {}, "qps": 1200.0, "sent": 92, "tail_traces": 0, "'
+        'traces": 0}}, "graphs": {"deep": {"edges": [{"dst": "compose", "fanout": 1, '
+        '"mode": "sync", "request_bytes": 96, "src": "frontend"}, {"dst": "analytics"'
+        ', "fanout": 1, "mode": "async", "request_bytes": 96, "src": "frontend"}, {"d'
+        'st": "timeline", "fanout": 2, "mode": "sync", "request_bytes": 96, "src": "c'
+        'ompose"}, {"dst": "media", "fanout": 1, "mode": "sync", "request_bytes": 96,'
+        ' "src": "compose"}, {"dst": "user", "fanout": 1, "mode": "sync", "request_by'
+        'tes": 96, "src": "compose"}, {"dst": "social", "fanout": 2, "mode": "sync", '
+        '"request_bytes": 96, "src": "timeline"}, {"dst": "store", "fanout": 4, "mode'
+        '": "sync", "request_bytes": 96, "src": "social"}], "n_queries": 300, "name":'
+        ' "socialnet", "nodes": [{"batch": {"enabled": false, "max_batch": 8, "max_wa'
+        'it_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru"'
+        ', "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size": '
+        '128}, "merge_us": 5.0, "name": "frontend", "replicas": 1, "response_bytes": '
+        '64, "service_us": 15.0}, {"batch": {"enabled": false, "max_batch": 8, "max_w'
+        'ait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru'
+        '", "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size":'
+        ' 128}, "merge_us": 6.0, "name": "compose", "replicas": 1, "response_bytes": '
+        '64, "service_us": 25.0}, {"batch": {"enabled": false, "max_batch": 8, "max_w'
+        'ait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru'
+        '", "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size":'
+        ' 128}, "merge_us": 5.0, "name": "timeline", "replicas": 1, "response_bytes":'
+        ' 64, "service_us": 20.0}, {"batch": {"enabled": false, "max_batch": 8, "max_'
+        'wait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lr'
+        'u", "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size"'
+        ': 128}, "merge_us": 5.0, "name": "social", "replicas": 1, "response_bytes": '
+        '64, "service_us": 18.0}, {"batch": {"enabled": false, "max_batch": 8, "max_w'
+        'ait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru'
+        '", "ttl_us": null}, "cores": 4, "lb": {"policy": "round-robin", "pool_size":'
+        ' 128}, "merge_us": 5.0, "name": "store", "replicas": 1, "response_bytes": 64'
+        ', "service_us": 30.0}, {"batch": {"enabled": false, "max_batch": 8, "max_wai'
+        't_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru",'
+        ' "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size": 1'
+        '28}, "merge_us": 5.0, "name": "media", "replicas": 1, "response_bytes": 64, '
+        '"service_us": 30.0}, {"batch": {"enabled": false, "max_batch": 8, "max_wait_'
+        'us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru", "'
+        'ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin", "pool_size": 128'
+        '}, "merge_us": 5.0, "name": "user", "replicas": 1, "response_bytes": 64, "se'
+        'rvice_us": 25.0}, {"batch": {"enabled": false, "max_batch": 8, "max_wait_us"'
+        ': 50.0}, "cache": {"capacity": 1024, "enabled": false, "policy": "lru", "ttl'
+        '_us": null}, "cores": 1, "lb": {"policy": "round-robin", "pool_size": 128}, '
+        '"merge_us": 5.0, "name": "analytics", "replicas": 1, "response_bytes": 64, "'
+        'service_us": 40.0}], "request_bytes": 96, "root": "frontend", "units_high": '
+        '1.5, "units_low": 0.5}, "depth": 5, "onehop": {"edges": [{"dst": "store", "f'
+        'anout": 4, "mode": "sync", "request_bytes": 96, "src": "gateway"}], "n_queri'
+        'es": 300, "name": "onehop", "nodes": [{"batch": {"enabled": false, "max_batc'
+        'h": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "'
+        'policy": "lru", "ttl_us": null}, "cores": 2, "lb": {"policy": "round-robin",'
+        ' "pool_size": 128}, "merge_us": 5.0, "name": "gateway", "replicas": 1, "resp'
+        'onse_bytes": 64, "service_us": 15.0}, {"batch": {"enabled": false, "max_batc'
+        'h": 8, "max_wait_us": 50.0}, "cache": {"capacity": 1024, "enabled": false, "'
+        'policy": "lru", "ttl_us": null}, "cores": 4, "lb": {"policy": "round-robin",'
+        ' "pool_size": 128}, "merge_us": 5.0, "name": "store", "replicas": 1, "respon'
+        'se_bytes": 64, "service_us": 30.0}], "request_bytes": 96, "root": "gateway",'
+        ' "units_high": 1.5, "units_low": 0.5}, "visits_per_query": {"analytics": 1.0'
+        ', "compose": 1.0, "frontend": 1.0, "media": 1.0, "social": 4.0, "store": 16.'
+        '0, "timeline": 2.0, "user": 1.0}}, "injection": {"intensity": 0.02, "leaf_in'
+        'dex": 0, "node": "store", "tail_alpha": 1.8, "tail_scale_us": 1500.0}, "qps"'
+        ': 1200.0, "queries_per_cell": 100, "reproducibility": {"bit_identical": true'
+        ', "first": {"completed": 93, "duration_us": 83333.33333333333, "e2e_p50_us":'
+        ' 1884.0280016596662, "e2e_p99_us": 12776.81188178357, "graph": "socialnet", '
+        '"injected": true, "machine_tail_us": {"-": 7.0, "client1": 4.70093119137285,'
+        ' "socialnet-compose": 192.6211370374167, "socialnet-frontend": 146.246898293'
+        '28418, "socialnet-media": 13.185655265310439, "socialnet-social": 776.549373'
+        '3316149, "socialnet-store": 18439.455021575905, "socialnet-timeline": 224.06'
+        '500431108785, "socialnet-user": 14.008253848261424}, "qps": 1200.0, "sent": '
+        '92, "tail_traces": 3, "traces": 200}, "second": {"completed": 93, "duration_'
+        'us": 83333.33333333333, "e2e_p50_us": 1884.0280016596662, "e2e_p99_us": 1277'
+        '6.81188178357, "graph": "socialnet", "injected": true, "machine_tail_us": {"'
+        '-": 7.0, "client1": 4.70093119137285, "socialnet-compose": 192.6211370374167'
+        ', "socialnet-frontend": 146.24689829328418, "socialnet-media": 13.1856552653'
+        '10439, "socialnet-social": 776.5493733316149, "socialnet-store": 18439.45502'
+        '1575905, "socialnet-timeline": 224.06500431108785, "socialnet-user": 14.0082'
+        '53848261424}, "qps": 1200.0, "sent": 92, "tail_traces": 3, "traces": 200}}, '
+        '"seed": 0, "sessions": {"classes": {"bulk": {"clients": 2, "completed": 1486'
+        ', "max_in_flight": 2, "think_mean_us": 0.0}, "interactive": {"clients": 6, "'
+        'completed": 936, "max_in_flight": 6, "think_mean_us": 4000.0}, "reporting": '
+        '{"clients": 3, "completed": 157, "max_in_flight": 3, "think_mean_us": 15000.'
+        '0}}, "conserved": true, "duration_us": 800000.0}, "traffic": {"completed": 1'
+        '01, "curve": "flash(x2.5 @ [45833.3, 62500]us) over diurnal(base=960, amp=0.'
+        '4, period=55555.6us)", "duration_us": 83333.33333333333, "expected_arrivals"'
+        ': 109.50150026943565, "rel_err": 0.07763820813885793, "sent": 101, "thinned"'
+        ': 156}, "workload_queries": 300}',
     ),
 }

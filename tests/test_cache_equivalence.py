@@ -114,7 +114,7 @@ def test_responses_equivalent(service, config):
     _assert_equivalent(service, base.responses, fast.responses)
     # The fast path must actually have been exercised.
     if "batch" in config:
-        stats = midtier.batch_stats()
+        stats = midtier.batcher.stats()
         assert stats["batches_sent"] > 0
         # Conservation: every buffered sub-request was sent in some batch.
         assert stats["subrequests_batched"] >= stats["batches_sent"]
@@ -123,7 +123,7 @@ def test_responses_equivalent(service, config):
             "sub-requests stranded in accumulation buffers after drain"
         )
     if "cache" in config:
-        stats = midtier.cache_stats()
+        stats = midtier.cache.stats()
         assert stats["hits"] > 0, "cache never hit: equivalence test is vacuous"
         assert stats["hits"] + stats["misses"] == stats["lookups"]
 
@@ -140,7 +140,7 @@ def test_ttl_expiry_still_equivalent_and_exercised():
         cache=CacheConfig(enabled=True, capacity=2048, ttl_us=50_000.0),
     )
     _assert_equivalent("router", base.responses, fast.responses)
-    stats = midtier.cache_stats()
+    stats = midtier.cache.stats()
     assert stats["expirations"] > 0, "TTL never fired: staleness path untested"
     assert stats["hits"] > 0
 
@@ -152,7 +152,7 @@ def test_router_write_invalidation_exercised():
         "router", cache=CacheConfig(enabled=True, capacity=2048),
     )
     _assert_equivalent("router", base.responses, fast.responses)
-    stats = midtier.cache_stats()
+    stats = midtier.cache.stats()
     assert stats["invalidations"] > 0, "no set ever shadowed a cached get"
     assert stats["hits"] > 0
 
@@ -198,7 +198,7 @@ def test_hedges_ride_the_batcher():
     assert gen.completed > 100
     assert midtier.hedges_sent > 0, "hedge trigger never fired: tune the delay"
     # Originals + every hedge/retry duplicate went through the coalescer.
-    stats = midtier.batch_stats()
+    stats = midtier.batcher.stats()
     assert stats["subrequests_batched"] == (
         midtier.subrequests_sent + midtier.hedges_sent + midtier.retries_sent
     )

@@ -267,3 +267,28 @@ def test_compression_ablation_unit_scale():
     assert results["pfor-delta"].memory_ratio < 0.5
     table = format_compression_ablation(results)
     assert "decode us/query" in table and "varint-delta" in table
+
+
+def test_cache_sweep_records_and_replays_the_policy_it_ran(monkeypatch):
+    """``usuite cache --policy fifo`` must record fifo, so drift's pinned
+    re-run replays the cell under the policy that produced it."""
+    from dataclasses import asdict
+
+    from repro.experiments import cache_sweep
+
+    # A capacity the cell overflows, so LRU and FIFO evict differently and
+    # a re-run under the wrong policy shows in the record.
+    monkeypatch.setattr(cache_sweep, "DEFAULT_CAPACITY", 16)
+    doc = cache_sweep.run_cache_sweep(
+        services=["router"], loads=[2_000.0], scale="unit",
+        duration_us=60_000.0, saturation_duration_us=30_000.0,
+        axes=False, cache_policy="fifo",
+    )
+    assert doc["defaults"]["cache_policy"] == "fifo"
+    assert "capacity=16 fifo" in doc["benchmark"]
+    point, first, _label = cache_sweep.pinned(doc)
+    assert asdict(point) == first
+    lru = cache_sweep.pinned_point(
+        "router", 2_000.0, scale="unit", duration_us=60_000.0, cache_policy="lru",
+    )
+    assert asdict(lru) != first, "policies agree: the check is vacuous"

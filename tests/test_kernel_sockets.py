@@ -6,8 +6,8 @@ from repro.kernel import (
     Compute,
     EpollWait,
     EventfdRead,
-    EventfdWrite,
     Nanosleep,
+    OsCosts,
     SockRecv,
     SockSend,
 )
@@ -201,29 +201,26 @@ def test_epoll_nonblocking_poll():
     assert results == [[]]
 
 
-def test_eventfd_write_wakes_reader():
+def test_eventfd_read_of_drained_counter_returns_zero_at_once():
+    """EFD_NONBLOCK: a drained eventfd reads 0 without parking the reader
+    (no later write is needed to release it), and the read is still one
+    counted syscall that costs its entry."""
     rig = Rig()
-    machine = rig.machine("m", cores=2)
+    machine = rig.machine("m", cores=1)
     efd = machine.eventfd()
     got = []
 
     def reader():
+        vruntime, now = thread.vruntime, rig.sim.now
         value = yield EventfdRead(efd)
-        got.append((value, rig.sim.now))
+        got.append((value, thread.vruntime - vruntime, rig.sim.now - now))
 
-    def writer():
-        yield Nanosleep(100.0)
-        yield EventfdWrite(efd, 3)
-
-    machine.spawn("r", reader())
-    machine.spawn("w", writer())
+    thread = machine.spawn("r", reader())
     machine.shutdown()
-    rig.run(until=100_000)
-    assert len(got) == 1
-    assert got[0][0] == 3
-    assert got[0][1] >= 100.0
-    counts = rig.telemetry.syscall_counts("m")
-    assert counts["read"] == 1 and counts["write"] == 1
+    rig.run(until=10_000)
+    cost = OsCosts().syscall_cost("read")
+    assert got == [(0, pytest.approx(cost), pytest.approx(cost))]
+    assert rig.telemetry.syscall_counts("m")["read"] == 1
 
 
 def test_eventfd_read_nonzero_returns_immediately():

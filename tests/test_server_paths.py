@@ -23,9 +23,12 @@ from repro.kernel import (
     Compute, EpollWait, EventfdRead, EventfdWrite, FutexWait, FutexWake,
     Nanosleep, OsCosts, SockRecv, SockSend, YieldCpu,
 )
+from repro.graph import GraphConfig, GraphEdge, GraphNode, build_graph, exemplar_graph
 from repro.kernel.futex import Futex
 from repro.loadgen import OpenLoopLoadGen
-from repro.rpc import LeafApp, LeafResult, LeafRuntime, RpcRequest, RuntimeConfig
+from repro.rpc import (
+    LeafApp, LeafResult, LeafRuntime, MidTierRuntime, RpcRequest, RuntimeConfig,
+)
 from repro.rpc.batching import BatchEnvelope, BatchReply
 from repro.rpc.policy import TailPolicy
 from repro.suite import SCALES, SimCluster, build_service
@@ -84,6 +87,46 @@ def test_every_query_is_answered_exactly_once(service, processing, reception, ba
     assert not handle.midtier.pending
     assert (handle.midtier.batcher is not None) == batch
     assert (handle.midtier.hedges_sent > 0) == tail
+
+
+def _replicated_child():
+    """root → a mid-tier replicated behind a balancer → one leaf."""
+    return GraphConfig(
+        name="rep", root="a", n_queries=200,
+        nodes=(GraphNode(name="a"), GraphNode(name="b", replicas=2), GraphNode(name="c")),
+        edges=(GraphEdge(src="a", dst="b", fanout=2), GraphEdge(src="b", dst="c", fanout=2)),
+    )
+
+
+GRAPHS = {"socialnet": lambda: exemplar_graph(n_queries=200), "replicated": _replicated_child}
+
+
+@pytest.mark.parametrize("graph,tail", list(product(sorted(GRAPHS), (False, True))))
+def test_every_graph_query_is_answered_exactly_once(graph, tail):
+    cluster = SimCluster(seed=0)
+    handle = build_graph(cluster, GRAPHS[graph](), tail_policy=TAIL if tail else None)
+    gen = OpenLoopLoadGen(
+        cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
+        target=handle.target_address, source=handle.make_source(),
+        qps=1500.0, name=CLIENT_NAME,
+    )
+    drive(cluster, handle, gen, warmup_us=0.0, duration_us=40_000.0)
+    cluster.shutdown()
+    assert gen.sent > 30
+    assert gen.completed == gen.sent and gen.errors == 0
+    assert cluster.telemetry.counters["completed_queries"] == gen.completed
+    midtiers = [
+        runtime for tier in handle.extras["tiers"].values()
+        for runtime in tier.runtimes if isinstance(runtime, MidTierRuntime)
+    ]
+    assert len(midtiers) == (4 if graph == "socialnet" else 3)
+    for runtime in midtiers:
+        # Every request a node took in (hedge copies included) it answered
+        # once, and nothing is left pending after the drain.
+        assert runtime.completed == runtime.received > 0
+        assert not runtime.pending
+    assert handle.midtier.completed == gen.completed
+    assert (sum(runtime.hedges_sent for runtime in midtiers) > 0) == tail
 
 
 # -- spawn order -----------------------------------------------------------------

@@ -114,6 +114,40 @@ def test_untimed_wait_sleeps_quietly():
     assert rig.telemetry.syscall_counts("m")["futex"] <= 2
 
 
+def test_sibling_draining_the_kick_never_strands_an_item():
+    """Two back-to-back puts, then two workers on two cores pop one item
+    each and both see the kick counter set; the first read drains it while
+    the second is still inside its syscall entry.  That second read must
+    return, not park holding its item until some later enqueue (there is
+    none here).  The 0.45 µs lead puts the second worker's counter check
+    inside the first one's read entry (1.2 µs) under the rig's seed."""
+    rig = Rig()
+    machine = _machine(rig, cores=3)  # the third core runs the producer
+    queue = TaskQueue(machine)
+    got = []
+
+    def worker(tag, lead_us):
+        yield Nanosleep(100.0)  # the producer has put both items by now
+        yield Compute(lead_us)
+        item = yield from queue.get()
+        got.append((tag, item))
+
+    def producer():
+        yield from queue.put("a")
+        yield from queue.put("b")
+
+    machine.spawn("p", producer())
+    machine.spawn("w0", worker("w0", 10.0))
+    machine.spawn("w1", worker("w1", 10.45))
+    machine.shutdown()
+    rig.run(until=100_000)
+    assert sorted(item for _tag, item in got) == ["a", "b"]
+    assert {tag for tag, _item in got} == {"w0", "w1"}
+    counts = rig.telemetry.syscall_counts("m")
+    assert counts["write"] == 2 and counts["read"] == 2  # both saw the kick
+    assert queue.kick_efd.counter == 0
+
+
 def test_eventfd_kick_traffic_counted():
     rig = Rig()
     machine = _machine(rig)
