@@ -26,6 +26,11 @@ closures and allocations: core occupancy uses an epoch counter instead of
 cancellable timers, blocking-op timeout cleanup passes the wait list
 instead of capturing it in a closure, and the placement policies track
 their minima inline rather than through ``min(key=...)`` lambdas.
+
+A core runs its thread until something else is due: the handlers that
+enter a core run each op completion in place while no other calendar
+entry could come first (:meth:`Simulation.advance_to`), and file one
+``_occupy_done`` only when one could.
 """
 
 from __future__ import annotations
@@ -339,6 +344,11 @@ class Scheduler:
         self.sim.defer_in(delay, self._dispatch, core)
 
     def _dispatch(self, core: Core) -> None:
+        """A kick's calendar entry: switch a thread in, then run the core."""
+        self._switch_in(core)
+        self._run_core(core)
+
+    def _switch_in(self, core: Core) -> None:
         core.dispatch_pending = False
         if core.current is not None:
             return
@@ -430,7 +440,7 @@ class Scheduler:
     def _switch_away(self, core: Core) -> None:
         core.current = None
         if core.runqueue:
-            self._dispatch(core)
+            self._switch_in(core)
         else:
             core.idle_since = self.sim._now
             if self.energy is not None:
@@ -445,17 +455,12 @@ class Scheduler:
 
     # -- core occupancy --------------------------------------------------------
     def _occupy(self, core: Core, cost: float, then: Callable, *args) -> None:
-        """Occupy ``core`` for ``cost`` µs, then continue with ``then``.
-
-        The continuation is epoch-stamped rather than held in a cancellable
-        timer: CPU-steal bumps the epoch and re-defers, and the stale heap
-        entry no-ops when popped.
-        """
+        """Occupy ``core`` for ``cost`` µs, then continue with ``then``
+        (recorded here, run or filed by ``_run_core``)."""
         core.busy_until = self.sim._now + cost
         core.busy_epoch += 1
         core.busy_then = then
         core.busy_args = args
-        self.sim.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
 
     def _occupy_done(self, core: Core, epoch: int) -> None:
         if core.busy_epoch != epoch:
@@ -465,6 +470,23 @@ class Scheduler:
         core.busy_then = None
         core.busy_args = ()
         then(*args)
+        self._run_core(core)
+
+    def _run_core(self, core: Core) -> None:
+        """Run ``core``'s continuations in place while nothing else is due,
+        then file the next as an epoch-stamped ``_occupy_done`` (CPU-steal
+        bumps the epoch and re-files; the stale entry no-ops).  A loop, not
+        recursion: a thread can run thousands of ops back to back."""
+        sim = self.sim
+        while core.busy_then is not None:
+            if not sim.advance_to(core.busy_until):
+                sim.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
+                return
+            then = core.busy_then
+            args = core.busy_args
+            core.busy_then = None
+            core.busy_args = ()
+            then(*args)
 
     def steal_cpu(self, core_index: int, cost: float) -> None:
         """Interrupt handling steals CPU from whatever the core is doing."""

@@ -25,12 +25,19 @@ millions-of-events runs the figure experiments perform:
 * A live-entry counter makes :meth:`Simulation.pending` O(1) and feeds the
   compaction heuristic.
 * The run loop batch-pops all entries sharing a timestamp, hoisting the
-  clock write and the ``until`` bound check out of the per-entry path.
+  clock write and the ``until`` bound check out of the per-entry path;
+  an entry stamped before the clock is a :class:`SimulationError`.
+* :meth:`Simulation.advance_to` lets a callback skip a round trip: when
+  no entry is due by ``t``, one filed at ``t`` would be popped next, so
+  the callback moves the clock and runs that continuation in place.
+  Callbacks run in the same order at the same times either way; only
+  ``executed`` (calendar entries, not continuations) drops.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Compaction triggers once at least this many cancelled entries exist...
@@ -82,7 +89,9 @@ class Simulation:
         # Mixed (time, seq, call) / (time, seq, fn, args) tuples; seq is
         # unique, so comparison never reaches the incomparable tail.
         self._heap: list = []
-        self._running = False
+        # Bound of the run() in progress; -inf when none is (so
+        # advance_to refuses outside run() and under step()).
+        self._until = -math.inf
         # Non-cancelled entries currently in the heap (O(1) pending()).
         self._live = 0
         # Cancelled-but-unpopped entries (compaction heuristic).
@@ -135,6 +144,22 @@ class Simulation:
         heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._live += 1
 
+    def advance_to(self, time: float) -> bool:
+        """Move the clock to ``time`` if no calendar entry could come first.
+
+        True only inside :meth:`run`, with ``now <= time <= until`` and
+        every entry strictly later than ``time`` (an entry at ``time`` was
+        filed earlier, so it runs first): exactly when an entry filed now
+        at ``time`` would be popped next.  The caller then runs it.
+        """
+        if time > self._until or time < self._now:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= time:
+            return False
+        self._now = time
+        return True
+
     # -- cancellation bookkeeping -----------------------------------------
     def _note_cancel(self) -> None:
         self._live -= 1
@@ -164,17 +189,19 @@ class Simulation:
         clock is left *at* ``until``).  Without it, runs until the queue
         drains.
         """
-        if self._running:
+        if self._until != -math.inf:
             raise SimulationError("simulation is already running")
-        self._running = True
+        self._until = bound = math.inf if until is None else until
         heap = self._heap
         pop = heapq.heappop
         executed = 0
         try:
             while heap:
                 when = heap[0][0]
-                if until is not None and when > until:
+                if when > bound:
                     break
+                if when < self._now:
+                    self._raise_past(heap[0])
                 # Batch: drain every entry stamped ``when`` with the clock
                 # written once and the ``until`` bound already checked.
                 self._now = when
@@ -197,30 +224,37 @@ class Simulation:
                 self._now = until
         finally:
             self.executed += executed
-            self._running = False
+            self._until = -math.inf
 
     def step(self) -> bool:
         """Execute the single next pending callback.  Returns False if none."""
         heap = self._heap
         while heap:
+            if heap[0][0] < self._now:
+                self._raise_past(heap[0])
             entry = heapq.heappop(heap)
             if len(entry) == 4:
-                self._now = entry[0]
-                self._live -= 1
-                self.executed += 1
-                entry[2](*entry[3])
-                return True
-            call = entry[2]
-            call._sim = None
-            if call.cancelled:
-                self._cancelled -= 1
-                continue
+                fn, args = entry[2], entry[3]
+            else:
+                call = entry[2]
+                call._sim = None
+                if call.cancelled:
+                    self._cancelled -= 1
+                    continue
+                fn, args = call.fn, call.args
             self._now = entry[0]
             self._live -= 1
             self.executed += 1
-            call.fn(*call.args)
+            fn(*args)
             return True
         return False
+
+    def _raise_past(self, entry: tuple) -> None:
+        fn = entry[2] if len(entry) == 4 else entry[2].fn
+        raise SimulationError(
+            f"{getattr(fn, '__qualname__', fn)} is due at {entry[0]},"
+            f" before the clock ({self._now})"
+        )
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled callbacks.  O(1)."""

@@ -1,11 +1,15 @@
 """Unit tests for the simulated scheduler: dispatch, preemption, accounting."""
 
-from repro.kernel import Compute, Nanosleep, OsCosts, YieldCpu
+import pytest
+
+from repro.kernel import Compute, Mutex, Nanosleep, OsCosts, YieldCpu
 from repro.kernel.scheduler import (
     RandomPlacement,
     WakeAffinityPlacement,
     WorstFitPlacement,
 )
+
+from repro.net.fabric import Packet
 
 from tests.helpers import Rig
 
@@ -275,3 +279,65 @@ def test_thread_exit_frees_core_for_next_thread():
     machine.shutdown()
     rig.run(until=10_000)
     assert sorted(finished) == ["a", "b"]
+
+
+def _lock_pairs(n):
+    """One thread alone on one core doing ``n`` uncontended lock/unlock pairs."""
+    rig = Rig()
+    machine = rig.machine("m", cores=1)
+    mutex = Mutex()
+    finished = []
+
+    def body():
+        for _ in range(n):
+            yield from mutex.acquire()
+            yield from mutex.release()
+        finished.append(rig.sim.now)
+
+    machine.spawn("t", body())
+    machine.shutdown()
+    rig.run()
+    return rig.sim.executed, finished
+
+
+def test_back_to_back_ops_run_in_place_without_recursion():
+    """Nothing else is due, so every op completion runs in the dispatch's
+    callback: a loop, not recursion, and the calendar count is flat."""
+    few_events, few_finish = _lock_pairs(10)
+    many_events, many_finish = _lock_pairs(10_000)
+    assert len(many_finish) == 1
+    assert many_finish[0] > few_finish[0]
+    assert many_events == few_events
+
+
+def _compute_finish(deliver_at):
+    """When a 100 µs compute ends, with a NIC packet arriving at ``deliver_at``."""
+    rig = Rig()
+    machine = rig.machine("m", cores=1)
+    finished = []
+
+    def body():
+        yield Compute(100.0)
+        finished.append(rig.sim.now)
+
+    machine.spawn("t", body())
+    machine.shutdown()
+    if deliver_at is not None:
+        packet = Packet(src=("elsewhere", 1), dst=("m", 9), payload=None,
+                        size_bytes=64, send_time=0.0)
+        rig.sim.call_at(deliver_at, machine.deliver, packet)
+    rig.run()
+    irq_us = sum(
+        rig.telemetry.irq_hist("m", kind).mean for kind in ("hardirq", "net_rx")
+    )
+    return finished[0], irq_us
+
+
+def test_irq_steal_extends_a_filed_occupancy():
+    """The compute is still running when the packet lands, so its completion
+    was filed; the hardirq and NET_RX softirq push it back by their cost."""
+    alone, _ = _compute_finish(None)
+    interrupted, irq_us = _compute_finish(50.0)
+    assert 50.0 < alone
+    assert irq_us > 0.0
+    assert interrupted == pytest.approx(alone + irq_us)

@@ -86,6 +86,108 @@ def test_step_executes_one_callback():
     assert not sim.step()
 
 
+def test_run_inside_run_raises():
+    sim = Simulation()
+    errors = []
+
+    def nested():
+        try:
+            sim.run()
+        except SimulationError as exc:
+            errors.append(str(exc))
+
+    sim.defer_at(1.0, nested)
+    sim.run()
+    assert errors == ["simulation is already running"]
+    # The failed nested call leaves the outer run's state alone.
+    sim.defer_at(2.0, lambda: None)
+    sim.run()
+    assert sim.now == 2.0
+
+
+def test_past_entry_raises_naming_it():
+    """A negative ``defer_in`` from t=10 must not pull the clock back to 7."""
+    sim = Simulation()
+    seen = []
+
+    def late():
+        seen.append(sim.now)
+
+    sim.defer_at(10.0, lambda: sim.defer_in(-3.0, late))
+    with pytest.raises(SimulationError, match="late"):
+        sim.run()
+    assert seen == []
+    assert sim.now == 10.0
+
+
+def test_step_raises_on_past_entry():
+    sim = Simulation()
+    seen = []
+    sim.defer_at(10.0, lambda: sim.defer_at(4.0, seen.append, "x"))
+    assert sim.step()
+    with pytest.raises(SimulationError, match="is due at 4.0"):
+        sim.step()
+    assert seen == []
+
+
+def _probe(sim, at, *targets):
+    """File a callback at ``at`` that tries ``advance_to`` on each target in
+    turn; the returned list gets the answers, then the clock it left."""
+    results = []
+
+    def probe():
+        results.extend(sim.advance_to(target) for target in targets)
+        results.append(sim.now)
+
+    sim.defer_at(at, probe)
+    return results
+
+
+def test_advance_to_moves_clock_when_nothing_is_due():
+    sim = Simulation()
+    later = []
+    sim.defer_at(5.0, lambda: later.append(sim.now))
+    results = _probe(sim, 1.0, 4.0)
+    sim.run()
+    assert results == [True, 4.0]
+    assert later == [5.0]
+
+
+def test_advance_to_refuses_a_tie():
+    """An entry already at ``t`` was filed first, so it must run first."""
+    sim = Simulation()
+    sim.defer_at(5.0, lambda: None)
+    results = _probe(sim, 1.0, 5.0, 4.999)
+    sim.run()
+    assert results == [False, True, 4.999]
+
+
+def test_advance_to_refuses_beyond_run_bound():
+    sim = Simulation()
+    results = _probe(sim, 1.0, 10.001, 10.0)
+    sim.run(until=10.0)
+    assert results == [False, True, 10.0]
+
+
+def test_advance_to_refuses_outside_run_and_under_step():
+    sim = Simulation()
+    assert not sim.advance_to(1.0)
+    assert sim.now == 0.0
+    results = _probe(sim, 1.0, 2.0)
+    assert sim.step()
+    assert results == [False, 1.0]
+    # A finished run() leaves no bound behind.
+    sim.run(until=3.0)
+    assert not sim.advance_to(4.0)
+
+
+def test_advance_to_never_moves_the_clock_back():
+    sim = Simulation()
+    results = _probe(sim, 5.0, 4.0)
+    sim.run()
+    assert results == [False, 5.0]
+
+
 def test_event_succeed_delivers_value_to_callbacks():
     sim = Simulation()
     evt = Event(sim)
