@@ -30,7 +30,9 @@ their minima inline rather than through ``min(key=...)`` lambdas.
 A core runs its thread until something else is due: the handlers that
 enter a core run each op completion in place while no other calendar
 entry could come first (:meth:`Simulation.advance_to`), and file one
-``_occupy_done`` only when one could.
+``_occupy_done`` only when one could.  A wait timer's wake dispatches the
+thread in place under the same guard, so a re-wake on an idle core costs
+one calendar entry, not two.
 """
 
 from __future__ import annotations
@@ -302,11 +304,13 @@ class Scheduler:
         self.make_runnable(thread)
         return thread
 
-    def make_runnable(self, thread: SimThread) -> None:
-        """Wake path: enqueue per policy and kick the target core."""
+    def make_runnable(self, thread: SimThread, last: bool = False) -> None:
+        """Wake path: enqueue per policy and kick the target core.
+
+        ``last`` is for a calendar callback whose final act is this wake:
+        the kick may then dispatch in place (see :meth:`_kick`)."""
         state = thread.state
-        if state is not ThreadState.BLOCKED and state is not ThreadState.NEW \
-                and state is not ThreadState.RUNNING:
+        if state is not ThreadState.BLOCKED and state is not ThreadState.NEW:
             raise RuntimeError(f"cannot wake {thread} in state {state}")
         timer = thread.wait_timer
         if timer is not None:
@@ -329,10 +333,14 @@ class Scheduler:
         self._softirq_sample(
             "sched", self.costs.softirq_sched_median_us, self.costs.softirq_sched_sigma
         )
-        self._kick(core)
+        self._kick(core, last)
 
-    def _kick(self, core: Core) -> None:
-        """Arrange a dispatch on ``core`` if it is idle and not already kicked."""
+    def _kick(self, core: Core, last: bool) -> None:
+        """Arrange a dispatch on ``core`` if it is idle and not already kicked.
+
+        Filed on the calendar, unless the caller is a calendar callback
+        that ends here (``last``) and nothing else is due by the dispatch
+        time: the filed entry would then be popped next, so it runs now."""
         if core.current is not None or core.dispatch_pending or not core.runqueue:
             return
         core.dispatch_pending = True
@@ -341,10 +349,16 @@ class Scheduler:
             + self.policy.wake_delay_us(self.rng)
             + self.costs.runq_per_waiter_us * len(core.runqueue)
         )
-        self.sim.defer_in(delay, self._dispatch, core)
+        sim = self.sim
+        at = sim._now + delay
+        if last and sim.advance_to(at):
+            self._dispatch(core)
+        else:
+            sim.defer_at(at, self._dispatch, core)
 
     def _dispatch(self, core: Core) -> None:
-        """A kick's calendar entry: switch a thread in, then run the core."""
+        """A kick's dispatch (filed, or run in place by ``_kick``): switch a
+        thread in, then run the core."""
         self._switch_in(core)
         self._run_core(core)
 
@@ -545,7 +559,9 @@ class Scheduler:
                 waitlist.remove(thread)
             except ValueError:
                 pass
-        self.make_runnable(thread)
+        # Only ever a calendar entry (the _block timer, the nanosleep
+        # expiry), and the wake is its last act.
+        self.make_runnable(thread, last=True)
 
     # -- op handlers --------------------------------------------------------------
     def _op_compute(self, core: Core, thread: SimThread, op: Compute) -> None:

@@ -4,7 +4,11 @@ A core runs its thread's op completions in place while no other calendar
 entry is due (``Simulation.advance_to``).  Each cell here runs twice: as
 shipped, and with ``advance_to`` forced to refuse, which files every
 completion on the calendar.  The two runs must produce bit-equal model
-records; only the calendar count may differ, and it must drop.
+records; only the calendar count may differ, and it must drop.  So must
+the count of filed ``Scheduler._dispatch`` entries: a wait timer that
+wakes a thread dispatches it in place too.  ``router-100`` is the
+low-load cell, where most wake-ups are such timers expiring on idle
+threads (the paper's futex/epoll calls per query at 100 QPS).
 """
 
 from dataclasses import asdict, replace
@@ -15,6 +19,7 @@ from repro.control import ControlConfig
 from repro.energy import EnergyConfig
 from repro.faults import FaultPlan, MidTierPressure
 from repro.graph import build_graph, exemplar_graph
+from repro.kernel import Scheduler
 from repro.rpc.policy import TailPolicy
 from repro.sim import Simulation
 from repro.suite import SCALES, SimCluster, build_service
@@ -69,6 +74,7 @@ def _features(tmp_path):
 CELLS = {
     "hdsearch": (_service("hdsearch"), 2_000.0),
     "router": (_service("router"), 500.0),
+    "router-100": (_service("router"), 100.0),
     "setalgebra": (_service("setalgebra"), 2_000.0),
     "recommend": (_service("recommend"), 2_000.0),
     "socialnet": (_socialnet, 2_000.0),
@@ -100,11 +106,29 @@ def _run(cell, tmp_path):
     return record, cluster.sim.executed
 
 
+_DEFER_AT = Simulation.defer_at
+
+
+def _count_filed_dispatches(monkeypatch):
+    """Count the ``Scheduler._dispatch`` entries filed from now on."""
+    filed = []
+
+    def counting(self, time, fn, *args):
+        if getattr(fn, "__func__", None) is Scheduler._dispatch:
+            filed.append(time)
+        _DEFER_AT(self, time, fn, *args)
+
+    monkeypatch.setattr(Simulation, "defer_at", counting)
+    return filed
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
+    shipped_dispatches = _count_filed_dispatches(monkeypatch)
     shipped, shipped_events = _run(cell, tmp_path)
     # Refusing every fast-forward files each op completion on the calendar.
     monkeypatch.setattr(Simulation, "advance_to", lambda self, time: False)
+    filed_dispatches = _count_filed_dispatches(monkeypatch)
     filed, filed_events = _run(cell, tmp_path)
     assert shipped["completed"] > 0
     if cell == "features-on":
@@ -116,3 +140,4 @@ def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
         assert shipped["energy"]["total_uj"] > 0
     assert shipped == filed
     assert shipped_events < filed_events
+    assert len(shipped_dispatches) < len(filed_dispatches)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.kernel import Compute, Mutex, Nanosleep, OsCosts, YieldCpu
+from repro.kernel import (
+    Compute,
+    Futex,
+    FutexWait,
+    Mutex,
+    Nanosleep,
+    OsCosts,
+    ThreadState,
+    YieldCpu,
+)
 from repro.kernel.scheduler import (
     RandomPlacement,
     WakeAffinityPlacement,
@@ -341,3 +350,89 @@ def test_irq_steal_extends_a_filed_occupancy():
     assert 50.0 < alone
     assert irq_us > 0.0
     assert interrupted == pytest.approx(alone + irq_us)
+
+
+def test_waking_a_running_thread_is_refused():
+    """A second wake of a running thread would queue the same generator on
+    another core; ``make_runnable`` accepts only new and blocked threads."""
+    rig = Rig()
+    machine = rig.machine("m", cores=2)
+
+    def body():
+        yield Compute(100.0)
+
+    thread = machine.spawn("t", body())
+    machine.shutdown()
+    rig.sim.call_at(50.0, machine.scheduler.make_runnable, thread)
+    with pytest.raises(RuntimeError, match="cannot wake"):
+        rig.run()
+    assert thread.state is ThreadState.RUNNING
+
+
+def _idle_expiries(wait_op, n):
+    """Calendar entries of one thread alone on an idle machine (no RCU
+    tick) that blocks ``n`` times in ``wait_op()``, each ended by expiry."""
+    rig = Rig()
+    machine = rig.machine("m", cores=1)
+
+    def body():
+        for _ in range(n):
+            yield wait_op()
+
+    machine.spawn("t", body())
+    machine.shutdown()
+    rig.run()
+    return rig.sim.executed
+
+
+@pytest.mark.parametrize(
+    "wait_op",
+    [lambda: FutexWait(Futex(0), expected=0, timeout_us=200.0), lambda: Nanosleep(200.0)],
+    ids=["futex", "nanosleep"],
+)
+def test_idle_timer_wake_costs_one_calendar_entry(wait_op):
+    """The expiry dispatches in place: its dispatch, switch-in and the
+    thread's ops up to the next block cost no further entry."""
+    assert _idle_expiries(wait_op, 12) - _idle_expiries(wait_op, 2) == 10
+
+
+def _timed_waiter(rig, log):
+    """A thread on an idle one-core machine, parked in a 200 µs futex wait."""
+    machine = rig.machine("m", cores=1)
+
+    def body():
+        yield FutexWait(Futex(0), expected=0, timeout_us=200.0)
+        log.append("thread")
+
+    thread = machine.spawn("t", body())
+    machine.shutdown()
+    rig.run(until=100.0)
+    assert thread.state is ThreadState.BLOCKED
+    return thread
+
+
+def test_timer_wake_files_its_dispatch_behind_a_due_entry():
+    """An entry due inside the IPI delay runs before the woken thread."""
+    rig = Rig()
+    log = []
+    thread = _timed_waiter(rig, log)
+    rig.sim.defer_at(thread.wait_timer.time + 0.5, log.append, "unrelated")
+    before = rig.sim.executed
+    rig.run()
+    assert log == ["unrelated", "thread"]
+    # The timer, the unrelated entry, and the dispatch that was filed.
+    assert rig.sim.executed - before == 3
+
+
+def test_timer_wake_popped_by_step_files_its_dispatch():
+    """Outside ``run()`` nothing runs in place: ``step()`` pops the timer
+    alone, and the dispatch waits on the calendar."""
+    rig = Rig()
+    log = []
+    thread = _timed_waiter(rig, log)
+    assert rig.sim.pending() == 1
+    assert rig.sim.step()
+    assert thread.state is ThreadState.RUNNABLE
+    assert rig.sim.pending() == 1
+    rig.run()
+    assert log == ["thread"]
