@@ -23,13 +23,13 @@ from repro import E2E_HIST, SCALES, SimCluster, run_open_loop
 # index tuning machinery itself, which is not stable API.
 from repro.data import FeatureCorpus
 from repro.services.hdsearch import LshIndex, build_hdsearch
-from repro.services.hdsearch.lsh import _nn_accuracy
+from repro.services.hdsearch.lsh import _nn_accuracy, _squared_distances
 
 
 def main() -> None:
     corpus = FeatureCorpus(n_points=8_000, dims=64, seed=3)
     queries = corpus.query_set(40)
-    truth = np.array([corpus.brute_force_knn(q, 1)[0][0] for q in queries])
+    sq_dists = _squared_distances(corpus.vectors, queries)
 
     print("LSH accuracy/selectivity trade-off (8K points, 64 dims):")
     print(f"{'tables':>7} {'bits':>5} {'probes':>7} {'candidates':>11} {'accuracy':>9}")
@@ -37,7 +37,7 @@ def main() -> None:
         index = LshIndex(corpus.vectors, n_leaves=4, n_tables=tables,
                          hash_bits=bits, n_probes=probes, seed=9)
         candidates = np.mean([index.candidate_count(q) for q in queries])
-        accuracy = _nn_accuracy(index, corpus.vectors, queries, truth)
+        accuracy = _nn_accuracy(index, corpus.vectors, queries, sq_dists)
         print(f"{tables:>7} {bits:>5} {probes:>7} {candidates:>11.0f} {accuracy:>9.3f}")
 
     # Deploy the auto-tuned configuration as a complete service.

@@ -10,6 +10,8 @@ multi-probes to improve recall without more tables.
 
 from __future__ import annotations
 
+import copy
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -46,17 +48,38 @@ class LshIndex:
             rng.normal(size=(hash_bits, self.dims)) for _ in range(n_tables)
         ]
         self._bit_weights = 1 << np.arange(hash_bits)
-        # Tables map signature -> {leaf: [point ids]} (the paper's
-        # {leaf server, point ID list} tuples).
-        self.tables: List[Dict[int, Dict[int, List[int]]]] = []
-        for table_index in range(n_tables):
-            signatures = self._signatures(table_index, vectors)
+        self.point_signatures = [
+            self._signatures(table_index, vectors) for table_index in range(n_tables)
+        ]
+
+    @cached_property
+    def tables(self) -> List[Dict[int, Dict[int, List[int]]]]:
+        """Per table, signature -> {leaf: ascending point ids} (the paper's
+        {leaf server, point ID list} tuples).  Built on first use, so an
+        index the tuner only scores never builds them."""
+        leaves = np.arange(self.n_points) % self.n_leaves
+        tables = []
+        for signatures in self.point_signatures:
+            keys = signatures * self.n_leaves + leaves
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
             table: Dict[int, Dict[int, List[int]]] = {}
-            for point_id, signature in enumerate(signatures):
-                leaf = point_id % n_leaves
-                bucket = table.setdefault(int(signature), {})
-                bucket.setdefault(leaf, []).append(point_id)
-            self.tables.append(table)
+            for key, ids in zip(sorted_keys[starts].tolist(), np.split(order, starts[1:])):
+                signature, leaf = divmod(key, self.n_leaves)
+                table.setdefault(signature, {})[leaf] = ids.tolist()
+            tables.append(table)
+        return tables
+
+    def _prefix(self, n_tables: int, n_probes: int) -> "LshIndex":
+        """``LshIndex(vectors, n_leaves, n_tables, hash_bits, n_probes, seed)``
+        without recomputing a signature: its planes are this one's first."""
+        index = copy.copy(self)
+        index.__dict__.pop("tables", None)
+        index.n_tables, index.n_probes = n_tables, n_probes
+        index._planes = self._planes[:n_tables]
+        index.point_signatures = self.point_signatures[:n_tables]
+        return index
 
     def _signatures(self, table_index: int, vectors: np.ndarray) -> np.ndarray:
         projections = vectors @ self._planes[table_index].T
@@ -92,25 +115,37 @@ class LshIndex:
         return sum(len(ids) for ids in self.candidates(query).values())
 
 
+def _squared_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row ``q``: query ``q``'s squared Euclidean distance to every point."""
+    diffs = (vectors - query[None, :] for query in queries)
+    return np.array([np.einsum("ij,ij->i", d, d) for d in diffs])
+
+
 def _nn_accuracy(
     index: LshIndex,
     vectors: np.ndarray,
     queries: np.ndarray,
-    true_nn: np.ndarray,
+    sq_dists: np.ndarray,
 ) -> float:
     """Mean cosine similarity between LSH-reported and true nearest
-    neighbors (the paper's accuracy score)."""
+    neighbors (the paper's accuracy score).  ``sq_dists`` is
+    ``_squared_distances(vectors, queries)``; a query's candidates are the
+    points whose signature matches one of its probes in some table, taken
+    in ``candidates()`` order (leaf, then id) so the argmin ties as it did."""
+    by_leaf = np.argsort(np.arange(index.n_points) % index.n_leaves, kind="stable")
     scores = []
-    for query, truth in zip(queries, true_nn):
-        per_leaf = index.candidates(query)
-        ids = [pid for leaf_ids in per_leaf.values() for pid in leaf_ids]
-        if not ids:
+    for query, dists in zip(queries, sq_dists):
+        hit = np.zeros(index.n_points, dtype=bool)
+        for table_index, signatures in enumerate(index.point_signatures):
+            base = index.signature(table_index, query)
+            for probe in index._probe_signatures(base):
+                hit |= signatures == probe
+        ids = by_leaf[hit[by_leaf]]
+        if not ids.size:
             scores.append(0.0)
             continue
-        candidates = vectors[ids]
-        diffs = candidates - query[None, :]
-        best = ids[int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))]
-        a, b = vectors[best], vectors[truth]
+        best = ids[int(np.argmin(dists[ids]))]
+        a, b = vectors[best], vectors[int(np.argmin(dists))]
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         scores.append(float(a @ b / denom) if denom else 0.0)
     return float(np.mean(scores))
@@ -127,12 +162,11 @@ def tune_lsh(
     selective configuration (fewest candidates, hence lowest latency) that
     still achieves the target accuracy; falls back to the most accurate.
     """
+    if len(queries) == 0:
+        raise ValueError("tune_lsh needs at least one query")
     n_points = vectors.shape[0]
-    # Ground truth once for the tuning query sample.
-    true_nn = np.empty(len(queries), dtype=np.int64)
-    for i, query in enumerate(queries):
-        diffs = vectors - query[None, :]
-        true_nn[i] = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
+    # Distances once for the tuning query sample, shared by every config.
+    sq_dists = _squared_distances(vectors, queries)
 
     max_bits = max(2, int(np.log2(max(n_points / 25.0, 4.0))))
     configs = []
@@ -144,18 +178,15 @@ def tune_lsh(
                 configs.append((expected, bits, tables, probes))
     configs.sort()
 
+    # Every configuration of one bit width is a prefix of its 12-table index.
+    widest: Dict[int, LshIndex] = {}
     best_fallback = None
     best_fallback_acc = -1.0
     for _expected, bits, tables, probes in configs:
-        index = LshIndex(
-            vectors,
-            n_leaves=n_leaves,
-            n_tables=tables,
-            hash_bits=bits,
-            n_probes=probes,
-            seed=seed,
-        )
-        accuracy = _nn_accuracy(index, vectors, queries, true_nn)
+        if bits not in widest:
+            widest[bits] = LshIndex(vectors, n_leaves, n_tables=12, hash_bits=bits, seed=seed)
+        index = widest[bits]._prefix(tables, probes)
+        accuracy = _nn_accuracy(index, vectors, queries, sq_dists)
         if accuracy >= target_accuracy:
             return index
         if accuracy > best_fallback_acc:

@@ -53,9 +53,7 @@ class HdSearchLeafApp(LeafApp):
             return cached[1]
         _tag, query_vec, point_ids, k = request
         if point_ids:
-            local_rows = np.fromiter(
-                (pid // self.n_leaves for pid in point_ids), dtype=np.int64
-            )
+            local_rows = np.array(point_ids, dtype=np.int64) // self.n_leaves
             candidates = self.shard[local_rows]
             diffs = candidates - query_vec[None, :]
             dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))

@@ -92,6 +92,12 @@ _SUB_CONFIG_TYPES: Dict[str, type] = {
 }
 
 
+#: ServiceScale's dataset sizes: a 0 builds an empty service or dies in numpy.
+_DATASET_SIZES = ("hds_points", "hds_dims", "hds_k", "router_keys", "setalgebra_docs",
+                  "setalgebra_vocab", "recommend_users", "recommend_items",
+                  "recommend_ratings", "n_queries")
+
+
 @dataclass(frozen=True)
 class ServiceScale:
     """Everything size-dependent about one experiment configuration."""
@@ -177,6 +183,11 @@ class ServiceScale:
             "recommend": 10.0,
         }
     )
+
+    def __post_init__(self):
+        for name in _DATASET_SIZES:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
 
     def with_overrides(self, **kwargs: Any) -> "ServiceScale":
         """A copy with some fields replaced (``topology=...``,

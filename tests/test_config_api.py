@@ -117,6 +117,22 @@ def test_topology_config_rejects_counts_below_one(field):
         small.with_overrides(topology=replace(small.topology, **{field: 0}))
 
 
+@pytest.mark.parametrize("field", [
+    "hds_points", "hds_dims", "hds_k", "router_keys", "setalgebra_docs",
+    "setalgebra_vocab", "recommend_users", "recommend_items",
+    "recommend_ratings", "n_queries",
+])
+def test_service_scale_rejects_dataset_sizes_below_one(field):
+    # Parent: accepted; hds_k=0 built an HDSearch whose every top-k was
+    # empty, n_queries=0 died in numpy, recommend_users=0 reported "more
+    # ratings than matrix cells".
+    small = SCALES["small"]
+    with pytest.raises(ValueError, match=f"{field} must be >= 1: 0"):
+        small.with_overrides(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        ServiceScale.from_dict({**small.to_dict(), field: -1})
+
+
 def _graph_dict_with(node_key, value):
     """The one-hop graph's dict with its root node's ``node_key`` set."""
     graph = onehop_graph(n_queries=10).to_dict()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import FeatureCorpus
-from repro.services.hdsearch import LshIndex, build_hdsearch
+from repro.services.hdsearch import LshIndex, build_hdsearch, lsh, tune_lsh
 from repro.services.hdsearch.service import HdSearchLeafApp, HdSearchMidTierApp
 from repro.services.costmodel import LinearCost
 from repro.suite import SCALES, SimCluster
@@ -69,6 +69,108 @@ def test_lsh_validates_args():
         LshIndex(corpus.vectors, n_leaves=2, hash_bits=0)
     with pytest.raises(ValueError):
         LshIndex(corpus.vectors[0], n_leaves=2)
+
+
+def _reference_tables(index, vectors):
+    """The per-point table build the numpy one replaced."""
+    tables = []
+    for table_index in range(index.n_tables):
+        table = {}
+        signatures = index._signatures(table_index, vectors)
+        for point_id, signature in enumerate(signatures):
+            bucket = table.setdefault(int(signature), {})
+            bucket.setdefault(point_id % index.n_leaves, []).append(point_id)
+        tables.append(table)
+    return tables
+
+
+def _reference_tune(vectors, n_leaves, queries, target_accuracy, seed):
+    """The tuner before it scored from signature arrays: a full index per
+    configuration, scored through ``candidates()``.  Returns the
+    (bits, tables, probes, accuracy) tried and the index chosen."""
+    true_nn = []
+    for query in queries:
+        diffs = vectors - query[None, :]
+        true_nn.append(int(np.argmin(np.einsum("ij,ij->i", diffs, diffs))))
+    n_points = vectors.shape[0]
+    max_bits = max(2, int(np.log2(max(n_points / 25.0, 4.0))))
+    configs = sorted(
+        (tables * (probes + 1) * n_points / (1 << bits), bits, tables, probes)
+        for bits in range(max_bits, 1, -1)
+        for tables in (4, 8, 12)
+        for probes in (0, 2, 4)
+    )
+    tried, fallback = [], None
+    for _expected, bits, tables, probes in configs:
+        index = LshIndex(vectors, n_leaves, tables, bits, probes, seed)
+        index.tables = _reference_tables(index, vectors)
+        scores = []
+        for query, truth in zip(queries, true_nn):
+            ids = [pid for leaf_ids in index.candidates(query).values() for pid in leaf_ids]
+            if not ids:
+                scores.append(0.0)
+                continue
+            diffs = vectors[ids] - query[None, :]
+            best = ids[int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))]
+            a, b = vectors[best], vectors[truth]
+            denom = np.linalg.norm(a) * np.linalg.norm(b)
+            scores.append(float(a @ b / denom) if denom else 0.0)
+        accuracy = float(np.mean(scores))
+        tried.append((bits, tables, probes, accuracy))
+        if accuracy >= target_accuracy:
+            return tried, index
+        if fallback is None or accuracy > fallback[1]:
+            fallback = (index, accuracy)
+    return tried, fallback[0]
+
+
+def _shipped_tune(monkeypatch, vectors, n_leaves, queries, target_accuracy, seed):
+    tried = []
+    score = lsh._nn_accuracy
+
+    def recorded(index, *args):
+        accuracy = score(index, *args)
+        tried.append((index.hash_bits, index.n_tables, index.n_probes, accuracy))
+        return accuracy
+
+    monkeypatch.setattr(lsh, "_nn_accuracy", recorded)
+    index = tune_lsh(vectors, n_leaves, queries, target_accuracy, seed)
+    monkeypatch.undo()
+    return tried, index
+
+
+@pytest.mark.parametrize("seed,target", [(0, 0.96), (1, 0.96), (2, 0.96), (0, 1.01)])
+def test_tuner_matches_the_per_index_reference(monkeypatch, seed, target):
+    """Every configuration scores bit-identically to a full index scored
+    through ``candidates()``, and the chosen index (or, at an unreachable
+    target, the fallback) is the same one, table for table."""
+    scale = SCALES["unit"]
+    corpus = FeatureCorpus(n_points=scale.hds_points, dims=scale.hds_dims, seed=seed)
+    queries = corpus.query_set(60)
+    args = (corpus.vectors, scale.topology.n_leaves, queries, target, seed + 1)
+    want_tried, want = _reference_tune(*args)
+    got_tried, got = _shipped_tune(monkeypatch, *args)
+    assert got_tried == want_tried
+    if target > 1:  # every configuration tried, then the fallback
+        assert len(got_tried) == 36
+    assert (got.hash_bits, got.n_tables, got.n_probes) == (
+        want.hash_bits, want.n_tables, want.n_probes)
+    assert all(np.array_equal(a, b) for a, b in zip(got._planes, want._planes))
+    assert got.tables == want.tables
+    bucket = next(iter(got.tables[0].values()))
+    assert all(type(pid) is int for ids in bucket.values() for pid in ids)
+
+
+def test_tuner_choice_at_small_scale_is_pinned():
+    """``hdsearch-10k``'s index: cluster seed 0 at ``small`` scale."""
+    index = build_hdsearch(SimCluster(seed=0), SCALES["small"]).extras["index"]
+    assert (index.hash_bits, index.n_tables, index.n_probes) == (7, 12, 2)
+
+
+def test_tuner_rejects_an_empty_query_sample():
+    corpus = _corpus(n=200)
+    with pytest.raises(ValueError, match="at least one query"):
+        tune_lsh(corpus.vectors, 2, corpus.vectors[:0])
 
 
 def test_leaf_app_returns_sorted_topk():
