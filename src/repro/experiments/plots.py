@@ -1,54 +1,14 @@
 """Terminal rendering of latency distributions.
 
 The paper presents Figs. 10 and 15-18 as violin plots; the CLI renders
-the same distributions as text — a log-bucketed histogram per
-(service, load) cell and a compact quantile "violin" strip per category.
+the same distributions as text: a compact quantile "violin" strip per
+category.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Sequence
-
-_BLOCKS = " ▏▎▍▌▋▊▉█"
-
-
-def ascii_histogram(
-    samples: Sequence[float],
-    bins: int = 16,
-    width: int = 40,
-    log_scale: bool = True,
-    unit: str = "us",
-) -> str:
-    """A horizontal-bar histogram of latency samples."""
-    values = [s for s in samples if s > 0]
-    if not values:
-        return "(no samples)"
-    low, high = min(values), max(values)
-    if log_scale and high / max(low, 1e-9) > 10.0:
-        log_low, log_high = math.log10(low), math.log10(high)
-        edges = [10 ** (log_low + (log_high - log_low) * i / bins) for i in range(bins + 1)]
-    else:
-        edges = [low + (high - low) * i / bins for i in range(bins + 1)]
-    counts = [0] * bins
-    for value in values:
-        for index in range(bins):
-            if value <= edges[index + 1]:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
-    peak = max(counts)
-    lines = []
-    for index, count in enumerate(counts):
-        bar_length = width * count / peak if peak else 0
-        full, frac = int(bar_length), bar_length - int(bar_length)
-        bar = "█" * full + (_BLOCKS[int(frac * 8)] if frac > 0 else "")
-        lines.append(
-            f"{edges[index]:>10.0f}-{edges[index + 1]:<10.0f}{unit} |{bar} {count}"
-        )
-    return "\n".join(lines)
-
 
 def quantile_strip(
     samples: Sequence[float],

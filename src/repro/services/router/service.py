@@ -29,6 +29,14 @@ from repro.suite.config import ServiceScale
 
 _HEADER_BYTES = 32
 
+#: Cores per memcached leaf.
+LEAF_CORES = 1
+#: Mid-tier cores.  Routing work (parse + SpookyHash + rewrite) runs under
+#: the completion-queue lock (parse_in_network_thread), so the lock — not
+#: memcached leaf CPU — bounds throughput, as a real gRPC McRouter-alike
+#: saturates.
+MIDTIER_CORES = 4
+
 
 class RouterLeafApp(LeafApp):
     """A leaf: gRPC wrapper around one memcached store replica."""
@@ -159,7 +167,7 @@ def build_router(
     """Wire a complete Router deployment onto ``cluster``."""
     seed = cluster.rng.py(f"{name_prefix}:dataset").randrange(2**31)
     trace = KeyValueTrace(n_keys=scale.router_keys, seed=seed)
-    n_shards = scale.topology.router_shards
+    n_shards = scale.topology.n_leaves
     n_replicas = scale.topology.router_replicas
 
     ops = trace.ops(scale.n_queries)
@@ -215,7 +223,7 @@ def build_router(
         extras={"trace": trace, "stores": stores, "hasher": hasher},
         midtier_policy=midtier_policy,
         tail_policy=tail_policy,
-        leaf_cores=scale.topology.router_leaf_cores,
-        midtier_cores=scale.topology.router_midtier_cores,
+        leaf_cores=LEAF_CORES,
+        midtier_cores=MIDTIER_CORES,
         midtier_runtime=scale.router_midtier_runtime,
     )

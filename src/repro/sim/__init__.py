@@ -11,12 +11,11 @@ the primitives exported here:
 * :class:`RngStreams` — named, deterministic random-number streams.
 """
 
-from repro.sim.core import Event, Interrupt, Process, ScheduledCall, Simulation, Timeout
+from repro.sim.core import Event, Process, ScheduledCall, Simulation, Timeout
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "Event",
-    "Interrupt",
     "Process",
     "RngStreams",
     "ScheduledCall",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 #: Compaction triggers once at least this many cancelled entries exist...
 _COMPACT_MIN_CANCELLED = 256
@@ -334,14 +334,6 @@ class Timeout(Event):
             self.succeed(value)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A coroutine driven by the event loop.
 
@@ -351,29 +343,16 @@ class Process(Event):
     value, so processes can be joined by yielding them.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: Simulation, gen: Generator[Event, Any, Any], name: str = "?"):
         super().__init__(sim)
         self.gen = gen
         self.name = name
-        self._waiting_on: Optional[Event] = None
         # Start on the next loop iteration so the creator can finish wiring up.
         sim.defer_in(0.0, self._resume, None, None)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield point."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        self._waiting_on = None
-        # The stale event may still trigger later; _on_event ignores it
-        # because _waiting_on no longer points at it.
-        self.sim.defer_in(0.0, self._resume, None, Interrupt(cause))
-
     def _on_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # interrupted while waiting; stale wakeup
-        self._waiting_on = None
         if event.error is not None:
             self._resume(None, event.error)
         else:
@@ -387,10 +366,6 @@ class Process(Event):
                 target = self.gen.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An un-caught interrupt terminates the process quietly.
-            self.succeed(None)
             return
         except Exception as exc:  # propagate into joiners
             self.fail(exc)
@@ -418,38 +393,5 @@ class Process(Event):
                     f"process {self.name} kept yielding after a non-event"
                 ))
             return
-        self._waiting_on = target
         target.add_callback(self._on_event)
 
-
-def all_of(sim: Simulation, events: Iterable[Event]) -> Event:
-    """An event that succeeds (with a list of values) once every input has."""
-    events = list(events)
-    result = Event(sim)
-    remaining = len(events)
-    if remaining == 0:
-        return result.succeed([])
-
-    def on_done(_evt: Event) -> None:
-        nonlocal remaining
-        remaining -= 1
-        if remaining == 0 and not result.triggered:
-            result.succeed([evt.value for evt in events])
-
-    for evt in events:
-        evt.add_callback(on_done)
-    return result
-
-
-def any_of(sim: Simulation, events: Iterable[Event]) -> Event:
-    """An event that succeeds with the first input event that triggers."""
-    events = list(events)
-    result = Event(sim)
-
-    def on_done(evt: Event) -> None:
-        if not result.triggered:
-            result.succeed(evt)
-
-    for evt in events:
-        evt.add_callback(on_done)
-    return result

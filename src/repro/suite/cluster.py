@@ -306,8 +306,9 @@ def build_three_tier(
     """The shared tail of the four service builders (paper §III: front-end
     → mid-tier → leaves): one leaf machine per ``leaf_apps`` entry
     (machine name → app, in shard order), then the mid-tier through
-    :func:`build_tier`, then the handle.  Tiers are sized from
-    ``scale.topology``'s common fields unless overridden (Router's are).
+    :func:`build_tier`, then the handle.  Machines get
+    ``scale.topology``'s core counts unless ``leaf_cores`` /
+    ``midtier_cores`` are passed (Router passes its module constants).
     """
     topo = scale.topology
     leaves: List[LeafRuntime] = []

@@ -32,6 +32,7 @@ from repro.control.config import ControlConfig
 from repro.energy.config import EnergyConfig
 from repro.midcache import CacheConfig
 from repro.rpc.batching import BatchConfig
+from repro.rpc.loadbalance import canonical_policy
 from repro.rpc.server import RuntimeConfig
 from repro.telemetry.config import TelemetryConfig
 
@@ -40,7 +41,8 @@ from repro.telemetry.config import TelemetryConfig
 class TopologyConfig:
     """Machine counts and core counts for one service deployment."""
 
-    # HDSearch / Set Algebra / Recommend tiers (Router overrides below).
+    # Leaf count (Router: shard count) and per-machine cores; Router sizes
+    # its cores from services.router.service's constants instead.
     n_leaves: int = 4
     leaf_cores: int = 4
     midtier_cores: int = 8
@@ -50,15 +52,9 @@ class TopologyConfig:
     # topology exactly — no balancer is built and no extra randomness is
     # drawn, so goldens are unaffected.
     midtier_replicas: int = 1
-    # Router's replicated pools: shards × replicas leaves (paper: 16 × 3).
-    router_shards: int = 4
+    # Router's replicated pools: n_leaves shards × replicas leaves
+    # (paper: 16 × 3).
     router_replicas: int = 3
-    router_leaf_cores: int = 1
-    # Router's routing work (parse + SpookyHash + rewrite) runs under its
-    # completion-queue lock (parse_in_network_thread), so the lock — not
-    # memcached leaf CPU — bounds its throughput, as a real gRPC
-    # McRouter-alike saturates.
-    router_midtier_cores: int = 4
 
     def __post_init__(self):
         for name, count in asdict(self).items():
@@ -76,6 +72,13 @@ class LbConfig:
     # Per-replica connection pool: max requests in flight per replica
     # before the balancer queues in its FIFO backlog.
     pool_size: int = 128
+
+    def __post_init__(self):
+        # The name is kept as given ("p2c" stays "p2c"); only its validity
+        # is checked here, so a bad knob fails even with one replica.
+        canonical_policy(self.policy)
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1: {self.pool_size}")
 
 
 _SUB_CONFIG_TYPES: Dict[str, type] = {
@@ -167,7 +170,7 @@ class ServiceScale:
         default_factory=lambda: {
             "hdsearch": 247.0,
             # Router leaves are memcached-fast; its mid-tier is the
-            # bottleneck (see TopologyConfig.router_midtier_cores).
+            # bottleneck (see services.router.service.MIDTIER_CORES).
             "router": 60.0,
             "setalgebra": 176.0,
             "recommend": 222.0,
@@ -231,7 +234,6 @@ SCALES: Dict[str, ServiceScale] = {
             n_leaves=2,
             leaf_cores=2,
             midtier_cores=8,
-            router_shards=2,
             router_replicas=2,
         ),
         midtier_runtime=RuntimeConfig(

@@ -100,8 +100,7 @@ def test_nested_construction_does_not_warn():
 
 @pytest.mark.parametrize("field", [
     "n_leaves", "leaf_cores", "midtier_cores", "midtier_replicas",
-    "router_shards", "router_replicas", "router_leaf_cores",
-    "router_midtier_cores",
+    "router_replicas",
 ])
 def test_topology_config_rejects_counts_below_one(field):
     # Parent: accepted, then IndexError on ``runtimes[0]`` at build time.
@@ -162,6 +161,30 @@ def test_batch_and_cache_knobs_reject_bad_values_at_construction(
         ServiceScale.from_dict({**small.to_dict(), knob: knob_dict})
     with pytest.raises(ValueError, match=field):
         GraphConfig.from_dict(_graph_dict_with(knob, knob_dict))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("policy", "bogus", "unknown load-balancing policy 'bogus'"),
+    ("pool_size", 0, "pool_size must be >= 1: 0"),
+])
+def test_lb_knobs_reject_bad_values_at_construction(field, value, match):
+    # Parent: accepted; with one mid-tier replica no balancer is built, so
+    # the bad knob was never checked at all.
+    with pytest.raises(ValueError, match=match):
+        LbConfig(**{field: value})
+    small = SCALES["small"]
+    assert small.topology.midtier_replicas == 1
+    lb_dict = {**small.to_dict()["lb"], field: value}
+    with pytest.raises(ValueError, match=match):
+        small.with_overrides(lb=replace(small.lb, **{field: value}))
+    with pytest.raises(ValueError, match=match):
+        ServiceScale.from_dict({**small.to_dict(), "lb": lb_dict})
+    with pytest.raises(ValueError, match=match):
+        GraphConfig.from_dict(_graph_dict_with("lb", lb_dict))
+
+
+def test_lb_policy_alias_is_kept_as_given():
+    assert LbConfig(policy="p2c").policy == "p2c"
 
 
 _ZERO_POOL_CARRIERS = {

@@ -2,24 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.plots import ascii_histogram, quantile_strip, render_distributions
-
-
-def test_histogram_counts_every_sample():
-    samples = [10.0] * 5 + [100.0] * 3 + [1000.0] * 2
-    out = ascii_histogram(samples, bins=8)
-    total = sum(int(line.rsplit(" ", 1)[1]) for line in out.splitlines())
-    assert total == 10
-
-
-def test_histogram_empty():
-    assert ascii_histogram([]) == "(no samples)"
-    assert ascii_histogram([0.0, -1.0]) == "(no samples)"
-
-
-def test_histogram_linear_when_narrow_range():
-    out = ascii_histogram([100, 101, 102, 103], bins=4, log_scale=True)
-    assert out.count("\n") == 3  # 4 bins
+from repro.experiments.plots import quantile_strip, render_distributions
 
 
 def test_quantile_strip_markers():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, Process, Simulation, Timeout
-from repro.sim.core import SimulationError, all_of, any_of
+from repro.sim import Event, Process, Simulation, Timeout
+from repro.sim.core import SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -292,42 +292,6 @@ def test_process_exception_propagates_to_joiner():
     assert caught == ["boom"]
 
 
-def test_process_interrupt_is_catchable():
-    sim = Simulation()
-    log = []
-
-    def body():
-        try:
-            yield Timeout(sim, 100.0)
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    proc = Process(sim, body(), name="sleeper")
-    sim.call_in(5.0, proc.interrupt, "wakeup")
-    sim.run()
-    assert log == [("interrupted", 5.0, "wakeup")]
-
-
-def test_interrupt_then_stale_event_is_ignored():
-    sim = Simulation()
-    resumptions = []
-
-    def body():
-        try:
-            yield Timeout(sim, 10.0)
-            resumptions.append("timeout")
-        except Interrupt:
-            resumptions.append("interrupt")
-        yield Timeout(sim, 50.0)
-        resumptions.append("second")
-
-    proc = Process(sim, body())
-    sim.call_in(2.0, proc.interrupt)
-    sim.run()
-    # The original 10.0 timeout firing must not resume the process a second time.
-    assert resumptions == ["interrupt", "second"]
-
-
 def test_defer_in_runs_in_order_with_cancellable_timers():
     sim = Simulation()
     seen = []
@@ -404,29 +368,3 @@ def test_process_yielding_again_after_non_event_error_fails():
     assert proc.triggered
     assert isinstance(proc.error, SimulationError)
     assert "kept yielding" in str(proc.error)
-
-
-def test_all_of_collects_every_value():
-    sim = Simulation()
-    evts = [Timeout(sim, t, value=t) for t in (3.0, 1.0, 2.0)]
-    combined = all_of(sim, evts)
-    sim.run()
-    assert combined.ok
-    assert combined.value == [3.0, 1.0, 2.0]
-    assert sim.now == 3.0
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulation()
-    combined = all_of(sim, [])
-    assert combined.ok and combined.value == []
-
-
-def test_any_of_returns_first_event():
-    sim = Simulation()
-    fast = Timeout(sim, 1.0, value="fast")
-    slow = Timeout(sim, 9.0, value="slow")
-    first = any_of(sim, [slow, fast])
-    sim.run()
-    assert first.ok
-    assert first.value is fast
