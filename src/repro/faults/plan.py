@@ -107,6 +107,19 @@ class NetworkFault:
     # (e.g. "hds-leaf"); None hits every hop.
     dst_prefix: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # A negative delay would beat the fabric's base latency, which the
+        # calendar relies on as a lower bound for every hop.
+        for name in ("extra_delay_us", "jitter_mean_us"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"NetworkFault.{name} must be >= 0, got {value}")
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ValueError(
+                "NetworkFault.drop_probability must be in [0, 1],"
+                f" got {self.drop_probability}"
+            )
+
     def matches(self, dst_name: str) -> bool:
         return self.dst_prefix is None or dst_name.startswith(self.dst_prefix)
 

@@ -15,7 +15,7 @@ from repro.kernel.scheduler import PlacementPolicy, Scheduler, WakeAffinityPlace
 from repro.kernel.sockets import Epoll, Eventfd, KSocket
 from repro.kernel.threads import SimThread
 from repro.net.fabric import Fabric, Packet
-from repro.sim.core import Simulation
+from repro.sim.core import Lane, Simulation
 from repro.sim.rng import RngStreams, lognormal_from_median_sigma
 from repro.telemetry import Telemetry
 from repro.telemetry.critpath import riders, stamp
@@ -40,6 +40,7 @@ class Machine:
         spec: MachineSpec,
         name: Optional[str] = None,
         policy: Optional[PlacementPolicy] = None,
+        lane: Optional[Lane] = None,
     ):
         self.sim = sim
         self.fabric = fabric
@@ -47,6 +48,10 @@ class Machine:
         self.spec = spec
         self.name = name or spec.name
         self.rng = rng.spawn(f"machine:{self.name}")
+        # Everything this machine files runs on its calendar lane, which may
+        # run ahead of other lanes by up to the fabric latency.  Machines
+        # that share state other than through the fabric pass one ``lane``.
+        self.lane = lane if lane is not None else Lane(sim, fabric, telemetry)
         self.scheduler = Scheduler(
             sim=sim,
             machine=self,
@@ -60,9 +65,9 @@ class Machine:
         self.fault_injector = None
         self._irq_rng = self.rng.py("irq")
         self._alloc_ticks = 0
-        self._rcu_timer = sim.call_in(RCU_TICK_US, self._rcu_tick)
+        self._rcu_timer = self.lane.call_in(RCU_TICK_US, self._rcu_tick)
         self._shutdown = False
-        fabric.register(self.name, self.deliver)
+        fabric.register(self.name, self.deliver, self.lane)
 
     # -- resources ---------------------------------------------------------
     def socket(self, port: int) -> KSocket:
@@ -138,7 +143,7 @@ class Machine:
             )
         # Interrupt handling steals cycles from whatever runs on that core.
         self.scheduler.steal_cpu(irq_core, hardirq + softirq)
-        self.sim.defer_in(hardirq + softirq, self._socket_deliver, packet)
+        self.lane.defer_in(hardirq + softirq, self._socket_deliver, packet)
 
     def _socket_deliver(self, packet: Packet) -> None:
         sock = self._sockets.get(packet.dst[1])
@@ -181,7 +186,7 @@ class Machine:
                     self._irq_rng, costs.softirq_rcu_median_us, costs.softirq_rcu_sigma
                 )
                 self.telemetry.record_irq(self.name, "rcu", latency)
-        self._rcu_timer = self.sim.call_in(RCU_TICK_US, self._rcu_tick)
+        self._rcu_timer = self.lane.call_in(RCU_TICK_US, self._rcu_tick)
 
     def __repr__(self) -> str:
         return f"Machine({self.name}, {self.spec.cores} cores)"

@@ -32,7 +32,12 @@ enter a core run each op completion in place while no other calendar
 entry could come first (:meth:`Simulation.advance_to`), and file one
 ``_occupy_done`` only when one could.  A wait timer's wake dispatches the
 thread in place under the same guard, so a re-wake on an idle core costs
-one calendar entry, not two.
+one calendar entry, not two.  Every entry the scheduler files goes into
+its machine's :class:`~repro.sim.core.Lane`, and "something else" is only
+what could reach this machine first: its own entries, global ones, and
+other machines' entries more than a fabric latency back.  An op that
+sends keeps the strict rule, because the send draws the fabric's shared
+RNG stream.
 """
 
 from __future__ import annotations
@@ -250,6 +255,7 @@ class Scheduler:
             Core(i, socket=machine.spec.socket_of(i)) for i in range(n_cores)
         ]
         self.rng = machine.rng.py(f"sched:{machine.name}")
+        self.lane = machine.lane
         self.threads: List[SimThread] = []
         # Hot-path caches: the telemetry hub and machine name never change.
         self._telemetry = machine.telemetry
@@ -268,6 +274,9 @@ class Scheduler:
         # cacheline the entry touches or None, body run once the entry cost
         # is paid).  Costs are looked up here, once.
         futex_line = attrgetter("futex.cacheline")
+        # One bound object, so _run_core can tell a send continuation by
+        # identity.
+        self._send_body = self._sock_send_body
         self._ops = {
             op: (name, costs.syscall_cost(name), line, body)
             for op, name, line, body in (
@@ -275,7 +284,7 @@ class Scheduler:
                 (FutexWait, "futex", futex_line, self._futex_wait_body),
                 (FutexWake, "futex", futex_line, self._futex_wake_body),
                 (EpollWait, "epoll_pwait", None, self._epoll_wait_body),
-                (SockSend, "sendmsg", None, self._sock_send_body),
+                (SockSend, "sendmsg", None, self._send_body),
                 # The rx-queue head was last written by the delivering
                 # softirq core.
                 (SockRecv, "recvmsg", attrgetter("sock.cacheline"), self._sock_recv_body),
@@ -351,10 +360,10 @@ class Scheduler:
         )
         sim = self.sim
         at = sim._now + delay
-        if last and sim.advance_to(at):
+        if last and sim.advance_to(at, self.lane):
             self._dispatch(core)
         else:
-            sim.defer_at(at, self._dispatch, core)
+            self.lane.defer_at(at, self._dispatch, core)
 
     def _dispatch(self, core: Core) -> None:
         """A kick's dispatch (filed, or run in place by ``_kick``): switch a
@@ -492,15 +501,18 @@ class Scheduler:
         bumps the epoch and re-files; the stale entry no-ops).  A loop, not
         recursion: a thread can run thousands of ops back to back."""
         sim = self.sim
-        while core.busy_then is not None:
-            if not sim.advance_to(core.busy_until):
-                sim.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
+        lane = self.lane
+        send = self._send_body
+        then = core.busy_then
+        while then is not None:
+            if not sim.advance_to(core.busy_until, lane, then is send):
+                lane.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
                 return
-            then = core.busy_then
             args = core.busy_args
             core.busy_then = None
             core.busy_args = ()
             then(*args)
+            then = core.busy_then
 
     def steal_cpu(self, core_index: int, cost: float) -> None:
         """Interrupt handling steals CPU from whatever the core is doing."""
@@ -510,7 +522,7 @@ class Scheduler:
             return
         core.busy_epoch += 1
         core.busy_until += cost
-        self.sim.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
+        self.lane.defer_at(core.busy_until, self._occupy_done, core, core.busy_epoch)
 
     def least_busy_irq_core(self, limit: int) -> int:
         """Index of the least-loaded core among the first ``limit`` cores."""
@@ -545,7 +557,7 @@ class Scheduler:
             "block", self.costs.softirq_block_median_us, self.costs.softirq_block_sigma
         )
         if timeout_us is not None:
-            thread.wait_timer = self.sim.call_in(
+            thread.wait_timer = self.lane.call_in(
                 timeout_us, self._wait_timeout, thread, waitlist
             )
         self._switch_away(core)
@@ -704,7 +716,7 @@ class Scheduler:
         thread.block_reason = "nanosleep"
         thread.resume_hook = None
         # A sleeper sits on no wait list: expiry is its only wake.
-        self.sim.defer_in(op.us, self._wait_timeout, thread, None)
+        self.lane.defer_in(op.us, self._wait_timeout, thread, None)
         self._switch_away(core)
 
     def _yield_body(self, core: Core, thread: SimThread, op: YieldCpu) -> None:

@@ -58,7 +58,9 @@ class _ClientBase:
             client_start=client_start,
         )
         if self.tracer is not None:
-            request.trace = self.tracer.maybe_trace(request.request_id, self.sim.now)
+            request.trace = self.tracer.maybe_trace(
+                request.request_id, self.sim.now, self.sim
+            )
         self.sent += 1
         self.fabric.send(self.address, self.target, request, size_bytes)
         return request

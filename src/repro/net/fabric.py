@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.core import Simulation
+from repro.sim.core import Lane, Simulation
 from repro.sim.rng import RngStreams, exponential
 from repro.telemetry import Telemetry
 
@@ -26,6 +26,20 @@ class LinkSpec:
     loss_probability: float = 2e-6
     # Retransmission timeout (tail-loss-probe-scale, not the 200 ms RTO min).
     rto_us: float = 5000.0
+
+    def __post_init__(self) -> None:
+        # base_latency_us is the calendar's lookahead (a lower bound on
+        # every hop), so no term of a hop's delay may be negative.
+        for name in ("base_latency_us", "jitter_mean_us", "rto_us"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"LinkSpec.{name} must be >= 0, got {value}")
+        if not self.gbps > 0.0:
+            raise ValueError(f"LinkSpec.gbps must be > 0, got {self.gbps}")
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ValueError(
+                f"LinkSpec.loss_probability must be in [0, 1], got {self.loss_probability}"
+            )
 
     def serialization_us(self, size_bytes: int) -> float:
         """Time to clock ``size_bytes`` onto the wire."""
@@ -52,6 +66,9 @@ class Fabric:
     Endpoints are either simulated machines (delivery raises the interrupt
     pipeline) or ideal load-generator ports (direct callback — the paper
     runs its load generators on separate, validated-uncontended hardware).
+    An arrival at a machine is filed in that machine's calendar lane; every
+    hop takes at least ``link.base_latency_us``, which is what lets a lane
+    run that far ahead of the others.
     """
 
     def __init__(
@@ -67,6 +84,8 @@ class Fabric:
         self._rng = rng.py("fabric")
         self._rng_streams = rng
         self._endpoints: Dict[str, Callable[[Packet], None]] = {}
+        # Calendar lane of each machine endpoint (absent: the global lane).
+        self._lanes: Dict[str, Lane] = {}
         # Optional repro.faults.NetworkFault; None on the default path, and
         # its RNG stream is created only on installation so a fault-free
         # run consumes exactly the randomness it always did.
@@ -78,15 +97,21 @@ class Fabric:
         self.fault = fault
         self._fault_rng = self._rng_streams.py("fault:net")
 
-    def register(self, name: str, deliver: Callable[[Packet], None]) -> None:
-        """Attach an endpoint; ``deliver(packet)`` runs at arrival time."""
+    def register(
+        self, name: str, deliver: Callable[[Packet], None], lane: Optional[Lane] = None
+    ) -> None:
+        """Attach an endpoint; ``deliver(packet)`` runs at arrival time, in
+        ``lane`` when given."""
         if name in self._endpoints:
             raise ValueError(f"endpoint already registered: {name}")
         self._endpoints[name] = deliver
+        if lane is not None:
+            self._lanes[name] = lane
 
     def unregister(self, name: str) -> None:
         """Detach an endpoint (in-flight packets to it are dropped)."""
         self._endpoints.pop(name, None)
+        self._lanes.pop(name, None)
 
     def has_endpoint(self, name: str) -> bool:
         """True while ``name`` is attached (proxies check before relaying)."""
@@ -143,7 +168,8 @@ class Fabric:
             + exponential(self._rng, link.jitter_mean_us)
         )
         packet.extra_delay_us = 0.0
-        self.sim.defer_in(delay, self._arrive, packet)
+        lane = self._lanes.get(packet.dst[0])
+        (lane or self.sim).defer_in(delay, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
         deliver = self._endpoints.get(packet.dst[0])

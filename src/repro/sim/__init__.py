@@ -6,16 +6,18 @@ the simulated OS kernel (:mod:`repro.kernel`), the network fabric
 the primitives exported here:
 
 * :class:`Simulation` — the event loop and clock.
+* :class:`Lane` — one machine's share of the calendar, with its own clock.
 * :class:`Event` — a one-shot occurrence that callbacks / processes wait on.
 * :class:`Process` — a generator-based coroutine driven by the event loop.
 * :class:`RngStreams` — named, deterministic random-number streams.
 """
 
-from repro.sim.core import Event, Process, ScheduledCall, Simulation, Timeout
+from repro.sim.core import Event, Lane, Process, ScheduledCall, Simulation, Timeout
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "Event",
+    "Lane",
     "Process",
     "RngStreams",
     "ScheduledCall",

@@ -22,27 +22,41 @@ millions-of-events runs the figure experiments perform:
   (the RPC layer's jittered condvar deadlines cancel timers constantly)
   would bloat the heap, so the loop tracks the cancelled-entry count and
   compacts the heap in place once cancelled entries dominate.
-* A live-entry counter makes :meth:`Simulation.pending` O(1) and feeds the
-  compaction heuristic.
+* :meth:`Simulation.pending` is the heap size less the cancelled-entry
+  count, so it is O(1) with no counter on the push and pop paths.
 * The run loop batch-pops all entries sharing a timestamp, hoisting the
-  clock write and the ``until`` bound check out of the per-entry path;
-  an entry stamped before the clock is a :class:`SimulationError`.
+  ``until`` bound check out of the per-entry path; an entry stamped
+  before its lane's clock is a :class:`SimulationError`.
 * :meth:`Simulation.advance_to` lets a callback skip a round trip: when
   no entry is due by ``t``, one filed at ``t`` would be popped next, so
   the callback moves the clock and runs that continuation in place.
   Callbacks run in the same order at the same times either way; only
   ``executed`` (calendar entries, not continuations) drops.
+* Each simulated machine files its own work into a :class:`Lane`.  Lanes
+  share the one heap and its (time, seq) pop order, but each keeps its own
+  clock, and an entry stamped before its lane's clock is the past-entry
+  error.  Machines reach each other only through the fabric, no sooner
+  than its base link latency L, so :meth:`Simulation.advance_to` also lets
+  a lane run ahead past other lanes' entries that are later than ``t - L``
+  (Chandy–Misra–Bryant lookahead inside one process).  Everything else
+  files on the global lane, which no lane runs ahead of.
+* ``run`` raises a :class:`SimulationError` naming the callback when
+  ``_MAX_STALLED_ENTRIES`` entries in a row pop without the clock moving:
+  a livelock is a named failure, not a hang.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 #: Compaction triggers once at least this many cancelled entries exist...
 _COMPACT_MIN_CANCELLED = 256
 #: ...and they make up at least half the heap.
+
+#: ``run`` fails once this many entries in a row pop at one time stamp.
+_MAX_STALLED_ENTRIES = 1_000_000
 
 
 class SimulationError(RuntimeError):
@@ -52,10 +66,10 @@ class SimulationError(RuntimeError):
 class ScheduledCall:
     """A cancellable callback scheduled at an absolute simulation time."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "lane")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple,
-                 sim: Optional["Simulation"] = None):
+                 sim: "Simulation", lane: "Lane"):
         self.time = time
         self.seq = seq
         self.fn = fn
@@ -64,6 +78,7 @@ class ScheduledCall:
         # Back-reference for live-entry accounting; cleared once the entry
         # leaves the heap so post-fire cancels stay harmless no-ops.
         self._sim = sim
+        self.lane = lane
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
@@ -80,22 +95,65 @@ class ScheduledCall:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
+class Lane:
+    """One machine's share of the calendar, with its own clock.
+
+    Entries filed here are ``(time, seq, fn, args, lane)`` tuples in the
+    simulation's one heap (a cancellable one carries the lane on its
+    :class:`ScheduledCall`).  A machine's lane reads ``fabric`` live for
+    the lookahead L (``fabric.link.base_latency_us``), and never runs
+    ahead to the window edge (``_roll_at``) of the telemetry ``hub``.  The
+    global lane (:attr:`Simulation.lane`) has neither and never runs ahead.
+    """
+
+    __slots__ = ("sim", "now", "fabric", "hub")
+
+    def __init__(self, sim: "Simulation", fabric: Any = None, hub: Any = None):
+        self.sim = sim
+        self.now = sim._now
+        self.fabric = fabric
+        self.hub = hub
+        sim._lanes.append(self)
+
+    def defer_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`Simulation.defer_at`, filed in this lane."""
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (time, sim._seq, fn, args, self))
+
+    def defer_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`Simulation.defer_in`, filed in this lane."""
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim._now + delay, sim._seq, fn, args, self))
+
+    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> ScheduledCall:
+        """:meth:`Simulation.call_in`, filed in this lane."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        sim = self.sim
+        return sim._file_call(sim._now + delay, fn, args, self)
+
+
 class Simulation:
     """The discrete-event loop: a clock plus an ordered queue of callbacks."""
 
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        # Mixed (time, seq, call) / (time, seq, fn, args) tuples; seq is
-        # unique, so comparison never reaches the incomparable tail.
+        # (time, seq, call) / (time, seq, fn, args) / (time, seq, fn, args,
+        # lane) tuples; seq is unique, so comparison never reaches the
+        # incomparable tail.
         self._heap: list = []
         # Bound of the run() in progress; -inf when none is (so
         # advance_to refuses outside run() and under step()).
         self._until = -math.inf
-        # Non-cancelled entries currently in the heap (O(1) pending()).
-        self._live = 0
-        # Cancelled-but-unpopped entries (compaction heuristic).
+        # Cancelled-but-unpopped entries (compaction heuristic, pending()).
         self._cancelled = 0
+        # Every lane: run() ends at the latest lane clock.
+        self._lanes: list = []
+        #: The global lane: every entry not filed through a machine's lane.
+        self.lane = Lane(self)
         #: Callbacks executed since construction (perf accounting).
         self.executed = 0
 
@@ -110,21 +168,24 @@ class Simulation:
         Returns a cancellable handle; use :meth:`defer_at` when the caller
         will never cancel (it skips the handle allocation entirely).
         """
+        return self._file_call(time, fn, args, self.lane)
+
+    def _file_call(self, time: float, fn: Callable[..., None], args: tuple,
+                   lane: Lane) -> ScheduledCall:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
         self._seq += 1
-        entry = ScheduledCall(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, (time, self._seq, entry))
-        self._live += 1
+        entry = ScheduledCall(time, self._seq, fn, args, self, lane)
+        heappush(self._heap, (time, self._seq, entry))
         return entry
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self._file_call(self._now + delay, fn, args, self.lane)
 
     def defer_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget fast path: like :meth:`call_at` but allocation-lean.
@@ -135,34 +196,74 @@ class Simulation:
         never cancelled.
         """
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._live += 1
+        heappush(self._heap, (time, self._seq, fn, args))
 
     def defer_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`call_in` (see :meth:`defer_at`)."""
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
-        self._live += 1
+        heappush(self._heap, (self._now + delay, self._seq, fn, args))
 
-    def advance_to(self, time: float) -> bool:
-        """Move the clock to ``time`` if no calendar entry could come first.
+    def advance_to(self, time: float, lane: Optional[Lane] = None,
+                   barrier: bool = False) -> bool:
+        """Move the clock to ``time`` if nothing could come first.
 
         True only inside :meth:`run`, with ``now <= time <= until`` and
-        every entry strictly later than ``time`` (an entry at ``time`` was
-        filed earlier, so it runs first): exactly when an entry filed now
-        at ``time`` would be popped next.  The caller then runs it.
+        either of:
+
+        * every entry strictly later than ``time`` (an entry at ``time``
+          was filed earlier, so it runs first): exactly when an entry
+          filed now at ``time`` would be popped next;
+        * the lookahead rule, for a machine's ``lane`` not at a
+          ``barrier`` (a continuation that touches state other lanes
+          share, such as a send): the earliest entry is later than
+          ``time - L``, ``time`` is short of the hub's window edge, and
+          every entry due by ``time`` is another machine lane's and
+          earlier than ``time`` (one at ``time`` was filed first).  One at
+          ``w`` reaches this lane only through the fabric, at ``w + L`` or
+          later: after ``time``.  With L = 0 a due entry refuses, as in
+          the strict rule.
+
+        The caller then runs the continuation as ``lane``'s.
         """
         if time > self._until or time < self._now:
             return False
         heap = self._heap
-        if heap and heap[0][0] <= time:
+        if heap and heap[0][0] <= time and (
+            barrier or lane is None or not self._others_due(time, lane)
+        ):
             return False
         self._now = time
+        if lane is not None:
+            lane.now = time
+        return True
+
+    def _others_due(self, time: float, lane: Lane) -> bool:
+        """Whether the lookahead rule of :meth:`advance_to` lets ``lane``
+        run to ``time``, given an entry due by then: a walk over only the
+        due entries, which form the top of the heap."""
+        heap = self._heap
+        if (time >= heap[0][0] + lane.fabric.link.base_latency_us
+                or time >= lane.hub._roll_at):
+            return False
+        glob = self.lane
+        size = len(heap)
+        due = [0]
+        for i in due:  # grows as the walk finds due children
+            entry = heap[i]
+            n = len(entry)
+            owner = entry[4] if n == 5 else glob if n == 4 else entry[2].lane
+            if owner is lane or owner is glob or entry[0] == time:
+                return False
+            i = 2 * i + 1
+            if i < size and heap[i][0] <= time:
+                due.append(i)
+            i += 1
+            if i < size and heap[i][0] <= time:
+                due.append(i)
         return True
 
     # -- cancellation bookkeeping -----------------------------------------
     def _note_cancel(self) -> None:
-        self._live -= 1
         self._cancelled += 1
         if (
             self._cancelled >= _COMPACT_MIN_CANCELLED
@@ -178,8 +279,8 @@ class Simulation:
         order on (time, seq) regardless of heap-internal layout.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if len(e) == 4 or not e[2].cancelled]
-        heapq.heapify(heap)
+        heap[:] = [e for e in heap if len(e) != 3 or not e[2].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
     def run(self, until: Optional[float] = None) -> None:
@@ -187,41 +288,59 @@ class Simulation:
 
         With ``until`` set, stops once the clock would pass that time (the
         clock is left *at* ``until``).  Without it, runs until the queue
-        drains.
+        drains, leaving the clock at the latest time any lane reached.
         """
         if self._until != -math.inf:
             raise SimulationError("simulation is already running")
         self._until = bound = math.inf if until is None else until
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        glob = self.lane
         executed = 0
         try:
             while heap:
                 when = heap[0][0]
                 if when > bound:
                     break
-                if when < self._now:
-                    self._raise_past(heap[0])
-                # Batch: drain every entry stamped ``when`` with the clock
-                # written once and the ``until`` bound already checked.
-                self._now = when
+                # Batch: drain every entry stamped ``when`` with the
+                # ``until`` bound already checked.  Lanes run ahead, so
+                # the clock is written per entry.
+                stalled = executed + _MAX_STALLED_ENTRIES
                 while heap and heap[0][0] == when:
                     entry = pop(heap)
-                    if len(entry) == 4:
-                        self._live -= 1
-                        executed += 1
-                        entry[2](*entry[3])
+                    n = len(entry)
+                    if n == 5:
+                        _, _, fn, args, lane = entry
+                    elif n == 4:
+                        _, _, fn, args = entry
+                        lane = glob
                     else:
                         call = entry[2]
                         call._sim = None
+                        lane = call.lane
                         if call.cancelled:
                             self._cancelled -= 1
                             continue
-                        self._live -= 1
-                        executed += 1
-                        call.fn(*call.args)
-            if until is not None and self._now < until:
+                        fn, args = call.fn, call.args
+                    if when < lane.now:
+                        self._raise_past(fn, when, lane.now)
+                    if executed >= stalled:
+                        raise SimulationError(
+                            f"{getattr(fn, '__qualname__', fn)}: "
+                            f"{_MAX_STALLED_ENTRIES} entries in a row at {when}"
+                            " without the clock moving"
+                        )
+                    self._now = lane.now = when
+                    executed += 1
+                    fn(*args)
+            if until is None:
+                for lane in self._lanes:
+                    if lane.now > self._now:
+                        self._now = lane.now
+            elif self._now < until:
                 self._now = until
+            # Whatever is filed between runs is checked against this clock.
+            glob.now = self._now
         finally:
             self.executed += executed
             self._until = -math.inf
@@ -230,35 +349,38 @@ class Simulation:
         """Execute the single next pending callback.  Returns False if none."""
         heap = self._heap
         while heap:
-            if heap[0][0] < self._now:
-                self._raise_past(heap[0])
-            entry = heapq.heappop(heap)
-            if len(entry) == 4:
-                fn, args = entry[2], entry[3]
-            else:
+            entry = heappop(heap)
+            n = len(entry)
+            if n == 3:
                 call = entry[2]
                 call._sim = None
+                lane = call.lane
                 if call.cancelled:
                     self._cancelled -= 1
                     continue
                 fn, args = call.fn, call.args
-            self._now = entry[0]
-            self._live -= 1
+            else:
+                lane = entry[4] if n == 5 else self.lane
+                fn, args = entry[2], entry[3]
+            when = entry[0]
+            if when < lane.now:
+                self._raise_past(fn, when, lane.now)
+            self._now = lane.now = when
             self.executed += 1
             fn(*args)
             return True
         return False
 
-    def _raise_past(self, entry: tuple) -> None:
-        fn = entry[2] if len(entry) == 4 else entry[2].fn
+    @staticmethod
+    def _raise_past(fn: Callable[..., None], when: float, clock: float) -> None:
         raise SimulationError(
-            f"{getattr(fn, '__qualname__', fn)} is due at {entry[0]},"
-            f" before the clock ({self._now})"
+            f"{getattr(fn, '__qualname__', fn)} is due at {when},"
+            f" before the clock ({clock})"
         )
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled callbacks.  O(1)."""
-        return self._live
+        return len(self._heap) - self._cancelled
 
 
 class Event:

@@ -31,7 +31,7 @@ from repro.net import Fabric
 from repro.rpc.adaptive import make_midtier_runtime
 from repro.rpc.loadbalance import LoadBalancer
 from repro.rpc.server import LeafRuntime, MidTierRuntime
-from repro.sim import RngStreams, Simulation
+from repro.sim import Lane, RngStreams, Simulation
 from repro.telemetry import (
     LatencyHistogram,
     StreamingTelemetry,
@@ -91,12 +91,14 @@ class SimCluster:
         policy: Optional[PlacementPolicy] = None,
         role: Optional[str] = None,
         leaf_index: Optional[int] = None,
+        lane: Optional[Lane] = None,
     ) -> Machine:
         """Provision one server.
 
         ``role`` ("leaf" / "midtier") and ``leaf_index`` let the cluster
         attach the fault plan's injectors to the right machines; both are
-        ignored when no faults are configured.
+        ignored when no faults are configured.  ``lane`` is the calendar
+        lane of machines this one shares state with (its own if None).
         """
         spec = MachineSpec(name=name, cores=cores, costs=self.costs)
         machine = Machine(
@@ -107,6 +109,7 @@ class SimCluster:
             spec=spec,
             name=name,
             policy=policy,
+            lane=lane,
         )
         if self.faults is not None:
             if role == "leaf" and leaf_index is not None:
@@ -218,10 +221,15 @@ def build_tier(
             )
     runtimes: list = []
     machines: List[Machine] = []
+    lane = None
     for replica in range(replicas):
         machine = cluster.machine(
-            name if replicas == 1 else f"{name}{replica}", cores=cores, **placement
+            name if replicas == 1 else f"{name}{replica}", cores=cores,
+            lane=lane, **placement,
         )
+        # The replicas share one app object (and its RNG draws), so they
+        # share one calendar lane: none runs ahead of another's work.
+        lane = machine.lane
         runtimes.append(make_runtime(machine))
         machines.append(machine)
     frontend = None

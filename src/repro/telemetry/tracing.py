@@ -19,12 +19,19 @@ Besides application-level spans, a trace accumulates kernel-level
 stamped by the scheduler / NIC pipeline whenever a traced message drives
 them.  :mod:`repro.telemetry.critpath` joins both streams into an exact
 tiling of the request's wall-clock interval.
+
+Machines run ahead of one another on the calendar (a lane may reach a
+time before another machine has run its earlier work), so a trace given
+the simulation keeps ``spans`` and ``segments`` in the order of the
+clock that appended them, ties in append order: the order the entries
+would have been appended had every machine run in step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 
 @dataclass
@@ -77,10 +84,35 @@ class Trace:
     # Sub-request ids whose response was merged into the reply (losing
     # hedge/retry duplicates never get noted here).
     winners: Set[int] = field(default_factory=set)
+    # The simulation whose clock orders appends.  None only for a trace
+    # built offline, with no calendar running: it appends plainly.
+    sim: Any = field(default=None, repr=False, compare=False)
+    # The appending clock of each span / segment, parallel to the lists.
+    _span_clocks: List[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _segment_clocks: List[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    def _file(self, items: list, clocks: List[float], item) -> None:
+        """Append ``item``, after every item appended at or before now."""
+        sim = self.sim
+        if sim is None:
+            items.append(item)
+            return
+        now = sim._now
+        if clocks and clocks[-1] > now:
+            index = bisect_right(clocks, now)
+            items.insert(index, item)
+            clocks.insert(index, now)
+        else:
+            items.append(item)
+            clocks.append(now)
 
     def begin(self, name: str, machine: str, now: float) -> Span:
         span = Span(name=name, machine=machine, start_us=now)
-        self.spans.append(span)
+        self._file(self.spans, self._span_clocks, span)
         return span
 
     def record(
@@ -95,7 +127,7 @@ class Trace:
             name=name, machine=machine, start_us=start_us, end_us=end_us,
             request_id=request_id,
         )
-        self.spans.append(span)
+        self._file(self.spans, self._span_clocks, span)
         return span
 
     def add_segment(
@@ -107,11 +139,12 @@ class Trace:
         request_id: Optional[int] = None,
     ) -> None:
         """Stamp one kernel-event interval onto this trace."""
-        self.segments.append(
+        self._file(
+            self.segments, self._segment_clocks,
             Segment(
                 category=category, machine=machine,
                 start_us=start_us, end_us=end_us, request_id=request_id,
-            )
+            ),
         )
 
     def note_winner(self, request_id: int) -> None:
@@ -170,12 +203,13 @@ class Tracer:
         self._counter = 0
         self.finished: List[Trace] = []
 
-    def maybe_trace(self, request_id: int, now: float) -> Optional[Trace]:
-        """A new trace for every ``sample_every``-th call, else None."""
+    def maybe_trace(self, request_id: int, now: float, sim: Any) -> Optional[Trace]:
+        """A new trace for every ``sample_every``-th call, else None;
+        ``sim``'s clock orders its spans and segments."""
         self._counter += 1
         if self._counter % self.sample_every != 0:
             return None
-        return Trace(request_id=request_id, started_us=now)
+        return Trace(request_id=request_id, started_us=now, sim=sim)
 
     def finish(self, trace: Trace, now: float) -> None:
         """Mark a trace complete and keep it (bounded)."""

@@ -92,6 +92,29 @@ def test_serialization_delay_scales_with_size():
     assert link.serialization_us(2500) == 2 * link.serialization_us(1250)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("base_latency_us", -5.0),
+        ("jitter_mean_us", -1.0),
+        ("rto_us", -1.0),
+        ("gbps", 0.0),
+        ("gbps", -10.0),
+        ("loss_probability", 2.0),
+        ("loss_probability", -0.1),
+        ("base_latency_us", float("nan")),
+    ],
+)
+def test_link_spec_rejects_impossible_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"LinkSpec.{field}"):
+        LinkSpec(**{field: value})
+
+
+def test_link_spec_accepts_its_bounds():
+    LinkSpec(0.0, 0.0, gbps=1e12, loss_probability=0.0, rto_us=0.0)
+    LinkSpec(loss_probability=1.0)
+
+
 # -- ServiceScale / registry --------------------------------------------------------
 
 def test_scale_with_overrides_preserves_rest():

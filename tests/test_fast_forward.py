@@ -1,37 +1,70 @@
 """Differential exactness of the scheduler's in-place fast-forward.
 
-A core runs its thread's op completions in place while no other calendar
-entry is due (``Simulation.advance_to``).  Each cell here runs twice: as
-shipped, and with ``advance_to`` forced to refuse, which files every
-completion on the calendar.  The two runs must produce bit-equal model
-records; only the calendar count may differ, and it must drop.  So must
-the count of filed ``Scheduler._dispatch`` entries: a wait timer that
-wakes a thread dispatches it in place too.  ``router-100`` is the
-low-load cell, where most wake-ups are such timers expiring on idle
-threads (the paper's futex/epoll calls per query at 100 QPS).
+A core runs its thread's op completions in place while nothing that
+could reach its machine first is due (``Simulation.advance_to``): a
+machine's lane may run ahead of other machines' entries by up to the
+fabric latency.  Each cell here runs as shipped and with ``advance_to``
+forced to refuse, which files every completion on the calendar like a
+sequential engine.  The runs must produce bit-equal model records; only
+the calendar count may differ, and it must drop.  So must the count of
+filed ``Scheduler._dispatch`` entries: a wait timer that wakes a thread
+dispatches it in place too.  Two cells also run with the lookahead
+refused (every ``advance_to`` a barrier), which leaves the strict rule
+of running in place only when no entry at all is due.
+
+``router-100`` is the low-load cell, where most wake-ups are such timers
+expiring on idle threads (the paper's futex/epoll calls per query at 100
+QPS).  The replicated Router cells run mid-tier replicas that share one
+app and its replica-pick RNG, at a load where replicas on separate lanes
+would take those draws out of order.
 """
 
+import json
+import math
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.control import ControlConfig
 from repro.energy import EnergyConfig
+from repro.experiments import graph_sweep
 from repro.faults import FaultPlan, MidTierPressure
 from repro.graph import build_graph, exemplar_graph
 from repro.kernel import Scheduler
 from repro.rpc.policy import TailPolicy
-from repro.sim import Simulation
+from repro.sim import Lane, Simulation
 from repro.suite import SCALES, SimCluster, build_service
 from repro.suite.cluster import run_open_loop
 from repro.suite.config import BatchConfig
 from repro.telemetry import TelemetryConfig
+from repro.telemetry.tracing import Trace
 
 
 def _service(name):
     def build(tmp_path):
         cluster = SimCluster(seed=0)
         return cluster, build_service(name, cluster, SCALES["unit"])
+
+    return build
+
+
+def _replicated_router(control):
+    """Router behind a balancer: three mid-tier replicas that share one
+    app, whose replica pick draws from one RNG stream.  With ``control``
+    a threshold controller scales them."""
+    def build(tmp_path):
+        unit = SCALES["unit"]
+        scale = unit.with_overrides(
+            topology=replace(unit.topology, midtier_replicas=3),
+            control=ControlConfig(
+                enabled=True, policy="threshold", tick_us=5_000.0, window_us=5_000.0,
+                min_replicas=1, max_replicas=3, initial_replicas=1,
+                p99_high_us=100.0, p99_low_us=20.0, cooldown_us=5_000.0,
+            ) if control else unit.control,
+        )
+        cluster = SimCluster(seed=0)
+        return cluster, build_service("router", cluster, scale)
 
     return build
 
@@ -75,6 +108,8 @@ CELLS = {
     "hdsearch": (_service("hdsearch"), 2_000.0),
     "router": (_service("router"), 500.0),
     "router-100": (_service("router"), 100.0),
+    "router-replicated": (_replicated_router(control=False), 20_000.0),
+    "router-control": (_replicated_router(control=True), 20_000.0),
     "setalgebra": (_service("setalgebra"), 2_000.0),
     "recommend": (_service("recommend"), 2_000.0),
     "socialnet": (_socialnet, 2_000.0),
@@ -106,7 +141,7 @@ def _run(cell, tmp_path):
     return record, cluster.sim.executed
 
 
-_DEFER_AT = Simulation.defer_at
+_DEFER_AT = Lane.defer_at
 
 
 def _count_filed_dispatches(monkeypatch):
@@ -118,16 +153,35 @@ def _count_filed_dispatches(monkeypatch):
             filed.append(time)
         _DEFER_AT(self, time, fn, *args)
 
-    monkeypatch.setattr(Simulation, "defer_at", counting)
+    monkeypatch.setattr(Lane, "defer_at", counting)
     return filed
+
+
+_ADVANCE_TO = Simulation.advance_to
+
+
+def _refuse_lookahead(monkeypatch):
+    """Leave only the strict rule: every continuation is a barrier, so no
+    lane runs ahead of another's entry."""
+    monkeypatch.setattr(
+        Simulation, "advance_to",
+        lambda self, time, lane=None, barrier=False: _ADVANCE_TO(self, time, lane, True),
+    )
+
+
+def _file_everything(monkeypatch):
+    """Refuse every fast-forward: each op completion is filed on the
+    calendar, as the sequential engine does."""
+    monkeypatch.setattr(
+        Simulation, "advance_to", lambda self, time, lane=None, barrier=False: False
+    )
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
     shipped_dispatches = _count_filed_dispatches(monkeypatch)
     shipped, shipped_events = _run(cell, tmp_path)
-    # Refusing every fast-forward files each op completion on the calendar.
-    monkeypatch.setattr(Simulation, "advance_to", lambda self, time: False)
+    _file_everything(monkeypatch)
     filed_dispatches = _count_filed_dispatches(monkeypatch)
     filed, filed_events = _run(cell, tmp_path)
     assert shipped["completed"] > 0
@@ -138,6 +192,86 @@ def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
         assert counters["hedges_sent:hds-mid0"] > 0
         assert counters["batches_sent:hds-mid0"] > 0
         assert shipped["energy"]["total_uj"] > 0
+    if cell == "router-control":
+        (control,) = shipped["control"]
+        assert control["scale_ups"] > 0
     assert shipped == filed
     assert shipped_events < filed_events
     assert len(shipped_dispatches) < len(filed_dispatches)
+
+
+@pytest.mark.parametrize("cell", ["features-on", "router-100"])
+def test_lookahead_cuts_entries_the_strict_rule_files(cell, tmp_path, monkeypatch):
+    """The strict rule sits between the two: the same records, more
+    entries than with the lookahead and fewer than with none."""
+    shipped_dispatches = _count_filed_dispatches(monkeypatch)
+    shipped, shipped_events = _run(cell, tmp_path)
+    _refuse_lookahead(monkeypatch)
+    strict_dispatches = _count_filed_dispatches(monkeypatch)
+    strict, strict_events = _run(cell, tmp_path)
+    _file_everything(monkeypatch)
+    _filed, filed_events = _run(cell, tmp_path)
+    assert shipped == strict
+    assert shipped_events < strict_events < filed_events
+    assert len(shipped_dispatches) < len(strict_dispatches)
+
+
+def test_traced_deep_injected_cell_is_exact(monkeypatch):
+    """``BENCH_graph.json``'s pinned cell (the deep graph, fault injected,
+    every request traced), with a shorter warm-up and run: machines that
+    run ahead append to a shared trace out of clock order, and the trace
+    must keep the order the strict rule appends in, or the attributions
+    drift."""
+    monkeypatch.setattr(graph_sweep, "WARMUP_US", 10_000.0)
+    shipped = graph_sweep.pinned_cell(queries=20)
+    with monkeypatch.context() as patch:
+        patch.setattr(Trace, "_file", lambda self, items, clocks, item: items.append(item))
+        appended = graph_sweep.pinned_cell(queries=20)
+    _refuse_lookahead(monkeypatch)
+    strict = graph_sweep.pinned_cell(queries=20)
+    assert shipped.tail_traces > 0
+    assert asdict(shipped) == asdict(strict)
+    assert appended.machine_tail_us != strict.machine_tail_us
+
+
+def _streamed_router(tmp_path, edge_barrier=True):
+    """Router at 100 QPS with 50 µs streaming windows, so window edges
+    fall inside run-aheads: (spill records, run record, calendar count).
+    ``edge_barrier=False`` lets lanes run across the pending window's
+    edge."""
+    spill = tmp_path / "spill.jsonl"
+    cluster = SimCluster(
+        seed=0,
+        telemetry=TelemetryConfig(mode="streaming", window_us=50.0, spill_path=str(spill)),
+    )
+    handle = build_service("router", cluster, SCALES["unit"])
+    if not edge_barrier:
+        for machine in cluster.machines:
+            machine.lane.hub = SimpleNamespace(_roll_at=math.inf)
+    result = run_open_loop(
+        cluster, handle, qps=100.0, duration_us=30_000.0,
+        warmup_us=10_000.0, drain_us=20_000.0,
+    )
+    tel = result.telemetry
+    record = {
+        "completed": result.completed,
+        "e2e": result.e2e.summary(),
+        "runqlat": {m.name: tel.runqlat_hist(m.name).summary() for m in cluster.machines},
+        "syscalls": {m.name: dict(tel.syscall_counts(m.name)) for m in cluster.machines},
+    }
+    windows = [json.loads(line) for line in spill.read_text().splitlines()]
+    return windows, record, cluster.sim.executed
+
+
+def test_streaming_windows_are_exact_across_run_ahead(tmp_path, monkeypatch):
+    shipped = _streamed_router(tmp_path)
+    unguarded = _streamed_router(tmp_path, edge_barrier=False)
+    _refuse_lookahead(monkeypatch)
+    strict = _streamed_router(tmp_path)
+    # Every window holds the same samples, in the same order per key
+    # (a key's first sample in a window may come from another machine).
+    assert shipped[:2] == strict[:2]
+    assert shipped[2] < strict[2]
+    # Without the edge barrier a lane rolls the window early and other
+    # machines' earlier samples land in the next one.
+    assert unguarded[0] != strict[0]

@@ -32,6 +32,29 @@ def test_empty_plan_is_inert():
     assert cluster.faults is None
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("extra_delay_us", -10.0),
+        ("extra_delay_us", -40.0),
+        ("jitter_mean_us", -1.0),
+        ("drop_probability", 1.5),
+        ("drop_probability", -0.5),
+    ],
+)
+def test_network_fault_rejects_impossible_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"NetworkFault.{field}"):
+        NetworkFault(**{field: value})
+
+
+def test_network_fault_cannot_beat_the_link():
+    """A negative extra delay used to land packets before the link allows
+    (and, large enough, before the receiver's clock)."""
+    with pytest.raises(ValueError, match="extra_delay_us"):
+        FaultPlan(network=NetworkFault(extra_delay_us=-10.0, jitter_mean_us=1.0))
+    assert NetworkFault(extra_delay_us=0.0, drop_probability=1.0).active
+
+
 def test_faults_off_bit_identical_to_golden():
     """An inert plan + no tail policy reproduces the golden cell exactly."""
     cell = _run(faults=FaultPlan(), tail_policy=None)

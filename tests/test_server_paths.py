@@ -230,7 +230,9 @@ def test_shed_subrequest_gets_no_leaf_span():
 
     def sub(payload, deadline):
         request = RpcRequest("leaf", payload, 64, reply_to=("mid", 0), parent_id=7)
-        request.trace = Trace(request_id=request.request_id, started_us=0.0)
+        request.trace = Trace(
+            request_id=request.request_id, started_us=0.0, sim=rig.sim
+        )
         request.deadline = deadline
         return request
 

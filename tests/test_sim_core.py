@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
-from repro.sim import Event, Process, Simulation, Timeout
+from repro.net.fabric import LinkSpec
+from repro.sim import Event, Lane, Process, Simulation, Timeout
+from repro.sim import core
 from repro.sim.core import SimulationError
 
 
@@ -186,6 +191,197 @@ def test_advance_to_never_moves_the_clock_back():
     results = _probe(sim, 5.0, 4.0)
     sim.run()
     assert results == [False, 5.0]
+
+
+def _lanes(sim, latency_us=15.0, n=2, roll_at=math.inf):
+    """``n`` machine lanes on one stub fabric with base latency L, under a
+    stub hub whose window edge is ``roll_at``."""
+    fabric = SimpleNamespace(link=LinkSpec(base_latency_us=latency_us))
+    hub = SimpleNamespace(_roll_at=roll_at)
+    return fabric, [Lane(sim, fabric, hub) for _ in range(n)]
+
+
+def _lane_probe(sim, lane, at, *targets):
+    """Like ``_probe``, filed in ``lane`` and asking as ``lane``."""
+    results = []
+
+    def probe():
+        results.extend(sim.advance_to(target, lane) for target in targets)
+        results.append(sim.now)
+
+    lane.defer_at(at, probe)
+    return results
+
+
+def test_lane_runs_ahead_of_another_lanes_entry_within_lookahead():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    seen = []
+    b.defer_at(12.0, lambda: seen.append(sim.now))
+    results = _lane_probe(sim, a, 10.0, 20.0)
+    sim.run()
+    # a ran to 20 before b's entry at 12 ran, and b still saw its own time.
+    assert results == [True, 20.0]
+    assert seen == [12.0]
+    assert sim.now == 20.0
+
+
+def test_lane_refuses_when_its_own_entry_is_due():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    # b's entry tops the heap, so a's own entry is found below it.
+    b.defer_at(10.5, lambda: None)
+    a.defer_at(12.0, lambda: None)
+    results = _lane_probe(sim, a, 10.0, 20.0, 11.0)
+    sim.run()
+    assert results == [False, True, 11.0]
+
+
+def test_lane_refuses_when_a_global_entry_is_due():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    b.defer_at(10.5, lambda: None)
+    sim.defer_at(12.0, lambda: None)
+    sim.call_at(30.0, lambda: None)
+    results = _lane_probe(sim, a, 10.0, 20.0, 11.0)
+    sim.run()
+    assert results == [False, True, 11.0]
+
+
+def test_lane_refuses_another_lanes_entry_at_t_itself():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    b.defer_at(10.0, lambda: None)
+    b.defer_at(12.0, lambda: None)
+    # b's entry at 12 was filed first, so the strict rule runs it before a
+    # continuation at 12; before 12 or after it, a may run ahead.
+    results = _lane_probe(sim, a, 5.0, 12.0, 11.5, 13.0)
+    sim.run()
+    assert results == [False, True, True, 13.0]
+
+
+def test_lane_refuses_another_lanes_entry_at_or_before_t_minus_l():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    b.defer_at(10.0, lambda: None)
+    # t - L = 10 exactly: the entry at 10 could send a packet that lands
+    # at 25, so 25 and later are refused and 24.999 is not.
+    results = _lane_probe(sim, a, 5.0, 25.0, 26.0, 24.999)
+    sim.run()
+    assert results == [False, False, True, 24.999]
+
+
+def test_lane_refuses_at_a_barrier_and_at_the_hub_window_edge():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim, roll_at=20.0)
+    b.defer_at(12.0, lambda: None)
+    results = []
+
+    def probe():
+        results.append(sim.advance_to(19.0, a, barrier=True))
+        results.append(sim.advance_to(20.0, a))
+        results.append(sim.advance_to(19.0, a))
+
+    a.defer_at(10.0, probe)
+    sim.run()
+    assert results == [False, False, True]
+
+
+def test_lookahead_follows_a_swapped_link():
+    sim = Simulation()
+    fabric, (a, b) = _lanes(sim, latency_us=5.0)
+    b.defer_at(12.0, lambda: None)
+    results = []
+
+    def probe():
+        results.append(sim.advance_to(18.0, a))
+        results.append(sim.advance_to(16.5, a))
+        fabric.link = LinkSpec(base_latency_us=15.0)
+        results.append(sim.advance_to(26.0, a))
+
+    a.defer_at(10.0, probe)
+    sim.run()
+    assert results == [False, True, True]
+
+
+def test_past_entry_is_checked_per_lane():
+    sim = Simulation()
+    _fabric, (a, b) = _lanes(sim)
+    # b runs behind a's clock without error, then files into a's past.
+    b.defer_at(12.0, lambda: a.defer_at(15.0, lambda: None))
+    _lane_probe(sim, a, 10.0, 20.0)
+    with pytest.raises(SimulationError, match="is due at 15.0, before the clock \\(20.0\\)"):
+        sim.run()
+
+
+def _ping_pong(sim, lanes, hops=50):
+    """Each lane re-files itself every few µs, and each tick has a
+    continuation 3 µs later, run in place when ``advance_to`` allows.
+    Returns (time, lane index, step) in execution order."""
+    seen = []
+
+    def tick(index, left):
+        seen.append((sim.now, index, "tick"))
+        at = sim.now + 3.0
+        if sim.advance_to(at, lanes[index]):
+            then(index, left)
+        else:
+            lanes[index].defer_at(at, then, index, left)
+
+    def then(index, left):
+        seen.append((sim.now, index, "then"))
+        if left:
+            lanes[index].defer_in(1.0 + index * 0.5, tick, index, left - 1)
+
+    for index, lane in enumerate(lanes):
+        lane.defer_at(float(index), tick, index, hops)
+    sim.run()
+    return seen
+
+
+def test_zero_lookahead_is_the_strict_rule(monkeypatch):
+    runs = {}
+    for latency in (0.0, 15.0):
+        sim = Simulation()
+        _fabric, lanes = _lanes(sim, latency_us=latency, n=3)
+        runs[latency] = (_ping_pong(sim, lanes), sim.executed)
+    advance = Simulation.advance_to
+    monkeypatch.setattr(  # every continuation a barrier: the strict rule
+        Simulation, "advance_to",
+        lambda self, time, lane=None, barrier=False: advance(self, time, lane, True),
+    )
+    sim = Simulation()
+    _fabric, lanes = _lanes(sim, n=3)
+    strict = (_ping_pong(sim, lanes), sim.executed)
+    assert runs[0.0] == strict
+    # With L = 15 the lanes run ahead: the same steps at the same times,
+    # in another order, from fewer calendar entries.
+    assert sorted(runs[15.0][0]) == sorted(strict[0])
+    assert runs[15.0][0] != strict[0]
+    assert runs[15.0][1] < strict[1]
+
+
+def test_livelock_is_a_named_failure(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_STALLED_ENTRIES", 100)
+    sim = Simulation()
+
+    def spin():
+        sim.defer_in(0.0, spin)
+
+    sim.defer_at(1.0, spin)
+    with pytest.raises(SimulationError, match="spin.*100 entries in a row at 1.0"):
+        sim.run(until=10.0)
+
+
+def test_many_entries_at_one_time_are_not_a_livelock(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_STALLED_ENTRIES", 100)
+    sim = Simulation()
+    seen = []
+    for _ in range(100):
+        sim.defer_at(1.0, seen.append, 1)
+    sim.defer_at(2.0, seen.append, 2)
+    sim.run()
+    assert len(seen) == 101
 
 
 def test_event_succeed_delivers_value_to_callbacks():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import Simulation
 from repro.suite import SCALES, SimCluster, build_service
 from repro.suite.cluster import run_open_loop
 from repro.telemetry.tracing import Trace, Tracer
@@ -43,14 +44,14 @@ def test_trace_render_readable():
 
 def test_tracer_sampling_rate():
     tracer = Tracer(sample_every=10)
-    traces = [tracer.maybe_trace(i, 0.0) for i in range(100)]
+    traces = [tracer.maybe_trace(i, 0.0, Simulation()) for i in range(100)]
     assert sum(1 for t in traces if t is not None) == 10
 
 
 def test_tracer_bounds_storage():
     tracer = Tracer(sample_every=1, max_traces=5)
     for i in range(20):
-        trace = tracer.maybe_trace(i, 0.0)
+        trace = tracer.maybe_trace(i, 0.0, Simulation())
         tracer.finish(trace, 10.0)
     assert len(tracer.finished) == 5
 
