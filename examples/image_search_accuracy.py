@@ -37,7 +37,8 @@ def main() -> None:
         index = LshIndex(corpus.vectors, n_leaves=4, n_tables=tables,
                          hash_bits=bits, n_probes=probes, seed=9)
         candidates = np.mean([index.candidate_count(q) for q in queries])
-        accuracy = _nn_accuracy(index, corpus.vectors, queries, sq_dists)
+        signatures = [index.query_signatures(q) for q in queries]
+        accuracy = _nn_accuracy(index, corpus.vectors, signatures, sq_dists)
         print(f"{tables:>7} {bits:>5} {probes:>7} {candidates:>11.0f} {accuracy:>9.3f}")
 
     # Deploy the auto-tuned configuration as a complete service.

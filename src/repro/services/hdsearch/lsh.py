@@ -11,8 +11,7 @@ multi-probes to improve recall without more tables.
 from __future__ import annotations
 
 import copy
-from functools import cached_property
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -37,6 +36,10 @@ class LshIndex:
             raise ValueError("hash_bits must be in [1, 30]")
         if n_leaves <= 0:
             raise ValueError("n_leaves must be positive")
+        if n_tables < 1:
+            raise ValueError("n_tables must be at least 1")
+        if n_probes < 0:
+            raise ValueError("n_probes must be non-negative")
         self.n_points, self.dims = vectors.shape
         self.n_leaves = n_leaves
         self.n_tables = n_tables
@@ -48,37 +51,22 @@ class LshIndex:
             rng.normal(size=(hash_bits, self.dims)) for _ in range(n_tables)
         ]
         self._bit_weights = 1 << np.arange(hash_bits)
-        self.point_signatures = [
-            self._signatures(table_index, vectors) for table_index in range(n_tables)
+        # Per table, signature -> ascending int64 ids of the points in that
+        # bucket; a point's leaf is ``id % n_leaves``, so each id list holds
+        # the paper's {leaf server, point ID list} tuples for the bucket.
+        self.buckets: List[Dict[int, np.ndarray]] = [
+            _bucket_map(self._signatures(table_index, vectors))
+            for table_index in range(n_tables)
         ]
-
-    @cached_property
-    def tables(self) -> List[Dict[int, Dict[int, List[int]]]]:
-        """Per table, signature -> {leaf: ascending point ids} (the paper's
-        {leaf server, point ID list} tuples).  Built on first use, so an
-        index the tuner only scores never builds them."""
-        leaves = np.arange(self.n_points) % self.n_leaves
-        tables = []
-        for signatures in self.point_signatures:
-            keys = signatures * self.n_leaves + leaves
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-            table: Dict[int, Dict[int, List[int]]] = {}
-            for key, ids in zip(sorted_keys[starts].tolist(), np.split(order, starts[1:])):
-                signature, leaf = divmod(key, self.n_leaves)
-                table.setdefault(signature, {})[leaf] = ids.tolist()
-            tables.append(table)
-        return tables
 
     def _prefix(self, n_tables: int, n_probes: int) -> "LshIndex":
         """``LshIndex(vectors, n_leaves, n_tables, hash_bits, n_probes, seed)``
-        without recomputing a signature: its planes are this one's first."""
+        without rehashing a point: its planes and buckets are this one's
+        first."""
         index = copy.copy(self)
-        index.__dict__.pop("tables", None)
         index.n_tables, index.n_probes = n_tables, n_probes
         index._planes = self._planes[:n_tables]
-        index.point_signatures = self.point_signatures[:n_tables]
+        index.buckets = self.buckets[:n_tables]
         return index
 
     def _signatures(self, table_index: int, vectors: np.ndarray) -> np.ndarray:
@@ -86,9 +74,12 @@ class LshIndex:
         bits = (projections > 0.0).astype(np.int64)
         return bits @ self._bit_weights
 
-    def signature(self, table_index: int, query: np.ndarray) -> int:
-        """The query's bucket signature in one table."""
-        return int(self._signatures(table_index, query[None, :])[0])
+    def query_signatures(self, query: np.ndarray) -> List[int]:
+        """The query's bucket signature in each table.  Each is a one-row
+        product, as a batched product may round differently (DESIGN §6)."""
+        row = query[None, :]
+        projections = np.concatenate([row @ planes.T for planes in self._planes])
+        return ((projections > 0.0).astype(np.int64) @ self._bit_weights).tolist()
 
     def _probe_signatures(self, signature: int) -> List[int]:
         """The base bucket plus ``n_probes`` Hamming-1 neighbors."""
@@ -97,22 +88,43 @@ class LshIndex:
             probes.append(signature ^ (1 << bit))
         return probes
 
-    def candidates(self, query: np.ndarray) -> Dict[int, List[int]]:
-        """Candidate point ids per leaf, deduplicated across tables."""
-        per_leaf: Dict[int, set] = {}
-        for table_index, table in enumerate(self.tables):
-            base = self.signature(table_index, query)
-            for probe in self._probe_signatures(base):
-                bucket = table.get(probe)
-                if not bucket:
-                    continue
-                for leaf, ids in bucket.items():
-                    per_leaf.setdefault(leaf, set()).update(ids)
-        return {leaf: sorted(ids) for leaf, ids in sorted(per_leaf.items())}
+    def _candidate_mask(self, signatures: Sequence[int]) -> np.ndarray:
+        """Which points a query gathers: those in one of its probe buckets
+        in some table.  ``signatures`` is ``query_signatures(query)`` of
+        this index or of one it is a prefix of."""
+        mask = np.zeros(self.n_points, dtype=bool)
+        for buckets, signature in zip(self.buckets, signatures):
+            for probe in self._probe_signatures(signature):
+                ids = buckets.get(probe)
+                if ids is not None:
+                    mask[ids] = True
+        return mask
+
+    def candidates(self, query: np.ndarray) -> Dict[int, np.ndarray]:
+        """Candidate point ids per leaf that has any, in leaf order: each
+        an ascending int64 array, deduplicated across tables."""
+        mask = self._candidate_mask(self.query_signatures(query))
+        n_leaves = self.n_leaves
+        per_leaf = {}
+        for leaf in range(n_leaves):
+            rows = np.flatnonzero(mask[leaf::n_leaves])
+            if rows.size:
+                rows *= n_leaves
+                rows += leaf
+                per_leaf[leaf] = rows
+        return per_leaf
 
     def candidate_count(self, query: np.ndarray) -> int:
         """Total candidates a query gathers (the mid-tier's work units)."""
-        return sum(len(ids) for ids in self.candidates(query).values())
+        return int(np.count_nonzero(self._candidate_mask(self.query_signatures(query))))
+
+
+def _bucket_map(signatures: np.ndarray) -> Dict[int, np.ndarray]:
+    """Signature -> ascending ids of the points with it: one stable sort."""
+    order = np.argsort(signatures, kind="stable")
+    ordered = signatures[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return dict(zip(ordered[starts].tolist(), np.split(order, starts[1:])))
 
 
 def _squared_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -124,23 +136,20 @@ def _squared_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _nn_accuracy(
     index: LshIndex,
     vectors: np.ndarray,
-    queries: np.ndarray,
+    query_signatures: Sequence[Sequence[int]],
     sq_dists: np.ndarray,
 ) -> float:
     """Mean cosine similarity between LSH-reported and true nearest
-    neighbors (the paper's accuracy score).  ``sq_dists`` is
-    ``_squared_distances(vectors, queries)``; a query's candidates are the
-    points whose signature matches one of its probes in some table, taken
-    in ``candidates()`` order (leaf, then id) so the argmin ties as it did."""
+    neighbors (the paper's accuracy score).  Row ``q`` of
+    ``query_signatures`` and ``sq_dists`` is query ``q``'s
+    ``query_signatures()`` (of ``index`` or an index it is a prefix of)
+    and its ``_squared_distances`` row.  Candidates are taken in
+    ``candidates()`` order (leaf, then id), so the argmin ties the same."""
     by_leaf = np.argsort(np.arange(index.n_points) % index.n_leaves, kind="stable")
     scores = []
-    for query, dists in zip(queries, sq_dists):
-        hit = np.zeros(index.n_points, dtype=bool)
-        for table_index, signatures in enumerate(index.point_signatures):
-            base = index.signature(table_index, query)
-            for probe in index._probe_signatures(base):
-                hit |= signatures == probe
-        ids = by_leaf[hit[by_leaf]]
+    for signatures, dists in zip(query_signatures, sq_dists):
+        mask = index._candidate_mask(signatures)
+        ids = by_leaf[mask[by_leaf]]
         if not ids.size:
             scores.append(0.0)
             continue
@@ -178,15 +187,18 @@ def tune_lsh(
                 configs.append((expected, bits, tables, probes))
     configs.sort()
 
-    # Every configuration of one bit width is a prefix of its 12-table index.
+    # Every configuration of one bit width is a prefix of its 12-table
+    # index, so that index's query signatures serve them all.
     widest: Dict[int, LshIndex] = {}
+    signatures: Dict[int, List[List[int]]] = {}
     best_fallback = None
     best_fallback_acc = -1.0
     for _expected, bits, tables, probes in configs:
         if bits not in widest:
             widest[bits] = LshIndex(vectors, n_leaves, n_tables=12, hash_bits=bits, seed=seed)
+            signatures[bits] = [widest[bits].query_signatures(q) for q in queries]
         index = widest[bits]._prefix(tables, probes)
-        accuracy = _nn_accuracy(index, vectors, queries, sq_dists)
+        accuracy = _nn_accuracy(index, vectors, signatures[bits], sq_dists)
         if accuracy >= target_accuracy:
             return index
         if accuracy > best_fallback_acc:

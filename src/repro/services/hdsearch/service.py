@@ -52,13 +52,15 @@ class HdSearchLeafApp(LeafApp):
         if cached is not None and cached[0] is request:
             return cached[1]
         _tag, query_vec, point_ids, k = request
-        if point_ids:
-            local_rows = np.array(point_ids, dtype=np.int64) // self.n_leaves
-            candidates = self.shard[local_rows]
-            diffs = candidates - query_vec[None, :]
+        if len(point_ids):
+            ids = np.asarray(point_ids, dtype=np.int64)
+            # The gather copies the rows: subtracting in place leaves the shard
+            # untouched.
+            diffs = self.shard[ids // self.n_leaves]
+            diffs -= query_vec
             dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
             order = np.argsort(dists)[:k]
-            top = [(int(point_ids[i]), float(dists[i])) for i in order]
+            top = list(zip(ids[order].tolist(), dists[order].tolist()))
         else:
             top = []
         units = len(point_ids) * self.dims

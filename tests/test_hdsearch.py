@@ -18,22 +18,27 @@ def _corpus(n=800, dims=32, seed=0):
 def test_lsh_index_covers_all_points():
     corpus = _corpus()
     index = LshIndex(corpus.vectors, n_leaves=4, n_tables=4, hash_bits=8)
-    covered = set()
-    for table in index.tables:
-        for bucket in table.values():
-            for leaf, ids in bucket.items():
-                covered.update(ids)
-                assert all(pid % 4 == leaf for pid in ids)
-    assert covered == set(range(corpus.n_points))
+    assert len(index.buckets) == 4
+    for table_index, buckets in enumerate(index.buckets):
+        signatures = index._signatures(table_index, corpus.vectors)
+        for signature, ids in buckets.items():
+            assert ids.dtype == np.int64 and ids.size
+            assert np.all(np.diff(ids) > 0)
+            assert np.all(signatures[ids] == signature)
+        # Every point sits in exactly one bucket of every table.
+        every = np.sort(np.concatenate(list(buckets.values())))
+        assert np.array_equal(every, np.arange(corpus.n_points))
 
 
 def test_lsh_candidates_respect_leaf_sharding():
     corpus = _corpus()
     index = LshIndex(corpus.vectors, n_leaves=3, seed=1)
     per_leaf = index.candidates(corpus.query())
+    assert per_leaf and list(per_leaf) == sorted(per_leaf)
     for leaf, ids in per_leaf.items():
-        assert all(pid % 3 == leaf for pid in ids)
-        assert ids == sorted(ids)
+        assert ids.dtype == np.int64 and ids.size
+        assert np.all(ids % 3 == leaf)
+        assert np.all(np.diff(ids) > 0)
 
 
 def test_lsh_recall_near_point_query():
@@ -69,10 +74,15 @@ def test_lsh_validates_args():
         LshIndex(corpus.vectors, n_leaves=2, hash_bits=0)
     with pytest.raises(ValueError):
         LshIndex(corpus.vectors[0], n_leaves=2)
+    with pytest.raises(ValueError, match="n_tables"):
+        LshIndex(corpus.vectors, n_leaves=2, n_tables=0)
+    with pytest.raises(ValueError, match="n_probes"):
+        LshIndex(corpus.vectors, n_leaves=2, n_probes=-1)
 
 
 def _reference_tables(index, vectors):
-    """The per-point table build the numpy one replaced."""
+    """The per-point table build the numpy one replaced: per table,
+    signature -> {leaf: ascending point ids}."""
     tables = []
     for table_index in range(index.n_tables):
         table = {}
@@ -84,10 +94,39 @@ def _reference_tables(index, vectors):
     return tables
 
 
+def _reference_candidates(index, tables, query):
+    """Per leaf, the sorted union of the query's probe buckets over
+    ``tables``: each table's base bucket (a one-row product) plus its
+    first ``n_probes`` Hamming-1 neighbours."""
+    per_leaf = {}
+    for table_index, table in enumerate(tables):
+        base = int(index._signatures(table_index, query[None, :])[0])
+        probes = [base] + [base ^ (1 << bit)
+                           for bit in range(min(index.n_probes, index.hash_bits))]
+        for probe in probes:
+            for leaf, ids in table.get(probe, {}).items():
+                per_leaf.setdefault(leaf, set()).update(ids)
+    return {leaf: sorted(ids) for leaf, ids in sorted(per_leaf.items())}
+
+
+def _assert_buckets_match(index, tables):
+    """Per (signature, leaf), the index's bucket map holds the reference
+    table's ascending ids."""
+    assert len(index.buckets) == len(tables) == index.n_tables
+    for buckets, table in zip(index.buckets, tables):
+        assert set(buckets) == set(table)
+        for signature, by_leaf in table.items():
+            ids = buckets[signature]
+            assert ids.dtype == np.int64
+            for leaf in range(index.n_leaves):
+                assert ids[ids % index.n_leaves == leaf].tolist() == by_leaf.get(leaf, [])
+
+
 def _reference_tune(vectors, n_leaves, queries, target_accuracy, seed):
-    """The tuner before it scored from signature arrays: a full index per
-    configuration, scored through ``candidates()``.  Returns the
-    (bits, tables, probes, accuracy) tried and the index chosen."""
+    """The tuner before it scored from bucket maps: a full index per
+    configuration, its candidates gathered from the per-point reference
+    tables.  Returns the (bits, tables, probes, accuracy) tried, the index
+    chosen and its reference tables."""
     true_nn = []
     for query in queries:
         diffs = vectors - query[None, :]
@@ -103,10 +142,11 @@ def _reference_tune(vectors, n_leaves, queries, target_accuracy, seed):
     tried, fallback = [], None
     for _expected, bits, tables, probes in configs:
         index = LshIndex(vectors, n_leaves, tables, bits, probes, seed)
-        index.tables = _reference_tables(index, vectors)
+        reference = _reference_tables(index, vectors)
         scores = []
         for query, truth in zip(queries, true_nn):
-            ids = [pid for leaf_ids in index.candidates(query).values() for pid in leaf_ids]
+            per_leaf = _reference_candidates(index, reference, query)
+            ids = [pid for leaf_ids in per_leaf.values() for pid in leaf_ids]
             if not ids:
                 scores.append(0.0)
                 continue
@@ -118,10 +158,10 @@ def _reference_tune(vectors, n_leaves, queries, target_accuracy, seed):
         accuracy = float(np.mean(scores))
         tried.append((bits, tables, probes, accuracy))
         if accuracy >= target_accuracy:
-            return tried, index
+            return tried, index, reference
         if fallback is None or accuracy > fallback[1]:
-            fallback = (index, accuracy)
-    return tried, fallback[0]
+            fallback = (index, accuracy, reference)
+    return tried, fallback[0], fallback[2]
 
 
 def _shipped_tune(monkeypatch, vectors, n_leaves, queries, target_accuracy, seed):
@@ -142,23 +182,60 @@ def _shipped_tune(monkeypatch, vectors, n_leaves, queries, target_accuracy, seed
 @pytest.mark.parametrize("seed,target", [(0, 0.96), (1, 0.96), (2, 0.96), (0, 1.01)])
 def test_tuner_matches_the_per_index_reference(monkeypatch, seed, target):
     """Every configuration scores bit-identically to a full index scored
-    through ``candidates()``, and the chosen index (or, at an unreachable
-    target, the fallback) is the same one, table for table."""
+    from the per-point reference tables, and the chosen index (or, at an
+    unreachable target, the fallback) is the same one, bucket for bucket."""
     scale = SCALES["unit"]
     corpus = FeatureCorpus(n_points=scale.hds_points, dims=scale.hds_dims, seed=seed)
     queries = corpus.query_set(60)
     args = (corpus.vectors, scale.topology.n_leaves, queries, target, seed + 1)
-    want_tried, want = _reference_tune(*args)
+    want_tried, want, want_tables = _reference_tune(*args)
     got_tried, got = _shipped_tune(monkeypatch, *args)
-    assert got_tried == want_tried
+    assert repr(got_tried) == repr(want_tried)
     if target > 1:  # every configuration tried, then the fallback
         assert len(got_tried) == 36
     assert (got.hash_bits, got.n_tables, got.n_probes) == (
         want.hash_bits, want.n_tables, want.n_probes)
     assert all(np.array_equal(a, b) for a, b in zip(got._planes, want._planes))
-    assert got.tables == want.tables
-    bucket = next(iter(got.tables[0].values()))
-    assert all(type(pid) is int for ids in bucket.values() for pid in ids)
+    _assert_buckets_match(got, want_tables)
+
+
+def _reference_leaf_payload(leaf, query_vec, ids, k):
+    """The leaf's distance kernel as it was: list ids, a fresh difference."""
+    local_rows = np.array(ids, dtype=np.int64) // leaf.n_leaves
+    candidates = leaf.shard[local_rows]
+    diffs = candidates - query_vec[None, :]
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.argsort(dists)[:k]
+    return [(int(ids[i]), float(dists[i])) for i in order]
+
+
+@pytest.mark.parametrize("scale_name,seed", [("small", 0), ("unit", 0), ("unit", 1), ("unit", 2)])
+def test_candidates_and_leaf_match_the_reference_on_every_query(scale_name, seed):
+    """Over a deployment's whole query set, ``candidates()`` gathers the
+    reference union per leaf, and each leaf answers the array payload
+    element for element as the list-based kernel did."""
+    scale = SCALES[scale_name]
+    service = build_hdsearch(SimCluster(seed=seed), scale)
+    index, k = service.extras["index"], scale.hds_k
+    tables = _reference_tables(index, service.extras["corpus"].vectors)
+    source = service.make_source()
+    queries = [source.next_query()[0][1] for _ in range(scale.n_queries)]
+    for query_vec in queries:
+        per_leaf = index.candidates(query_vec)
+        assert {leaf: ids.tolist() for leaf, ids in per_leaf.items()} == \
+            _reference_candidates(index, tables, query_vec)
+        for leaf, ids in per_leaf.items():
+            app = service.leaves[leaf].app
+            want = _reference_leaf_payload(app, query_vec, ids.tolist(), k)
+            from_array = app.handle(("knn", query_vec, ids, k))
+            from_list = app.handle(("knn", query_vec, ids.tolist(), k))
+            assert from_array.payload == from_list.payload == want
+            assert (from_array.compute_us, from_array.size_bytes) == (
+                from_list.compute_us, from_list.size_bytes)
+    # Python ints and floats on the wire, as the list kernel returned.
+    assert {type(x) for pair in from_array.payload for x in pair} == {int, float}
+    empty = service.leaves[0].app.handle(("knn", queries[0], np.empty(0, np.int64), k))
+    assert empty.payload == []
 
 
 def test_tuner_choice_at_small_scale_is_pinned():
