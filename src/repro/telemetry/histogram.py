@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.rng import seeded_py
@@ -32,13 +33,17 @@ class LatencyHistogram:
     samples (uniform reservoir sampling) for percentile estimation.  For
     runs below the reservoir size the percentiles are exact.
 
-    Recording is the probe layer's innermost loop (runqlat and softirq
-    samples arrive once per scheduler event), so the common case — fewer
-    samples than the reservoir holds — is a bare ``list.append``; the exact
-    count/sum/min/max are computed lazily from the buffer with C-speed
-    builtins.  Once the reservoir fills, recording switches to the classic
-    per-sample algorithm, consuming the RNG in exactly the same order as a
-    sample-at-a-time implementation (bit-identical percentiles).
+    Samples are held unboxed, in an ``array('d')``: 8 bytes each, where a
+    float object in a list costs 32.  Recording is the
+    probe layer's innermost loop (runqlat and softirq samples arrive once
+    per scheduler event), so the common case — fewer samples than the
+    reservoir holds — is one ``array.append``; the exact count/sum/min/max
+    are computed lazily from the buffer with C-speed builtins, which read
+    the same doubles in the same order a list would hold.  Once the
+    reservoir fills, recording switches to the classic per-sample
+    algorithm, consuming the RNG in exactly the same order as a
+    sample-at-a-time implementation (bit-identical percentiles).  The RNG
+    is created at that seal: nothing draws from it earlier.
     """
 
     __slots__ = (
@@ -59,8 +64,8 @@ class LatencyHistogram:
             raise ValueError("reservoir_size must be positive")
         self.reservoir_size = reservoir_size
         self._seed = seed
-        self._rng = seeded_py(seed)
-        self._samples: List[float] = []
+        self._rng = None  # seeded when the reservoir seals
+        self._samples = array("d")
         # False while the buffer still holds every sample; True once the
         # reservoir is full and per-sample replacement has begun.
         self._sampling = False
@@ -68,13 +73,14 @@ class LatencyHistogram:
         self._total = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._sorted_cache: Optional[List[float]] = None
+        self._sorted_cache: Optional[array] = None
 
     def reset(self) -> None:
-        """Forget every sample; the RNG restarts from the seed so a reset
-        histogram behaves identically to a freshly constructed one."""
-        self._rng = seeded_py(self._seed)
-        self._samples.clear()
+        """Forget every sample; the RNG is seeded afresh at the next seal,
+        so a reset histogram behaves identically to a freshly constructed
+        one."""
+        self._rng = None
+        del self._samples[:]
         self._sampling = False
         self._count = 0
         self._total = 0.0
@@ -111,6 +117,7 @@ class LatencyHistogram:
         self._total = sum(samples)  # left-to-right, same order as += per sample
         self._min = min(samples)
         self._max = max(samples)
+        self._rng = seeded_py(self._seed)
         self._sampling = True
 
     def extend(self, values: Iterable[float]) -> None:
@@ -155,7 +162,7 @@ class LatencyHistogram:
         """Estimate the ``pct``-th percentile (0..100) from the reservoir."""
         ordered = self._sorted_cache
         if ordered is None:
-            ordered = self._sorted_cache = sorted(self._samples)
+            ordered = self._sorted_cache = array("d", sorted(self._samples))
         return rank_percentile(ordered, pct)
 
     @property
@@ -178,7 +185,7 @@ class LatencyHistogram:
 
     def samples(self) -> List[float]:
         """A copy of the reservoir samples (for violin-style plots)."""
-        return list(self._samples)
+        return self._samples.tolist()
 
     @classmethod
     def merged(

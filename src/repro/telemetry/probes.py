@@ -124,6 +124,8 @@ class Telemetry:
     """
 
     def __init__(self, reservoir_size: int = 100_000):
+        if reservoir_size < 1:
+            raise ValueError(f"reservoir_size must be >= 1, got {reservoir_size}")
         self.reservoir_size = reservoir_size
         self.window_start: float = 0.0
         self._clock = lambda: 0.0  # replaced via attach_clock

@@ -24,6 +24,7 @@ each sample lands in exactly one window, and the percentile is the same
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,10 @@ RETAIN_TEE_WINDOWS = 64
 
 @dataclass
 class MetricWindow:
-    """Exact aggregates + samples for one series over one time bin."""
+    """Exact aggregates + samples for one series over one time bin.
+
+    ``samples`` is an unboxed ``array('d')``, 8 bytes per value, as in
+    :class:`~repro.telemetry.histogram.LatencyHistogram`."""
 
     index: int
     start_us: float
@@ -47,7 +51,7 @@ class MetricWindow:
     total: float = 0.0
     min: Optional[float] = None
     max: Optional[float] = None
-    samples: List[float] = field(default_factory=list)
+    samples: array = field(default_factory=lambda: array("d"))
 
     def observe(self, value: float) -> None:
         self.count += 1

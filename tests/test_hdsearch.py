@@ -314,3 +314,24 @@ def test_hdsearch_service_under_load():
     # futex dominates the mid-tier syscall profile (paper Fig. 11).
     per_query = result.syscalls_per_query()
     assert per_query["futex"] == max(per_query.values())
+
+
+def test_each_query_vector_gets_its_candidates_computed_once(monkeypatch):
+    """Calibration's candidate lists seed the mid-tier's plan memo, so the
+    drive looks up only the queries calibration did not sample."""
+    calls = []
+    original = LshIndex.candidates
+
+    def counted(index, query_vec):
+        calls.append(query_vec)
+        return original(index, query_vec)
+
+    monkeypatch.setattr(LshIndex, "candidates", counted)
+    scale = SCALES["unit"]
+    cluster = SimCluster(seed=0)
+    service = build_hdsearch(cluster, scale)
+    assert len(calls) == 200  # the calibration sample
+    result = run_open_loop(cluster, service, qps=2_000.0, duration_us=250_000,
+                           warmup_us=50_000)
+    assert result.completed > scale.n_queries
+    assert len(calls) == len({id(vec) for vec in calls}) == scale.n_queries
