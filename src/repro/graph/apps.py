@@ -20,6 +20,8 @@ from repro.services.costmodel import LinearCost
 class GraphLeafApp(LeafApp):
     """A terminal node: charge the kernel, echo a reply."""
 
+    replicas_share_state = False  # stateless
+
     def __init__(self, node: GraphNode, cost: LinearCost):
         self.node = node
         self.cost = cost
@@ -41,6 +43,8 @@ class GraphNodeApp(MidTierApp):
     Sync edges become awaited sub-requests; async edges ride the plan's
     fire-and-forget list and never gate the merge.
     """
+
+    replicas_share_state = False  # stateless
 
     def __init__(
         self,

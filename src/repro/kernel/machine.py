@@ -143,7 +143,14 @@ class Machine:
             )
         # Interrupt handling steals cycles from whatever runs on that core.
         self.scheduler.steal_cpu(irq_core, hardirq + softirq)
-        self.lane.defer_in(hardirq + softirq, self._socket_deliver, packet)
+        # This is the last act of the arrival callback, so when nothing
+        # could come first the socket delivery runs in place instead of
+        # being filed (the sum bracketed as ``defer_in`` would add it).
+        at = self.sim._now + (hardirq + softirq)
+        if self.sim.advance_to(at, self.lane):
+            self._socket_deliver(packet)
+        else:
+            self.lane.defer_at(at, self._socket_deliver, packet)
 
     def _socket_deliver(self, packet: Packet) -> None:
         sock = self._sockets.get(packet.dst[1])

@@ -51,6 +51,13 @@ class LeafResult:
 class MidTierApp:
     """Service logic hosted by a :class:`~repro.rpc.server.MidTierRuntime`."""
 
+    #: Whether the replicas of a tier that host this one app object hold
+    #: order-sensitive state through it (an RNG stream, mutable routing
+    #: state): their machines then share one calendar lane, so none runs
+    #: ahead of another's work.  The default keeps an undeclared app exact;
+    #: an app whose state is read-only or a pure memo sets False.
+    replicas_share_state = True
+
     def fanout(self, query: Any) -> FanoutPlan:
         """Process one query and plan its leaf fan-out."""
         raise NotImplementedError
@@ -81,6 +88,9 @@ class MidTierApp:
 
 class LeafApp:
     """Service logic hosted by a :class:`~repro.rpc.server.LeafRuntime`."""
+
+    #: As :attr:`MidTierApp.replicas_share_state`, for a replicated leaf tier.
+    replicas_share_state = True
 
     def handle(self, request: Any) -> LeafResult:
         """Serve one leaf sub-request."""

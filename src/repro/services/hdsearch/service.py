@@ -75,6 +75,10 @@ class HdSearchLeafApp(LeafApp):
 class HdSearchMidTierApp(MidTierApp):
     """The mid-tier: LSH lookup, shard mapping, fan-out, k-way merge."""
 
+    # The LSH index is read-only and the plan memo a pure function of
+    # the query vector, so replicas hold no order-sensitive state.
+    replicas_share_state = False
+
     def __init__(self, index: LshIndex, k: int, request_cost: LinearCost, merge_cost: LinearCost):
         self.index = index
         self.k = k

@@ -58,6 +58,8 @@ class RecommendLeafApp(LeafApp):
 class RecommendMidTierApp(MidTierApp):
     """The mid-tier: forward the pair everywhere, average the predictions."""
 
+    replicas_share_state = False  # stateless
+
     def __init__(self, n_leaves: int, forward_cost: LinearCost, average_cost: LinearCost):
         self.n_leaves = n_leaves
         self.forward_cost = forward_cost

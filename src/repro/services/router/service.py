@@ -66,6 +66,11 @@ class RouterLeafApp(LeafApp):
 class RouterMidTierApp(MidTierApp):
     """The mid-tier: SpookyHash route computation plus replica selection."""
 
+    # Replicas share this one app: every read's replica pick draws from
+    # ``replica_rng``, and ``mark_leaf_down`` changes routing for all of
+    # them, so the draws must stay in the strict order across replicas.
+    replicas_share_state = True
+
     def __init__(
         self,
         n_shards: int,

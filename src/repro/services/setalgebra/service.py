@@ -48,6 +48,8 @@ class SetAlgebraLeafApp(LeafApp):
 class SetAlgebraMidTierApp(MidTierApp):
     """The mid-tier: forward terms to all shards, union the results."""
 
+    replicas_share_state = False  # stateless
+
     def __init__(self, n_leaves: int, forward_cost: LinearCost, union_cost: LinearCost):
         self.n_leaves = n_leaves
         self.forward_cost = forward_cost

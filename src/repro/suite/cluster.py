@@ -98,7 +98,10 @@ class SimCluster:
         ``role`` ("leaf" / "midtier") and ``leaf_index`` let the cluster
         attach the fault plan's injectors to the right machines; both are
         ignored when no faults are configured.  ``lane`` is the calendar
-        lane of machines this one shares state with (its own if None).
+        lane of machines this one shares state with outside the fabric
+        (its own if None): :func:`build_tier` passes replica 0's lane to
+        the later replicas only when their app declares
+        ``replicas_share_state``.
         """
         spec = MachineSpec(name=name, cores=cores, costs=self.costs)
         machine = Machine(
@@ -227,11 +230,14 @@ def build_tier(
             name if replicas == 1 else f"{name}{replica}", cores=cores,
             lane=lane, **placement,
         )
-        # The replicas share one app object (and its RNG draws), so they
-        # share one calendar lane: none runs ahead of another's work.
-        lane = machine.lane
         runtimes.append(make_runtime(machine))
         machines.append(machine)
+        # The replicas share one app object.  When it declares ordered
+        # shared state (Router's replica-pick RNG) they share one calendar
+        # lane, so none runs ahead of another's work; otherwise each
+        # replica keeps its own lane and runs ahead like any machine.
+        if replica == 0 and runtimes[0].app.replicas_share_state:
+            lane = machine.lane
     frontend = None
     if replicas > 1:
         frontend = LoadBalancer(

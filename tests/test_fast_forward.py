@@ -16,12 +16,16 @@ of running in place only when no entry at all is due.
 expiring on idle threads (the paper's futex/epoll calls per query at 100
 QPS).  The replicated Router cells run mid-tier replicas that share one
 app and its replica-pick RNG, at a load where replicas on separate lanes
-would take those draws out of order.
+would take those draws out of order.  The other replicated cells (HDSearch,
+a graph with a replicated internal node and leaf tier, and a traced,
+streaming copy of the features cell) run each replica on its own lane,
+and must match the strict rule as well as the filed run: model records,
+spill bytes and trace segments.
 """
 
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from types import SimpleNamespace
 
 import pytest
@@ -32,13 +36,14 @@ from repro.experiments import graph_sweep
 from repro.faults import FaultPlan, MidTierPressure
 from repro.graph import build_graph, exemplar_graph
 from repro.kernel import Scheduler
+from repro.rpc import MidTierApp
 from repro.rpc.policy import TailPolicy
 from repro.sim import Lane, Simulation
 from repro.suite import SCALES, SimCluster, build_service
-from repro.suite.cluster import run_open_loop
+from repro.suite.cluster import build_tier, midtier_maker, run_open_loop
 from repro.suite.config import BatchConfig
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.tracing import Trace
+from repro.telemetry.tracing import Trace, Tracer
 
 
 def _service(name):
@@ -69,12 +74,32 @@ def _replicated_router(control):
     return build
 
 
+def _replicated_hdsearch(tmp_path):
+    """HDSearch behind a balancer: three mid-tier replicas, one lane each."""
+    unit = SCALES["unit"]
+    scale = unit.with_overrides(topology=replace(unit.topology, midtier_replicas=3))
+    cluster = SimCluster(seed=0)
+    return cluster, build_service("hdsearch", cluster, scale)
+
+
 def _socialnet(tmp_path):
     cluster = SimCluster(seed=0)
     return cluster, build_graph(cluster, exemplar_graph(n_queries=200))
 
 
-def _features(tmp_path):
+def _replicated_socialnet(tmp_path):
+    """The exemplar graph with a replicated internal node (``social``, 3)
+    and a replicated leaf tier (``store``, 2)."""
+    graph = exemplar_graph(n_queries=200)
+    replicas = {"social": 3, "store": 2}
+    graph = replace(graph, nodes=tuple(
+        replace(node, replicas=replicas.get(node.name, 1)) for node in graph.nodes
+    ))
+    cluster = SimCluster(seed=0)
+    return cluster, build_graph(cluster, graph)
+
+
+def _features(tmp_path, max_replicas=3, hogs=1):
     """Batching, hedging, the controller, energy, streaming telemetry and
     a fault plan, all on at once."""
     unit = SCALES["unit"]
@@ -83,13 +108,13 @@ def _features(tmp_path):
         batch=BatchConfig(enabled=True, max_batch=4, max_wait_us=40.0),
         control=ControlConfig(
             enabled=True, policy="threshold", tick_us=5_000.0, window_us=5_000.0,
-            min_replicas=1, max_replicas=3, initial_replicas=1,
+            min_replicas=1, max_replicas=max_replicas, initial_replicas=1,
             p99_high_us=400.0, p99_low_us=100.0, cooldown_us=10_000.0,
         ),
     )
     cluster = SimCluster(
         seed=0,
-        faults=FaultPlan(midtier_pressure=MidTierPressure(1, 100.0, 200.0)),
+        faults=FaultPlan(midtier_pressure=MidTierPressure(hogs, 100.0, 200.0)),
         telemetry=TelemetryConfig(
             mode="streaming", window_us=5_000.0,
             spill_path=str(tmp_path / "spill.jsonl"),
@@ -103,9 +128,16 @@ def _features(tmp_path):
     return cluster, handle
 
 
+def _features_replicated(tmp_path):
+    """The perf harness's ``hdsearch-features-on`` shape at unit scale: up
+    to four controlled mid-tier replicas under two antagonist threads."""
+    return _features(tmp_path, max_replicas=4, hogs=2)
+
+
 #: name -> (builder, offered QPS)
 CELLS = {
     "hdsearch": (_service("hdsearch"), 2_000.0),
+    "hdsearch-replicated": (_replicated_hdsearch, 6_000.0),
     "router": (_service("router"), 500.0),
     "router-100": (_service("router"), 100.0),
     "router-replicated": (_replicated_router(control=False), 20_000.0),
@@ -113,16 +145,26 @@ CELLS = {
     "setalgebra": (_service("setalgebra"), 2_000.0),
     "recommend": (_service("recommend"), 2_000.0),
     "socialnet": (_socialnet, 2_000.0),
+    "socialnet-replicated": (_replicated_socialnet, 4_000.0),
     "features-on": (_features, 5_000.0),
+    "features-traced": (_features_replicated, 5_000.0),
 }
+#: Cells whose every fifth query carries a trace.
+TRACED = {"features-traced"}
+#: Cells with a replicated tier: shipped, strict and filed must agree.
+REPLICATED = [
+    "features-traced", "hdsearch-replicated", "router-control",
+    "router-replicated", "socialnet-replicated",
+]
 
 
 def _run(cell, tmp_path):
     build, qps = CELLS[cell]
     cluster, handle = build(tmp_path)
+    tracer = Tracer(sample_every=5) if cell in TRACED else None
     result = run_open_loop(
         cluster, handle, qps=qps, duration_us=30_000.0,
-        warmup_us=10_000.0, drain_us=20_000.0,
+        warmup_us=10_000.0, drain_us=20_000.0, tracer=tracer,
     )
     tel = result.telemetry
     machines = [machine.name for machine in cluster.machines]
@@ -138,7 +180,33 @@ def _run(cell, tmp_path):
         "counters": dict(tel.counters),
         "control": [controller.stats() for controller in cluster.controllers],
     }
+    spill = tmp_path / "spill.jsonl"
+    if spill.exists():
+        # Parsed: a key's first sample in a window may come from another
+        # machine, so only the order of keys inside a window may differ.
+        record["spill"] = [json.loads(line) for line in spill.read_text().splitlines()]
+    if tracer is not None:
+        record["traces"] = [_trace_record(trace) for trace in tracer.finished]
     return record, cluster.sim.executed
+
+
+def _trace_record(trace):
+    """A trace's spans, segments and winners, with each request id
+    replaced by its order of first appearance.  Ids come from one
+    process-wide counter, and replicas on separate lanes may take
+    sub-request ids in another order than the strict rule; an id is only
+    ever compared for equality, so the labelling is what must not move."""
+    labels = {trace.request_id: 0}
+
+    def label(request_id):
+        if request_id is None:
+            return None
+        return labels.setdefault(request_id, len(labels))
+
+    spans = [(*astuple(span)[:-1], label(span.request_id)) for span in trace.spans]
+    segments = [(*astuple(seg)[:-1], label(seg.request_id)) for seg in trace.segments]
+    winners = sorted(labels.get(rid, -1) for rid in trace.winners)
+    return trace.started_us, trace.finished_us, spans, segments, winners
 
 
 _DEFER_AT = Lane.defer_at
@@ -214,6 +282,58 @@ def test_lookahead_cuts_entries_the_strict_rule_files(cell, tmp_path, monkeypatc
     assert shipped == strict
     assert shipped_events < strict_events < filed_events
     assert len(shipped_dispatches) < len(strict_dispatches)
+
+
+@pytest.mark.parametrize("cell", REPLICATED)
+def test_replicated_tier_matches_the_strict_rule(cell, tmp_path, monkeypatch):
+    """Replicas on a lane each (or on one shared lane, for Router's shared
+    RNG) run ahead of each other by less than a fabric hop: the records,
+    the spill bytes and every trace's spans and segments are the strict
+    rule's (and the filed run's: ``test_fast_forward_is_exact``)."""
+    shipped, shipped_events = _run(cell, tmp_path)
+    _refuse_lookahead(monkeypatch)
+    strict, strict_events = _run(cell, tmp_path)
+    if cell in TRACED:
+        assert shipped["traces"] and shipped["spill"]
+        (control,) = shipped["control"]
+        assert control["scale_ups"] > 0
+    assert shipped == strict
+    assert shipped_events < strict_events
+
+
+def _lanes(machines):
+    return len({id(machine.lane) for machine in machines})
+
+
+def test_replicas_get_a_lane_each_unless_their_app_shares_state():
+    unit = SCALES["unit"]
+    scale = unit.with_overrides(topology=replace(unit.topology, midtier_replicas=3))
+    for service, lanes in (("hdsearch", 3), ("setalgebra", 3), ("recommend", 3), ("router", 1)):
+        cluster = SimCluster(seed=0)
+        handle = build_service(service, cluster, scale)
+        assert _lanes(handle.root.machines) == lanes, service
+        # No replica shares a lane with a leaf or the global lane.
+        leaves = [m for m in cluster.machines if m not in handle.root.machines]
+        assert _lanes(cluster.machines) == lanes + len(leaves)
+        assert all(m.lane is not cluster.sim.lane for m in cluster.machines)
+    cluster, handle = _replicated_socialnet(None)
+    tiers = handle.extras["tiers"]
+    assert _lanes(tiers["social"].machines) == 3
+    assert _lanes(tiers["store"].machines) == 2
+
+    class Undeclared(MidTierApp):
+        pass
+
+    # An app that does not declare its state keeps its replicas on one lane.
+    assert Undeclared.replicas_share_state
+    cluster = SimCluster(seed=0)
+    tier = build_tier(
+        cluster, unit, 3, name="bare", front="bare", cores=1,
+        make_runtime=midtier_maker(unit, Undeclared(), [], unit.midtier_runtime),
+        signals=lambda machines: [],
+    )
+    assert len(tier.machines) == 3
+    assert _lanes(tier.machines) == 1
 
 
 def test_traced_deep_injected_cell_is_exact(monkeypatch):
