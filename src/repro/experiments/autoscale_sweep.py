@@ -251,31 +251,6 @@ def measure_cell(
     )
 
 
-def controller_cell(
-    max_replicas: int,
-    service: str = SWEEP_SERVICE,
-    scale: str = "small",
-    seed: int = 0,
-    base_qps: float = BASE_QPS,
-    amplitude: float = AMPLITUDE,
-    duration_us: float = DEFAULT_DURATION_US,
-    tick_us: float = DEFAULT_TICK_US,
-    window_us: float = DEFAULT_WINDOW_US,
-    telemetry=None,
-) -> AutoscaleCell:
-    """The controller cell (also the reproducibility cell): a warm pool of
-    ``max_replicas`` under the diurnal day plus the antagonist."""
-    cfg = controlled_scale(
-        max_replicas, tick_us=tick_us, window_us=window_us,
-        scale=scale, service=service,
-    )
-    return measure_cell(
-        "controller", cfg, max_replicas,
-        base_qps=base_qps, amplitude=amplitude, service=service,
-        seed=seed, duration_us=duration_us, telemetry=telemetry,
-    )
-
-
 def run_autoscale_sweep(
     service: str = SWEEP_SERVICE,
     scale: str = "small",
@@ -290,6 +265,7 @@ def run_autoscale_sweep(
 ) -> dict:
     """The full grid plus the controller cell, run twice, as the JSON
     artifact (validates against bench_autoscale.schema.json)."""
+    scale_name = runner.scale_name(scale)
     if base_qps <= 0:
         raise runner.UsageError(f"base-qps must be positive: {base_qps}")
     if not 0.0 <= amplitude <= 1.0:
@@ -313,14 +289,6 @@ def run_autoscale_sweep(
         )
         for n in static_replicas
     ]
-    reproducibility = runner.double_run(
-        lambda: controller_cell(
-            max(static_replicas), service=service, scale=scale, seed=seed,
-            base_qps=base_qps, amplitude=amplitude, duration_us=duration_us,
-            tick_us=tick_us, window_us=window_us, telemetry=telemetry,
-        )
-    )
-    scale_name = scale if isinstance(scale, str) else scale.name
     doc = {
         "benchmark": (
             f"closed-loop autoscaling on {service}, "
@@ -356,9 +324,10 @@ def run_autoscale_sweep(
             "batch_max_baseline": BATCH_MAX_BASELINE,
         },
         "static_grid": [asdict(cell) for cell in statics],
-        "controller": reproducibility["first"],
-        "reproducibility": reproducibility,
     }
+    reproducibility = runner.double_run(pinned, doc, telemetry)
+    doc["controller"] = reproducibility["first"]
+    doc["reproducibility"] = reproducibility
     doc["acceptance"] = acceptance(doc)
     return doc
 
@@ -430,19 +399,21 @@ def format_autoscale(doc: dict) -> str:
     return "\n".join(out)
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the controller cell from its recorded parameters."""
-    cell = controller_cell(
-        max(static["replicas"] for static in doc["static_grid"]),
-        service=doc["service"], scale=doc["scale"], seed=doc["seed"],
-        base_qps=doc["traffic"]["base_qps"],
-        amplitude=doc["traffic"]["amplitude"],
-        duration_us=doc["duration_us"], tick_us=doc["tick_us"],
-        window_us=doc["window_us"], telemetry=telemetry,
+def pinned(doc: dict, telemetry=None) -> AutoscaleCell:
+    """The controller cell (also the reproducibility cell) from the
+    parameters ``doc`` records, for the double run and the drift gate: a
+    warm pool of the static grid's largest replica count under the diurnal
+    day plus the antagonist."""
+    max_replicas = max(static["replicas"] for static in doc["static_grid"])
+    cfg = controlled_scale(
+        max_replicas, tick_us=doc["tick_us"], window_us=doc["window_us"],
+        scale=doc["scale"], service=doc["service"],
     )
-    return (
-        cell, doc["reproducibility"]["first"],
-        "controller cell (diurnal + antagonist)",
+    return measure_cell(
+        "controller", cfg, max_replicas,
+        base_qps=doc["traffic"]["base_qps"],
+        amplitude=doc["traffic"]["amplitude"], service=doc["service"],
+        seed=doc["seed"], duration_us=doc["duration_us"], telemetry=telemetry,
     )
 
 

@@ -154,27 +154,6 @@ def measure_cache_point(
     return point
 
 
-def pinned_point(
-    service: str,
-    qps: float,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    duration_us: float = DEFAULT_DURATION_US,
-    cache_policy: str = DEFAULT_POLICY,
-    telemetry=None,
-) -> CachePoint:
-    """The reproducibility cell: the fully-featured config (batch + cache
-    + timers + single-flight) on ``service`` at ``qps``."""
-    built = sweep_scale(
-        DEFAULT_BATCH_MAX, DEFAULT_CAPACITY, scale=scale,
-        cache_policy=cache_policy,
-    )
-    return measure_cache_point(
-        service, built, qps, seed=seed, duration_us=duration_us,
-        telemetry=telemetry,
-    )
-
-
 def run_cache_sweep(
     services: Iterable[str] = SERVICE_NAMES,
     loads: Sequence[float] = LOADS,
@@ -190,6 +169,7 @@ def run_cache_sweep(
 ) -> dict:
     """Off-vs-on per service, plus the batch-size and capacity axes, as
     the JSON artifact (validates against bench_cache.schema.json)."""
+    scale_name = runner.scale_name(scale)
     services = list(services)
 
     def measure_cell(
@@ -244,9 +224,6 @@ def run_cache_sweep(
             for capacity in capacities
         ]
 
-    # Reproducibility: run twice from scratch under the same seed.
-    repro_service = services[0]
-    scale_name = scale if isinstance(scale, str) else scale.name
     doc = {
         "benchmark": (
             f"leaf-request batching + mid-tier result cache, "
@@ -264,15 +241,10 @@ def run_cache_sweep(
             "cache_policy": cache_policy,
         },
         "cells": [asdict(cell) for cell in cells],
-        "reproducibility": runner.double_run(
-            lambda: pinned_point(
-                repro_service, acceptance_qps, scale=scale, seed=seed,
-                duration_us=duration_us, cache_policy=cache_policy,
-                telemetry=telemetry,
-            ),
-            service=repro_service, qps=acceptance_qps,
-        ),
+        # Reproducibility: the on cell, run twice from scratch.
+        "reproducibility": {"service": services[0], "qps": acceptance_qps},
     }
+    doc["reproducibility"].update(runner.double_run(pinned, doc, telemetry))
     doc["acceptance"] = acceptance(doc)
     return doc
 
@@ -380,16 +352,20 @@ def format_cache_sweep(doc: dict) -> str:
     return "\n".join(out)
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the reproducibility cell from its recorded parameters."""
-    repro = doc["reproducibility"]
-    point = pinned_point(
-        repro["service"], repro["qps"], scale=doc["scale"], seed=doc["seed"],
-        duration_us=doc["duration_us"],
-        cache_policy=doc["defaults"]["cache_policy"], telemetry=telemetry,
+def pinned(doc: dict, telemetry=None) -> CachePoint:
+    """The reproducibility cell from the parameters ``doc`` records, for
+    the double run and the drift gate: the fully-featured config (batch +
+    cache + timers + single-flight) on ``service`` at ``qps``."""
+    repro, defaults = doc["reproducibility"], doc["defaults"]
+    built = sweep_scale(
+        defaults["batch_max"], defaults["cache_capacity"], scale=doc["scale"],
+        batch_wait_us=defaults["batch_max_wait_us"],
+        cache_policy=defaults["cache_policy"],
     )
-    label = f"{repro['service']} @ {repro['qps']:g} QPS batch+cache cell"
-    return point, repro["first"], label
+    return measure_cache_point(
+        repro["service"], built, repro["qps"], seed=doc["seed"],
+        duration_us=doc["duration_us"], telemetry=telemetry,
+    )
 
 
 #: Registry entry: ``usuite cache``.
@@ -427,6 +403,6 @@ __all__ = [
     "BATCH_SIZES", "CACHE_POLICIES", "CAPACITIES", "DEFAULT_BATCH_MAX",
     "DEFAULT_CAPACITY", "DEFAULT_DURATION_US", "EXPERIMENT", "LOADS",
     "CacheCell", "CachePoint", "acceptance",
-    "format_cache_sweep", "measure_cache_point", "pinned", "pinned_point",
-    "run_cache_sweep", "sweep_scale",
+    "format_cache_sweep", "measure_cache_point", "pinned", "run_cache_sweep",
+    "sweep_scale",
 ]

@@ -60,8 +60,11 @@ def _diff_keys(fresh: dict, committed: dict) -> str:
 def _compare(
     experiment: Experiment, path: Path, doc: dict, telemetry=None
 ) -> Tuple[bool, str]:
-    cell, committed, label = experiment.pinned(doc, telemetry)
-    fresh = asdict(cell)
+    fresh = asdict(experiment.pinned(doc, telemetry))
+    # The double run's first record; the fault sweep pins its recovery triple.
+    repro = doc.get("reproducibility")
+    committed = repro["first"] if repro else doc["recovery"]
+    label = "pinned cell"
     if telemetry is not None:
         label += f" ({telemetry.mode} telemetry)"
     if _canon(fresh) == _canon(committed):

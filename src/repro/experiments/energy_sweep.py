@@ -226,7 +226,7 @@ def run_energy_sweep(
 
     # The deepest rung closes the ladder and is the reproducibility cell.
     ladder = [asdict(rung_cell(rung)) for rung in rungs[:-1]]
-    reproducibility = runner.double_run(lambda: rung_cell(rungs[-1]))
+    reproducibility = runner.double_run(rung_cell, rungs[-1])
     ladder.append(reproducibility["first"])
     lowload = {
         "deep": asdict(lowload_cell()),
@@ -373,16 +373,17 @@ def format_energy_sweep(doc: dict) -> str:
     return "\n".join(out)
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the deepest ladder rung from its recorded parameters."""
-    first = doc["reproducibility"]["first"]
-    cell = measure_energy_cell(
-        pipeline_graph(first["tiers"], n_queries=doc["workload_queries"]),
+def pinned(doc: dict, telemetry=None) -> EnergyCell:
+    """Drift probe: the deepest ladder rung from its recorded parameters
+    (the document records the tier count only inside the record)."""
+    return measure_energy_cell(
+        pipeline_graph(
+            doc["reproducibility"]["first"]["tiers"],
+            n_queries=doc["workload_queries"],
+        ),
         doc["qps"], seed=doc["seed"], queries=doc["queries_per_cell"],
         telemetry=telemetry,
     )
-    label = f"{first['tiers']}-tier rung @ {doc['qps']:g} QPS energy cell"
-    return cell, first, label
 
 
 #: Registry entry: ``usuite energy``.

@@ -334,13 +334,12 @@ def acceptance(doc: dict) -> Dict[str, object]:
 def pinned(doc: dict, telemetry=None):
     """Drift probe: the recovery triple from its recorded parameters."""
     recorded = doc["recovery"]
-    report = run_recovery(
+    return run_recovery(
         telemetry=telemetry,
         **{key: recorded[key] for key in (
             "service", "qps", "intensity", "scale", "seed", "duration_us",
         )},
     )
-    return report, recorded, "recovery triple"
 
 
 #: Registry entry: ``usuite faults``.

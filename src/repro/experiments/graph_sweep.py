@@ -356,21 +356,6 @@ def run_graph_sweep(
         measure_graph_cell, qps=qps, seed=seed, queries=queries,
         telemetry=telemetry,
     )
-    onehop_clean = measure(onehop)
-    onehop_injected = measure(onehop, faults=plan)
-    deep_clean = measure(deep, traced=True)
-    # The acceptance (deep injected) cell is also the reproducibility
-    # cell: its double run's first record is the sweep's fourth cell.
-    reproducibility = runner.double_run(
-        lambda: pinned_cell(
-            qps, queries, workload_queries, seed=seed, intensity=intensity,
-            telemetry=telemetry,
-        )
-    )
-    traffic = measure_traffic_cell(
-        deep, qps=qps, seed=seed, queries=queries, telemetry=telemetry
-    )
-    sessions = measure_session_cell(deep, seed=seed, telemetry=telemetry)
     doc = {
         "benchmark": (
             f"service-graph tail amplification, {deep.depth()}-tier "
@@ -394,16 +379,23 @@ def run_graph_sweep(
             "depth": deep.depth(),
             "visits_per_query": deep.visits_per_query(),
         },
-        "cells": {
-            "onehop_clean": asdict(onehop_clean),
-            "onehop_injected": asdict(onehop_injected),
-            "deep_clean": asdict(deep_clean),
-            "deep_injected": reproducibility["first"],
-        },
-        "traffic": asdict(traffic),
-        "sessions": asdict(sessions),
-        "reproducibility": reproducibility,
     }
+    # The acceptance (deep injected) cell is also the reproducibility
+    # cell: its double run's first record is the sweep's fourth cell.
+    reproducibility = runner.double_run(pinned, doc, telemetry)
+    doc["cells"] = {
+        "onehop_clean": asdict(measure(onehop)),
+        "onehop_injected": asdict(measure(onehop, faults=plan)),
+        "deep_clean": asdict(measure(deep, traced=True)),
+        "deep_injected": reproducibility["first"],
+    }
+    doc["traffic"] = asdict(measure_traffic_cell(
+        deep, qps=qps, seed=seed, queries=queries, telemetry=telemetry
+    ))
+    doc["sessions"] = asdict(
+        measure_session_cell(deep, seed=seed, telemetry=telemetry)
+    )
+    doc["reproducibility"] = reproducibility
     doc["amplification"] = amplification(doc)
     doc["attribution"] = attribution(doc)
     doc["acceptance"] = acceptance(doc)
@@ -523,14 +515,14 @@ def onehop_visits(doc: dict) -> float:
     return graph.visits_per_query()[doc["injection"]["node"]]
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the reproducibility cell from its recorded parameters."""
-    cell = pinned_cell(
+def pinned(doc: dict, telemetry=None) -> GraphCell:
+    """The reproducibility cell from the parameters ``doc`` records, for
+    the double run and the drift gate."""
+    return pinned_cell(
         doc["qps"], doc["queries_per_cell"], doc["workload_queries"],
         seed=doc["seed"], intensity=doc["injection"]["intensity"],
         telemetry=telemetry,
     )
-    return cell, doc["reproducibility"]["first"], "deep injected cell"
 
 
 #: Registry entry: ``usuite graph``.

@@ -11,7 +11,7 @@ else; see DESIGN.md "Experiment layer"):
   ``measure_*`` function is therefore only its metric extraction; the
   three cells with a custom generator build theirs with :func:`loadgen`
   and call ``drive`` themselves.  :func:`double_run` measures a cell
-  twice and returns the artifact's ``reproducibility`` block.
+  twice for the artifact's ``reproducibility`` block.
 * **Experiment** — one value per command: how to run, print, gate and
   record it, its ``argparse`` declarations (:class:`Flag`), and — for
   commands with a committed ``BENCH_*.json`` — the *pinned cell* the
@@ -41,9 +41,7 @@ from typing import (
 from repro.graph import GraphConfig, build_graph
 from repro.loadgen import OpenLoopLoadGen
 from repro.suite import SCALES, ServiceScale, SimCluster, build_service
-from repro.suite.cluster import (
-    CLIENT_NAME, RunResult, ServiceHandle, run_open_loop,
-)
+from repro.suite.cluster import RunResult, ServiceHandle, run_open_loop
 from repro.suite.registry import SERVICE_NAMES
 from repro.telemetry import critpath
 
@@ -69,6 +67,22 @@ def resolve_scale(scale: ServiceScale | str) -> ServiceScale:
         raise UsageError(
             f"unknown scale {scale!r} (choose from: {', '.join(sorted(SCALES))})"
         ) from None
+
+
+def scale_name(scale: ServiceScale | str) -> str:
+    """The registry name a sweep records for ``scale``.
+
+    A document records only the name and ``pinned(doc)`` rebuilds its cell
+    from it, so a :class:`ServiceScale` object (which the name would not
+    describe) raises :class:`UsageError`, as an unknown name does.
+    """
+    if not isinstance(scale, str):
+        raise UsageError(
+            f"pass the scale by its registry name, not a {type(scale).__name__}: "
+            "the document records only the name"
+        )
+    resolve_scale(scale)
+    return scale
 
 
 class Cell(NamedTuple):
@@ -138,14 +152,13 @@ def build_cluster(
 def loadgen(cluster: SimCluster, handle: ServiceHandle, cls=OpenLoopLoadGen, **kwargs):
     """A ``cls`` load generator aimed at ``handle``, for ``drive``.
 
-    Named :data:`~repro.suite.cluster.CLIENT_NAME` like the run helpers'
-    generators, so every cell of every sweep shares one arrival stream
-    and a comparison isolates the configuration under test.
+    As the first generator of a fresh cluster it is ``client1``, like the
+    run helpers' generators, so every cell of every sweep shares one
+    arrival stream and a comparison isolates the configuration under test.
     """
     return cls(
         cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
-        target=handle.target_address, source=handle.make_source(),
-        name=CLIENT_NAME, **kwargs,
+        target=handle.target_address, source=handle.make_source(), **kwargs,
     )
 
 
@@ -209,17 +222,18 @@ def measure_saturation(
     return result.throughput_qps
 
 
-def double_run(measure: Callable[[], Any], **cell) -> dict:
-    """An artifact's ``reproducibility`` block: ``measure()`` — one cell,
-    built from scratch under a fixed seed — run twice.
+def double_run(measure: Callable[..., Any], *args) -> dict:
+    """``measure(*args)`` — one cell, built from scratch under a fixed
+    seed — run twice: both records as plain dicts and ``bit_identical``,
+    their dict-for-dict equality.
 
-    ``cell`` labels which cell it was (``service=``, ``qps=``, ...); the
-    block adds both records as plain dicts and ``bit_identical``, their
-    dict-for-dict equality.  ``first`` is what the drift gate later
-    re-measures through the experiment's ``pinned`` probe.
+    A sweep passes ``(pinned, doc, telemetry)``, once its document holds
+    every parameter it records: the double run then measures the cell the
+    drift gate re-runs from the committed artifact, and ``first`` is the
+    record drift compares against.
     """
-    first, second = (asdict(measure()) for _ in range(2))
-    return {**cell, "bit_identical": first == second, "first": first, "second": second}
+    first, second = (asdict(measure(*args)) for _ in range(2))
+    return {"bit_identical": first == second, "first": first, "second": second}
 
 
 def reproduced(doc: dict) -> str:
@@ -402,10 +416,11 @@ class Experiment:
     ``schema`` names the JSON schema the document must satisfy (an
     experiment with a schema gets an ``--output`` flag); ``bench_path`` is
     the committed artifact (relative to the repository root / CWD), and
-    ``pinned(doc, telemetry)`` re-measures that artifact's reproducibility
-    cell from the parameters recorded in ``doc``, returning ``(fresh,
-    committed, label)`` for the drift gate (``drift_streaming`` asks for a
-    second, streaming-telemetry re-run).
+    ``pinned(doc, telemetry)`` measures that artifact's reproducibility
+    cell from the parameters recorded in ``doc`` and returns its record:
+    the sweep's double run and the drift gate both call it
+    (``drift_streaming`` asks drift for a second, streaming-telemetry
+    re-run).
     """
 
     name: str
@@ -417,7 +432,7 @@ class Experiment:
     acceptance: Optional[Callable[[dict], Dict[str, object]]] = None
     schema: Optional[str] = None
     bench_path: Optional[str] = None
-    pinned: Optional[Callable[[dict, Any], Tuple[Any, dict, str]]] = None
+    pinned: Optional[Callable[[dict, Any], Any]] = None
     drift_streaming: bool = False
 
 
@@ -489,6 +504,7 @@ __all__ = [
     "double_run", "duration_flag", "find_row", "loadgen", "loads_flag",
     "measure_saturation", "open_loop_cell", "plot_flag", "positive_float",
     "positive_int", "qps_flag", "queries_flag", "reproduced",
-    "resolve_scale", "run_experiment", "service_flag", "services_flag",
+    "resolve_scale", "run_experiment", "scale_name", "service_flag",
+    "services_flag",
     "tail_attributions", "write_artifact",
 ]

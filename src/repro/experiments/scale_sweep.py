@@ -61,7 +61,18 @@ def sweep_scale(
     scale: ServiceScale | str = "small",
     service: str = SWEEP_SERVICE,
 ) -> ServiceScale:
-    """The sweep's scale: ``scale`` with the mid-tier made the bottleneck."""
+    """The sweep's scale: ``scale`` with the mid-tier made the bottleneck.
+
+    Router builds its mid-tier with its own core count, so the squeeze
+    would not happen there: it is a
+    :class:`~repro.experiments.runner.UsageError`.
+    """
+    if service == "router":
+        raise runner.UsageError(
+            "router ignores the one-core mid-tier squeeze (its builder passes "
+            "its own MIDTIER_CORES); it cannot be swept until ROADMAP item 9 "
+            "makes the core count part of the deployment record"
+        )
     scale = runner.resolve_scale(scale)
     leaf_us = {**scale.target_leaf_service_us, service: SWEEP_LEAF_US}
     return scale.with_overrides(
@@ -158,31 +169,6 @@ def measure_load_point(
     return point
 
 
-def pinned_point(
-    replicas: int,
-    policy: str,
-    qps: float,
-    service: str = SWEEP_SERVICE,
-    scale: ServiceScale | str = "small",
-    seed: int = 0,
-    duration_us: float = DEFAULT_DURATION_US,
-    telemetry=None,
-) -> LoadPoint:
-    """The reproducibility cell: one (replicas, policy) point at ``qps``.
-
-    One mid-tier has no balancer, so its policy label (``"direct"``) maps
-    to the round-robin default.
-    """
-    built = sweep_scale(
-        replicas, policy if replicas > 1 else "round-robin",
-        scale=scale, service=service,
-    )
-    return measure_load_point(
-        service, built, qps, seed=seed, duration_us=duration_us,
-        telemetry=telemetry,
-    )
-
-
 def run_scale_sweep(
     service: str = SWEEP_SERVICE,
     replica_counts: Iterable[int] = REPLICA_COUNTS,
@@ -195,6 +181,7 @@ def run_scale_sweep(
 ) -> dict:
     """The full sweep plus a same-seed double run of one cell, as the
     JSON artifact (validates against bench_scale.schema.json)."""
+    scale_name = runner.scale_name(scale)
     # Validate policies up front: a typo'd name is a one-line usage
     # error, not a ValueError traceback mid-sweep.
     try:
@@ -232,7 +219,6 @@ def run_scale_sweep(
     repro_qps = loads[len(loads) // 2] if loads else 1_000.0
     if repro_n == 1:
         repro_policy = "direct"
-    scale_name = scale if isinstance(scale, str) else scale.name
     doc = {
         "benchmark": (
             f"mid-tier scale-out on {service}, scale={scale_name} "
@@ -248,14 +234,11 @@ def run_scale_sweep(
             "target_leaf_service_us": SWEEP_LEAF_US,
         },
         "cells": [asdict(cell) for cell in cells],
-        "reproducibility": runner.double_run(
-            lambda: pinned_point(
-                repro_n, repro_policy, repro_qps, service=service, scale=scale,
-                seed=seed, duration_us=duration_us, telemetry=telemetry,
-            ),
-            replicas=repro_n, policy=repro_policy, qps=repro_qps,
-        ),
+        "reproducibility": {
+            "replicas": repro_n, "policy": repro_policy, "qps": repro_qps,
+        },
     }
+    doc["reproducibility"].update(runner.double_run(pinned, doc, telemetry))
     doc["acceptance"] = acceptance(doc)
     return doc
 
@@ -330,19 +313,21 @@ def format_scale_sweep(doc: dict) -> str:
     return "\n".join(out)
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the reproducibility cell from its recorded parameters."""
+def pinned(doc: dict, telemetry=None) -> LoadPoint:
+    """The reproducibility cell from the parameters ``doc`` records: one
+    (replicas, policy) point at ``qps``, for the double run and the drift
+    gate.  One mid-tier has no balancer, so its policy label
+    (``"direct"``) maps to the round-robin default."""
     repro = doc["reproducibility"]
-    point = pinned_point(
-        repro["replicas"], repro["policy"], repro["qps"],
-        service=doc["service"], scale=doc["scale"], seed=doc["seed"],
+    replicas, policy = repro["replicas"], repro["policy"]
+    built = sweep_scale(
+        replicas, policy if replicas > 1 else "round-robin",
+        scale=doc["scale"], service=doc["service"],
+    )
+    return measure_load_point(
+        doc["service"], built, repro["qps"], seed=doc["seed"],
         duration_us=doc["duration_us"], telemetry=telemetry,
     )
-    label = (
-        f"{repro['replicas']} replicas / {repro['policy']} @ "
-        f"{repro['qps']:g} QPS cell"
-    )
-    return point, repro["first"], label
 
 
 #: Registry entry: ``usuite scale``.

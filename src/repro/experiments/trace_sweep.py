@@ -75,9 +75,9 @@ def _rebase_exemplars(
 ) -> List[Dict[str, object]]:
     """Exemplars with request ids relative to the cell's first sample.
 
-    Request ids come from a process-global counter, so absolute ids
-    differ between two identical runs; rebasing them makes the double-run
-    reproducibility check (and the committed artifact) byte-stable.
+    Request ids number from 1 in each simulation, so a raw id is already
+    the same in every run of the cell; this maps that per-run numbering
+    to the one the committed artifact records (first sample = 0).
     """
     base = min((trace.request_id for trace in traces), default=0)
     return [
@@ -188,20 +188,19 @@ def run_trace_sweep(
 ) -> dict:
     """The full sweep plus a same-seed double run of one cell, as the
     JSON artifact (validates against bench_trace.schema.json)."""
+    scale_name = runner.scale_name(scale)
     services = list(services)
     loads = sorted(loads)
-    def measure(service: str, qps: float) -> TraceCell:
-        return measure_trace_cell(
+    cells = [
+        measure_trace_cell(
             service, scale, qps, seed=seed, queries=queries,
             sample_every=sample_every, top_k=top_k, telemetry=telemetry,
         )
-
-    cells = [measure(service, qps) for service in services for qps in loads]
-    repro_service = services[0]
+        for service in services for qps in loads
+    ]
     repro_qps = (
         CROSSCHECK_QPS if CROSSCHECK_QPS in loads else loads[len(loads) // 2]
     )
-    scale_name = scale if isinstance(scale, str) else scale.name
     doc = {
         "benchmark": (
             f"per-request critical-path attribution, scale={scale_name} "
@@ -214,11 +213,9 @@ def run_trace_sweep(
         "sample_every": sample_every,
         "categories": list(critpath.CATEGORIES),
         "cells": [asdict(cell) for cell in cells],
-        "reproducibility": runner.double_run(
-            lambda: measure(repro_service, repro_qps),
-            service=repro_service, qps=repro_qps,
-        ),
+        "reproducibility": {"service": services[0], "qps": repro_qps},
     }
+    doc["reproducibility"].update(runner.double_run(pinned, doc, telemetry))
     doc["acceptance"] = acceptance(doc)
     return doc
 
@@ -348,16 +345,17 @@ def format_trace_sweep(doc: dict, show: int = 3) -> str:
     return "\n".join(out)
 
 
-def pinned(doc: dict, telemetry=None):
-    """Drift probe: the reproducibility cell from its recorded parameters."""
+def pinned(doc: dict, telemetry=None) -> TraceCell:
+    """The reproducibility cell from the parameters ``doc`` records, for
+    the double run and the drift gate.  ``top_k`` is the exemplar count of
+    the grid's matching cell."""
     repro = doc["reproducibility"]
-    cell = measure_trace_cell(
+    grid = runner.find_row(doc["cells"], service=repro["service"], qps=repro["qps"])
+    return measure_trace_cell(
         repro["service"], doc["scale"], repro["qps"], seed=doc["seed"],
         queries=doc["queries_per_cell"], sample_every=doc["sample_every"],
-        top_k=len(repro["first"]["exemplars"]), telemetry=telemetry,
+        top_k=len(grid["exemplars"]), telemetry=telemetry,
     )
-    label = f"{repro['service']} @ {repro['qps']:g} QPS traced cell"
-    return cell, repro["first"], label
 
 
 #: Registry entry: ``usuite trace``.  The committed bytes were recorded

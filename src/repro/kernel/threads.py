@@ -29,11 +29,7 @@ class ThreadState(enum.Enum):
 class SimThread:
     """One simulated OS thread."""
 
-    _next_tid = 1
-
     def __init__(self, name: str, body: Generator["KernelOp", Any, Any]):
-        self.tid = SimThread._next_tid
-        SimThread._next_tid += 1
         self.name = name
         self.body = body
         self.state = ThreadState.NEW
@@ -63,4 +59,4 @@ class SimThread:
         return self.state is not ThreadState.DONE
 
     def __repr__(self) -> str:
-        return f"SimThread({self.name}#{self.tid}, {self.state.value})"
+        return f"SimThread({self.name}, {self.state.value})"

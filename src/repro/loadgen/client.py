@@ -17,9 +17,11 @@ E2E_HIST = "e2e_latency"
 
 
 class _ClientBase:
-    """An ideal fabric endpoint that sends queries and collects replies."""
+    """An ideal fabric endpoint that sends queries and collects replies.
 
-    _instances = 0
+    The name keys the arrival RNG stream; without ``name=`` the k-th
+    generator built on ``sim`` is ``client<k>``.
+    """
 
     def __init__(
         self,
@@ -32,13 +34,13 @@ class _ClientBase:
         name: Optional[str] = None,
         tracer=None,
     ):
-        _ClientBase._instances += 1
+        number = next(sim.client_ids)
         self.sim = sim
         self.fabric = fabric
         self.telemetry = telemetry
         self.target = tuple(target)
         self.source = source
-        self.name = name or f"client{_ClientBase._instances}"
+        self.name = name or f"client{number}"
         self.address: Address = (self.name, 0)
         self.rng = rng.py(f"loadgen:{self.name}")
         self.sent = 0
@@ -55,6 +57,7 @@ class _ClientBase:
             payload=payload,
             size_bytes=size_bytes,
             reply_to=self.address,
+            request_id=next(self.sim.request_ids),
             client_start=client_start,
         )
         if self.tracer is not None:

@@ -180,6 +180,7 @@ class LeafBatcher:
             payload=BatchEnvelope(subs),
             size_bytes=size,
             reply_to=self.runtime.client_sock.address,
+            request_id=next(self.machine.sim.request_ids),
         )
         self.batches_sent += 1
         machine = self.machine

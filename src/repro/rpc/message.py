@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Tuple
 
 Address = Tuple[str, int]
-
-_request_ids = itertools.count(1)
 
 
 class RpcMessage:
@@ -33,7 +30,11 @@ class RpcMessage:
 
 
 class RpcRequest(RpcMessage):
-    """A request: carries the reply address and fan-out bookkeeping ids."""
+    """A request: carries the reply address and fan-out bookkeeping ids.
+
+    ``request_id`` is the creator's ``next(sim.request_ids)``: ids number
+    from 1 in each simulation.
+    """
 
     __slots__ = (
         "method", "request_id", "parent_id", "reply_to", "client_start",
@@ -46,12 +47,13 @@ class RpcRequest(RpcMessage):
         payload: Any,
         size_bytes: int,
         reply_to: Address,
+        request_id: int,
         parent_id: Optional[int] = None,
         client_start: Optional[float] = None,
     ):
         super().__init__(payload, size_bytes)
         self.method = method
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
         self.parent_id = parent_id
         self.reply_to = reply_to
         # Stamped by the load generator for end-to-end latency accounting.

@@ -699,6 +699,7 @@ class MidTierRuntime(_RuntimeBase):
             payload=payload,
             size_bytes=size_bytes,
             reply_to=self.client_sock.address,
+            request_id=next(self.machine.sim.request_ids),
             parent_id=parent.request_id if parent is not None else None,
             client_start=parent.client_start if parent is not None else None,
         )

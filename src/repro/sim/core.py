@@ -47,6 +47,7 @@ millions-of-events runs the figure experiments perform:
 
 from __future__ import annotations
 
+import itertools
 import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
@@ -156,6 +157,10 @@ class Simulation:
         self.lane = Lane(self)
         #: Callbacks executed since construction (perf accounting).
         self.executed = 0
+        #: This run's request ids and default load-generator numbers, so
+        #: neither depends on what else the process simulated before it.
+        self.request_ids = itertools.count(1)
+        self.client_ids = itertools.count(1)
 
     @property
     def now(self) -> float:

@@ -392,14 +392,6 @@ class RunResult:
         return merged
 
 
-#: The name the run helpers (and the experiment runner) give their load
-#: generator.  The name keys the generator's RNG stream, so naming it
-#: explicitly — instead of taking the process-wide instance counter's
-#: default — makes every cell replay the same arrival sequence no matter
-#: how many generators the process built before.
-CLIENT_NAME = "client1"
-
-
 def drive(
     cluster: SimCluster,
     service: ServiceHandle,
@@ -480,7 +472,6 @@ def run_open_loop(
         target=service.target_address,
         source=service.make_source(),
         qps=qps,
-        name=CLIENT_NAME,
         tracer=tracer,
     )
     return drive(cluster, service, gen, warmup_us, duration_us, drain_us)
@@ -502,7 +493,6 @@ def run_closed_loop(
         target=service.target_address,
         source=service.make_source(),
         n_clients=n_clients,
-        name=CLIENT_NAME,
     )
     result = drive(cluster, service, gen, warmup_us, duration_us, drain_us=0.0)
     # The closed loop reports every query issued, warm-up included.

@@ -11,11 +11,12 @@ reader of ``cluster.telemetry`` works unchanged in both modes.  The
 determinism contract with the buffered hub is stated beside the family
 table in :mod:`repro.telemetry.probes`.
 
-Stream version 1 is one JSON object per line: a ``header`` (``version``,
-``window_us``, ``reservoir_size``); then, as they happened, ``w`` records
-(``i``, ``start_us``, ``end_us`` and one key per non-empty family, in
-table order) and ``open`` markers (``start``); then an ``end`` footer
-with the ``windows`` and ``samples`` written, which the fold checks.
+Stream version 1 is one JSON object per line, keys sorted at every
+level: a ``header`` (``version``, ``window_us``, ``reservoir_size``);
+then, as they happened, ``w`` records (``i``, ``start_us``, ``end_us``
+and one key per non-empty family) and ``open`` markers (``start``); then
+an ``end`` footer with the ``windows`` and ``samples`` written, which the
+fold checks.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ STREAM_VERSION = 1
 
 def _dumps(record: dict) -> str:
     # Compact separators; float repr round-trips every IEEE double
-    # exactly, so the fold sees bit-equal values.
-    return json.dumps(record, separators=(",", ":"))
+    # exactly, so the fold sees bit-equal values.  Sorted keys: a window's
+    # bytes do not depend on which machine wrote a key first.
+    return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
 def _raw_values(family, pending) -> int:

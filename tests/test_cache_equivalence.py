@@ -17,7 +17,6 @@ import math
 import pytest
 
 from repro.loadgen import OpenLoopLoadGen
-from repro.loadgen.client import _ClientBase
 from repro.midcache import CacheConfig, QueryCache
 from repro.rpc.message import RpcRequest
 from repro.suite import SCALES, SimCluster, build_service
@@ -40,6 +39,7 @@ class RecordingLoadGen(OpenLoopLoadGen):
             payload=payload,
             size_bytes=size_bytes,
             reply_to=self.address,
+            request_id=next(self.sim.request_ids),
             client_start=client_start,
         )
         self._index_of[request.request_id] = self.sent
@@ -63,7 +63,6 @@ def _run_config(
     **overrides,
 ):
     """One seeded run; returns (responses by send index, midtier runtime)."""
-    _ClientBase._instances = 0
     scale = SCALES["unit"].with_overrides(**overrides)
     cluster = SimCluster(seed=seed)
     handle = build_service(service, cluster, scale)
@@ -176,7 +175,6 @@ def test_hedges_ride_the_batcher():
     """Tail-tolerance duplicates must coalesce like original sub-requests."""
     from repro.rpc.policy import TailPolicy
 
-    _ClientBase._instances = 0
     scale = SCALES["unit"].with_overrides(
         batch=BatchConfig(enabled=True, max_batch=8, max_wait_us=50.0),
     )

@@ -67,6 +67,15 @@ def test_cli_scale_unknown_policy_exits_2(capsys):
     assert "round-robin" in err  # the message lists the valid choices
 
 
+@pytest.mark.parametrize("command", ["scale", "autoscale"])
+def test_cli_squeezed_sweeps_reject_router(command, capsys):
+    # Parent: Router's builder passed its own MIDTIER_CORES, so the run
+    # recorded scale_overrides.midtier_cores=1 for a four-core mid-tier.
+    assert main([command, "--scale", "unit", "--service", "router"]) == 2
+    err = capsys.readouterr().err
+    assert "router" in err and "ROADMAP item 9" in err
+
+
 def test_scale_schema_rejects_malformed_artifact():
     schema = load_schema("bench_scale.schema.json")
     with pytest.raises(SchemaError, match="missing required property"):

@@ -24,7 +24,6 @@ from repro.energy import EnergyConfig, MachineEnergy, idle_portions
 from repro.graph import build_graph
 from repro.graph.exemplar import onehop_graph
 from repro.kernel.config import OsCosts
-from repro.loadgen.client import _ClientBase
 from repro.suite.cluster import SimCluster, run_open_loop
 from repro.telemetry import TelemetryConfig
 
@@ -115,7 +114,6 @@ def test_snapshot_deltas_telescope_across_a_cut(data, cut):
 # -- whole-cluster invariance -----------------------------------------------
 
 def _run_onehop(telemetry=None, energy=None):
-    _ClientBase._instances = 0
     cluster = SimCluster(seed=0, telemetry=telemetry, energy=energy)
     handle = build_graph(cluster, onehop_graph(n_queries=100))
     result = run_open_loop(

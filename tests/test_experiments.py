@@ -1,10 +1,12 @@
 """Tests for the experiment harness (fast, unit scale, low loads)."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
+from importlib import import_module
 
 import pytest
 
-from repro.experiments import characterize, drift, figures, registry
+from repro.experiments import characterize, drift, figures, graph_sweep, registry, runner
 from repro.experiments.characterize import OVERHEAD_KINDS, default_duration_us
 from repro.experiments.figures import (
     FIGURES,
@@ -31,6 +33,7 @@ from repro.experiments.sched_policy_ab import (
 from repro.experiments.cli import build_parser, main
 from repro.experiments.schema import load_schema
 from repro.experiments.tables import render_table
+from repro.suite import SCALES
 
 
 @pytest.fixture(scope="module")
@@ -269,26 +272,79 @@ def test_compression_ablation_unit_scale():
     assert "decode us/query" in table and "varint-delta" in table
 
 
-def test_cache_sweep_records_and_replays_the_policy_it_ran(monkeypatch):
-    """``usuite cache --policy fifo`` must record fifo, so drift's pinned
-    re-run replays the cell under the policy that produced it."""
-    from dataclasses import asdict
+#: sweep -> (tiny run keywords, module constants to patch, the grid's
+#: record of the pinned cell or None where the grid does not measure that
+#: cell itself).  The patches shorten saturation and session cells, which
+#: are not the pinned cell; the cache capacity is one the cell overflows.
+MAPPING = {
+    "scale": (
+        dict(scale="unit", replica_counts=[1, 2], policies=["round-robin"],
+             loads=[800.0], duration_us=60_000.0),
+        dict(WARMUP_US=20_000.0, SATURATION_DURATION_US=30_000.0),
+        lambda module, doc: runner.find_row(
+            module.find_cell(doc, 2, "round-robin")["loads"], qps=800.0,
+        ),
+    ),
+    "cache": (
+        dict(services=["router"], loads=[2_000.0], scale="unit",
+             duration_us=60_000.0, saturation_duration_us=30_000.0, axes=False,
+             cache_policy="fifo"),
+        dict(WARMUP_US=20_000.0, DEFAULT_CAPACITY=16),
+        lambda module, doc: runner.find_row(
+            doc["cells"], service="router", batch_max=module.DEFAULT_BATCH_MAX,
+            cache_capacity=module.DEFAULT_CAPACITY,
+        )["loads"][-1],
+    ),
+    "trace": (
+        dict(services=["hdsearch"], loads=[1_000.0], scale="unit", queries=150),
+        {},
+        lambda module, doc: runner.find_row(
+            doc["cells"], service="hdsearch", qps=module.CROSSCHECK_QPS,
+        ),
+    ),
+    "graph": (
+        dict(queries=100),
+        dict(WARMUP_US=10_000.0, measure_session_cell=partial(
+            graph_sweep.measure_session_cell, duration_us=50_000.0,
+        )),
+        None,
+    ),
+    "autoscale": (
+        dict(scale="unit", static_replicas=[1, 2], duration_us=60_000.0,
+             base_qps=1_500.0, tick_us=15_000.0, window_us=15_000.0),
+        {},
+        None,
+    ),
+}
 
-    from repro.experiments import cache_sweep
 
-    # A capacity the cell overflows, so LRU and FIFO evict differently and
-    # a re-run under the wrong policy shows in the record.
-    monkeypatch.setattr(cache_sweep, "DEFAULT_CAPACITY", 16)
-    doc = cache_sweep.run_cache_sweep(
-        services=["router"], loads=[2_000.0], scale="unit",
-        duration_us=60_000.0, saturation_duration_us=30_000.0,
-        axes=False, cache_policy="fifo",
-    )
-    assert doc["defaults"]["cache_policy"] == "fifo"
-    assert "capacity=16 fifo" in doc["benchmark"]
-    point, first, _label = cache_sweep.pinned(doc)
-    assert asdict(point) == first
-    lru = cache_sweep.pinned_point(
-        "router", 2_000.0, scale="unit", duration_us=60_000.0, cache_policy="lru",
-    )
-    assert asdict(lru) != first, "policies agree: the check is vacuous"
+@pytest.mark.parametrize("name", sorted(MAPPING))
+def test_one_document_to_cell_mapping_per_sweep(name, monkeypatch):
+    """The double run and the drift gate run one ``pinned(doc)``: it
+    reproduces ``reproducibility.first``, and so does the grid's own
+    measurement of that cell.  The cache run records fifo at a capacity
+    the cell overflows, so a re-run under LRU would show in the record."""
+    kwargs, patches, grid_record = MAPPING[name]
+    module = import_module(f"repro.experiments.{name}_sweep")
+    for attr, value in patches.items():
+        monkeypatch.setattr(module, attr, value)
+    doc = getattr(module, f"run_{name}_sweep")(**kwargs)
+    first = doc["reproducibility"]["first"]
+    assert doc["reproducibility"]["bit_identical"]
+    assert asdict(module.pinned(doc)) == first
+    if grid_record is not None:
+        assert grid_record(module, doc) == first
+    if name == "cache":
+        assert doc["defaults"]["cache_policy"] == "fifo"
+        assert "capacity=16 fifo" in doc["benchmark"]
+        lru = {**doc, "defaults": {**doc["defaults"], "cache_policy": "lru"}}
+        assert asdict(module.pinned(lru)) != first, "policies agree: the check is vacuous"
+
+
+@pytest.mark.parametrize("name", ["scale", "cache", "trace", "autoscale"])
+def test_sweeps_take_the_scale_by_name(name):
+    """The document records the scale's name, so a ServiceScale object —
+    which ``pinned(doc)`` could not rebuild — is a usage error."""
+    module = import_module(f"repro.experiments.{name}_sweep")
+    with pytest.raises(runner.UsageError, match="registry name"):
+        getattr(module, f"run_{name}_sweep")(scale=SCALES["unit"])

@@ -20,10 +20,11 @@ would take those draws out of order.  The other replicated cells (HDSearch,
 a graph with a replicated internal node and leaf tier, and a traced,
 streaming copy of the features cell) run each replica on its own lane,
 and must match the strict rule as well as the filed run: model records,
-spill bytes and trace segments.
+spill bytes and trace segments.  Two cells also run again after an
+unrelated cell: a run depends only on its inputs, so their bytes, raw
+request ids included, must not move.
 """
 
-import json
 import math
 from dataclasses import asdict, astuple, replace
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ import pytest
 
 from repro.control import ControlConfig
 from repro.energy import EnergyConfig
-from repro.experiments import graph_sweep
+from repro.experiments import graph_sweep, trace_sweep
 from repro.faults import FaultPlan, MidTierPressure
 from repro.graph import build_graph, exemplar_graph
 from repro.kernel import Scheduler
@@ -182,31 +183,43 @@ def _run(cell, tmp_path):
     }
     spill = tmp_path / "spill.jsonl"
     if spill.exists():
-        # Parsed: a key's first sample in a window may come from another
-        # machine, so only the order of keys inside a window may differ.
-        record["spill"] = [json.loads(line) for line in spill.read_text().splitlines()]
+        record["spill"] = spill.read_bytes()
     if tracer is not None:
         record["traces"] = [_trace_record(trace) for trace in tracer.finished]
     return record, cluster.sim.executed
 
 
 def _trace_record(trace):
-    """A trace's spans, segments and winners, with each request id
-    replaced by its order of first appearance.  Ids come from one
-    process-wide counter, and replicas on separate lanes may take
-    sub-request ids in another order than the strict rule; an id is only
-    ever compared for equality, so the labelling is what must not move."""
-    labels = {trace.request_id: 0}
+    """A trace's root id, clocks, spans, segments and winners, with the
+    raw request ids."""
+    return (
+        trace.request_id, trace.started_us, trace.finished_us,
+        [astuple(span) for span in trace.spans],
+        [astuple(seg) for seg in trace.segments],
+        sorted(trace.winners),
+    )
 
-    def label(request_id):
-        if request_id is None:
-            return None
-        return labels.setdefault(request_id, len(labels))
 
-    spans = [(*astuple(span)[:-1], label(span.request_id)) for span in trace.spans]
-    segments = [(*astuple(seg)[:-1], label(seg.request_id)) for seg in trace.segments]
-    winners = sorted(labels.get(rid, -1) for rid in trace.winners)
-    return trace.started_us, trace.finished_us, spans, segments, winners
+def _relabelled(record):
+    """``record`` with each trace's request ids replaced by their order of
+    first appearance.  Replicas on separate lanes may take sub-request ids
+    in another order than the strict rule; an id is only ever compared for
+    equality, so across modes the labelling is what must not move."""
+    if "traces" not in record:
+        return record
+    return {**record, "traces": [_relabel(trace) for trace in record["traces"]]}
+
+
+def _relabel(trace):
+    request_id, started, finished, spans, segments, winners = trace
+    labels = {request_id: 0}
+
+    def label(rid):
+        return None if rid is None else labels.setdefault(rid, len(labels))
+
+    spans = [(*span[:-1], label(span[-1])) for span in spans]
+    segments = [(*seg[:-1], label(seg[-1])) for seg in segments]
+    return started, finished, spans, segments, sorted(labels.get(rid, -1) for rid in winners)
 
 
 _DEFER_AT = Lane.defer_at
@@ -263,7 +276,7 @@ def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
     if cell == "router-control":
         (control,) = shipped["control"]
         assert control["scale_ups"] > 0
-    assert shipped == filed
+    assert _relabelled(shipped) == _relabelled(filed)
     assert shipped_events < filed_events
     assert len(shipped_dispatches) < len(filed_dispatches)
 
@@ -297,8 +310,58 @@ def test_replicated_tier_matches_the_strict_rule(cell, tmp_path, monkeypatch):
         assert shipped["traces"] and shipped["spill"]
         (control,) = shipped["control"]
         assert control["scale_ups"] > 0
-    assert shipped == strict
+    assert _relabelled(shipped) == _relabelled(strict)
     assert shipped_events < strict_events
+
+
+def _trace_cell(tmp_path, monkeypatch):
+    """A unit ``usuite trace`` cell through streaming telemetry: its
+    record, its spill bytes and its raw traces."""
+    tracers = []
+
+    class Kept(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr(trace_sweep, "Tracer", Kept)
+    spill = tmp_path / "trace-spill.jsonl"
+    cell = trace_sweep.measure_trace_cell(
+        "hdsearch", "unit", 1_000.0, queries=150,
+        telemetry=TelemetryConfig(mode="streaming", spill_path=str(spill)),
+    )
+    return {
+        "cell": asdict(cell),
+        "spill": spill.read_bytes(),
+        "traces": [_trace_record(trace) for trace in tracers[-1].finished],
+    }
+
+
+#: name -> one run of the cell, as a record with spill bytes and raw traces.
+IDENTITY = {
+    "features-traced": lambda tmp_path, monkeypatch: _run("features-traced", tmp_path)[0],
+    "trace-cell": _trace_cell,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(IDENTITY))
+def test_a_run_is_a_function_of_its_inputs(cell, tmp_path, monkeypatch):
+    """Cell A, an unrelated cell B, then A again, in one interpreter: A's
+    record, spill bytes and traces are byte-equal, raw request ids
+    included, so nothing of B's run reaches A's.  Under the strict rule
+    and filed, A keeps its record and spill bytes; only the order in
+    which replicas take sub-request ids may differ (:func:`_relabelled`)."""
+    run = IDENTITY[cell]
+    first = run(tmp_path, monkeypatch)
+    assert first["traces"] and first["spill"]
+    (tmp_path / "b").mkdir()
+    _run("router", tmp_path / "b")
+    assert run(tmp_path, monkeypatch) == first
+    _refuse_lookahead(monkeypatch)
+    strict = run(tmp_path, monkeypatch)
+    _file_everything(monkeypatch)
+    filed = run(tmp_path, monkeypatch)
+    assert _relabelled(strict) == _relabelled(first) == _relabelled(filed)
 
 
 def _lanes(machines):
@@ -379,8 +442,7 @@ def _streamed_router(tmp_path, edge_barrier=True):
         "runqlat": {m.name: tel.runqlat_hist(m.name).summary() for m in cluster.machines},
         "syscalls": {m.name: dict(tel.syscall_counts(m.name)) for m in cluster.machines},
     }
-    windows = [json.loads(line) for line in spill.read_text().splitlines()]
-    return windows, record, cluster.sim.executed
+    return spill.read_bytes(), record, cluster.sim.executed
 
 
 def test_streaming_windows_are_exact_across_run_ahead(tmp_path, monkeypatch):
@@ -388,8 +450,7 @@ def test_streaming_windows_are_exact_across_run_ahead(tmp_path, monkeypatch):
     unguarded = _streamed_router(tmp_path, edge_barrier=False)
     _refuse_lookahead(monkeypatch)
     strict = _streamed_router(tmp_path)
-    # Every window holds the same samples, in the same order per key
-    # (a key's first sample in a window may come from another machine).
+    # Every window holds the same samples, in the same order per key.
     assert shipped[:2] == strict[:2]
     assert shipped[2] < strict[2]
     # Without the edge barrier a lane rolls the window early and other

@@ -10,14 +10,12 @@ from repro.faults import (
     MidTierPressure,
     NetworkFault,
 )
-from repro.loadgen.client import _ClientBase
 from repro.suite import SimCluster
 
 CELL = dict(scale="small", seed=0, duration_us=120_000.0, warmup_us=60_000.0)
 
 
 def _run(service="hdsearch", qps=1_000.0, **kwargs):
-    _ClientBase._instances = 0
     return characterize(service, qps, **CELL, **kwargs)
 
 

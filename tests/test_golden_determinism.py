@@ -6,8 +6,8 @@ same order, and therefore reproduce every figure metric bit-for-bit.
 These values were captured from the pre-optimization engine; any drift
 here means an "optimization" changed simulated behavior, not just speed.
 
-The load-generator instance counter is process-global (it names the
-client's RNG stream), so each cell pins it before building its cluster.
+A cell's load generator is the first its simulation builds, so it is
+``client1`` and draws the same arrival stream whatever ran before it.
 The cells use short windows so the guard stays cheap enough for tier 1.
 """
 
@@ -18,13 +18,11 @@ import pytest
 from repro.experiments.cache_sweep import measure_cache_point, sweep_scale
 from repro.experiments.characterize import characterize
 from repro.experiments.scale_sweep import measure_load_point
-from repro.loadgen.client import _ClientBase
 from repro.suite import SCALES
 from repro.suite.config import LbConfig
 
 
 def _characterize_cell(service: str, qps: float):
-    _ClientBase._instances = 0
     return characterize(
         service, qps, scale="small", seed=0,
         duration_us=120_000.0, warmup_us=60_000.0,
@@ -80,7 +78,6 @@ def test_router_metrics_bit_identical():
 def test_hdsearch_goldens_hold_through_streaming_telemetry():
     from repro.telemetry import TelemetryConfig
 
-    _ClientBase._instances = 0
     r = characterize(
         "hdsearch", 1000.0, scale="small", seed=0,
         duration_us=120_000.0, warmup_us=60_000.0,

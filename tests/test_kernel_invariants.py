@@ -190,12 +190,12 @@ def test_vruntime_monotone_per_core(seed):
             if core.current is not None:
                 sampled.append(core.current)
             for thread in sampled:
-                previous = last_seen.get(thread.tid)
+                previous = last_seen.get(thread)
                 if previous is not None and thread.vruntime < previous:
                     regressions.append(
                         f"{thread} vruntime {thread.vruntime} < {previous}"
                     )
-                last_seen[thread.tid] = thread.vruntime
+                last_seen[thread] = thread.vruntime
 
     for _ in range(80):
         rig.sim.call_at(rng.uniform(0.0, 3_000.0), sample)

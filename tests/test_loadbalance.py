@@ -114,7 +114,10 @@ class _Env:
     def send(self, n=1):
         requests = []
         for _ in range(n):
-            request = RpcRequest("q", payload=None, size_bytes=64, reply_to=("cli", 0))
+            request = RpcRequest(
+                "q", payload=None, size_bytes=64, reply_to=("cli", 0),
+                request_id=next(self.sim.request_ids),
+            )
             self.fabric.send(("cli", 0), self.lb.address, request, 64)
             requests.append(request)
         return requests

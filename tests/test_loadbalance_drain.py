@@ -66,7 +66,7 @@ class _Env:
             self.sent += 1
             request = RpcRequest(
                 f"q{self.sent}", payload=None, size_bytes=64,
-                reply_to=("cli", 0),
+                reply_to=("cli", 0), request_id=next(self.sim.request_ids),
             )
             self.fabric.send(("cli", 0), self.lb.address, request, 64)
 

@@ -30,7 +30,7 @@ from repro.loadgen.traffic import (
     SessionLoadGen,
     VariableRateLoadGen,
 )
-from repro.suite.cluster import CLIENT_NAME, SimCluster, drive, run_open_loop
+from repro.suite.cluster import SimCluster, drive, run_open_loop
 from tests.helpers import Rig
 
 
@@ -274,7 +274,7 @@ def test_drive_with_a_built_generator_equals_run_open_loop():
     gen = OpenLoopLoadGen(
         cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
         target=handle.target_address, source=handle.make_source(),
-        qps=1_500.0, name=CLIENT_NAME,
+        qps=1_500.0,
     )
     direct = drive(cluster, handle, gen, 30_000.0, 100_000.0)
     cluster.shutdown()

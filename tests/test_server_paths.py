@@ -32,7 +32,7 @@ from repro.rpc import (
 from repro.rpc.batching import BatchEnvelope, BatchReply
 from repro.rpc.policy import TailPolicy
 from repro.suite import SCALES, SimCluster, build_service
-from repro.suite.cluster import CLIENT_NAME, drive
+from repro.suite.cluster import drive
 from repro.suite.config import BatchConfig
 from repro.telemetry.tracing import Trace
 
@@ -74,7 +74,7 @@ def test_every_query_is_answered_exactly_once(service, processing, reception, ba
     gen = OpenLoopLoadGen(
         cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
         target=handle.target_address, source=handle.make_source(),
-        qps=1500.0, name=CLIENT_NAME,
+        qps=1500.0,
     )
     # No warm-up trim: the hub's counter then covers every reply the
     # generator saw, so a double answer cannot hide in the trimmed part.
@@ -108,7 +108,7 @@ def test_every_graph_query_is_answered_exactly_once(graph, tail):
     gen = OpenLoopLoadGen(
         cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
         target=handle.target_address, source=handle.make_source(),
-        qps=1500.0, name=CLIENT_NAME,
+        qps=1500.0,
     )
     drive(cluster, handle, gen, warmup_us=0.0, duration_us=40_000.0)
     cluster.shutdown()
@@ -229,7 +229,10 @@ def test_shed_subrequest_gets_no_leaf_span():
     rig.fabric.register("mid", lambda packet: replies.append(packet.payload))
 
     def sub(payload, deadline):
-        request = RpcRequest("leaf", payload, 64, reply_to=("mid", 0), parent_id=7)
+        request = RpcRequest(
+            "leaf", payload, 64, reply_to=("mid", 0),
+            request_id=next(rig.sim.request_ids), parent_id=7,
+        )
         request.trace = Trace(
             request_id=request.request_id, started_us=0.0, sim=rig.sim
         )
@@ -238,7 +241,8 @@ def test_shed_subrequest_gets_no_leaf_span():
 
     expired, live = sub("late", deadline=-1.0), sub("ok", deadline=None)
     envelope = RpcRequest(
-        "leaf-batch", BatchEnvelope([expired, live]), 176, reply_to=("mid", 0)
+        "leaf-batch", BatchEnvelope([expired, live]), 176, reply_to=("mid", 0),
+        request_id=next(rig.sim.request_ids),
     )
     rig.fabric.send(("mid", 0), leaf.address, envelope, envelope.size_bytes)
     machine.shutdown()

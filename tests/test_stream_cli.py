@@ -246,19 +246,20 @@ def test_open_window_leaves_every_family_empty(make):
         telemetry.close()
 
 
-#: Stream version 1, byte for byte, captured from the commit before the
-#: family table existed: header fields, ``w`` key order, families nested
-#: in first-seen order, the ``open`` marker after the flushed warm-up
-#: window, no record for the empty window 3, footer counts.
+#: Stream version 1, byte for byte: keys sorted at every level (a window's
+#: bytes do not depend on which machine wrote first), the ``open`` marker
+#: after the flushed warm-up window, no record for the empty window 3,
+#: footer counts.  Re-captured when the writer began sorting keys; every
+#: record parses equal to the one captured before the family table existed.
 PINNED_STREAM = """\
-{"t":"header","version":1,"window_us":100.0,"reservoir_size":64}
-{"t":"w","i":0,"start_us":0.0,"end_us":100.0,"syscalls":{"mid":{"futex":1}},"hist":{"e2e_latency":[1.5]}}
-{"t":"w","i":1,"start_us":100.0,"end_us":200.0,"runqlat":{"mid":[2.0]}}
-{"t":"open","start":150.0}
-{"t":"w","i":1,"start_us":100.0,"end_us":200.0,"syscalls":{"mid":{"epoll_wait":2},"leaf0":{"futex":1}},"runqlat":{"mid":[3.25],"leaf0":[0.5]},"irq":{"mid":{"net_rx":[4.0],"hardirq":[1.0]},"leaf0":{"net_rx":[2.0]}},"ctx":{"mid":1},"hitm":{"mid":2,"leaf0":3},"hitm_remote":{"leaf0":3},"retrans":1,"futex":{"mid":1},"attributed":{"mid":{"active_exe":[0.1,0.2]},"leaf0":{"net":[7.0]}}}
-{"t":"w","i":2,"start_us":200.0,"end_us":300.0,"hist":{"e2e_latency":[250.0],"batch_occupancy:mid":[3]},"counters":{"queries":2},"events":[[205.0,"checkpoint"]]}
-{"t":"w","i":4,"start_us":400.0,"end_us":500.0,"counters":{"queries":1}}
-{"t":"end","windows":5,"samples":13}
+{"reservoir_size":64,"t":"header","version":1,"window_us":100.0}
+{"end_us":100.0,"hist":{"e2e_latency":[1.5]},"i":0,"start_us":0.0,"syscalls":{"mid":{"futex":1}},"t":"w"}
+{"end_us":200.0,"i":1,"runqlat":{"mid":[2.0]},"start_us":100.0,"t":"w"}
+{"start":150.0,"t":"open"}
+{"attributed":{"leaf0":{"net":[7.0]},"mid":{"active_exe":[0.1,0.2]}},"ctx":{"mid":1},"end_us":200.0,"futex":{"mid":1},"hitm":{"leaf0":3,"mid":2},"hitm_remote":{"leaf0":3},"i":1,"irq":{"leaf0":{"net_rx":[2.0]},"mid":{"hardirq":[1.0],"net_rx":[4.0]}},"retrans":1,"runqlat":{"leaf0":[0.5],"mid":[3.25]},"start_us":100.0,"syscalls":{"leaf0":{"futex":1},"mid":{"epoll_wait":2}},"t":"w"}
+{"counters":{"queries":2},"end_us":300.0,"events":[[205.0,"checkpoint"]],"hist":{"batch_occupancy:mid":[3],"e2e_latency":[250.0]},"i":2,"start_us":200.0,"t":"w"}
+{"counters":{"queries":1},"end_us":500.0,"i":4,"start_us":400.0,"t":"w"}
+{"samples":13,"t":"end","windows":5}
 """
 
 

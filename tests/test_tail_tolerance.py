@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.characterize import characterize
 from repro.faults import FaultPlan, LeafSlowdown, LeafStall
-from repro.loadgen.client import _ClientBase
 from repro.rpc.policy import DEFAULT_TAIL_POLICY, TailPolicy
 from repro.suite import SCALES, SimCluster, build_service
 
@@ -12,7 +11,6 @@ CELL = dict(scale="small", seed=0, duration_us=120_000.0, warmup_us=60_000.0)
 
 
 def _run(service="hdsearch", qps=1_000.0, **kwargs):
-    _ClientBase._instances = 0
     return characterize(service, qps, **CELL, **kwargs)
 
 
