@@ -40,14 +40,6 @@ from repro.control.policies import (
 )
 from repro.telemetry.histogram import rank_percentile
 
-#: Series-name prefixes the telemetry windows tee must keep for a
-#: :class:`Controller`: the latency signals and ``runqlat:<machine>``
-#: series it reads in :meth:`Controller.window_summary`.  Every topology
-#: builder passes this to ``Telemetry.enable_windows``, so a series the
-#: controller starts reading cannot be teed in one and missing in another.
-WINDOW_SERIES = ("e2e_latency", "midtier_latency:", "runqlat:")
-
-
 class Controller:
     """Deterministic per-service autoscaling loop."""
 
@@ -60,7 +52,6 @@ class Controller:
         runtimes: Sequence,
         lb=None,
         signals: Sequence[str] = (),
-        runq_machines: Sequence[str] = (),
     ):
         if telemetry.windows is None:
             raise ValueError(
@@ -74,7 +65,6 @@ class Controller:
         self.runtimes = list(runtimes)
         self.lb = lb
         self.signals = list(signals)
-        self.runq_series = [f"runqlat:{m}" for m in runq_machines]
         self.policy = make_control_policy(config)
         # Baseline knob snapshots, restored whenever overload clears.
         self._base_policies = [rt.tail_policy for rt in self.runtimes]
@@ -125,12 +115,12 @@ class Controller:
         return sum(len(rt.pending) for rt in self.runtimes)
 
     def window_summary(self) -> WindowSummary:
-        """Merge the last window's worth of windowed telemetry."""
+        """Merge the last window's worth of the signal series (the only
+        series the tee keeps for this controller)."""
         now = self.sim.now
-        t0 = now - self.config.window_us
-        windows = self.telemetry.windows
-        signal_values = windows.values_between(self.signals, t0, now)
-        runq_values = windows.values_between(self.runq_series, t0, now)
+        signal_values = self.telemetry.windows.values_between(
+            self.signals, now - self.config.window_us, now
+        )
         inflight = self._inflight()
         admitting = max(1, self._admitting())
         return WindowSummary(
@@ -138,9 +128,7 @@ class Controller:
                 rank_percentile(sorted(signal_values), 99.0)
                 if signal_values else None
             ),
-            mean_runq_us=(
-                sum(runq_values) / len(runq_values) if runq_values else None
-            ),
+            mean_runq_us=None,
             inflight=float(inflight),
             inflight_per_replica=inflight / admitting,
             samples=len(signal_values),

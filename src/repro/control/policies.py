@@ -25,7 +25,9 @@ class WindowSummary:
     """What a policy sees each tick: one window of merged telemetry."""
 
     p99_us: Optional[float]  # p99 of the signal series; None if no samples
-    mean_runq_us: Optional[float]  # mean runqueue wait; None if no samples
+    # No policy reads it and the controller passes None; the field stays
+    # because benchmarks/perf constructs WindowSummary with it (DESIGN §10).
+    mean_runq_us: Optional[float]
     inflight: float  # total in-flight (balancer outstanding + backlog)
     inflight_per_replica: float  # inflight / admitting replicas
     samples: int  # sample count backing p99_us

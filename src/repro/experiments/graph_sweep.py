@@ -276,10 +276,15 @@ SESSION_MIX = (
 )
 
 
+#: The longest session cell: a sweep runs it for as long as its other
+#: cells offer queries (``queries / qps``), up to this.
+SESSION_DURATION_US = 800_000.0
+
+
 def measure_session_cell(
     graph: GraphConfig,
     seed: int = 0,
-    duration_us: float = 800_000.0,
+    duration_us: float = SESSION_DURATION_US,
     telemetry=None,
 ) -> SessionCell:
     """Run the session mix closed-loop and check in-flight conservation."""
@@ -392,9 +397,11 @@ def run_graph_sweep(
     doc["traffic"] = asdict(measure_traffic_cell(
         deep, qps=qps, seed=seed, queries=queries, telemetry=telemetry
     ))
-    doc["sessions"] = asdict(
-        measure_session_cell(deep, seed=seed, telemetry=telemetry)
-    )
+    doc["sessions"] = asdict(measure_session_cell(
+        deep, seed=seed,
+        duration_us=min(SESSION_DURATION_US, queries / qps * 1e6),
+        telemetry=telemetry,
+    ))
     doc["reproducibility"] = reproducibility
     doc["amplification"] = amplification(doc)
     doc["attribution"] = attribution(doc)

@@ -13,7 +13,7 @@ we:
   the load generator is never the bottleneck.
 """
 
-from repro.loadgen.client import ClosedLoopLoadGen, OpenLoopLoadGen
+from repro.loadgen.client import OpenLoopLoadGen
 from repro.loadgen.source import CallableSource, CyclingSource, QuerySource
 from repro.loadgen.traffic import (
     ConstantRate,
@@ -27,7 +27,6 @@ from repro.loadgen.traffic import (
 
 __all__ = [
     "CallableSource",
-    "ClosedLoopLoadGen",
     "ConstantRate",
     "CyclingSource",
     "DiurnalRate",

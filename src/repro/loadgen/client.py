@@ -1,4 +1,5 @@
-"""Open-loop and closed-loop load generators."""
+"""The client endpoint every load generator shares, and the open-loop
+Poisson generator.  Closed-loop load is a :class:`~repro.loadgen.traffic.SessionLoadGen`."""
 
 from __future__ import annotations
 
@@ -139,58 +140,3 @@ class OpenLoopLoadGen(_ClientBase):
             return
         self._send_query(client_start=self.sim.now)
         self._schedule_next()
-
-
-class ClosedLoopLoadGen(_ClientBase):
-    """N always-outstanding synthetic clients: measures peak sustainable
-    throughput (the paper's Fig. 9 methodology).  Inappropriate for latency
-    measurement — exactly the coordinated-omission critique of §II."""
-
-    def __init__(
-        self,
-        sim: Simulation,
-        fabric: Fabric,
-        telemetry: Telemetry,
-        rng: RngStreams,
-        target: Address,
-        source,
-        n_clients: int,
-        name: Optional[str] = None,
-        tracer=None,
-    ):
-        super().__init__(sim, fabric, telemetry, rng, target, source, name, tracer)
-        if n_clients <= 0:
-            raise ValueError(f"n_clients must be positive: {n_clients}")
-        self.n_clients = n_clients
-        self._stopped = False
-        self._window_completed = 0
-        self._window_opened: Optional[float] = None
-
-    def start(self) -> None:
-        """Launch every synthetic client."""
-        for _ in range(self.n_clients):
-            self._send_query(client_start=self.sim.now)
-
-    def stop(self) -> None:
-        """Stop re-issuing queries."""
-        self._stopped = True
-
-    def open_window(self) -> None:
-        """Begin the throughput measurement window (after warm-up)."""
-        self._window_opened = self.sim.now
-        self._window_completed = 0
-
-    def throughput_qps(self) -> float:
-        """Completed queries per second inside the measurement window."""
-        if self._window_opened is None:
-            raise RuntimeError("open_window() was never called")
-        elapsed_us = self.sim.now - self._window_opened
-        if elapsed_us <= 0:
-            return 0.0
-        return self._window_completed / (elapsed_us / 1e6)
-
-    def _on_response(self, response: RpcResponse) -> None:
-        if self._window_opened is not None:
-            self._window_completed += 1
-        if not self._stopped:
-            self._send_query(client_start=self.sim.now)

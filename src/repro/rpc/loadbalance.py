@@ -19,7 +19,7 @@ does model:
   fewer requests in flight);
 * **per-replica connection pools** — at most ``pool_size`` requests in
   flight per replica; when every pool is exhausted the request waits in a
-  FIFO backlog (counted and latency-tracked in telemetry), exactly like a
+  FIFO backlog (counted in ``backlogged``), exactly like a
   proxy that has run out of backend connections;
 * **response proxying** — replies return through the balancer, which is
   what lets it observe per-replica outstanding counts at all (a
@@ -39,7 +39,6 @@ from repro.net.fabric import Fabric, Packet
 from repro.rpc.message import RpcRequest, RpcResponse
 from repro.sim.core import Simulation
 from repro.sim.rng import RngStreams
-from repro.telemetry import Telemetry
 
 Address = Tuple[str, int]
 
@@ -163,7 +162,6 @@ class LoadBalancer:
         self,
         sim: Simulation,
         fabric: Fabric,
-        telemetry: Telemetry,
         rng: RngStreams,
         name: str,
         replicas: Sequence[Address],
@@ -181,15 +179,14 @@ class LoadBalancer:
             )
         self.sim = sim
         self.fabric = fabric
-        self.telemetry = telemetry
         self.name = name
         self.address: Address = (name, 0)
         self.replicas: List[Address] = [tuple(addr) for addr in replicas]
         self.policy_name = canonical_policy(policy)
         self.policy = make_policy(policy, len(self.replicas), rng.py(f"lb:{name}"))
         self.pool_size = pool_size
-        # request_id -> (original reply_to, replica index, arrival time).
-        self._inflight: Dict[int, Tuple[Address, int, float]] = {}
+        # request_id -> (original reply_to, replica index).
+        self._inflight: Dict[int, Tuple[Address, int]] = {}
         self.outstanding: List[int] = [0] * len(self.replicas)
         # Requests waiting for any replica connection, FIFO.
         self._backlog: Deque[Tuple[RpcRequest, float]] = deque()
@@ -277,8 +274,8 @@ class LoadBalancer:
         candidates = self._free_replicas()
         if not candidates:
             # Every connection pool is exhausted: FIFO backlog until a
-            # response frees a slot (proxy-side queueing, visible in the
-            # lb_backlog_wait histogram rather than hidden in e2e noise).
+            # response frees a slot (proxy-side queueing, which a traced
+            # request shows as a queue_dwell segment on the balancer).
             self.backlogged += 1
             self._backlog.append((request, self.sim.now))
             return
@@ -290,7 +287,7 @@ class LoadBalancer:
         self.forwarded += 1
         self.per_replica_forwarded[index] += 1
         replica = self.replicas[index]
-        self._inflight[request.request_id] = (request.reply_to, index, self.sim.now)
+        self._inflight[request.request_id] = (request.reply_to, index)
         # Rewrite the reply path through the balancer so completions are
         # observable (least-outstanding and power-of-two depend on it).
         request.reply_to = self.address
@@ -304,12 +301,9 @@ class LoadBalancer:
         entry = self._inflight.pop(response.request_id, None)
         if entry is None:
             return  # a reply for a request this balancer never forwarded
-        reply_to, index, admitted_at = entry
+        reply_to, index = entry
         self.outstanding[index] -= 1
         self.completed += 1
-        self.telemetry.record(
-            f"lb_span:{self.name}", self.sim.now - admitted_at
-        )
         if self.fabric.has_endpoint(reply_to[0]):
             self.fabric.send(
                 self.address, reply_to, response, response.size_bytes,
@@ -334,9 +328,6 @@ class LoadBalancer:
             if not candidates:
                 return
             request, queued_at = self._backlog.popleft()
-            self.telemetry.record(
-                f"lb_backlog_wait:{self.name}", self.sim.now - queued_at
-            )
             if request.trace is not None:
                 # Proxy-side queueing is task-queue dwell on the critical
                 # path, attributed to the balancer as its own hop.

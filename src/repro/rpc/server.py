@@ -521,12 +521,6 @@ class MidTierRuntime(_RuntimeBase):
         duplicate that lost its race is dropped without being counted, so
         hedging can never double-count a leaf.
         """
-        if response.arrive_time is not None:
-            # Socket-queue dwell + wakeup until a response thread picks it up.
-            self.machine.telemetry.record(
-                f"resp_pickup_delay:{self.machine.name}",
-                self.machine.sim.now - response.arrive_time,
-            )
         yield from self.pending_mutex.acquire()
         entry = self.pending.get(response.parent_id)
         is_last = False
@@ -594,7 +588,6 @@ class MidTierRuntime(_RuntimeBase):
         """Feed the auto-hedge percentile estimate (policy runs only)."""
         self._leaf_lat.append(latency_us)
         self._leaf_obs += 1
-        self.machine.telemetry.record(f"leaf_rpc_latency:{self.machine.name}", latency_us)
         if self._leaf_obs % 32 == 0:
             self._hedge_delay_cache = None  # recompute lazily
 
@@ -824,8 +817,6 @@ class MidTierRuntime(_RuntimeBase):
             telemetry.record(f"midtier_resppath:{name}", response_path_us)
             latency_us = request_path_us + response_path_us
         telemetry.record(f"midtier_latency:{name}", latency_us)
-        # Full span (arrival → reply) kept for saturation diagnostics.
-        telemetry.record(f"midtier_span:{name}", now - arrival)
         if request.trace is not None:
             request.trace.record(label, name, since, now)
             reply.trace = request.trace  # carried back to the client

@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.control import Controller
-from repro.control.controller import WINDOW_SERIES
 from repro.energy import EnergyAccount, EnergyConfig, EnergyReport
 from repro.kernel import Machine, MachineSpec, OsCosts
 from repro.kernel.scheduler import PlacementPolicy
 from repro.loadgen import (
-    ClosedLoopLoadGen,
     CyclingSource,
     OpenLoopLoadGen,
     QuerySource,
+    SessionClass,
+    SessionLoadGen,
 )
 from repro.loadgen.client import E2E_HIST
 from repro.midcache import QueryCache
@@ -211,9 +211,7 @@ def build_tier(
     if control.enabled:
         replicas = control.max_replicas
         windows = cluster.telemetry.windows
-        if windows is None:
-            cluster.telemetry.enable_windows(control.window_us, WINDOW_SERIES)
-        elif windows.width_us != control.window_us:
+        if windows is not None and windows.width_us != control.window_us:
             # One cluster has one window grid; a controller reading it at
             # another width would select samples at the wrong granularity.
             raise ValueError(
@@ -241,7 +239,7 @@ def build_tier(
     frontend = None
     if replicas > 1:
         frontend = LoadBalancer(
-            cluster.sim, cluster.fabric, cluster.telemetry, cluster.rng,
+            cluster.sim, cluster.fabric, cluster.rng,
             name=f"{front}-lb",
             replicas=[runtime.address for runtime in runtimes],
             policy=knobs.lb.policy,
@@ -249,6 +247,9 @@ def build_tier(
             initial_active=control.initial_replicas if control.enabled else None,
         )
     if control.enabled:
+        # The windows tee keeps exactly the series the controller reads.
+        watched = signals(machines)
+        cluster.telemetry.enable_windows(control.window_us, watched)
         controller = Controller(
             cluster.sim,
             cluster.telemetry,
@@ -256,8 +257,7 @@ def build_tier(
             name=f"{front}-ctrl",
             runtimes=runtimes,
             lb=frontend,
-            signals=signals(machines),
-            runq_machines=[machine.name for machine in machines],
+            signals=watched,
         )
         cluster.controllers.append(controller)
         controller.start()
@@ -484,15 +484,16 @@ def run_closed_loop(
     duration_us: float,
     warmup_us: float = 200_000.0,
 ) -> RunResult:
-    """Paper §V: closed-loop mode to establish peak sustainable throughput."""
-    gen = ClosedLoopLoadGen(
+    """Paper §V: closed-loop mode to establish peak sustainable throughput:
+    ``n_clients`` sessions that re-issue on every reply, no think time."""
+    gen = SessionLoadGen(
         cluster.sim,
         cluster.fabric,
         cluster.telemetry,
         cluster.rng,
         target=service.target_address,
         source=service.make_source(),
-        n_clients=n_clients,
+        classes=[SessionClass("closed", n_clients)],
     )
     result = drive(cluster, service, gen, warmup_us, duration_us, drain_us=0.0)
     # The closed loop reports every query issued, warm-up included.

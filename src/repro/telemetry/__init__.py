@@ -20,12 +20,11 @@ from repro.telemetry.config import TELEMETRY_MODES, TelemetryConfig
 from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.probes import IRQ_KINDS, Telemetry
 from repro.telemetry.stream import StreamingTelemetry
-from repro.telemetry.windows import MetricWindow, WindowedMetrics
+from repro.telemetry.windows import WindowedMetrics
 
 __all__ = [
     "IRQ_KINDS",
     "LatencyHistogram",
-    "MetricWindow",
     "StreamError",
     "StreamingTelemetry",
     "TELEMETRY_MODES",

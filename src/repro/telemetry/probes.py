@@ -138,9 +138,11 @@ class Telemetry:
         self._roll_at = inf
         self._reset()
         # Opt-in fixed-width metric windows (repro.telemetry.windows),
-        # created by enable_windows(). None keeps the probe hot paths
-        # unchanged — the off path is a single identity test.
+        # created by enable_windows() and fed the series named in
+        # ``_teed`` only. None keeps the probe hot paths unchanged — the
+        # off path is a single identity test.
         self.windows = None
+        self._teed = set()
 
     def _reset(self) -> None:
         """Empty every family: at construction, at the warm-up trim, and
@@ -168,20 +170,23 @@ class Telemetry:
         self._clock = clock
         self._sim = sim
 
-    def enable_windows(self, width_us: float, prefixes=()) -> None:
-        """Tee matching probe samples into fixed-width metric windows.
+    def enable_windows(self, width_us: float, series) -> None:
+        """Tee the named ``record`` series into fixed-width metric windows:
+        the ones a controller reads, nothing else.  A later call (another
+        controlled tier on the cluster, same width) adds its series.
 
         Unlike the whole-run aggregates, the windows ignore
         ``window_start`` (controllers must see warm-up load) and survive
-        :meth:`open_window`.  Runqueue-wait samples appear under the
-        series name ``runqlat:<machine>``.  Both storage modes keep the
-        last ``RETAIN_TEE_WINDOWS`` windows per series.
+        :meth:`open_window`.  Both storage modes keep the last
+        ``RETAIN_TEE_WINDOWS`` windows per series.
         """
         from repro.telemetry.windows import RETAIN_TEE_WINDOWS, WindowedMetrics
 
-        self.windows = WindowedMetrics(
-            width_us, prefixes, retain_windows=RETAIN_TEE_WINDOWS
-        )
+        if self.windows is None:
+            self.windows = WindowedMetrics(
+                width_us, retain_windows=RETAIN_TEE_WINDOWS
+            )
+        self._teed.update(series)
 
     def finalized(self) -> "Telemetry":
         """The telemetry to read whole-run summaries from: ``self``.  Run
@@ -243,8 +248,6 @@ class Telemetry:
         """eBPF ``runqlat`` equivalent: Active→Exe scheduler wait."""
         sim = self._sim
         now = sim._now if sim is not None else self._clock()
-        if self.windows is not None:
-            self.windows.observe(f"runqlat:{machine}", now, latency_us)
         if now < self.window_start:
             return
         if now >= self._roll_at:
@@ -324,7 +327,7 @@ class Telemetry:
         """Record into the named histogram if inside the window."""
         sim = self._sim
         now = sim._now if sim is not None else self._clock()
-        if self.windows is not None:
+        if self.windows is not None and name in self._teed:
             self.windows.observe(name, now, value)
         if now >= self.window_start:
             if now >= self._roll_at:

@@ -5,7 +5,6 @@ modern microservice deployment also wants per-request critical paths —
 where did THIS query's 4 ms go?  This tracer records Dapper-style spans
 as a request crosses the tiers:
 
-``client_rtt``      the whole round trip, recorded by the load generator
 ``queue_wait``      mid-tier task-queue dwell (dispatch hand-off)
 ``request_path``    mid-tier arrival → fan-out sent
 ``leaf:<name>``     each leaf sub-request's service span
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, List, Optional, Set
 
 
 @dataclass
@@ -45,10 +44,6 @@ class Span:
     # The RPC (sub-)request this span served, when known.  Lets the
     # attribution engine drop spans from losing hedge/retry paths.
     request_id: Optional[int] = None
-
-    @property
-    def duration_us(self) -> float:
-        return (self.end_us - self.start_us) if self.end_us is not None else 0.0
 
 
 @dataclass
@@ -159,38 +154,6 @@ class Trace:
                 return span
         return None
 
-    @property
-    def total_us(self) -> float:
-        if self.finished_us is None:
-            return 0.0
-        return self.finished_us - self.started_us
-
-    def breakdown(self) -> Dict[str, float]:
-        """Total duration per span name."""
-        out: Dict[str, float] = {}
-        for span in self.spans:
-            out[span.name] = out.get(span.name, 0.0) + span.duration_us
-        return out
-
-    def critical_path_gap_us(self) -> float:
-        """Round-trip time not covered by any recorded span — the
-        network + scheduling residue between tiers."""
-        return max(0.0, self.total_us - sum(s.duration_us for s in self.spans))
-
-    def render(self) -> str:
-        """A text timeline, one line per span, indented by start order."""
-        if not self.spans:
-            return f"trace #{self.request_id}: (no spans)"
-        origin = self.started_us
-        lines = [f"trace #{self.request_id}: {self.total_us:.0f}us total"]
-        for span in sorted(self.spans, key=lambda s: s.start_us):
-            offset = span.start_us - origin
-            lines.append(
-                f"  +{offset:8.1f}us  {span.name:<16} {span.duration_us:8.1f}us"
-                f"  [{span.machine}]"
-            )
-        return "\n".join(lines)
-
 
 class Tracer:
     """Creates sampled traces and collects completed ones."""
@@ -216,13 +179,3 @@ class Tracer:
         trace.finished_us = now
         if len(self.finished) < self.max_traces:
             self.finished.append(trace)
-
-    def breakdown_summary(self) -> Dict[str, float]:
-        """Mean µs per span name across all finished traces."""
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for trace in self.finished:
-            for name, duration in trace.breakdown().items():
-                sums[name] = sums.get(name, 0.0) + duration
-                counts[name] = counts.get(name, 0) + 1
-        return {name: sums[name] / counts[name] for name in sums}

@@ -4,10 +4,9 @@ Three invariants the autoscale gate leans on, proven under adversarial
 inputs rather than the single trajectory the sweep happens to take:
 
 * **windows concatenate losslessly** — merging the fixed-width metric
-  windows back together reproduces the whole run's aggregates exactly
-  (same count/sum/min/max, and ``rank_percentile`` over the concat equals
-  :class:`LatencyHistogram` over the raw stream, the estimator the rest
-  of the suite reports);
+  windows back together reproduces the whole run's samples in order, so
+  ``rank_percentile`` over the concat equals :class:`LatencyHistogram`
+  over the raw stream, the estimator the rest of the suite reports;
 * **hysteresis cannot flap** — however the windowed p99 jumps around,
   two replica-count changes are never closer than the cooldown, and the
   target stays inside [min, max];
@@ -49,19 +48,13 @@ def test_window_concat_equals_whole_run_aggregates(samples, width_us):
     for t, value in samples:
         windows.observe("sig", t, value)
         hist.record(value)
-    spans = windows.windows("sig")
     values = [v for _, v in samples]
-    # Lossless binning: counts, sums, extremes all reassemble exactly.
-    assert sum(w.count for w in spans) == len(values)
-    assert math.isclose(
-        sum(w.total for w in spans), sum(values), rel_tol=0, abs_tol=1e-6
-    )
-    assert min(w.min for w in spans) == min(values)
-    assert max(w.max for w in spans) == max(values)
-    # Concatenation reproduces the stream, and the windowed percentile
-    # estimator agrees with the whole-run histogram bit-for-bit.
+    # Lossless binning: concatenation reproduces the stream, and the
+    # windowed percentile estimator agrees with the whole-run histogram
+    # bit-for-bit.
     concat = windows.values_between(["sig"], 0.0, 1e18)
     assert concat == values
+    assert windows.retained_samples() == len(values)
     for pct in (50.0, 95.0, 99.0):
         assert rank_percentile(sorted(concat), pct) == hist.percentile(pct)
 

@@ -1,12 +1,11 @@
 """Tests for the experiment harness (fast, unit scale, low loads)."""
 
 from dataclasses import asdict, replace
-from functools import partial
 from importlib import import_module
 
 import pytest
 
-from repro.experiments import characterize, drift, figures, graph_sweep, registry, runner
+from repro.experiments import characterize, drift, figures, registry, runner
 from repro.experiments.characterize import OVERHEAD_KINDS, default_duration_us
 from repro.experiments.figures import (
     FIGURES,
@@ -304,9 +303,7 @@ MAPPING = {
     ),
     "graph": (
         dict(queries=100),
-        dict(WARMUP_US=10_000.0, measure_session_cell=partial(
-            graph_sweep.measure_session_cell, duration_us=50_000.0,
-        )),
+        dict(WARMUP_US=10_000.0, SESSION_DURATION_US=50_000.0),
         None,
     ),
     "autoscale": (

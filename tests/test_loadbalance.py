@@ -96,7 +96,7 @@ class _Env:
             self.fabric.register(name, self._replica_handler(name))
         self.fabric.register("cli", lambda pkt: self.responses.append(pkt.payload))
         self.lb = LoadBalancer(
-            self.sim, self.fabric, self.telemetry, rng,
+            self.sim, self.fabric, rng,
             name="lb", replicas=[("m0", 40), ("m1", 40)],
             policy=policy, pool_size=pool_size,
         )
@@ -192,10 +192,10 @@ def test_balancer_rejects_bad_configuration():
     rng = RngStreams(0)
     fabric = Fabric(env_sim, telemetry, rng)
     with pytest.raises(ValueError):
-        LoadBalancer(env_sim, fabric, telemetry, rng, name="lb", replicas=[])
+        LoadBalancer(env_sim, fabric, rng, name="lb", replicas=[])
     with pytest.raises(ValueError):
-        LoadBalancer(env_sim, fabric, telemetry, rng, name="lb",
+        LoadBalancer(env_sim, fabric, rng, name="lb",
                      replicas=[("m0", 40)], pool_size=0)
     with pytest.raises(ValueError, match="unknown load-balancing policy"):
-        LoadBalancer(env_sim, fabric, telemetry, rng, name="lb",
+        LoadBalancer(env_sim, fabric, rng, name="lb",
                      replicas=[("m0", 40)], policy="zigzag")

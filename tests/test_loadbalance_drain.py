@@ -35,7 +35,7 @@ class _Env:
             self.fabric.register(name, self._replica_handler(name))
         self.fabric.register("cli", lambda pkt: self.responses.append(pkt.payload))
         self.lb = LoadBalancer(
-            self.sim, self.fabric, self.telemetry, rng,
+            self.sim, self.fabric, rng,
             name="lb", replicas=[(name, 40) for name in self.names],
             policy=policy, pool_size=pool_size, initial_active=initial_active,
         )

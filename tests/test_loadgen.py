@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.loadgen import CallableSource, ClosedLoopLoadGen, CyclingSource, OpenLoopLoadGen
+from repro.loadgen import (
+    CallableSource,
+    CyclingSource,
+    OpenLoopLoadGen,
+    SessionClass,
+    SessionLoadGen,
+)
 from repro.loadgen.client import E2E_HIST
 from repro.net.fabric import Packet
 from repro.rpc.message import RpcRequest, RpcResponse
@@ -110,11 +116,18 @@ def test_open_loop_rejects_bad_qps():
                         CyclingSource([("q", 1)]), qps=0.0)
 
 
+def _closed_loop(sim, telemetry, rng, fabric, n_clients):
+    """Closed-loop load as ``run_closed_loop`` builds it: one session class,
+    no think time."""
+    return SessionLoadGen(sim, fabric, telemetry, rng, ("target", 0),
+                          CyclingSource([("q", 32)]),
+                          classes=[SessionClass("closed", n_clients)])
+
+
 def test_closed_loop_keeps_n_outstanding():
     sim, telemetry, rng, fabric = _rig()
     target = EchoTarget(sim, fabric)
-    gen = ClosedLoopLoadGen(sim, fabric, telemetry, rng, ("target", 0),
-                            CyclingSource([("q", 32)]), n_clients=4)
+    gen = _closed_loop(sim, telemetry, rng, fabric, n_clients=4)
     gen.start()
     sim.run(until=100_000)
     # Outstanding = sent - completed must never exceed n_clients.
@@ -125,28 +138,17 @@ def test_closed_loop_keeps_n_outstanding():
 def test_closed_loop_throughput_measurement():
     sim, telemetry, rng, fabric = _rig()
     EchoTarget(sim, fabric)
-    gen = ClosedLoopLoadGen(sim, fabric, telemetry, rng, ("target", 0),
-                            CyclingSource([("q", 32)]), n_clients=8)
+    gen = _closed_loop(sim, telemetry, rng, fabric, n_clients=8)
     gen.start()
     sim.run(until=100_000)
-    gen.open_window()
+    before = gen.completed
     sim.run(until=1_100_000)
-    qps = gen.throughput_qps()
+    qps = gen.completed - before  # over one simulated second
     # Round trip ~ 100us, 8 clients -> ~80K QPS; allow broad tolerance.
     assert 20_000 < qps < 120_000
-
-
-def test_closed_loop_throughput_requires_window():
-    sim, telemetry, rng, fabric = _rig()
-    EchoTarget(sim, fabric)
-    gen = ClosedLoopLoadGen(sim, fabric, telemetry, rng, ("target", 0),
-                            CyclingSource([("q", 32)]), n_clients=1)
-    with pytest.raises(RuntimeError):
-        gen.throughput_qps()
 
 
 def test_closed_loop_rejects_bad_clients():
     sim, telemetry, rng, fabric = _rig()
     with pytest.raises(ValueError):
-        ClosedLoopLoadGen(sim, fabric, telemetry, rng, ("t", 0),
-                          CyclingSource([("q", 1)]), n_clients=0)
+        _closed_loop(sim, telemetry, rng, fabric, n_clients=0)

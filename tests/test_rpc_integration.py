@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.loadgen import ClosedLoopLoadGen, CyclingSource, OpenLoopLoadGen
+from repro.loadgen import CyclingSource, OpenLoopLoadGen, SessionClass, SessionLoadGen
 from repro.loadgen.client import E2E_HIST
 from repro.rpc import (
     FanoutPlan,
@@ -126,15 +126,16 @@ def test_sustained_open_loop_load_all_queries_complete():
 def test_closed_loop_measures_throughput():
     rig = Rig()
     mid, _ = build_cluster(rig)
-    gen = ClosedLoopLoadGen(
+    gen = SessionLoadGen(
         rig.sim, rig.fabric, rig.telemetry, rig.rng,
-        target=mid.address, source=CyclingSource([("q", 128)]), n_clients=8,
+        target=mid.address, source=CyclingSource([("q", 128)]),
+        classes=[SessionClass("closed", 8)],
     )
     gen.start()
     rig.run(until=50_000)  # warm up
-    gen.open_window()
+    before = gen.completed
     rig.run(until=250_000)
-    qps = gen.throughput_qps()
+    qps = (gen.completed - before) / 0.2
     assert qps > 500.0  # 8 concurrent clients, ~200us round trips
 
 

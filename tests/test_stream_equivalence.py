@@ -203,18 +203,16 @@ def test_window_edges_share_the_grid():
     # Regression for the 1-ulp window-edge bug: for widths that are not
     # exactly representable, start + width can exceed (idx + 1) * width
     # by one ulp, making a window overlap both sides of a window-aligned
-    # cut and double-counting in windows_between.  Both edges now come
+    # cut and double-counting in values_between.  Both edges now come
     # from the same grid expression.
     width = 4213.453988229764  # 5*width + width > 6*width by one ulp
     wm = WindowedMetrics(width, prefixes=("m",))
     wm.observe("m", 5.5 * width, 1.0)  # window 5, just before the cut
-    wm.observe("m", 6.5 * width, 1.0)  # window 6, just after it
+    wm.observe("m", 6.5 * width, 2.0)  # window 6, just after it
     cut = 6 * width  # a window-aligned cut between the two samples
-    low = sum(len(w.samples) for w in wm.windows_between("m", 0.0, cut))
-    high = sum(
-        len(w.samples) for w in wm.windows_between("m", cut, 8 * width)
-    )
-    assert low == 1 and high == 1  # no sample lost, none double-counted
+    low = wm.values_between(["m"], 0.0, cut)
+    high = wm.values_between(["m"], cut, 8 * width)
+    assert low == [1.0] and high == [2.0]  # no sample lost, none double-counted
 
 
 # -- bounded memory ----------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.sim.rng import seeded_py
 from repro.telemetry import (
     IRQ_KINDS,
     LatencyHistogram,
-    MetricWindow,
     StreamingTelemetry,
     Telemetry,
     WindowedMetrics,
@@ -177,18 +176,6 @@ def test_unboxed_histogram_matches_list_reference(first, second, reservoir, seed
 @given(values=STREAM)
 @settings(max_examples=100, deadline=None)
 def test_unboxed_metric_window_matches_list_reference(values):
-    window = MetricWindow(index=0, start_us=0.0, end_us=1.0)
-    for value in values:
-        window.observe(value)
-    total = 0.0
-    for value in values:
-        total += value
-    assert (window.count, window.total) == (len(values), total)
-    assert (window.min, window.max) == (
-        (min(values), max(values)) if values else (None, None))
-    assert list(window.samples) == values
-    for pct in (0, 50, 99, 100):
-        assert window.percentile(pct) == rank_percentile(sorted(values), pct)
     metrics = WindowedMetrics(width_us=1.0)
     for value in values:
         metrics.observe("s", 0.5, value)

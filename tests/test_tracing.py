@@ -15,10 +15,9 @@ def test_trace_records_and_breaks_down():
     trace.record("a", "m", 100.0, 150.0)
     trace.record("b", "m", 150.0, 160.0)
     trace.record("a", "m", 160.0, 170.0)
-    trace.finished_us = 200.0
-    assert trace.total_us == 100.0
-    assert trace.breakdown() == {"a": 60.0, "b": 10.0}
-    assert trace.critical_path_gap_us() == pytest.approx(30.0)
+    assert [(s.name, s.start_us, s.end_us) for s in trace.spans] == [
+        ("a", 100.0, 150.0), ("b", 150.0, 160.0), ("a", 160.0, 170.0),
+    ]
 
 
 def test_trace_begin_end_last():
@@ -30,16 +29,6 @@ def test_trace_begin_end_last():
     closed = trace.end_last("queue_wait", 30.0)
     assert closed is not None and closed.start_us == 10.0
     assert trace.end_last("queue_wait", 40.0) is None
-
-
-def test_trace_render_readable():
-    trace = Trace(request_id=3, started_us=0.0)
-    trace.record("request_path", "mid", 5.0, 25.0)
-    trace.finished_us = 100.0
-    text = trace.render()
-    assert "trace #3" in text
-    assert "request_path" in text and "[mid]" in text
-    assert Trace(request_id=4, started_us=0.0).render().endswith("(no spans)")
 
 
 def test_tracer_sampling_rate():
@@ -96,21 +85,16 @@ def test_trace_spans_cover_the_pipeline(traced_run):
 def test_trace_spans_timed_sanely(traced_run):
     _service, tracer = traced_run
     for trace in tracer.finished:
-        assert trace.total_us > 0
+        assert trace.finished_us > trace.started_us
         for span in trace.spans:
             assert span.end_us is not None
             assert span.end_us >= span.start_us
             assert span.start_us >= trace.started_us - 1e-6
             assert span.end_us <= trace.finished_us + 1e-6
-        # Span time on any single machine cannot exceed the round trip...
-        assert trace.breakdown()["request_path"] < trace.total_us
-        # ...and network/scheduling residue is positive (fabric hops exist).
-        assert trace.critical_path_gap_us() >= 0.0
-
-
-def test_breakdown_summary_aggregates(traced_run):
-    _service, tracer = traced_run
-    summary = tracer.breakdown_summary()
-    assert summary["request_path"] > 0
-    assert summary["response_path"] > 0
-    assert any(k.startswith("leaf:") for k in summary)
+        # The mid-tier's request path is shorter than the round trip:
+        # fabric hops precede and follow it.
+        path = sum(
+            span.end_us - span.start_us
+            for span in trace.spans if span.name == "request_path"
+        )
+        assert path < trace.finished_us - trace.started_us
