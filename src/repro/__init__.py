@@ -24,9 +24,8 @@ Three layers, top to bottom:
   :func:`crosscheck` in :mod:`repro.telemetry.critpath`).
 
 Cross-cutting axes: :mod:`repro.energy` (the :class:`EnergyConfig` power
-model, per-core :class:`EnergyAccount`, windowed :class:`EnergyReport`,
-and :func:`attribution_energy` critical-path pricing) and the
-:mod:`repro.graph` granularity transforms (:func:`merge_edge`,
+model, per-core :class:`EnergyAccount` and windowed :class:`EnergyReport`)
+and the :mod:`repro.graph` granularity transforms (:func:`merge_edge`,
 :func:`split_node`, :func:`monolith`, :func:`work_per_query`,
 :func:`pipeline_graph`).
 
@@ -75,7 +74,6 @@ _EXPORTS = {
     "EnergyAccount": "repro.energy",
     "EnergyConfig": "repro.energy",
     "EnergyReport": "repro.energy",
-    "attribution_energy": "repro.energy",
     # graph: declarative service-graph DAGs (repro.graph)
     "GraphConfig": "repro.graph",
     "GraphEdge": "repro.graph",

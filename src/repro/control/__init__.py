@@ -27,7 +27,6 @@ from repro.control.account import ReplicaSecondsAccount
 from repro.control.config import CONTROL_POLICY_NAMES, ControlConfig
 from repro.control.controller import Controller
 from repro.control.policies import (
-    AdditiveIncreasePolicy,
     ControlAction,
     ControlPolicy,
     StaticPolicy,
@@ -37,7 +36,6 @@ from repro.control.policies import (
 )
 
 __all__ = [
-    "AdditiveIncreasePolicy",
     "CONTROL_POLICY_NAMES",
     "ControlAction",
     "ControlConfig",

@@ -28,10 +28,6 @@ class ReplicaSecondsAccount:
     def events(self) -> List[Tuple[float, int]]:
         return list(self._events)
 
-    @property
-    def current_count(self) -> int:
-        return self._events[-1][1]
-
     def note(self, now_us: float, count: int) -> None:
         """Record that the billable replica count is ``count`` from
         ``now_us`` on.  Times must be non-decreasing."""

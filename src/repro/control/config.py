@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-CONTROL_POLICY_NAMES = ("static", "threshold", "additive")
+CONTROL_POLICY_NAMES = ("static", "threshold")
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class ControlConfig:
     p99_high_us: float = 5_000.0
     p99_low_us: float = 2_000.0
     cooldown_us: float = 50_000.0
-    step: int = 1
-
-    # additive-increase policy knobs (mean in-flight per admitting replica).
-    inflight_high: float = 8.0
-    inflight_low: float = 2.0
 
     # Hedging re-thresholding: percentile pair applied on overload/baseline.
     hedge_percentile_overload: Optional[float] = None
@@ -73,19 +68,12 @@ class ControlConfig:
                 f"min={self.min_replicas} initial={self.initial_replicas} "
                 f"max={self.max_replicas}"
             )
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
         if self.cooldown_us < 0:
             raise ValueError(f"cooldown_us must be >= 0, got {self.cooldown_us}")
         if self.p99_low_us > self.p99_high_us:
             raise ValueError(
                 f"p99_low_us ({self.p99_low_us}) must not exceed "
                 f"p99_high_us ({self.p99_high_us})"
-            )
-        if self.inflight_low > self.inflight_high:
-            raise ValueError(
-                f"inflight_low ({self.inflight_low}) must not exceed "
-                f"inflight_high ({self.inflight_high})"
             )
         for label, pct in (
             ("hedge_percentile_overload", self.hedge_percentile_overload),

@@ -109,11 +109,6 @@ class Controller:
             return 1
         return self.lb.admitting_count + self.lb.draining_count
 
-    def _inflight(self) -> int:
-        if self.lb is not None:
-            return sum(self.lb.outstanding) + self.lb.backlog_depth
-        return sum(len(rt.pending) for rt in self.runtimes)
-
     def window_summary(self) -> WindowSummary:
         """Merge the last window's worth of the signal series (the only
         series the tee keeps for this controller)."""
@@ -121,16 +116,14 @@ class Controller:
         signal_values = self.telemetry.windows.values_between(
             self.signals, now - self.config.window_us, now
         )
-        inflight = self._inflight()
-        admitting = max(1, self._admitting())
         return WindowSummary(
             p99_us=(
                 rank_percentile(sorted(signal_values), 99.0)
                 if signal_values else None
             ),
             mean_runq_us=None,
-            inflight=float(inflight),
-            inflight_per_replica=inflight / admitting,
+            inflight=None,
+            inflight_per_replica=None,
             samples=len(signal_values),
         )
 

@@ -25,11 +25,12 @@ class WindowSummary:
     """What a policy sees each tick: one window of merged telemetry."""
 
     p99_us: Optional[float]  # p99 of the signal series; None if no samples
-    # No policy reads it and the controller passes None; the field stays
-    # because benchmarks/perf constructs WindowSummary with it (DESIGN §10).
+    # No policy reads these three and the controller passes None; the
+    # fields stay because benchmarks/perf constructs WindowSummary with
+    # them (DESIGN §10).
     mean_runq_us: Optional[float]
-    inflight: float  # total in-flight (balancer outstanding + backlog)
-    inflight_per_replica: float  # inflight / admitting replicas
+    inflight: Optional[float]
+    inflight_per_replica: Optional[float]
     samples: int  # sample count backing p99_us
 
 
@@ -65,38 +66,33 @@ class StaticPolicy(ControlPolicy):
         return ControlAction(target_active=active, mode=MODE_HOLD)
 
 
-class _HysteresisBase(ControlPolicy):
-    """Shared scaffolding: cooldown gating + two-threshold hysteresis.
+class ThresholdHysteresisPolicy(ControlPolicy):
+    """Scale on windowed p99 latency with hysteresis + cooldown.
 
-    Subclasses supply the scalar being compared via :meth:`_signal` and
-    the (low, high) band.  Between the thresholds the policy holds, so
-    small oscillations of the metric never translate into scale flapping;
-    the cooldown additionally lower-bounds the time between *any* two
+    Between ``p99_low_us`` and ``p99_high_us`` the policy holds, so small
+    oscillations of the metric never translate into scale flapping; the
+    cooldown additionally lower-bounds the time between *any* two
     replica changes (proven by property test under adversarial inputs).
+    Each change is one replica.
     """
+
+    name = "threshold"
 
     def __init__(self, config: ControlConfig):
         super().__init__(config)
         self._last_change_us: Optional[float] = None
 
-    def _signal(self, summary: WindowSummary) -> Optional[float]:
-        raise NotImplementedError
-
-    def _band(self) -> tuple:
-        raise NotImplementedError
-
     def decide(self, summary: WindowSummary, now: float, active: int) -> ControlAction:
         cfg = self.config
-        value = self._signal(summary)
+        value = summary.p99_us
         if value is None:
             return ControlAction(target_active=active, mode=MODE_HOLD)
-        low, high = self._band()
-        if value > high:
+        if value > cfg.p99_high_us:
             mode = MODE_OVERLOAD
-            want = active + cfg.step
-        elif value < low:
+            want = active + 1
+        elif value < cfg.p99_low_us:
             mode = MODE_BASELINE
-            want = active - cfg.step
+            want = active - 1
         else:
             return ControlAction(target_active=active, mode=MODE_HOLD)
         want = max(cfg.min_replicas, min(cfg.max_replicas, want))
@@ -112,34 +108,9 @@ class _HysteresisBase(ControlPolicy):
         return ControlAction(target_active=want, mode=mode)
 
 
-class ThresholdHysteresisPolicy(_HysteresisBase):
-    """Scale on windowed p99 latency with hysteresis + cooldown."""
-
-    name = "threshold"
-
-    def _signal(self, summary: WindowSummary) -> Optional[float]:
-        return summary.p99_us
-
-    def _band(self) -> tuple:
-        return (self.config.p99_low_us, self.config.p99_high_us)
-
-
-class AdditiveIncreasePolicy(_HysteresisBase):
-    """Additive-increase step scaling on mean in-flight per replica."""
-
-    name = "additive"
-
-    def _signal(self, summary: WindowSummary) -> Optional[float]:
-        return summary.inflight_per_replica
-
-    def _band(self) -> tuple:
-        return (self.config.inflight_low, self.config.inflight_high)
-
-
 _POLICY_TYPES = {
     "static": StaticPolicy,
     "threshold": ThresholdHysteresisPolicy,
-    "additive": AdditiveIncreasePolicy,
 }
 
 

@@ -9,20 +9,12 @@ goldens stay byte-identical.
 
 from repro.energy.account import EnergyAccount, MachineEnergy, idle_portions
 from repro.energy.config import EnergyConfig
-from repro.energy.report import (
-    COMPUTE_CATEGORIES,
-    EnergyReport,
-    WAKEUP_CATEGORIES,
-    attribution_energy,
-)
+from repro.energy.report import EnergyReport
 
 __all__ = [
-    "COMPUTE_CATEGORIES",
     "EnergyAccount",
     "EnergyConfig",
     "EnergyReport",
     "MachineEnergy",
-    "WAKEUP_CATEGORIES",
-    "attribution_energy",
     "idle_portions",
 ]

@@ -1,4 +1,4 @@
-"""Energy reports: pricing account snapshots and critical paths in joules.
+"""Energy reports: pricing account snapshots in joules.
 
 Durations accumulate in :mod:`repro.energy.account`; this module applies
 the :class:`~repro.energy.config.EnergyConfig` power model at read time.
@@ -18,16 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro.energy.config import EnergyConfig
-
-#: Critical-path categories priced as request compute (the serving core
-#: is executing this request's work).
-COMPUTE_CATEGORIES = ("leaf_compute", "app_compute")
-
-#: Critical-path categories priced as wakeup overhead: active_exe is the
-#: runnable→running wait, which includes the C-state exit latency and
-#: dispatch cost the woken core burns at active power before the
-#: request's thread executes.
-WAKEUP_CATEGORIES = ("active_exe",)
 
 
 @dataclass
@@ -152,33 +142,4 @@ class EnergyReport:
         }
 
 
-def attribution_energy(attr, config: EnergyConfig) -> Dict[str, float]:
-    """Price one request's critical path (energy-per-request).
-
-    ``attr`` is a :class:`~repro.telemetry.critpath.Attribution`.  The
-    serving core burns active power through the request's compute
-    categories; the active_exe wait — which contains the C-state exit
-    latency and dispatch cost of every wakeup on the path — is the
-    wakeup-attributed share.  Network/IRQ segments are not charged: the
-    cores carrying them are accounted by the cluster-wide report, not
-    the per-request one.
-    """
-    compute_us = sum(attr.categories.get(c, 0.0) for c in COMPUTE_CATEGORIES)
-    wakeup_us = sum(attr.categories.get(c, 0.0) for c in WAKEUP_CATEGORIES)
-    compute_uj = compute_us * config.active_w
-    wakeup_uj = wakeup_us * config.active_w
-    total_uj = compute_uj + wakeup_uj
-    return {
-        "compute_uj": compute_uj,
-        "wakeup_uj": wakeup_uj,
-        "total_uj": total_uj,
-        "wake_share": wakeup_uj / total_uj if total_uj else 0.0,
-    }
-
-
-__all__ = [
-    "COMPUTE_CATEGORIES",
-    "EnergyReport",
-    "WAKEUP_CATEGORIES",
-    "attribution_energy",
-]
+__all__ = ["EnergyReport"]

@@ -88,11 +88,6 @@ class Mutex:
         self._op_wait_contended = FutexWait(self.futex, expected=2)
         self._op_wake_one = FutexWake(self.futex, 1)
 
-    @property
-    def locked(self) -> bool:
-        """True while some thread holds the mutex."""
-        return self.futex.value != 0
-
     def acquire(self):
         """Generator: lock the mutex (fast CAS, futex wait under contention).
 

@@ -14,7 +14,7 @@ we:
 """
 
 from repro.loadgen.client import OpenLoopLoadGen
-from repro.loadgen.source import CallableSource, CyclingSource, QuerySource
+from repro.loadgen.source import CyclingSource, QuerySource
 from repro.loadgen.traffic import (
     ConstantRate,
     DiurnalRate,
@@ -26,7 +26,6 @@ from repro.loadgen.traffic import (
 )
 
 __all__ = [
-    "CallableSource",
     "ConstantRate",
     "CyclingSource",
     "DiurnalRate",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 Query = Tuple[Any, int]  # (payload, wire size in bytes)
 
@@ -32,13 +32,3 @@ class CyclingSource(QuerySource):
         query = self._queries[self._index]
         self._index = (self._index + 1) % len(self._queries)
         return query
-
-
-class CallableSource(QuerySource):
-    """Wraps a zero-arg callable returning (payload, size_bytes)."""
-
-    def __init__(self, fn: Callable[[], Query]):
-        self._fn = fn
-
-    def next_query(self) -> Query:
-        return self._fn()

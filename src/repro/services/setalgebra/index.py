@@ -57,11 +57,6 @@ class InvertedIndex:
             self._lengths[term] = len(doc_ids)
         self._postings.clear()
 
-    @property
-    def frozen(self) -> bool:
-        """True once freeze() replaced skip lists with compressed blobs."""
-        return self._compressed is not None
-
     def memory_bytes(self) -> int:
         """Approximate posting storage: 8 B/id live, blob bytes frozen."""
         if self._compressed is not None:
@@ -103,9 +98,3 @@ class InvertedIndex:
     def work_units(self, terms: Sequence[int]) -> int:
         """Posting elements a query scans (the leaf's compute units)."""
         return sum(self.posting_length(t) for t in terms if t not in self.stop_list)
-
-    @property
-    def n_terms(self) -> int:
-        if self._compressed is not None:
-            return len(self._compressed)
-        return len(self._postings)

@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry.histogram import LatencyHistogram
-from repro.telemetry.probes import COUNT, EVENTS, FAMILIES, SAMPLES, Family, Telemetry
+from repro.telemetry.probes import COUNT, FAMILIES, SAMPLES, Family, Telemetry
 from repro.telemetry.stream import STREAM_VERSION
 
 #: Every key a ``w`` record may hold: its own four, then one per family.
@@ -87,16 +87,6 @@ def _replay(out: Telemetry, family: Family, key: tuple, leaf) -> int:
             held = held.setdefault(name, Counter())
         held[key[-1]] += leaf
         return 0
-    if family.kind == EVENTS:
-        if not (
-            isinstance(leaf, list)
-            and all(isinstance(e, list) and len(e) == 2 for e in leaf)
-            and _numbers([t for t, _ in leaf])
-            and all(isinstance(label, str) for _, label in leaf)
-        ):
-            raise ValueError(f"expected [time, label] pairs, got {leaf!r}")
-        held.extend(map(tuple, leaf))
-        return len(leaf)
     if not _numbers(leaf):
         raise ValueError(f"expected a list of finite numbers, got {leaf!r}")
     hub_key = key if family.paired else key[0]
@@ -216,13 +206,11 @@ def fold_stream(
 def summarize(telemetry: Telemetry) -> Dict[str, object]:
     """A JSON-ready whole-run summary of a folded stream, keyed by hub
     attribute: counts as they are, a percentile summary per histogram,
-    pair keys joined as ``machine:kind``, events as their number."""
+    pair keys joined as ``machine:kind``."""
     summary: Dict[str, object] = {"window_start": telemetry.window_start}
     for family in FAMILIES:
         held = getattr(telemetry, family.attr)
-        if family.kind == EVENTS:
-            held = len(held)
-        elif family.depth == 2 and not family.paired:
+        if family.depth == 2 and not family.paired:
             held = {
                 name: dict(sorted(inner.items()))
                 for name, inner in sorted(held.items())

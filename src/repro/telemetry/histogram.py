@@ -75,19 +75,6 @@ class LatencyHistogram:
         self._max: Optional[float] = None
         self._sorted_cache: Optional[array] = None
 
-    def reset(self) -> None:
-        """Forget every sample; the RNG is seeded afresh at the next seal,
-        so a reset histogram behaves identically to a freshly constructed
-        one."""
-        self._rng = None
-        del self._samples[:]
-        self._sampling = False
-        self._count = 0
-        self._total = 0.0
-        self._min = None
-        self._max = None
-        self._sorted_cache = None
-
     # -- recording ---------------------------------------------------------
     def record(self, value: float) -> None:
         """Add one latency sample (microseconds)."""

@@ -48,7 +48,6 @@ IRQ_KINDS: Tuple[str, ...] = ("hardirq", "net_tx", "net_rx", "block", "sched", "
 COUNT = "count"  # an integer tally
 SAMPLES = "raw samples"  # latency samples (sealed: a LatencyHistogram)
 SUM = "ordered float sum"  # addends are replayed one by one (sealed: a float)
-EVENTS = "event list"  # (time, label) pairs, in order
 
 
 class Family(NamedTuple):
@@ -74,8 +73,6 @@ class Family(NamedTuple):
 
     def empty(self):
         """A fresh hub container for this family."""
-        if self.kind == EVENTS:
-            return []
         if self.kind == COUNT and self.depth < 2:
             return Counter() if self.depth else 0
         return {}
@@ -101,7 +98,6 @@ FAMILIES: Tuple[Family, ...] = (
     # Free-form extension points used by the RPC / loadgen layers.
     Family("histograms", "hist", SAMPLES, 1),
     Family("counters", "counters", COUNT, 1),
-    Family("events", "events", EVENTS, 0),
 )
 
 
@@ -198,17 +194,15 @@ class Telemetry:
         """Release run-scoped resources (no-op for the buffered hub)."""
 
     def retained_samples(self) -> int:
-        """Raw samples currently resident: histogram reservoirs, events,
-        and the windows tee.  This is the telemetry-internal high-water
+        """Raw samples currently resident: histogram reservoirs and the
+        windows tee.  This is the telemetry-internal high-water
         probe the bounded-memory regression test reads — deliberately
         not RSS, which a one-core runner cannot measure cleanly."""
-        retained = 0
-        for family in FAMILIES:
-            held = getattr(self, family.attr)
-            if family.kind == EVENTS:
-                retained += len(held)
-            elif family.kind == SAMPLES:
-                retained += sum(len(hist._samples) for hist in held.values())
+        retained = sum(
+            len(hist._samples)
+            for family in FAMILIES if family.kind == SAMPLES
+            for hist in getattr(self, family.attr).values()
+        )
         if self.windows is not None:
             retained += self.windows.retained_samples()
         return retained
@@ -341,13 +335,6 @@ class Telemetry:
         """Increment a named counter if inside the window."""
         if self._recording():
             self.counters[name] += n
-
-    def mark(self, label: str) -> None:
-        """Append a timestamped marker (for debugging traces)."""
-        now = self._clock()
-        if now >= self._roll_at:
-            self._roll(now)
-        self.events.append((now, label))
 
     # -- summaries ---------------------------------------------------------
     def syscall_counts(self, machine: str) -> Counter:

@@ -27,7 +27,7 @@ import tempfile
 from math import inf
 from typing import Optional
 
-from repro.telemetry.probes import COUNT, EVENTS, FAMILIES, Telemetry
+from repro.telemetry.probes import COUNT, FAMILIES, Telemetry
 
 #: Stream format version, recorded in the header.
 STREAM_VERSION = 1
@@ -44,8 +44,6 @@ def _raw_values(family, pending) -> int:
     """Raw values (not tallies) one family's pending container holds."""
     if family.kind == COUNT:
         return 0
-    if family.kind == EVENTS:
-        return len(pending)
     return sum(map(len, pending.values()))
 
 

@@ -15,7 +15,7 @@ class Rig:
     def __init__(self, seed: int = 0, link: LinkSpec | None = None):
         self.sim = Simulation()
         self.telemetry = Telemetry()
-        self.telemetry.attach_clock(lambda: self.sim.now)
+        self.telemetry.attach_clock(lambda: self.sim.now, sim=self.sim)
         self.rng = RngStreams(seed)
         self.fabric = Fabric(self.sim, self.telemetry, self.rng, link=link)
 

@@ -226,7 +226,7 @@ def test_repro_package_exports_the_stable_api():
                  "SCALES", "Tracer", "attribute",
                  # PR 10: the energy account and granularity transforms.
                  "EnergyAccount", "EnergyConfig", "EnergyReport",
-                 "attribution_energy", "pipeline_graph", "merge_edge",
+                 "pipeline_graph", "merge_edge",
                  "split_node", "monolith", "work_per_query"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None

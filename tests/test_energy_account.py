@@ -2,8 +2,7 @@
 
 The account accumulates exact durations (multiplication by watts is
 deferred to report time), so every expectation here is arithmetic on
-plain numbers: stepwise idle splits, busy spans, snapshot deltas, and
-the per-category critical-path pricing.
+plain numbers: stepwise idle splits, busy spans and snapshot deltas.
 """
 
 import pytest
@@ -13,7 +12,6 @@ from repro.energy import (
     EnergyConfig,
     EnergyReport,
     MachineEnergy,
-    attribution_energy,
     idle_portions,
 )
 from repro.kernel.config import OsCosts
@@ -158,34 +156,3 @@ def test_report_handles_empty_window():
     assert report.uj_per_query == 0.0
     assert report.avg_power_w == 0.0
     assert report.wake_share == 0.0
-
-
-# -- critical-path pricing ---------------------------------------------------
-
-class _Attr:
-    """Duck-typed Attribution: only ``categories`` is consulted."""
-
-    def __init__(self, categories):
-        self.categories = categories
-
-
-def test_attribution_energy_splits_compute_and_wakeups():
-    config = EnergyConfig(enabled=True)
-    attr = _Attr({
-        "leaf_compute": 30.0, "app_compute": 10.0,
-        "active_exe": 5.0, "net": 100.0, "queue_dwell": 40.0,
-    })
-    priced = attribution_energy(attr, config)
-    assert priced["compute_uj"] == 40.0 * 3.5
-    assert priced["wakeup_uj"] == 5.0 * 3.5
-    assert priced["total_uj"] == priced["compute_uj"] + priced["wakeup_uj"]
-    # Network / queueing segments burn no serving-core joules here.
-    assert priced["wake_share"] == pytest.approx(5.0 / 45.0)
-
-
-def test_attribution_energy_zero_path():
-    priced = attribution_energy(_Attr({}), EnergyConfig(enabled=True))
-    assert priced == {
-        "compute_uj": 0.0, "wakeup_uj": 0.0, "total_uj": 0.0,
-        "wake_share": 0.0,
-    }

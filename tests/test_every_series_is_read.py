@@ -8,16 +8,25 @@ for ``f"midtier_latency:{name}"``) or a module-level string constant —
 must appear somewhere other than its write sites: in ``src/repro``,
 ``tests``, ``examples`` or ``benchmarks``.  A series nothing names is
 recorded on every run and read by no one; it gets a reader or is deleted.
+
+One level up, every probe family (a row of
+``repro.telemetry.probes.FAMILIES``) must have a writer: a public
+``Telemetry`` method that stores into the family is called somewhere
+under ``src/repro`` outside ``probes.py``.  A family nothing writes is
+still reset, flushed, folded and summarized on every run.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
+from repro.telemetry.probes import FAMILIES
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SEARCHED = [SRC, ROOT / "tests", ROOT / "examples", ROOT / "benchmarks"]
 WRITERS = {"record", "incr"}
+PROBES = SRC / "telemetry" / "probes.py"
 
 
 def _is_telemetry(node) -> bool:
@@ -117,3 +126,69 @@ def test_every_recorded_series_is_read():
         )
     }
     assert not unread, f"series recorded under src/repro that nothing reads: {unread}"
+
+
+def _self_attr(node):
+    """``X`` for ``self.X`` (or ``self.X[...]``), else None."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _family_probes():
+    """{hub attribute: public ``Telemetry`` methods that store into it}."""
+    tree = ast.parse(PROBES.read_text())
+    hub = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Telemetry"
+    )
+    probes = defaultdict(set)
+    for method in hub.body:
+        if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                stored = [_self_attr(target) for target in node.targets]
+            elif isinstance(node, ast.AugAssign):
+                stored = [_self_attr(node.target)]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"append", "extend", "setdefault"}
+            ):
+                stored = [_self_attr(node.func.value)]
+            else:
+                continue
+            for attr in filter(None, stored):
+                probes[attr].add(method.name)
+    return probes
+
+
+def _called_outside_probes():
+    """Names of the methods called under ``src/repro`` outside ``probes.py``."""
+    return {
+        node.func.attr
+        for path in sorted(SRC.rglob("*.py"))
+        if path != PROBES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
+def test_every_probe_family_has_a_writer():
+    probes = _family_probes()
+    called = _called_outside_probes()
+    unwritten = {
+        family.attr: sorted(probes[family.attr])
+        for family in FAMILIES
+        if not probes[family.attr] & called
+    }
+    assert not unwritten, (
+        f"probe families no code under src/repro writes (family: its probes): {unwritten}"
+    )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.loadgen import (
-    CallableSource,
     CyclingSource,
     OpenLoopLoadGen,
     SessionClass,
@@ -46,7 +45,7 @@ class EchoTarget:
 def _rig():
     sim = Simulation()
     telemetry = Telemetry()
-    telemetry.attach_clock(lambda: sim.now)
+    telemetry.attach_clock(lambda: sim.now, sim=sim)
     rng = RngStreams(0)
     fabric = Fabric(sim, telemetry, rng)
     return sim, telemetry, rng, fabric
@@ -62,13 +61,6 @@ def test_cycling_source_wraps_around():
 def test_cycling_source_rejects_empty():
     with pytest.raises(ValueError):
         CyclingSource([])
-
-
-def test_callable_source():
-    counter = iter(range(10))
-    source = CallableSource(lambda: (next(counter), 8))
-    assert source.next_query() == (0, 8)
-    assert source.next_query() == (1, 8)
 
 
 def test_open_loop_rate_roughly_matches():

@@ -153,8 +153,8 @@ MALFORMED = [
     (_edit_window(hist={"h": [float("nan")]}), "line 2: hist: expected a list of finite"),
     (_edit_window(ctx={"mid": 1.5}), "line 2: ctx: count 1.5 is not an integer"),
     (_edit_window(irq={"mid": {"nmi": [1.0]}}), "line 2: irq: unknown irq kind 'nmi'"),
-    (_edit_window(events=[[1.0]]), "line 2: events: expected [time, label] pairs"),
     (_edit_window(mystery={}), "line 2: unknown family 'mystery'"),
+    (_edit_window(events=[[205.0, "checkpoint"]]), "line 2: unknown family 'events'"),
 ]
 
 
@@ -196,7 +196,6 @@ PROBE = {
     "attributed": lambda t: t.record_attributed("mid", "active_exe", 0.1),
     "histograms": lambda t: t.record("e2e_latency", 250.0),
     "counters": lambda t: t.incr("queries", 2),
-    "events": lambda t: t.mark("checkpoint"),
 }
 
 
@@ -249,17 +248,18 @@ def test_open_window_leaves_every_family_empty(make):
 #: Stream version 1, byte for byte: keys sorted at every level (a window's
 #: bytes do not depend on which machine wrote first), the ``open`` marker
 #: after the flushed warm-up window, no record for the empty window 3,
-#: footer counts.  Re-captured when the writer began sorting keys; every
-#: record parses equal to the one captured before the family table existed.
+#: footer counts.  Re-captured when the writer began sorting keys, and
+#: edited when the ``events`` family went: window 2 lost its ``events`` key
+#: and the footer one sample; every other record is unchanged.
 PINNED_STREAM = """\
 {"reservoir_size":64,"t":"header","version":1,"window_us":100.0}
 {"end_us":100.0,"hist":{"e2e_latency":[1.5]},"i":0,"start_us":0.0,"syscalls":{"mid":{"futex":1}},"t":"w"}
 {"end_us":200.0,"i":1,"runqlat":{"mid":[2.0]},"start_us":100.0,"t":"w"}
 {"start":150.0,"t":"open"}
 {"attributed":{"leaf0":{"net":[7.0]},"mid":{"active_exe":[0.1,0.2]}},"ctx":{"mid":1},"end_us":200.0,"futex":{"mid":1},"hitm":{"leaf0":3,"mid":2},"hitm_remote":{"leaf0":3},"i":1,"irq":{"leaf0":{"net_rx":[2.0]},"mid":{"hardirq":[1.0],"net_rx":[4.0]}},"retrans":1,"runqlat":{"leaf0":[0.5],"mid":[3.25]},"start_us":100.0,"syscalls":{"leaf0":{"futex":1},"mid":{"epoll_wait":2}},"t":"w"}
-{"counters":{"queries":2},"end_us":300.0,"events":[[205.0,"checkpoint"]],"hist":{"batch_occupancy:mid":[3],"e2e_latency":[250.0]},"i":2,"start_us":200.0,"t":"w"}
+{"counters":{"queries":2},"end_us":300.0,"hist":{"batch_occupancy:mid":[3],"e2e_latency":[250.0]},"i":2,"start_us":200.0,"t":"w"}
 {"counters":{"queries":1},"end_us":500.0,"i":4,"start_us":400.0,"t":"w"}
-{"samples":13,"t":"end","windows":5}
+{"samples":12,"t":"end","windows":5}
 """
 
 
@@ -294,7 +294,6 @@ def test_stream_v1_wire_format_is_pinned(tmp_path):
     t.record("e2e_latency", 250.0)
     t.record("batch_occupancy:mid", 3)  # an integer sample stays one
     t.incr("queries", 2)
-    t.mark("checkpoint")
     clock["now"] = 450.0
     t.incr("queries")
     t.finalized()

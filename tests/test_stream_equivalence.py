@@ -51,7 +51,6 @@ def telemetry_state(t: Telemetry) -> dict:
         "attributed_counts": dict(t.attributed_counts),
         "hists": {n: _hist_state(h) for n, h in t.histograms.items()},
         "counters": dict(t.counters),
-        "events": list(t.events),
     }
 
 
