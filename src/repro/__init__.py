@@ -19,7 +19,7 @@ Three layers, top to bottom:
   :class:`ServiceScale` config tree (:class:`TopologyConfig`,
   :class:`LbConfig`, :class:`BatchConfig`, :class:`CacheConfig`) and the
   :data:`SCALES` registry;
-* **telemetry** — the :class:`Tracer` span sampler and the critical-path
+* **telemetry** — the :class:`Tracer` request sampler and the critical-path
   attribution engine (:func:`attribute`, :func:`tail_exemplars`,
   :func:`crosscheck` in :mod:`repro.telemetry.critpath`).
 

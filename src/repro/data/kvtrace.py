@@ -5,16 +5,12 @@ YCSB Workload A's 50/50 get/set mix.  Key popularity follows a Zipf
 distribution (YCSB's default request distribution is similarly skewed),
 so hot keys hit the same shard repeatedly — exercising Router's
 replication-based load spreading.
-
-Beyond the paper's Workload A, :class:`YcsbWorkload` provides the other
-core YCSB mixes (B, C, D, F) for Router experiments.  Workload E (short
-scans) is omitted: the memcached protocol Router speaks has no scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.rng import seeded_py
 
@@ -93,67 +89,3 @@ class KeyValueTrace:
         """One set per key, used to warm stores before measurement."""
         return [KvOp("set", f"key:{i}", self._make_value()) for i in range(self.n_keys)]
 
-
-#: YCSB core-workload definitions: get fraction plus access pattern.
-#: "zipfian" picks keys by popularity rank; "latest" skews toward the most
-#: recently inserted keys (Workload D's news-feed-like pattern).
-YCSB_WORKLOADS: Dict[str, Dict[str, object]] = {
-    "A": {"get_fraction": 0.5, "pattern": "zipfian", "description": "update heavy"},
-    "B": {"get_fraction": 0.95, "pattern": "zipfian", "description": "read mostly"},
-    "C": {"get_fraction": 1.0, "pattern": "zipfian", "description": "read only"},
-    "D": {"get_fraction": 0.95, "pattern": "latest", "description": "read latest"},
-    "F": {"get_fraction": 0.5, "pattern": "zipfian", "description": "read-modify-write"},
-}
-
-
-class YcsbWorkload(KeyValueTrace):
-    """A YCSB core workload over the Zipfian key space.
-
-    Workload F's read-modify-write issues a get immediately followed by a
-    set of the same key; Workload D inserts new keys and reads skew toward
-    the latest inserts.
-    """
-
-    def __init__(self, workload: str = "A", n_keys: int = 10_000, seed: int = 0, **kwargs):
-        workload = workload.upper()
-        if workload not in YCSB_WORKLOADS:
-            raise ValueError(
-                f"unknown workload {workload!r}; options: {sorted(YCSB_WORKLOADS)}"
-            )
-        spec = YCSB_WORKLOADS[workload]
-        super().__init__(
-            n_keys=n_keys, get_fraction=float(spec["get_fraction"]), seed=seed, **kwargs
-        )
-        self.workload = workload
-        self.pattern = str(spec["pattern"])
-        self._inserted = n_keys  # next key id for Workload D inserts
-        self._rmw_pending: Optional[str] = None
-
-    def _pick_latest(self) -> str:
-        # Exponentially skewed toward the newest keys.
-        offset = int(self._rng.expovariate(1.0 / max(self.n_keys * 0.05, 1.0)))
-        key_id = max(0, self._inserted - 1 - offset)
-        return f"key:{key_id}"
-
-    def next_op(self) -> KvOp:
-        # Workload F: the write half of a pending read-modify-write.
-        if self._rmw_pending is not None:
-            key, self._rmw_pending = self._rmw_pending, None
-            return KvOp("set", key, self._make_value())
-        if self.pattern == "latest":
-            if self._rng.random() < self.get_fraction:
-                return KvOp("get", self._pick_latest(), None)
-            # Insert a brand-new key (Workload D's insert operation).
-            key = f"key:{self._inserted}"
-            self._inserted += 1
-            return KvOp("set", key, self._make_value())
-        key = self._pick_key()
-        if self.workload == "F":
-            # YCSB F: 50% plain reads, 50% read-modify-write pairs; every
-            # write is the second half of a pair.
-            if self._rng.random() >= 0.5:
-                self._rmw_pending = key
-            return KvOp("get", key, None)
-        if self._rng.random() < self.get_fraction:
-            return KvOp("get", key, None)
-        return KvOp("set", key, self._make_value())

@@ -234,12 +234,11 @@ class LeafRuntime(_RuntimeBase):
         if not replies:
             return  # every sub-request was shed past its deadline
         yield Compute(total_compute, tag="leaf-compute")
-        for reply in replies:  # served sub-requests only: a shed one has no span
+        for reply in replies:  # served sub-requests only: a shed one has no segment
             if reply.trace is not None:
-                reply.trace.record(
-                    f"leaf:{self.machine.name}", self.machine.name,
-                    serve_start, self.machine.sim.now,
-                    request_id=reply.request_id,
+                reply.trace.add_segment(
+                    "leaf_compute", self.machine.name,
+                    serve_start, self.machine.sim.now, reply.request_id,
                 )
         if batched:
             size = BATCH_HEADER_BYTES + sum(r.size_bytes for r in replies)
@@ -371,7 +370,9 @@ class MidTierRuntime(_RuntimeBase):
     # -- request path ------------------------------------------------------
     def _enqueue(self, request: RpcRequest):
         if request.trace is not None:
-            request.trace.begin("queue_wait", self.machine.name, self.machine.sim.now)
+            request.trace.add_segment(
+                "queue_dwell", self.machine.name, self.machine.sim.now
+            )
         if self.config.parse_in_network_thread:
             # McRouter-style: parse + route computation runs right here,
             # under the completion-queue lock the caller holds — and so
@@ -424,7 +425,7 @@ class MidTierRuntime(_RuntimeBase):
             yield Compute(HIT_COMPUTE_US, tag="midcache-hit")
             arrival = request.arrive_time or self.machine.sim.now
             yield from self._reply(
-                request, payload, size_bytes, "cache_hit", False,
+                request, payload, size_bytes, False,
                 arrival, arrival, request.net_us,
             )
             return "done", None
@@ -442,7 +443,7 @@ class MidTierRuntime(_RuntimeBase):
         or the network thread's ``(request, (plan, cache_key))``."""
         request, planned = item if isinstance(item, tuple) else (item, None)
         if request.trace is not None:
-            request.trace.end_last("queue_wait", self.machine.sim.now)
+            request.trace.end_last("queue_dwell", self.machine.sim.now)
         if planned is None:
             planned = yield from self._plan(request)
             if planned is None:
@@ -475,8 +476,8 @@ class MidTierRuntime(_RuntimeBase):
             self._arm_tail_timers(entry)
         entry.request_path_us = self.machine.sim.now - arrival
         if request.trace is not None:
-            request.trace.record(
-                "request_path", self.machine.name, arrival, self.machine.sim.now
+            request.trace.add_segment(
+                "app_compute", self.machine.name, arrival, self.machine.sim.now
             )
 
     # -- response path -----------------------------------------------------
@@ -747,15 +748,10 @@ class MidTierRuntime(_RuntimeBase):
             # Graceful degradation: surface the partial merge to telemetry
             # and to the client (repro.loadgen counts these separately).
             self.partial_replies += 1
-            if request.trace is not None:
-                request.trace.record(
-                    "deadline_partial", self.machine.name, entry.arrival,
-                    self.machine.sim.now,
-                )
         net_us = request.net_us + sum(r.net_us + r.upstream_net_us for r in entry.responses)
         yield from self._reply(
-            request, merged.payload, merged.size_bytes, "response_path",
-            entry.partial, entry.arrival, last_arrival, net_us, entry.request_path_us,
+            request, merged.payload, merged.size_bytes, entry.partial,
+            entry.arrival, last_arrival, net_us, entry.request_path_us,
         )
         if self.cache is not None and entry.cache_key is not None:
             # Close the single-flight: store the merge (never a partial
@@ -772,17 +768,16 @@ class MidTierRuntime(_RuntimeBase):
                 arrival = follower.arrive_time or self.machine.sim.now
                 yield from self._reply(
                     follower, merged.payload, merged.size_bytes,
-                    "single_flight", entry.partial, arrival, arrival,
-                    follower.net_us,
+                    entry.partial, arrival, arrival, follower.net_us,
                 )
 
     def _reply(
-        self, request: RpcRequest, payload, size_bytes: int, label: str,
-        partial: bool, arrival: float, since: float, net_us: float,
+        self, request: RpcRequest, payload, size_bytes: int, partial: bool,
+        arrival: float, since: float, net_us: float,
         request_path_us: Optional[float] = None,
     ):
         """Generator: build and send one query's reply, record its mid-tier
-        series and its ``label`` trace span (``since`` → now).
+        series and its ``app_compute`` trace segment (``since`` → now).
 
         ``request_path_us`` is given for a fan-out's merge only: its
         mid-tier latency is then request path plus response path (``since``
@@ -818,7 +813,7 @@ class MidTierRuntime(_RuntimeBase):
             latency_us = request_path_us + response_path_us
         telemetry.record(f"midtier_latency:{name}", latency_us)
         if request.trace is not None:
-            request.trace.record(label, name, since, now)
+            request.trace.add_segment("app_compute", name, since, now)
             reply.trace = request.trace  # carried back to the client
         self.completed += 1
         yield SockSend(self.server_sock, request.reply_to, reply, size_bytes)

@@ -73,14 +73,6 @@ class MemcachedStore:
         self.hits += 1
         return item.value
 
-    def delete(self, key: str) -> bool:
-        """Remove ``key``; True if it was present."""
-        item = self._items.pop(key, None)
-        if item is None:
-            return False
-        self.bytes_used -= item.size
-        return True
-
     def __len__(self) -> int:
         return len(self._items)
 

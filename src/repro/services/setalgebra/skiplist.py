@@ -73,15 +73,6 @@ class SkipList:
         candidate = node.forward[0]
         return candidate is not None and candidate.value == value
 
-    def seek_ge(self, value: int) -> Optional[int]:
-        """The smallest element >= ``value`` (uses the skip lanes)."""
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while node.forward[level] is not None and node.forward[level].value < value:
-                node = node.forward[level]
-        candidate = node.forward[0]
-        return candidate.value if candidate is not None else None
-
     def __iter__(self) -> Iterator[int]:
         node = self._head.forward[0]
         while node is not None:

@@ -10,13 +10,14 @@ regime.
 The loop is a classic calendar queue built on :mod:`heapq`, tuned for the
 millions-of-events runs the figure experiments perform:
 
-* Heap entries are plain tuples, ``(time, seq, call)`` for cancellable
-  entries and ``(time, seq, fn, args)`` for the fire-and-forget fast path
-  (:meth:`Simulation.defer_at` / :meth:`Simulation.defer_in`), so ordering
-  is resolved by C-level float/int comparisons — never a Python ``__lt__``.
-  ``seq`` is a monotonically increasing tie breaker, so the simulation is
-  fully deterministic for a fixed seed and insertion order, and entry
-  comparison never reaches the (incomparable) third element.
+* Heap entries are plain tuples of one shape, ``(time, seq, fn, args,
+  lane)``; a cancellable entry is ``(time, seq, None, call, lane)``, the
+  fire-and-forget fast path (:meth:`Simulation.defer_at` /
+  :meth:`Simulation.defer_in`) skips the :class:`ScheduledCall`.  Ordering
+  is resolved by C-level float/int comparisons — never a Python
+  ``__lt__``.  ``seq`` is a monotonically increasing tie breaker, so the
+  simulation is fully deterministic for a fixed seed and insertion order,
+  and entry comparison never reaches the (incomparable) third element.
 * Cancellation is *lazy*: a cancelled :class:`ScheduledCall` stays in the
   heap but is skipped when popped.  Workloads with heavy timed-wait churn
   (the RPC layer's jittered condvar deadlines cancel timers constantly)
@@ -67,19 +68,17 @@ class SimulationError(RuntimeError):
 class ScheduledCall:
     """A cancellable callback scheduled at an absolute simulation time."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "lane")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple,
-                 sim: "Simulation", lane: "Lane"):
+    def __init__(self, time: float, fn: Callable[..., None], args: tuple,
+                 sim: "Simulation"):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
         # Back-reference for live-entry accounting; cleared once the entry
         # leaves the heap so post-fire cancels stay harmless no-ops.
         self._sim = sim
-        self.lane = lane
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
@@ -90,18 +89,12 @@ class ScheduledCall:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        # Heap entries are (time, seq, ...) tuples resolved before the call
-        # object is ever compared; kept for explicit sorts in user code.
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Lane:
     """One machine's share of the calendar, with its own clock.
 
     Entries filed here are ``(time, seq, fn, args, lane)`` tuples in the
-    simulation's one heap (a cancellable one carries the lane on its
-    :class:`ScheduledCall`).  A machine's lane reads ``fabric`` live for
+    simulation's one heap.  A machine's lane reads ``fabric`` live for
     the lookahead L (``fabric.link.base_latency_us``), and never runs
     ahead to the window edge (``_roll_at``) of the telemetry ``hub``.  The
     global lane (:attr:`Simulation.lane`) has neither and never runs ahead.
@@ -142,9 +135,9 @@ class Simulation:
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        # (time, seq, call) / (time, seq, fn, args) / (time, seq, fn, args,
-        # lane) tuples; seq is unique, so comparison never reaches the
-        # incomparable tail.
+        # (time, seq, fn, args, lane) tuples, fn None for a cancellable
+        # entry (args is its ScheduledCall); seq is unique, so comparison
+        # never reaches the incomparable tail.
         self._heap: list = []
         # Bound of the run() in progress; -inf when none is (so
         # advance_to refuses outside run() and under step()).
@@ -182,9 +175,9 @@ class Simulation:
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
         self._seq += 1
-        entry = ScheduledCall(time, self._seq, fn, args, self, lane)
-        heappush(self._heap, (time, self._seq, entry))
-        return entry
+        call = ScheduledCall(time, fn, args, self)
+        heappush(self._heap, (time, self._seq, None, call, lane))
+        return call
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` after ``delay`` microseconds."""
@@ -201,12 +194,12 @@ class Simulation:
         never cancelled.
         """
         self._seq += 1
-        heappush(self._heap, (time, self._seq, fn, args))
+        heappush(self._heap, (time, self._seq, fn, args, self.lane))
 
     def defer_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`call_in` (see :meth:`defer_at`)."""
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        heappush(self._heap, (self._now + delay, self._seq, fn, args, self.lane))
 
     def advance_to(self, time: float, lane: Optional[Lane] = None,
                    barrier: bool = False) -> bool:
@@ -255,8 +248,7 @@ class Simulation:
         due = [0]
         for i in due:  # grows as the walk finds due children
             entry = heap[i]
-            n = len(entry)
-            owner = entry[4] if n == 5 else glob if n == 4 else entry[2].lane
+            owner = entry[4]
             if owner is lane or owner is glob or entry[0] == time:
                 return False
             i = 2 * i + 1
@@ -284,7 +276,7 @@ class Simulation:
         order on (time, seq) regardless of heap-internal layout.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if len(e) != 3 or not e[2].cancelled]
+        heap[:] = [e for e in heap if e[2] is not None or not e[3].cancelled]
         heapify(heap)
         self._cancelled = 0
 
@@ -300,7 +292,6 @@ class Simulation:
         self._until = bound = math.inf if until is None else until
         heap = self._heap
         pop = heappop
-        glob = self.lane
         executed = 0
         try:
             while heap:
@@ -312,21 +303,13 @@ class Simulation:
                 # the clock is written per entry.
                 stalled = executed + _MAX_STALLED_ENTRIES
                 while heap and heap[0][0] == when:
-                    entry = pop(heap)
-                    n = len(entry)
-                    if n == 5:
-                        _, _, fn, args, lane = entry
-                    elif n == 4:
-                        _, _, fn, args = entry
-                        lane = glob
-                    else:
-                        call = entry[2]
-                        call._sim = None
-                        lane = call.lane
-                        if call.cancelled:
+                    _, _, fn, args, lane = pop(heap)
+                    if fn is None:  # cancellable: args is its ScheduledCall
+                        args._sim = None
+                        if args.cancelled:
                             self._cancelled -= 1
                             continue
-                        fn, args = call.fn, call.args
+                        fn, args = args.fn, args.args
                     if when < lane.now:
                         self._raise_past(fn, when, lane.now)
                     if executed >= stalled:
@@ -345,7 +328,7 @@ class Simulation:
             elif self._now < until:
                 self._now = until
             # Whatever is filed between runs is checked against this clock.
-            glob.now = self._now
+            self.lane.now = self._now
         finally:
             self.executed += executed
             self._until = -math.inf
@@ -354,20 +337,13 @@ class Simulation:
         """Execute the single next pending callback.  Returns False if none."""
         heap = self._heap
         while heap:
-            entry = heappop(heap)
-            n = len(entry)
-            if n == 3:
-                call = entry[2]
-                call._sim = None
-                lane = call.lane
-                if call.cancelled:
+            when, _, fn, args, lane = heappop(heap)
+            if fn is None:  # cancellable: args is its ScheduledCall
+                args._sim = None
+                if args.cancelled:
                     self._cancelled -= 1
                     continue
-                fn, args = call.fn, call.args
-            else:
-                lane = entry[4] if n == 5 else self.lane
-                fn, args = entry[2], entry[3]
-            when = entry[0]
+                fn, args = args.fn, args.args
             if when < lane.now:
                 self._raise_past(fn, when, lane.now)
             self._now = lane.now = when

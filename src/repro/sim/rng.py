@@ -24,12 +24,11 @@ def derive_seed(master_seed: int, name: str) -> int:
 
 
 class RngStreams:
-    """A factory for per-name deterministic RNGs (both stdlib and numpy)."""
+    """A factory for per-name deterministic stdlib RNGs."""
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self._py: Dict[str, random.Random] = {}
-        self._np: Dict[str, np.random.Generator] = {}
 
     def py(self, name: str) -> random.Random:
         """The stdlib :class:`random.Random` stream called ``name``."""
@@ -37,14 +36,6 @@ class RngStreams:
         if rng is None:
             rng = random.Random(derive_seed(self.master_seed, name))
             self._py[name] = rng
-        return rng
-
-    def np(self, name: str) -> np.random.Generator:
-        """The numpy generator stream called ``name``."""
-        rng = self._np.get(name)
-        if rng is None:
-            rng = np.random.default_rng(derive_seed(self.master_seed, name))
-            self._np[name] = rng
         return rng
 
     def spawn(self, name: str) -> "RngStreams":

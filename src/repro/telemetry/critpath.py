@@ -4,16 +4,14 @@
 *aggregate* OS-overhead breakdown: summed histograms of softirq service,
 runqueue wait, and wire time across a whole run.  This module answers
 the per-request question — where did THIS query's tail latency go? — by
-joining two streams recorded on a sampled :class:`~repro.telemetry.tracing.Trace`:
+tiling the :class:`~repro.telemetry.tracing.Segment`\\ s stamped on a
+sampled :class:`~repro.telemetry.tracing.Trace`: the RPC server's
+``queue_dwell``, ``app_compute`` and ``leaf_compute``, and the kernel
+events the NIC pipeline and scheduler stamp (hardirq + net_rx softirq
+service, net_tx softirq, runqueue wait after a message-driven wake, wire
+time, balancer backlog dwell).
 
-* application spans (``leaf:*`` service time, ``queue_wait`` dwell,
-  ``request_path``/``response_path`` mid-tier compute), and
-* kernel-event :class:`~repro.telemetry.tracing.Segment`\\ s stamped by the
-  NIC pipeline and scheduler (hardirq + net_rx softirq service, net_tx
-  softirq, runqueue wait after a message-driven wake, wire time, balancer
-  backlog dwell).
-
-The join produces an exact *tiling* of the request's wall-clock interval
+Attribution is an exact *tiling* of the request's wall-clock interval
 ``[started_us, finished_us]``: a boundary sweep cuts the interval at every
 segment edge and assigns each elementary slice to the highest-priority
 category covering it.  Slices no candidate covers become ``app_compute``
@@ -57,16 +55,6 @@ CATEGORIES: Tuple[str, ...] = (
 )
 
 _PRIORITY: Dict[str, int] = {name: rank for rank, name in enumerate(CATEGORIES)}
-
-#: Span names translated into tiling candidates (category, priority source).
-_SPAN_CATEGORIES: Dict[str, str] = {
-    "queue_wait": "queue_dwell",
-    "request_path": "app_compute",
-    "response_path": "app_compute",
-    "cache_hit": "app_compute",
-    "single_flight": "app_compute",
-}
-
 
 def riders(message) -> Tuple[Tuple[Trace, Optional[int]], ...]:
     """The sampled traces riding on a wire message, with sub-request ids.
@@ -124,15 +112,13 @@ class Attribution:
 
     ``categories`` tiles ``total_us`` exactly; ``by_machine`` splits the
     same microseconds per ``(machine, category)`` with the residual under
-    machine ``"-"``.  ``raw`` keeps unclipped, unfiltered kernel-segment
-    sums for aggregate cross-checks against telemetry histograms.
+    machine ``"-"``.
     """
 
     request_id: int
     total_us: float
     categories: Dict[str, float] = field(default_factory=dict)
     by_machine: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    raw: Dict[str, float] = field(default_factory=dict)
 
     @property
     def dominant(self) -> str:
@@ -143,11 +129,6 @@ class Attribution:
     def tiling_error_us(self) -> float:
         """|sum(categories) - total_us| — zero by construction."""
         return abs(sum(self.categories.values()) - self.total_us)
-
-    def share(self, category: str) -> float:
-        if self.total_us <= 0.0:
-            return 0.0
-        return self.categories.get(category, 0.0) / self.total_us
 
 
 def _keep(trace: Trace, request_id: Optional[int]) -> bool:
@@ -160,29 +141,15 @@ def _keep(trace: Trace, request_id: Optional[int]) -> bool:
 
 
 def _candidates(trace: Trace) -> List[Tuple[int, str, str, float, float]]:
-    """(priority, category, machine, start, end) intervals for tiling."""
-    out: List[Tuple[int, str, str, float, float]] = []
-    for seg in trace.segments:
-        if not _keep(trace, seg.request_id):
-            continue
-        out.append(
-            (_PRIORITY[seg.category], seg.category, seg.machine,
-             seg.start_us, seg.end_us)
-        )
-    for span in trace.spans:
-        if span.end_us is None or not _keep(trace, span.request_id):
-            continue
-        if span.name.startswith("leaf:"):
-            category = "leaf_compute"
-        else:
-            category = _SPAN_CATEGORIES.get(span.name)
-            if category is None:
-                continue
-        out.append(
-            (_PRIORITY[category], category, span.machine,
-             span.start_us, span.end_us)
-        )
-    return out
+    """(priority, category, machine, start, end) intervals for tiling:
+    the closed segments of the winning path, in list order, which breaks
+    ties between equal claims."""
+    return [
+        (_PRIORITY[seg.category], seg.category, seg.machine,
+         seg.start_us, seg.end_us)
+        for seg in trace.segments
+        if seg.end_us is not None and _keep(trace, seg.request_id)
+    ]
 
 
 def attribute(trace: Trace) -> Attribution:
@@ -196,10 +163,6 @@ def attribute(trace: Trace) -> Attribution:
         raise ValueError(f"trace #{trace.request_id} is not finished")
     lo, hi = trace.started_us, trace.finished_us
     attr = Attribution(request_id=trace.request_id, total_us=hi - lo)
-
-    for seg in trace.segments:  # unclipped diagnostics for cross-checks
-        attr.raw[seg.category] = attr.raw.get(seg.category, 0.0) + seg.duration_us
-
     candidates = [
         (prio, cat, machine, max(lo, start), min(hi, end))
         for prio, cat, machine, start, end in _candidates(trace)
@@ -284,7 +247,7 @@ def crosscheck(
     trace_sums: Dict[str, float] = {name: 0.0 for name in CATEGORIES}
     for trace in traces:
         for seg in trace.segments:
-            if seg.machine in machines:
+            if seg.end_us is not None and seg.machine in machines:
                 trace_sums[seg.category] += seg.duration_us
 
     def entry(category: str, telemetry_us: float) -> Dict[str, float]:

@@ -3,7 +3,7 @@
 The engine's contract (repro.telemetry.critpath) is that every finished
 trace's round trip is tiled *exactly* — the per-category durations sum to
 ``finished_us - started_us`` with no gaps and no overlaps, whatever
-segments and spans were stamped onto the trace.  Hypothesis generates
+segments were stamped onto the trace.  Hypothesis generates
 adversarial segment soups (overlapping, nested, out of range, losing
 hedge ids) and the properties below must hold for all of them.
 """
@@ -21,7 +21,7 @@ from repro.telemetry.tracing import Trace
 
 TOTAL_US = 1_000.0
 
-# Categories that arrive as kernel segments (spans cover the rest).
+# Categories the kernel layers stamp (the residual covers the rest).
 SEGMENT_CATEGORIES = tuple(c for c in CATEGORIES if c != "app_compute")
 
 segments = st.lists(
@@ -37,23 +37,26 @@ segments = st.lists(
     max_size=12,
 )
 
-spans = st.lists(
+# The RPC server's segments; a None width leaves one open, as a dwell
+# no worker dequeued stays, and the tiling skips it.
+server_segments = st.lists(
     st.tuples(
-        st.sampled_from(("leaf:leaf0", "queue_wait", "request_path", "ignored")),
+        st.sampled_from(("leaf_compute", "queue_dwell", "app_compute")),
         st.floats(min_value=0.0, max_value=TOTAL_US),
-        st.floats(min_value=0.0, max_value=300.0),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=300.0)),
     ),
     max_size=6,
 )
 
 
-def make_trace(seg_specs, span_specs, winners=frozenset()):
+def make_trace(seg_specs, server_specs, winners=frozenset()):
     trace = Trace(request_id=1, started_us=0.0)
     for category, machine, start, width, request_id in seg_specs:
         trace.add_segment(category, machine, start, start + width,
                           request_id=request_id)
-    for name, start, width in span_specs:
-        trace.record(name, "mid0", start, start + width)
+    for category, start, width in server_specs:
+        trace.add_segment(category, "mid0", start,
+                          None if width is None else start + width)
     for winner in winners:
         trace.note_winner(winner)
     trace.finished_us = TOTAL_US
@@ -63,27 +66,27 @@ def make_trace(seg_specs, span_specs, winners=frozenset()):
 # -- tiling properties -------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(seg_specs=segments, span_specs=spans)
-def test_segments_tile_wall_clock_exactly(seg_specs, span_specs):
-    attr = attribute(make_trace(seg_specs, span_specs))
+@given(seg_specs=segments, server_specs=server_segments)
+def test_segments_tile_wall_clock_exactly(seg_specs, server_specs):
+    attr = attribute(make_trace(seg_specs, server_specs))
     assert math.isclose(sum(attr.categories.values()), attr.total_us,
                         rel_tol=0.0, abs_tol=1e-6)
     assert attr.tiling_error_us <= 1e-6
 
 
 @settings(max_examples=200, deadline=None)
-@given(seg_specs=segments, span_specs=spans)
-def test_no_negative_or_unknown_categories(seg_specs, span_specs):
-    attr = attribute(make_trace(seg_specs, span_specs))
+@given(seg_specs=segments, server_specs=server_segments)
+def test_no_negative_or_unknown_categories(seg_specs, server_specs):
+    attr = attribute(make_trace(seg_specs, server_specs))
     for category, us in attr.categories.items():
         assert category in CATEGORIES
         assert us >= 0.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(seg_specs=segments, span_specs=spans)
-def test_by_machine_splits_the_same_microseconds(seg_specs, span_specs):
-    attr = attribute(make_trace(seg_specs, span_specs))
+@given(seg_specs=segments, server_specs=server_segments)
+def test_by_machine_splits_the_same_microseconds(seg_specs, server_specs):
+    attr = attribute(make_trace(seg_specs, server_specs))
     per_category = {}
     for (machine, category), us in attr.by_machine.items():
         assert us >= 0.0
@@ -95,9 +98,9 @@ def test_by_machine_splits_the_same_microseconds(seg_specs, span_specs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seg_specs=segments, span_specs=spans, winners=st.sets(st.sampled_from((7, 8))))
-def test_winner_filter_never_breaks_tiling(seg_specs, span_specs, winners):
-    attr = attribute(make_trace(seg_specs, span_specs, winners=winners))
+@given(seg_specs=segments, server_specs=server_segments, winners=st.sets(st.sampled_from((7, 8))))
+def test_winner_filter_never_breaks_tiling(seg_specs, server_specs, winners):
+    attr = attribute(make_trace(seg_specs, server_specs, winners=winners))
     assert attr.tiling_error_us <= 1e-6
 
 
@@ -152,7 +155,7 @@ def test_unfinished_trace_is_rejected():
 # -- aggregate vs per-request consistency -----------------------------------
 
 @settings(max_examples=50, deadline=None)
-@given(specs=st.lists(st.tuples(segments, spans), min_size=1, max_size=5))
+@given(specs=st.lists(st.tuples(segments, server_segments), min_size=1, max_size=5))
 def test_aggregate_equals_sum_of_per_request(specs):
     attrs = [attribute(make_trace(s, p)) for s, p in specs]
     totals = aggregate(attrs)

@@ -44,7 +44,7 @@ from repro.suite import SCALES, SimCluster, build_service
 from repro.suite.cluster import build_tier, midtier_maker, run_open_loop
 from repro.suite.config import BatchConfig
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.tracing import Trace, Tracer
+from repro.telemetry.tracing import Segment, Trace, Tracer
 
 
 def _service(name):
@@ -190,11 +190,10 @@ def _run(cell, tmp_path):
 
 
 def _trace_record(trace):
-    """A trace's root id, clocks, spans, segments and winners, with the
-    raw request ids."""
+    """A trace's root id, clocks, segments and winners, with the raw
+    request ids."""
     return (
         trace.request_id, trace.started_us, trace.finished_us,
-        [astuple(span) for span in trace.spans],
         [astuple(seg) for seg in trace.segments],
         sorted(trace.winners),
     )
@@ -211,15 +210,14 @@ def _relabelled(record):
 
 
 def _relabel(trace):
-    request_id, started, finished, spans, segments, winners = trace
+    request_id, started, finished, segments, winners = trace
     labels = {request_id: 0}
 
     def label(rid):
         return None if rid is None else labels.setdefault(rid, len(labels))
 
-    spans = [(*span[:-1], label(span[-1])) for span in spans]
     segments = [(*seg[:-1], label(seg[-1])) for seg in segments]
-    return started, finished, spans, segments, sorted(labels.get(rid, -1) for rid in winners)
+    return started, finished, segments, sorted(labels.get(rid, -1) for rid in winners)
 
 
 _DEFER_AT = Lane.defer_at
@@ -301,8 +299,8 @@ def test_lookahead_cuts_entries_the_strict_rule_files(cell, tmp_path, monkeypatc
 def test_replicated_tier_matches_the_strict_rule(cell, tmp_path, monkeypatch):
     """Replicas on a lane each (or on one shared lane, for Router's shared
     RNG) run ahead of each other by less than a fabric hop: the records,
-    the spill bytes and every trace's spans and segments are the strict
-    rule's (and the filed run's: ``test_fast_forward_is_exact``)."""
+    the spill bytes and every trace's segments are the strict rule's (and
+    the filed run's: ``test_fast_forward_is_exact``)."""
     shipped, shipped_events = _run(cell, tmp_path)
     _refuse_lookahead(monkeypatch)
     strict, strict_events = _run(cell, tmp_path)
@@ -408,13 +406,21 @@ def test_traced_deep_injected_cell_is_exact(monkeypatch):
     monkeypatch.setattr(graph_sweep, "WARMUP_US", 10_000.0)
     shipped = graph_sweep.pinned_cell(queries=20)
     with monkeypatch.context() as patch:
-        patch.setattr(Trace, "_file", lambda self, items, clocks, item: items.append(item))
+        patch.setattr(Trace, "add_segment", _appended_segment)
         appended = graph_sweep.pinned_cell(queries=20)
     _refuse_lookahead(monkeypatch)
     strict = graph_sweep.pinned_cell(queries=20)
     assert shipped.tail_traces > 0
     assert asdict(shipped) == asdict(strict)
     assert appended.machine_tail_us != strict.machine_tail_us
+
+
+def _appended_segment(self, category, machine, start_us, end_us=None, request_id=None):
+    """``Trace.add_segment`` as a plain append, in whatever order the
+    lanes run."""
+    segment = Segment(category, machine, start_us, end_us, request_id)
+    self.segments.append(segment)
+    return segment
 
 
 def _streamed_router(tmp_path, edge_barrier=True):

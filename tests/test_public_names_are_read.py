@@ -10,8 +10,10 @@ attribute (``policy.decide``).  Mentions that run nothing do not count:
 definition lines, docstrings and comments, the string entries of
 ``__all__`` and of ``repro._EXPORTS``, and ``from ... import`` lines,
 such as a package ``__init__.py``'s re-exports (a name re-exported and
-never called is still dead).  Names are pooled across the package, so a method
-is read when any code reads an attribute of that name.
+never called is still dead).  Names are pooled across the package.  A
+top-level name is read by either kind of identifier (``critpath.attribute``
+reads it too); a method only by an attribute, so a local variable that
+shares a method's name does not keep the method alive.
 
 The few kept on purpose are listed in ``ALLOWED`` with the reason, and
 the list must stay exact: an entry whose name gains a reader under
@@ -57,6 +59,15 @@ ALLOWED = {
         "tests/test_sim_core.py observes the calendar's pop order and past-entry check "
         "one entry at a time"
     ),
+    "events": (
+        "ReplicaSecondsAccount's log; tests/test_control_properties.py checks the "
+        "integral against a reference built from it"
+    ),
+    "expected_sent": (
+        "tests/test_loadgen_traffic.py gates a variable-rate generator's sent count "
+        "against it"
+    ),
+    "ok": "tests/test_sim_core.py observes an event's success through it",
     "true_rating": (
         "tests/test_recommend.py measures the recommender's error against the planted "
         "ratings"
@@ -73,11 +84,6 @@ ALLOWED = {
         "graph granularity transform (repro._EXPORTS); tests/test_granularity.py "
         "observes that it conserves work per query and cores"
     ),
-    # Deletion candidates (ROADMAP): each is the whole subject of its own
-    # unit tests, which would go with it.
-    "YcsbWorkload": "deletion candidate; only tests/test_ycsb_workloads.py drives it",
-    "seek_ge": "deletion candidate; only tests/test_setalgebra.py calls it",
-    "delete": "deletion candidate (MemcachedStore); only tests/test_router.py calls it",
 }
 
 
@@ -96,27 +102,32 @@ def _definitions(tree):
                     yield item.name, item.lineno, True
 
 
-def _reads(tree):
-    """Identifiers the module's code reads.  Imports are not reads: the
-    importing module's use of the name is."""
+def _reads(tree, names, attributes):
+    """Add the identifiers the module's code reads to ``names`` (bare) and
+    ``attributes``.  Imports are not reads: the importing module's use of
+    the name is."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
 
 
 def _unread():
     """({unread public name: ("path:line", is_method)}, every public name)."""
     where = {}
-    read = set()
+    names, attributes = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         for name, line, is_method in _definitions(tree):
             if not name.startswith("_"):
                 where.setdefault(name, (f"{path.relative_to(SRC)}:{line}", is_method))
-        read.update(_reads(tree))
-    unread = {name: at for name, at in where.items() if name not in read}
+        _reads(tree, names, attributes)
+    unread = {
+        name: (at, is_method)
+        for name, (at, is_method) in where.items()
+        if name not in attributes and (is_method or name not in names)
+    }
     return unread, set(where)
 
 

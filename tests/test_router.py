@@ -140,14 +140,6 @@ def test_store_ttl_expiry_uses_clock():
     assert store.expirations == 1
 
 
-def test_store_delete():
-    store = MemcachedStore()
-    store.set("k", "v")
-    assert store.delete("k") is True
-    assert store.delete("k") is False
-    assert store.get("k") is None
-
-
 def test_store_rejects_zero_capacity():
     with pytest.raises(ValueError):
         MemcachedStore(capacity_bytes=0)

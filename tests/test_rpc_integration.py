@@ -132,10 +132,10 @@ def test_closed_loop_measures_throughput():
         classes=[SessionClass("closed", 8)],
     )
     gen.start()
-    rig.run(until=50_000)  # warm up
+    rig.run(until=5_000)  # warm up
     before = gen.completed
-    rig.run(until=250_000)
-    qps = (gen.completed - before) / 0.2
+    rig.run(until=25_000)  # a 20 ms window holds hundreds of round trips
+    qps = (gen.completed - before) / 0.02
     assert qps > 500.0  # 8 concurrent clients, ~200us round trips
 
 

@@ -11,7 +11,7 @@ that path from the outside:
   byte-identical: it fixes tids, runqueue order and scheduler RNG draws);
 * the kernel entry: each syscall op is counted under its name and costs
   what ``OsCosts.syscall_cost`` says, an unknown op is a named error;
-* a shed sub-request gets no ``leaf:`` span.
+* a shed sub-request gets no ``leaf_compute`` segment.
 """
 
 from dataclasses import replace
@@ -214,7 +214,7 @@ def test_unknown_op_names_the_thread_and_the_op():
         rig.run(until=1_000)
 
 
-# -- a shed sub-request has no leaf span -------------------------------------------
+# -- a shed sub-request has no leaf segment --------------------------------------
 
 class _TrivialLeaf(LeafApp):
     def handle(self, request):
@@ -253,8 +253,8 @@ def test_shed_subrequest_gets_no_leaf_span():
     assert [r.request_id for r in reply.payload.responses] == [live.request_id]
     assert rig.telemetry.counters["leaf_deadline_drops:leaf"] == 1
 
-    def leaf_spans(request):
-        return [s for s in request.trace.spans if s.name.startswith("leaf:")]
+    def leaf_segments(request):
+        return [s for s in request.trace.segments if s.category == "leaf_compute"]
 
-    assert len(leaf_spans(live)) == 1
-    assert leaf_spans(expired) == []
+    assert len(leaf_segments(live)) == 1
+    assert leaf_segments(expired) == []

@@ -40,14 +40,6 @@ def test_skiplist_contains():
     assert 34 not in sl
 
 
-def test_skiplist_seek_ge():
-    sl = SkipList([10, 20, 30])
-    assert sl.seek_ge(5) == 10
-    assert sl.seek_ge(20) == 20
-    assert sl.seek_ge(25) == 30
-    assert sl.seek_ge(31) is None
-
-
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_skiplist_matches_sorted_set_semantics(values):

@@ -31,12 +31,6 @@ def test_different_master_seeds_differ():
     assert xs != ys
 
 
-def test_numpy_stream_reproducible():
-    a = RngStreams(11).np("vecs").normal(size=16)
-    b = RngStreams(11).np("vecs").normal(size=16)
-    assert (a == b).all()
-
-
 def test_spawn_is_independent_of_parent_use():
     parent = RngStreams(5)
     child_a = parent.spawn("leaf")

@@ -1,4 +1,4 @@
-"""Tests for distributed tracing: span mechanics and end-to-end traces."""
+"""Tests for distributed tracing: segment mechanics and end-to-end traces."""
 
 import pytest
 
@@ -8,27 +8,31 @@ from repro.suite.cluster import run_open_loop
 from repro.telemetry.tracing import Trace, Tracer
 
 
-# -- span mechanics --------------------------------------------------------------
+# -- segment mechanics -----------------------------------------------------------
 
 def test_trace_records_and_breaks_down():
     trace = Trace(request_id=1, started_us=100.0)
-    trace.record("a", "m", 100.0, 150.0)
-    trace.record("b", "m", 150.0, 160.0)
-    trace.record("a", "m", 160.0, 170.0)
-    assert [(s.name, s.start_us, s.end_us) for s in trace.spans] == [
-        ("a", 100.0, 150.0), ("b", 150.0, 160.0), ("a", 160.0, 170.0),
+    trace.add_segment("app_compute", "m", 100.0, 150.0)
+    trace.add_segment("net", "m", 150.0, 160.0)
+    trace.add_segment("app_compute", "m", 160.0, 170.0)
+    assert [(s.category, s.start_us, s.end_us) for s in trace.segments] == [
+        ("app_compute", 100.0, 150.0), ("net", 150.0, 160.0), ("app_compute", 160.0, 170.0),
     ]
 
 
 def test_trace_begin_end_last():
+    """An open segment (``end_us=None``) is closed by ``end_last``,
+    newest first, and only within its own category."""
     trace = Trace(request_id=2, started_us=0.0)
-    trace.begin("queue_wait", "m", 10.0)
-    trace.begin("queue_wait", "m", 20.0)
-    closed = trace.end_last("queue_wait", 25.0)
+    first = trace.add_segment("queue_dwell", "m", 10.0)
+    trace.add_segment("queue_dwell", "m", 20.0)
+    trace.add_segment("app_compute", "m", 22.0)
+    assert first.end_us is None
+    closed = trace.end_last("queue_dwell", 25.0)
     assert closed is not None and closed.start_us == 20.0
-    closed = trace.end_last("queue_wait", 30.0)
-    assert closed is not None and closed.start_us == 10.0
-    assert trace.end_last("queue_wait", 40.0) is None
+    closed = trace.end_last("queue_dwell", 30.0)
+    assert closed is first and first.end_us == 30.0
+    assert trace.end_last("queue_dwell", 40.0) is None
 
 
 def test_tracer_sampling_rate():
@@ -70,31 +74,29 @@ def test_traces_collected_at_sampling_rate(traced_run):
 def test_trace_spans_cover_the_pipeline(traced_run):
     service, tracer = traced_run
     trace = tracer.finished[0]
-    names = {span.name for span in trace.spans}
-    assert "queue_wait" in names
-    assert "request_path" in names
-    assert "response_path" in names
-    assert any(name.startswith("leaf:") for name in names)
-    # Every leaf span belongs to one of the service's leaf machines.
+    mid = [seg.category for seg in trace.segments if seg.machine == service.midtier_name]
+    assert "queue_dwell" in mid
+    assert mid.count("app_compute") == 2  # the request path and the response path
+    # Every leaf segment belongs to one of the service's leaf machines.
     leaf_machines = {leaf.machine.name for leaf in service.leaves}
-    for span in trace.spans:
-        if span.name.startswith("leaf:"):
-            assert span.machine in leaf_machines
+    leaf = {seg.machine for seg in trace.segments if seg.category == "leaf_compute"}
+    assert leaf and leaf <= leaf_machines
 
 
 def test_trace_spans_timed_sanely(traced_run):
-    _service, tracer = traced_run
+    service, tracer = traced_run
+    mid = service.midtier_name
     for trace in tracer.finished:
         assert trace.finished_us > trace.started_us
-        for span in trace.spans:
-            assert span.end_us is not None
-            assert span.end_us >= span.start_us
-            assert span.start_us >= trace.started_us - 1e-6
-            assert span.end_us <= trace.finished_us + 1e-6
-        # The mid-tier's request path is shorter than the round trip:
-        # fabric hops precede and follow it.
+        for seg in trace.segments:
+            assert seg.end_us is not None
+            assert seg.end_us >= seg.start_us
+            assert seg.start_us >= trace.started_us - 1e-6
+            assert seg.end_us <= trace.finished_us + 1e-6
+        # The mid-tier's request and response paths are shorter than the
+        # round trip: fabric hops precede and follow them.
         path = sum(
-            span.end_us - span.start_us
-            for span in trace.spans if span.name == "request_path"
+            seg.duration_us for seg in trace.segments
+            if seg.category == "app_compute" and seg.machine == mid
         )
         assert path < trace.finished_us - trace.started_us
