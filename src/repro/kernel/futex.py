@@ -132,21 +132,25 @@ class CondVar:
         self._op_wake_one = FutexWake(self.futex, 1)
         self._op_wake_all = FutexWake(self.futex, WAKE_ALL)
 
-    def wait(self, mutex: Mutex, timeout_us: float | None = None):
+    def wait(self, mutex: Mutex, timeout_us: float | None = None,
+             queue=None, base_timeout_us: float | None = None):
         """Generator: atomically release ``mutex``, sleep, then re-acquire.
 
         Must be called with ``mutex`` held, inside a predicate re-check
         loop (spurious wakeups are real here, exactly as in pthreads).
         ``timeout_us`` gives ``pthread_cond_timedwait`` semantics — the
         periodic re-wakes of gRPC's deadline-based waits are the paper's
-        main source of futex traffic at low load.
+        main source of futex traffic at low load.  ``queue`` and
+        ``base_timeout_us`` ride on the ``FutexWait`` (see there); nothing
+        here reads ``seq`` once that wait returns, which is what lets the
+        scheduler re-arm it without resuming this generator.
         """
         yield self._op_atomic
         seq = self.futex.value
         yield from mutex.release()
         # Sleeps only if no signal arrived since ``seq`` was read (the
         # expected value varies per wait, so this op cannot be interned).
-        yield FutexWait(self.futex, expected=seq, timeout_us=timeout_us)
+        yield FutexWait(self.futex, seq, timeout_us, queue, base_timeout_us)
         yield from mutex.acquire()
 
     def signal(self):

@@ -64,6 +64,9 @@ class Machine:
         # when this machine hosts a faulted leaf; None on the default path.
         self.fault_injector = None
         self._irq_rng = self.rng.py("irq")
+        self._irq_hardirq = telemetry.irq_recorder(self.name, "hardirq")
+        self._irq_net_rx = telemetry.irq_recorder(self.name, "net_rx")
+        self._irq_rcu = telemetry.irq_recorder(self.name, "rcu")
         self._alloc_ticks = 0
         self._rcu_timer = self.lane.call_in(RCU_TICK_US, self._rcu_tick)
         self._shutdown = False
@@ -131,8 +134,8 @@ class Machine:
         softirq = lognormal_from_median_sigma(
             self._irq_rng, costs.softirq_net_rx_median_us, costs.softirq_net_rx_sigma
         )
-        self.telemetry.record_irq(self.name, "hardirq", hardirq)
-        self.telemetry.record_irq(self.name, "net_rx", softirq)
+        self._irq_hardirq(hardirq)
+        self._irq_net_rx(softirq)
         carried = riders(packet.payload)
         if carried:
             now = self.sim.now
@@ -189,10 +192,9 @@ class Machine:
             # (a long compute never re-dispatches but keeps the core busy).
             if core.busy_since_tick or core.current is not None:
                 core.busy_since_tick = False
-                latency = lognormal_from_median_sigma(
+                self._irq_rcu(lognormal_from_median_sigma(
                     self._irq_rng, costs.softirq_rcu_median_us, costs.softirq_rcu_sigma
-                )
-                self.telemetry.record_irq(self.name, "rcu", latency)
+                ))
         self._rcu_timer = self.lane.call_in(RCU_TICK_US, self._rcu_tick)
 
     def __repr__(self) -> str:

@@ -58,14 +58,20 @@ class FutexWait(KernelOp):
     equals ``expected`` — otherwise it returns immediately (EAGAIN), which
     is what makes the mutex/condvar implementations lost-wakeup free.
     Yields True if actually slept, False on immediate return.
+
+    A task queue's timed wait also carries its ``queue`` and the unjittered
+    ``base_timeout_us``, for ``Scheduler._rearm``.
     """
 
-    __slots__ = ("futex", "expected", "timeout_us")
+    __slots__ = ("futex", "expected", "timeout_us", "queue", "base_timeout_us")
 
-    def __init__(self, futex: "Futex", expected: int, timeout_us: Optional[float] = None):
+    def __init__(self, futex: "Futex", expected: int, timeout_us: Optional[float] = None,
+                 queue: Any = None, base_timeout_us: Optional[float] = None):
         self.futex = futex
         self.expected = expected
         self.timeout_us = timeout_us
+        self.queue = queue
+        self.base_timeout_us = base_timeout_us
 
 
 class FutexWake(KernelOp):

@@ -38,6 +38,19 @@ what could reach this machine first: its own entries, global ones, and
 other machines' entries more than a fabric latency back.  An op that
 sends keeps the strict rule, because the send draws the fabric's shared
 RNG stream.
+
+An idle task-queue worker whose timed wait expires re-arms it in one
+step (:meth:`Scheduler._rearm`): with the queue mutex word 0, the queue
+empty, the timeslice still open as the release ends or no other thread
+queued on the core, and ``advance_to`` accepting all four op boundaries
+of ``TaskQueue.get``'s empty iteration (A(mutex) CAS, A(cond), A(mutex)
+release, futex(WAIT) entry; the clock goes back on a refusal),
+the scheduler applies their effects at their times and in their order and
+blocks the thread again.  The body stays parked in the old wait, which is
+equivalent: ``CondVar.wait``'s ``seq`` and ``get``'s ``timeout`` are never
+read after the ``FutexWait`` returns.  Not covered: the wake prefix
+(``make_runnable`` → ``_begin_run``) and epoll expiries (pollers,
+response threads), which still resume their bodies.
 """
 
 from __future__ import annotations
@@ -297,12 +310,11 @@ class Scheduler:
         # Userspace ops never enter the kernel: no name, the body is all.
         self._ops[Compute] = (None, 0.0, None, self._op_compute)
         self._ops[AtomicAccess] = (None, 0.0, None, self._op_atomic)
-
-    # -- telemetry shorthand -------------------------------------------------
-    def _softirq_sample(self, kind: str, median: float, sigma: float) -> float:
-        latency = lognormal_from_median_sigma(self.rng, median, sigma)
-        self._telemetry.record_irq(self._mname, kind, latency)
-        return latency
+        # The softirqs this scheduler raises, one recorder per kind.
+        telemetry = machine.telemetry
+        self._irq_sched = telemetry.irq_recorder(self._mname, "sched")
+        self._irq_block = telemetry.irq_recorder(self._mname, "block")
+        self._irq_net_tx = telemetry.irq_recorder(self._mname, "net_tx")
 
     # -- thread lifecycle ------------------------------------------------------
     def spawn(self, thread: SimThread) -> SimThread:
@@ -339,9 +351,10 @@ class Scheduler:
             thread.vruntime = floor
         core.push(thread)
         # A wakeup raises a SCHED softirq (IPI + resched bookkeeping).
-        self._softirq_sample(
-            "sched", self.costs.softirq_sched_median_us, self.costs.softirq_sched_sigma
-        )
+        costs = self.costs
+        self._irq_sched(lognormal_from_median_sigma(
+            self.rng, costs.softirq_sched_median_us, costs.softirq_sched_sigma
+        ))
         self._kick(core, last)
 
     def _kick(self, core: Core, last: bool) -> None:
@@ -425,8 +438,80 @@ class Scheduler:
             return
         hook = thread.resume_hook
         thread.resume_hook = None
+        expired = thread.expired_wait
+        if expired is not None:
+            thread.expired_wait = None
+            if self._rearm(core, thread, expired):
+                return
         thread.send_value = hook() if hook is not None else thread.send_value
         self._advance(core, thread)
+
+    def _rearm(self, core: Core, thread: SimThread, op: FutexWait) -> bool:
+        """Run ``TaskQueue.get``'s next empty iteration for ``thread``,
+        whose wait ``op`` just expired, without resuming its body (module
+        docstring).  False, with nothing changed, when its ops must run
+        through ``_advance``."""
+        queue = op.queue
+        mutex = queue.mutex
+        if mutex.futex.value or queue.items:
+            return False
+        sim = self.sim
+        lane = self.lane
+        costs = self.costs
+        condvar = queue.condvar
+        mutex_line = mutex.cacheline
+        cond_line = condvar.cacheline
+        futex_line = condvar.futex.cacheline
+        # Each op's charge, with touch_cacheline's transfer read without
+        # touching.  The release finds the mutex line where the CAS left it.
+        atomic = costs.atomic_op_us
+        cas = cond = atomic
+        entry = self._ops[FutexWait][1]
+        here, socket = core.index, core.socket
+        local, remote = costs.hitm_transfer_us, costs.hitm_remote_transfer_us
+        owner = mutex_line.last_core
+        if owner is not None and owner != here:
+            cas += remote if self.cores[owner].socket != socket else local
+        owner = cond_line.last_core
+        if owner is not None and owner != here:
+            cond += remote if self.cores[owner].socket != socket else local
+        owner = futex_line.last_core
+        if owner is not None and owner != here:
+            entry += remote if self.cores[owner].socket != socket else local
+        # A queued thread matters only to _advance's preemption check, last
+        # made as the release ends.
+        start = sim._now
+        if not (
+            sim.advance_to(start + cas, lane)
+            and sim.advance_to(sim._now + cond, lane)
+            and sim.advance_to(sim._now + atomic, lane)
+            and (sim._now < core.slice_end or not core.runqueue)
+            and sim.advance_to(sim._now + entry, lane)
+        ):
+            sim._now = lane.now = start
+            return False
+        # Replay the ops at their start times.  The mutex word goes 1 at the
+        # CAS and back to 0 at the release, with nothing run in between to
+        # see it: it stays 0.
+        sim._now = lane.now = start
+        self.touch_cacheline(core, mutex_line)
+        thread.vruntime += cas
+        sim._now = lane.now = start + cas
+        self.touch_cacheline(core, cond_line)
+        thread.vruntime += cond
+        sim._now = lane.now = sim._now + cond
+        thread.vruntime += atomic
+        sim._now = lane.now = sim._now + atomic
+        self._telemetry.count_syscall(self._mname, "futex")
+        self.touch_cacheline(core, futex_line)
+        thread.vruntime += entry
+        core.busy_epoch += 4
+        sim._now = lane.now = core.busy_until = sim._now + entry
+        self._block(
+            core, thread, "futex", _return_true, queue.jittered(op.base_timeout_us),
+            condvar.futex.waiters, op,
+        )
+        return True
 
     def _advance(self, core: Core, thread: SimThread) -> None:
         """Pull and interpret the thread's next kernel op."""
@@ -546,23 +631,27 @@ class Scheduler:
         resume_hook: Optional[Callable[[], object]],
         timeout_us: Optional[float],
         waitlist: list,
+        wait_op: Optional[FutexWait] = None,
     ) -> None:
         """Park ``thread`` on ``waitlist``; on timeout it is removed from it
-        and made runnable again."""
+        and made runnable again, with ``wait_op`` (a task queue's wait) to
+        re-arm if it can (:meth:`_rearm`)."""
         waitlist.append(thread)
         thread.state = ThreadState.BLOCKED
         thread.block_reason = reason
         thread.resume_hook = resume_hook
-        self._softirq_sample(
-            "block", self.costs.softirq_block_median_us, self.costs.softirq_block_sigma
-        )
+        costs = self.costs
+        self._irq_block(lognormal_from_median_sigma(
+            self.rng, costs.softirq_block_median_us, costs.softirq_block_sigma
+        ))
         if timeout_us is not None:
             thread.wait_timer = self.lane.call_in(
-                timeout_us, self._wait_timeout, thread, waitlist
+                timeout_us, self._wait_timeout, thread, waitlist, wait_op
             )
         self._switch_away(core)
 
-    def _wait_timeout(self, thread: SimThread, waitlist: Optional[list]) -> None:
+    def _wait_timeout(self, thread: SimThread, waitlist: Optional[list],
+                      wait_op: Optional[FutexWait] = None) -> None:
         if thread.state is not ThreadState.BLOCKED:
             return
         thread.wait_timer = None
@@ -570,7 +659,10 @@ class Scheduler:
             try:
                 waitlist.remove(thread)
             except ValueError:
-                pass
+                raise RuntimeError(
+                    f"wait timer of {thread} fired off its {thread.block_reason} wait list"
+                ) from None
+        thread.expired_wait = wait_op
         # Only ever a calendar entry (the _block timer, the nanosleep
         # expiry), and the wake is its last act.
         self.make_runnable(thread, last=True)
@@ -632,6 +724,7 @@ class Scheduler:
             resume_hook=_return_true,
             timeout_us=op.timeout_us,
             waitlist=op.futex.waiters,
+            wait_op=op if op.queue is not None else None,
         )
 
     def _futex_wake_body(self, core: Core, thread: SimThread, op: FutexWake) -> None:
@@ -682,9 +775,11 @@ class Scheduler:
                 self.make_runnable(waiter)
 
     def _sock_send_body(self, core: Core, thread: SimThread, op: SockSend) -> None:
-        tx_latency = self._softirq_sample(
-            "net_tx", self.costs.softirq_net_tx_median_us, self.costs.softirq_net_tx_sigma
+        costs = self.costs
+        tx_latency = lognormal_from_median_sigma(
+            self.rng, costs.softirq_net_tx_median_us, costs.softirq_net_tx_sigma
         )
+        self._irq_net_tx(tx_latency)
         carried = riders(op.payload)
         if carried:
             now = self.sim._now

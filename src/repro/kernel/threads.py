@@ -49,6 +49,9 @@ class SimThread:
         # Evaluated at resume to produce a fresh send value (e.g. the epoll
         # ready list as of when the thread actually runs, not when woken).
         self.resume_hook = None
+        # The task-queue FutexWait whose timer caused the most recent wake;
+        # consumed when the thread begins running (Scheduler._rearm).
+        self.expired_wait = None
         # Traces whose message/handoff caused the most recent wake; consumed
         # when the thread begins running to attribute its runqueue wait.
         self.wake_riders = None

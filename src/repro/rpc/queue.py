@@ -56,15 +56,18 @@ class TaskQueue:
         condvar wait is timed (gRPC-style deadline waits), so idle workers
         re-wake periodically — issuing the futex traffic the paper observes
         to be highest *per query* at low load.
+
+        The wait carries this queue and ``wait_timeout_us``, so the
+        scheduler can run an expired wait's next empty iteration itself
+        (``Scheduler._rearm``), leaving this generator parked in the old
+        wait: ``timeout`` is never read after the wait returns.
         """
         yield from self.mutex.acquire()
         while not self.items:
-            # Jitter each timed wait: identical deadlines would re-wake the
-            # whole pool in lockstep and convoy on the queue mutex.
             timeout = None
             if wait_timeout_us is not None:
-                timeout = wait_timeout_us * (0.5 + self._jitter_rng.random())
-            yield from self.condvar.wait(self.mutex, timeout_us=timeout)
+                timeout = self.jittered(wait_timeout_us)
+            yield from self.condvar.wait(self.mutex, timeout, self, wait_timeout_us)
         item = self.items.popleft()
         yield from self.mutex.release()
         # Drain the kick counter.  A sibling may drain it during this read's
@@ -72,6 +75,12 @@ class TaskQueue:
         if self.kick_efd.counter > 0:
             yield EventfdRead(self.kick_efd)
         return item
+
+    def jittered(self, wait_timeout_us: float) -> float:
+        """One timed wait's deadline.  Jittered, because identical
+        deadlines would re-wake the whole pool in lockstep and convoy on
+        the queue mutex."""
+        return wait_timeout_us * (0.5 + self._jitter_rng.random())
 
     def __len__(self) -> int:
         return len(self.items)

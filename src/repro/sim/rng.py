@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau
 from typing import Dict
 
 import numpy as np
@@ -72,8 +73,19 @@ def lognormal_from_median_sigma(rng: random.Random, median: float, sigma: float)
 
     Latency-shaped noise: the bulk sits near ``median`` with a right tail
     controlled by ``sigma``.  Used for interrupt-handler and wakeup-path
-    cost models.
+    cost models, once per simulated interrupt, so the body of
+    ``rng.gauss(0.0, 1.0)`` is inlined: the same Box-Muller pair and the
+    same ``gauss_next`` cache, so the draws are bit-equal to
+    ``median * math.exp(sigma * rng.gauss(0.0, 1.0))`` (``0.0 + z * 1.0``
+    is ``z``, up to the sign of a zero that ``exp`` maps to 1.0 either way).
     """
     if median <= 0:
         return 0.0
-    return median * math.exp(sigma * rng.gauss(0.0, 1.0))
+    z = rng.gauss_next
+    rng.gauss_next = None
+    if z is None:
+        x2pi = rng.random() * tau
+        g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+        z = _cos(x2pi) * g2rad
+        rng.gauss_next = _sin(x2pi) * g2rad
+    return median * _exp(sigma * z)

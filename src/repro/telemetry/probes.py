@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import inf
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.telemetry.histogram import LatencyHistogram
 
@@ -139,6 +139,7 @@ class Telemetry:
         # off path is a single identity test.
         self.windows = None
         self._teed = set()
+        self._irq_recorders: Dict[Tuple[str, str], Callable[[float], None]] = {}
 
     def _reset(self) -> None:
         """Empty every family: at construction, at the warm-up trim, and
@@ -251,21 +252,37 @@ class Telemetry:
             sink = self.runqlat[machine] = self._new_sink()
         sink.record(latency_us)
 
-    def record_irq(self, machine: str, kind: str, latency_us: float) -> None:
-        """eBPF ``hardirqs``/``softirqs`` equivalent."""
+    def irq_recorder(self, machine: str, kind: str) -> Callable[[float], None]:
+        """eBPF ``hardirqs``/``softirqs`` equivalent: the hub's one recorder
+        for ``(machine, kind)``, made and its kind checked on first use, so
+        an interrupt costs one call.  It looks the sink up per sample: the
+        warm-up trim and a streamed flush replace the dict."""
+        key = (machine, kind)
+        record = self._irq_recorders.get(key)
+        if record is not None:
+            return record
         if kind not in IRQ_KINDS:
             raise ValueError(f"unknown irq kind: {kind}")
-        sim = self._sim
-        now = sim._now if sim is not None else self._clock()
-        if now < self.window_start:
-            return
-        if now >= self._roll_at:
-            self._roll(now)
-        key = (machine, kind)
-        sink = self.irq_latency.get(key)
-        if sink is None:
-            sink = self.irq_latency[key] = self._new_sink()
-        sink.record(latency_us)
+
+        def record(latency_us: float) -> None:
+            sim = self._sim
+            now = sim._now if sim is not None else self._clock()
+            if now < self.window_start:
+                return
+            if now >= self._roll_at:
+                self._roll(now)
+            sink = self.irq_latency.get(key)
+            if sink is None:
+                sink = self.irq_latency[key] = self._new_sink()
+            sink.record(latency_us)
+
+        self._irq_recorders[key] = record
+        return record
+
+    def record_irq(self, machine: str, kind: str, latency_us: float) -> None:
+        """One sample through :meth:`irq_recorder`'s recorder for the key."""
+        record = self._irq_recorders.get((machine, kind)) or self.irq_recorder(machine, kind)
+        record(latency_us)
 
     def count_context_switch(self, machine: str) -> None:
         """``perf`` context-switch count equivalent."""

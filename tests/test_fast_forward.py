@@ -14,9 +14,12 @@ of running in place only when no entry at all is due.
 
 ``router-100`` is the low-load cell, where most wake-ups are such timers
 expiring on idle threads (the paper's futex/epoll calls per query at 100
-QPS).  The replicated Router cells run mid-tier replicas that share one
-app and its replica-pick RNG, at a load where replicas on separate lanes
-would take those draws out of order.  The other replicated cells (HDSearch,
+QPS).  Every cell also runs with the scheduler's one-step re-arm of an
+expired task-queue wait refused (``Scheduler._rearm``): records, spill
+bytes, trace segments and calendar entries must not move.  The
+replicated Router cells run mid-tier replicas that share one app and its
+replica-pick RNG, at a load where replicas on separate lanes would take
+those draws out of order.  The other replicated cells (HDSearch,
 a graph with a replicated internal node and leaf tier, and a traced,
 streaming copy of the features cell) run each replica on its own lane,
 and must match the strict rule as well as the filed run: model records,
@@ -277,6 +280,84 @@ def test_fast_forward_is_exact(cell, tmp_path, monkeypatch):
     assert _relabelled(shipped) == _relabelled(filed)
     assert shipped_events < filed_events
     assert len(shipped_dispatches) < len(filed_dispatches)
+
+
+_REARM = Scheduler._rearm
+_WAIT_TIMEOUT = Scheduler._wait_timeout
+
+
+def _count_rearms(monkeypatch):
+    """Count task-queue wait expiries (a futex wait's timer: only task
+    queues time their futex waits) and the re-arms made in one step."""
+    counts = {"expiries": 0, "rearms": 0}
+
+    def expiring(self, thread, waitlist, wait_op=None):
+        if thread.block_reason == "futex":
+            counts["expiries"] += 1
+        _WAIT_TIMEOUT(self, thread, waitlist, wait_op)
+
+    def rearming(self, core, thread, op):
+        rearmed = _REARM(self, core, thread, op)
+        counts["rearms"] += rearmed
+        return rearmed
+
+    monkeypatch.setattr(Scheduler, "_wait_timeout", expiring)
+    monkeypatch.setattr(Scheduler, "_rearm", rearming)
+    return counts
+
+
+def _refuse_rearm(monkeypatch):
+    """Run every expired task-queue wait through the thread's body."""
+    monkeypatch.setattr(Scheduler, "_rearm", lambda self, core, thread, op: False)
+
+
+def _run_with_kernel_state(cell, tmp_path, monkeypatch):
+    """:func:`_run`, plus the scheduler state no record shows: every
+    thread's vruntime and every core's occupancy stamps, and how many
+    entries the calendar was handed."""
+    build, qps = CELLS[cell]
+    clusters = []
+
+    def keeping(tmp_path):
+        cluster, handle = build(tmp_path)
+        clusters.append(cluster)
+        return cluster, handle
+
+    monkeypatch.setitem(CELLS, cell, (keeping, qps))
+    record, events = _run(cell, tmp_path)
+    monkeypatch.setitem(CELLS, cell, (build, qps))
+    (cluster,) = clusters
+    tel = cluster.telemetry
+    record["irq"] = {key: tel.irq_hist(*key).summary() for key in sorted(tel.irq_latency)}
+    record["kernel"] = (cluster.sim._seq, [
+        (
+            [(t.name, t.vruntime, t.state, t.last_core) for t in m.scheduler.threads],
+            [(c.busy_epoch, c.busy_until, c.idle_since) for c in m.scheduler.cores],
+        )
+        for m in cluster.machines
+    ])
+    return record, events
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_rearm_is_exact(cell, tmp_path, monkeypatch):
+    """An idle worker's expired wait re-armed in one step leaves the same
+    records, spill bytes, trace segments, calendar entries and scheduler
+    state as the same iteration run through ``TaskQueue.get``.  At low
+    load nearly every expiry takes the one step: a change that defeats
+    one of its preconditions fails here rather than only losing the
+    speed."""
+    counts = _count_rearms(monkeypatch)
+    shipped, shipped_events = _run_with_kernel_state(cell, tmp_path, monkeypatch)
+    counts = dict(counts)
+    _refuse_rearm(monkeypatch)
+    refused, refused_events = _run_with_kernel_state(cell, tmp_path, monkeypatch)
+    assert shipped == refused
+    assert shipped_events == refused_events
+    if cell in ("router-100", "features-on"):
+        assert counts["rearms"] > 0
+    if cell == "router-100":
+        assert counts["rearms"] >= 0.9 * counts["expiries"], counts
 
 
 @pytest.mark.parametrize("cell", ["features-on", "router-100"])

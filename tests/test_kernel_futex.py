@@ -1,5 +1,7 @@
 """Tests for futexes, mutexes, and condition variables."""
 
+import pytest
+
 from repro.kernel import CondVar, Compute, Futex, FutexWait, FutexWake, Mutex, Nanosleep
 
 from tests.helpers import Rig
@@ -79,6 +81,26 @@ def test_futex_wait_timeout_fires():
     assert len(stamps) == 1
     assert 200.0 <= stamps[0] < 300.0
     assert not futex.waiters  # timeout removed the waiter from the queue
+
+
+def test_wait_timer_of_a_thread_off_its_wait_list_is_a_named_fault():
+    """A blocked thread whose wait timer fires while it is off its own wait
+    list is a bookkeeping fault, not a wake to shrug off."""
+    rig = Rig()
+    machine = rig.machine("m", cores=1)
+    futex = Futex(0)
+
+    def body():
+        yield FutexWait(futex, expected=0, timeout_us=200.0)
+
+    thread = machine.spawn("t", body())
+    machine.shutdown()
+    rig.run(until=100.0)
+    assert futex.waiters == [thread]
+    futex.waiters.clear()
+    with pytest.raises(RuntimeError, match=r"wait timer of SimThread\(m/t, blocked\) "
+                                           r"fired off its futex wait list"):
+        rig.run(until=10_000)
 
 
 def test_futex_syscalls_counted():

@@ -41,6 +41,10 @@ ALLOWED = {
     "Timeout": "benchmarks/perf/micro.py times the engine's process resume with it",
     "Process": "benchmarks/perf/micro.py times the engine's process resume with it",
     "merged_syscalls": "benchmarks/perf/endtoend.py reads the syscalls per query through it",
+    "record_irq": (
+        "benchmarks/perf/micro.py times the probe path with it; the simulator binds "
+        "irq_recorder instead"
+    ),
     "matching_documents": "examples/document_search.py checks answers against it",
     "intersect_skip": "examples/document_search.py compares it with the linear merge",
     "candidate_count": "examples/image_search_accuracy.py reports LSH candidates with it",

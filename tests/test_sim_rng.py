@@ -1,5 +1,7 @@
 """Unit and property tests for deterministic RNG streams."""
 
+import math
+
 from hypothesis import given, strategies as st
 
 from repro.sim.rng import RngStreams, derive_seed, exponential, lognormal_from_median_sigma
@@ -74,3 +76,19 @@ def test_lognormal_median_roughly_matches():
 def test_lognormal_zero_median_returns_zero():
     rng = RngStreams(0).py("ln")
     assert lognormal_from_median_sigma(rng, 0.0, 1.0) == 0.0
+
+
+def test_lognormal_draws_are_the_stdlib_gauss_bit_for_bit():
+    """``lognormal_from_median_sigma`` inlines ``random.Random.gauss``; on
+    twin streams it must match the stdlib call bit for bit, with plain
+    ``random()`` draws interleaved between a pair's two variates (the
+    second comes from the ``gauss_next`` cache)."""
+    inlined, stdlib = RngStreams(11).py("irq"), RngStreams(11).py("irq")
+    for i in range(100_000):
+        median, sigma = 0.25 + (i % 7), 0.1 * (i % 6)
+        got = lognormal_from_median_sigma(inlined, median, sigma)
+        want = median * math.exp(sigma * stdlib.gauss(0.0, 1.0))
+        assert got.hex() == want.hex(), i
+        if i % 3 == 0:
+            assert inlined.random() == stdlib.random()
+    assert inlined.getstate() == stdlib.getstate()

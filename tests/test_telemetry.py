@@ -290,6 +290,15 @@ def test_irq_kinds_validated():
         t.record_irq("m", "bogus", 1.0)
 
 
+def test_irq_kind_is_validated_when_a_recorder_is_bound():
+    t, _ = _telemetry()
+    with pytest.raises(ValueError, match="unknown irq kind: nmi"):
+        t.irq_recorder("m", "nmi")
+    record = t.irq_recorder("m", "rcu")
+    record(2.0)
+    assert t.irq_hist("m", "rcu").count == 1
+
+
 def test_irq_hist_accumulates():
     t, _ = _telemetry()
     t.record_irq("m", "net_rx", 3.0)
